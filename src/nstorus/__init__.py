@@ -41,7 +41,6 @@ from .operators import (
     identity_split,
     leray_project,
     sliced_fmc_norm,
-    sliced_phi_norm,
     star_product,
     unit_times,
 )

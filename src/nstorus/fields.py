@@ -157,16 +157,19 @@ def phi_norm(f: SpectralField, alpha: float) -> float:
 def fmc_norm(f: SpectralField, m, c: float, beta: float) -> float:
     """Minimal C with |f(k)| <= C |k|^-beta exp(-c sqrt(m) |k|) on the lattice.
 
-    Computed as sup_k |k|^beta exp(c sqrt(m) |k|) |f(k)|; requires beta > 3
-    and m, c > 0.
+    Computed as sup_k |k|^beta exp(c sqrt(m) |k|) |f(k)| over the supported
+    sites only: at large m the weight overflows to inf at large |k|, and inf
+    times an empty site's zero would be nan. Requires beta > 3 and m, c > 0.
     """
     if beta <= 3:
         raise ValueError(f"beta must be > 3, got {beta}")
     if m <= 0 or c <= 0:
         raise ValueError("m and c must be positive")
-    q = f.lattice.norm_sq_f
+    mags = f.magnitudes()
+    supported = mags > 0
+    q = f.lattice.norm_sq_f[supported]
     weights = q ** (beta / 2.0) * np.exp(c * np.sqrt(float(m)) * np.sqrt(q))
-    return float(np.max(weights * f.magnitudes(), initial=0.0))
+    return float(np.max(weights * mags[supported], initial=0.0))
 
 
 def heat_multiply(f: SpectralField, t: float) -> SpectralField:

@@ -2,7 +2,8 @@
 
 Every field, operator and norm in this package is indexed by the sites of a
 finite, negation-symmetric sublattice of Z^3 minus the origin. Sites are kept
-in lexicographic order so that all reductions are deterministic.
+in lexicographic order, so site indices, and every array laid out by them,
+depend only on the lattice spec.
 """
 
 from __future__ import annotations
@@ -85,21 +86,21 @@ def _enumerate_sites(spec: LatticeSpec) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _ConvTable:
-    """Precomputed (k, l, k-l) index triples for the lattice convolution.
+    """Flat indices of the lattice convolution's pairs (k, l), k-l a site.
 
-    Sorted by output index ki; seg_starts/seg_rows drive np.add.reduceat so
-    the accumulation order is fixed and results are bit-reproducible.
+    For N sites, pair p scatters entry src[p] = ki*N + mi of the flattened
+    (N, N) matrix D[k, m] = <k, u(m)> to entry dest[p] = ki*N + li of the
+    flattened interaction matrix A[k, l] = <k, u(k-l)>, where mi is the index
+    of k-l. Pairs are in row-major order of A, so dest is strictly increasing.
     """
 
-    ki: np.ndarray
-    li: np.ndarray
-    mi: np.ndarray
-    seg_starts: np.ndarray
-    seg_rows: np.ndarray
+    dest: np.ndarray
+    src: np.ndarray
 
 
 class Lattice:
-    """Built lattice: ordered site table plus cached convolution pairings.
+    """Built lattice: ordered site table plus cached convolution pairings
+    and work matrices.
 
     Two Lattice instances compare equal when their specs are equal; use
     get_lattice() to share one instance (and its caches) per spec.
@@ -114,6 +115,7 @@ class Lattice:
         self.norm_sq_f = self.norm_sq.astype(np.float64)
         self.index = {tuple(s): i for i, s in enumerate(sites.tolist())}
         self._conv: _ConvTable | None = None
+        self._conv_work: tuple[np.ndarray, np.ndarray] | None = None
         self._negation: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -154,6 +156,20 @@ class Lattice:
             self._conv = self._build_conv_table()
         return self._conv
 
+    def conv_work(self) -> tuple[np.ndarray, np.ndarray]:
+        """Two (N, N) complex work matrices reused by every convolution call.
+
+        Reuse keeps each call free of fresh allocations, whose page faults
+        would otherwise cost as much as the arithmetic. The second matrix is
+        written only at conv_table().dest and so stays zero elsewhere.
+        Callers on one lattice must not overlap: bilinear is not thread-safe.
+        """
+        if self._conv_work is None:
+            n = len(self.sites)
+            self._conv_work = (np.empty((n, n), dtype=np.complex128),
+                               np.zeros((n, n), dtype=np.complex128))
+        return self._conv_work
+
     def _build_conv_table(self) -> _ConvTable:
         k_max = self.spec.k_max
         n = len(self.sites)
@@ -162,7 +178,7 @@ class Lattice:
         shifted = self.sites + k_max
         lookup[shifted[:, 0], shifted[:, 1], shifted[:, 2]] = np.arange(n)
 
-        ki_parts, li_parts, mi_parts = [], [], []
+        dest_parts, src_parts = [], []
         chunk = max(1, min(n, 512))
         for a in range(0, n, chunk):
             b = min(n, a + chunk)
@@ -172,19 +188,10 @@ class Lattice:
             dd = d[rows, cols] + k_max
             mi = lookup[dd[:, 0], dd[:, 1], dd[:, 2]]
             keep = mi >= 0
-            ki_parts.append(rows[keep] + a)
-            li_parts.append(cols[keep])
-            mi_parts.append(mi[keep])
-        ki = np.concatenate(ki_parts) if ki_parts else np.empty(0, dtype=np.int64)
-        li = np.concatenate(li_parts) if li_parts else np.empty(0, dtype=np.int64)
-        mi = np.concatenate(mi_parts) if mi_parts else np.empty(0, dtype=np.int64)
-        if ki.size:
-            seg_starts = np.flatnonzero(np.diff(ki, prepend=ki[0] - 1))
-            seg_rows = ki[seg_starts]
-        else:
-            seg_starts = np.empty(0, dtype=np.int64)
-            seg_rows = np.empty(0, dtype=np.int64)
-        return _ConvTable(ki, li, mi, seg_starts, seg_rows)
+            row_start = (rows[keep] + a) * n
+            dest_parts.append(row_start + cols[keep])
+            src_parts.append(row_start + mi[keep])
+        return _ConvTable(dest=np.concatenate(dest_parts), src=np.concatenate(src_parts))
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,15 @@ The convection term couples modes through the truncated convolution
 summed over pairs with l and k-l both nonzero lattice sites (Galerkin
 truncation: interactions leaving the lattice are dropped). Because P_k does
 not depend on l, the projection is applied once to the accumulated sum per
-output mode, which also makes the output solenoidal by construction.
+output mode, which also makes the output solenoidal by construction. The
+sum is one dense matrix product (see bilinear); every output mode is summed
+from its own pair products, so small modes keep their relative accuracy.
+
+Determinism: the summation order is the BLAS library's, which may differ
+between BLAS builds and thread counts. The same config and seed give
+byte-identical CSVs from run to run on one machine with the same numpy and
+BLAS build and the same BLAS thread count; across those, results agree to
+rounding.
 
 Time integration against the heat kernel uses an exponential-integrator
 rule: on each substep the source is replaced by the average of its endpoint
@@ -24,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SpectralField, fmc_norm, phi_norm
+from .fields import SpectralField, fmc_norm
 from .lattice import Lattice, WaveVector
 
 __all__ = [
@@ -37,7 +45,6 @@ __all__ = [
     "duhamel_integrate",
     "star_product",
     "identity_split",
-    "sliced_phi_norm",
     "sliced_fmc_norm",
 ]
 
@@ -59,20 +66,27 @@ def leray_project(k, x) -> np.ndarray:
 
 
 def bilinear(u: SpectralField, v: SpectralField) -> SpectralField:
-    """Truncated convection convolution of two fields on a shared lattice."""
+    """Truncated convection convolution of two fields on a shared lattice.
+
+    The pairs are scattered into the dense interaction matrix
+    A[k, l] = <k, u(k-l)> (zero where k-l is not a site), and one matrix
+    product A @ v sums them. Each output mode is the sum of the same pair
+    products as the direct convolution; only the summation order is BLAS's,
+    so every mode keeps its own relative accuracy however small it is. Both
+    matrices are the lattice's reused work arrays (Lattice.conv_work), so
+    calls on one lattice must not run concurrently.
+    """
     if u.lattice != v.lattice:
         raise ValueError("bilinear requires fields on the same lattice")
     lat = u.lattice
-    out = np.zeros_like(u.data)
     tab = lat.conv_table()
-    if tab.ki.size:
-        kf = lat.sites_f
-        dots = (kf[tab.ki] * u.data[tab.mi]).sum(axis=1)
-        contrib = dots[:, None] * v.data[tab.li]
-        sums = np.add.reduceat(contrib, tab.seg_starts, axis=0)
-        out[tab.seg_rows] = sums
-        out -= ((kf * out).sum(axis=1) / lat.norm_sq_f)[:, None] * kf
-        out *= _TWO_PI_I
+    kf = lat.sites_f
+    dots, inter = lat.conv_work()
+    np.matmul(kf, u.data.T, out=dots)             # dots[k, m] = <k, u(m)>
+    inter.ravel()[tab.dest] = dots.ravel()[tab.src]
+    out = inter @ v.data
+    out -= ((kf * out).sum(axis=1) / lat.norm_sq_f)[:, None] * kf
+    out *= _TWO_PI_I
     return SpectralField(lat, out)
 
 
@@ -222,10 +236,6 @@ def identity_split(a1: float, a2: float, k, l) -> tuple[float, float, float]:
     diff = lv - shift * kv
     residual = total * float(diff @ diff)
     return coeff_k, shift, residual
-
-
-def sliced_phi_norm(x: TimeSlicedField, alpha: float) -> float:
-    return max(phi_norm(s, alpha) for s in x.slices)
 
 
 def sliced_fmc_norm(x: TimeSlicedField, m, c: float, beta: float) -> float:

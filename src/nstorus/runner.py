@@ -1,9 +1,11 @@
 """Run orchestration: induction runs, oracle runs, certificate re-analysis,
 and the smallness-threshold bisection driver.
 
-All outputs are deterministic for a fixed configuration: numeric CSV cells
-use the shortest round-trip decimal representation, row order is fixed, and
-no timestamps are written. Each CSV starts with a '# schema=' line.
+All outputs are deterministic for a fixed configuration: the same config and
+seed give byte-identical CSVs on one machine with the same numpy and BLAS
+build and BLAS thread count. Numeric CSV cells use the shortest round-trip
+decimal representation, row order is fixed, and no timestamps are written.
+Each CSV starts with a '# schema=' line.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # numpy 2 reprs np.float64 as "np.float64(...)"
     return str(value)
 
 

@@ -62,6 +62,21 @@ def test_fmc_norm_single_entry(ball2):
     assert fmc_norm(f, 4, 0.5, 3.5) == pytest.approx(math.e, rel=1e-14)
 
 
+def test_fmc_norm_zero_field_at_large_m():
+    # the weight overflows to inf at |k| = 8 for m = 1e6; empty sites
+    # must not turn that into nan
+    assert fmc_norm(SpectralField.zero(ball(8)), 1e6, 1 / math.sqrt(3), 3.5) == 0.0
+
+
+def test_fmc_norm_low_mode_field_finite_at_large_m():
+    lat = ball(8)
+    f = SpectralField.from_modes(lat, {(1, 0, 0): (0.0, 1.0, 0.0), (0, 0, -1): (1.0, 0.0, 0.0)})
+    c = 1 / math.sqrt(3)
+    value = fmc_norm(f, 1e6, c, 3.5)
+    assert math.isfinite(value)
+    assert value == pytest.approx(math.exp(c * 1e3), rel=1e-12)
+
+
 def test_fmc_norm_rejects_small_beta(ball2):
     with pytest.raises(ValueError):
         fmc_norm(SpectralField.zero(ball2), 1, 0.5, 3.0)

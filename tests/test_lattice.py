@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from nstorus import LatticeSpec, TruncationRule, WaveVector, build_lattice, get_lattice
 
+from util import conv_triples
+
 
 def brute_force_ball(k_max):
     """Independent triple-loop enumeration of {k != 0 : |k|^2 <= k_max^2}."""
@@ -83,18 +85,26 @@ def test_lattice_equality_by_spec():
 
 def test_conv_table_triples_are_valid(ball2):
     tab = ball2.conv_table()
+    ki, li = np.divmod(tab.dest, len(ball2))
+    ki_src, mi = np.divmod(tab.src, len(ball2))
+    assert (ki == ki_src).all()
     sites = ball2.sites
-    diff = sites[tab.ki] - sites[tab.li]
-    assert (diff == sites[tab.mi]).all()
+    diff = sites[ki] - sites[li]
+    assert (diff == sites[mi]).all()
     # no zero vector slips in as l or k-l
-    assert (np.abs(sites[tab.li]).sum(axis=1) > 0).all()
+    assert (np.abs(sites[li]).sum(axis=1) > 0).all()
     assert (np.abs(diff).sum(axis=1) > 0).all()
 
 
 def test_conv_table_sorted_by_output(ball2):
-    tab = ball2.conv_table()
-    assert (np.diff(tab.ki) >= 0).all()
-    assert (tab.ki[tab.seg_starts] == tab.seg_rows).all()
+    for lat in (ball2, get_lattice(LatticeSpec(2, TruncationRule.SUP_CUBE))):
+        tab = lat.conv_table()
+        # each pair once, in row-major order of the interaction matrix
+        assert (np.diff(tab.dest) > 0).all()
+        # and exactly the pairs of an independent enumeration
+        ki, li, mi = conv_triples(lat)
+        assert (tab.dest == ki * len(lat) + li).all()
+        assert (tab.src == ki * len(lat) + mi).all()
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,16 +7,19 @@ from hypothesis import strategies as st
 
 from nstorus import (
     DuhamelGrid,
+    LatticeSpec,
     SpectralField,
     TimeSlicedField,
+    TruncationRule,
     bilinear,
     duhamel_integrate,
+    get_lattice,
     identity_split,
     leray_project,
     star_product,
     unit_times,
 )
-from util import ball, random_field, random_sliced
+from util import ball, direct_bilinear, random_field, random_sliced
 
 
 # -- Leray projection ----------------------------------------------------------
@@ -104,6 +107,25 @@ def test_bilinear_output_divergence_free(seed):
     u = random_field(lat, rng, solenoidal=False)  # holds for any inputs
     v = random_field(lat, rng, solenoidal=False)
     assert bilinear(u, v).max_divergence_ratio() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.sampled_from(list(TruncationRule)), st.floats(0, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_bilinear_matches_direct_sum_per_site(k_max, rule, a, seed):
+    # Fields decaying like exp(-a|k|^2) span up to ~40 decades over the
+    # lattice. A kernel summing the same pair products as the direct sum
+    # keeps every site's relative accuracy; one with an absolute error
+    # floor (an FFT's ~1e-16 max|u||v|) fails at the decayed sites.
+    lat = get_lattice(LatticeSpec(k_max, rule))
+    rng = np.random.default_rng(seed)
+    decay = np.exp(-a * lat.norm_sq_f)
+    u = random_field(lat, rng).scaled_by_sites(decay)
+    v = random_field(lat, rng).scaled_by_sites(decay)
+    want = direct_bilinear(u, v)
+    got = bilinear(u, v).data
+    err = np.linalg.norm(got - want, axis=1)
+    assert (err <= 1e-13 * np.linalg.norm(want, axis=1)).all()
 
 
 def test_bilinear_lattice_mismatch(ball1, ball2):

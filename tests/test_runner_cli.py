@@ -128,6 +128,19 @@ def test_fields_emit_and_check(tmp_path):
     assert cols[0] == "j"
 
 
+def test_check_report_writes_plain_floats(tmp_path):
+    # numpy scalars must be written as plain float literals, not reprs
+    # such as "np.float64(1.25)"
+    cfg = small_config(tmp_path, emit=frozenset({"norm_series", "certificates", "fields"}),
+                       horizon_m=2)
+    run(cfg)
+    assert check_run(cfg.output_dir).status == STATUS_OK
+    text = (Path(cfg.output_dir) / "check_report.csv").read_text(encoding="ascii")
+    assert "np." not in text
+    _, _, rows = read_csv(Path(cfg.output_dir) / "check_report.csv")
+    assert all(math.isfinite(float(x)) for x in rows[-1])
+
+
 def test_check_requires_fields(tmp_path):
     cfg = small_config(tmp_path)
     run(cfg)
