@@ -15,10 +15,11 @@ self-interaction, while the new remainder solves
 
     g = forcing + linear(g) + quadratic(g)
 
-where the forcing collects the eight cross products of the three assembled
-parts (everything except heat*heat, which is the gaussian correction), the
-linear map couples g against their sum from both sides, and the quadratic
-term is g against itself. For small data the map contracts in the weighted
+where the forcing collects the eight ordered products of the three
+assembled parts except heat*heat (that pairing is the gaussian correction),
+summed by bilinearity as two star products; the linear map couples g
+against the parts' sum from both sides, and the quadratic term is g against
+itself. For small data the map contracts in the weighted
 remainder norm and plain iteration from zero converges.
 
 Histories are frozen at their interval-end values; the decomposition is
@@ -166,15 +167,10 @@ def assemble_forcing(
     remainder_part: TimeSlicedField,
 ) -> TimeSlicedField:
     """Sum of the eight ordered star products of the three parts, excluding
-    heat*heat (that pairing is the gaussian correction, not forcing)."""
-    parts = (heat_part, gaussian_part, remainder_part)
-    total = TimeSlicedField.zero(heat_part.lattice, heat_part.times)
-    for i, x in enumerate(parts):
-        for j, y in enumerate(parts):
-            if i == 0 and j == 0:
-                continue
-            total = total + star_product(x, y)
-    return total
+    heat*heat (that pairing is the gaussian correction, not forcing), as
+    S(H, G+R) + S(G+R, H+G+R): two star products and no subtraction."""
+    rest = gaussian_part + remainder_part
+    return star_product(heat_part, rest) + star_product(rest, heat_part + rest)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,14 +196,15 @@ def iterate_contraction(forcing, linear_map, quadratic_map, norm_fn,
                         tol: float, max_iter: int) -> FixedPointResult:
     """Solve x = forcing + linear(x) + quadratic(x) by plain iteration from 0.
 
-    Stops when the norm of the update falls below tol; raises
-    ConvergenceError when the budget is exhausted, the update norm exceeds
-    the divergence cap, or a non-finite update appears. After acceptance the
+    Both maps vanish at zero, so the first iterate is the forcing itself
+    and the maps are first evaluated at it. Stops when the norm of the
+    update falls below tol; raises ConvergenceError when the budget is
+    exhausted, the update norm exceeds the divergence cap, or a non-finite
+    update appears. After acceptance the
     map is evaluated once more at the solution to measure the residual and
     the linear/quadratic gains used by the certificates.
     """
-    zero = forcing * 0.0
-    prev = zero
+    prev = forcing * 0.0
     prev_norm = 0.0
     updates: list[float] = []
     ratios: list[float] = []
@@ -216,11 +213,13 @@ def iterate_contraction(forcing, linear_map, quadratic_map, norm_fn,
     iterations = 0
     converged = False
     for _ in range(max_iter):
-        lin = linear_map(prev)
-        quad = quadratic_map(prev)
-        if prev_norm > 0:
-            measurements.append((prev_norm, norm_fn(lin), norm_fn(quad)))
-        nxt = forcing + lin + quad
+        nxt = forcing
+        if iterations:
+            lin = linear_map(prev)
+            quad = quadratic_map(prev)
+            if prev_norm > 0:
+                measurements.append((prev_norm, norm_fn(lin), norm_fn(quad)))
+            nxt = forcing + lin + quad
         iterations += 1
         d = norm_fn(nxt - prev)
         if not math.isfinite(d) or d > _DIVERGENCE_CAP:

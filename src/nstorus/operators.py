@@ -23,12 +23,22 @@ rule: on each substep the source is replaced by the average of its endpoint
 samples and the kernel factor exp(-(t-s)|k|^2) is integrated exactly. The
 rule is exact for sources constant in s, reproduces the closed-form factors
 (1 - exp(-t|k|^2))/|k|^2, and is second-order accurate on smooth sources
-without any step restriction in |k|.
+without any step restriction in |k|. Because the kernel is integrated
+exactly, the rule at every grid time is one cumulative recurrence over the
+substeps (Cox & Matthews 2002; Hochbruck & Ostermann 2010),
+
+    I(s_{n+1}) = exp(-D_n|k|^2) I(s_n) + w_n(k) (f(s_n) + f(s_{n+1}))/2,
+    w_n(k) = (1 - exp(-D_n|k|^2))/|k|^2,   D_n = s_{n+1} - s_n,
+
+so integrating S + 1 samples costs O(S) field operations, not O(S^2).
+Every term of the sum keeps a nonnegative weight, so each mode keeps its
+own relative accuracy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, pairwise
 
 import numpy as np
 
@@ -179,40 +189,44 @@ def grid_index(times, t: float) -> int:
     raise ValueError(f"t={t!r} is not on the substep grid {times[0]}..{times[-1]}")
 
 
+def _duhamel_pass(lat: Lattice, times, samples):
+    """Yield the Duhamel rule's value at each grid time in turn, from the
+    (N, 3) source arrays `samples` (an iterable, read as the pass goes)."""
+    q = lat.norm_sq_f[:, None]
+    steps, which = np.unique(np.diff(times), return_inverse=True)
+    rules = [(np.exp(-d * q), -np.expm1(-d * q) / q) for d in steps]
+    acc = np.zeros((len(q), 3), dtype=np.complex128)
+    yield acc
+    for j, (prev, cur) in zip(which, pairwise(samples)):
+        decay, gain = rules[j]
+        acc = decay * acc + gain * (0.5 * (prev + cur))
+        yield acc
+
+
 def duhamel_integrate(source: TimeSlicedField, t: float) -> SpectralField:
     """Quadrature of integral_0^t exp(-(t-s)|k|^2) source(s, k) ds per mode.
 
     On each substep the source is replaced by the average of its endpoint
-    samples and the exponential factor is integrated exactly, giving the
-    per-substep weight (exp(-(t-s_{i+1})|k|^2) - exp(-(t-s_i)|k|^2))/|k|^2.
-    Exact when source(., k) is constant in s.
+    samples and the exponential factor is integrated exactly (see the
+    module docstring for the recurrence). Exact when source(., k) is
+    constant in s.
     """
     n = grid_index(source.times, t)
-    lat = source.lattice
-    if n == 0:
-        return SpectralField.zero(lat)
-    q = lat.norm_sq_f
-    s = np.asarray(source.times[: n + 1])
-    expo = np.exp(-np.outer(t - s, q))         # (n+1, N), increasing in s
-    weights = (expo[1:] - expo[:-1]) / q       # (n, N), all >= 0
-    data = np.stack([sl.data for sl in source.slices[: n + 1]])
-    avg = 0.5 * (data[:-1] + data[1:])
-    return SpectralField(lat, (avg * weights[:, :, None]).sum(axis=0))
+    values = _duhamel_pass(source.lattice, source.times, (sl.data for sl in source.slices))
+    return SpectralField(source.lattice, next(islice(values, n, None)))
 
 
 def star_product(u: TimeSlicedField, v: TimeSlicedField) -> TimeSlicedField:
     """Heat-weighted time integral of the convolution of two sliced fields.
 
-    (u * v)(t) = integral_0^t exp(-(t-s)|k|^2) conv(u(s), v(s)) ds on the
-    shared grid; the t = 0 slice is the zero field (empty integral).
+    (u * v)(t) = integral_0^t exp(-(t-s)|k|^2) conv(u(s), v(s)) ds at every
+    grid time, from one bilinear call per slice and one cumulative pass;
+    the t = 0 slice is the zero field (empty integral).
     """
     u._check_same_grid(v)
-    integrand = TimeSlicedField(
-        u.times, tuple(bilinear(a, b) for a, b in zip(u.slices, v.slices))
-    )
-    return TimeSlicedField(
-        u.times, tuple(duhamel_integrate(integrand, t) for t in u.times)
-    )
+    samples = (bilinear(a, b).data for a, b in zip(u.slices, v.slices))
+    values = _duhamel_pass(u.lattice, u.times, samples)
+    return TimeSlicedField(u.times, tuple(SpectralField(u.lattice, i) for i in values))
 
 
 def identity_split(a1: float, a2: float, k, l) -> tuple[float, float, float]:

@@ -2,19 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nstorus.operators
 from nstorus import (
     ConvergenceError,
     DecompositionState,
+    LatticeSpec,
     SolverParams,
     SpectralField,
     TimeSlicedField,
+    TruncationRule,
     advance_unit_interval,
     assemble_forcing,
     assemble_gaussian_part,
     assemble_heat_part,
     assemble_remainder_part,
     compute_gaussian_correction,
+    get_lattice,
     picard_solve,
     reconstruct_velocity,
     sliced_fmc_norm,
@@ -24,7 +30,7 @@ from nstorus import (
     unit_times,
 )
 from nstorus.induction import apply_interval, iterate_contraction
-from util import ball, random_field, random_sliced
+from util import ball, duhamel_weights, pair_majorant, random_field, random_sliced
 
 PARAMS = SolverParams()
 
@@ -160,6 +166,33 @@ def test_forcing_three_term_oracle(ball2):
         assert np.allclose(a.data, b.data, rtol=1e-12, atol=1e-300)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.sampled_from(list(TruncationRule)), st.floats(0, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_forcing_matches_eight_pairings_per_site(k_max, rule, a, seed):
+    # S(H, G+R) + S(G+R, H+G+R) regroups the eight ordered pairings without
+    # subtraction, so each site agrees with their sum to rounding relative
+    # to the heat-weighted pair products' magnitudes. Relative to the sum
+    # of |pairing| it need not: where the largest pair product is zero
+    # (<k, x(k/2)> = 0 for solenoidal x) and the rest cancel, that sum is
+    # below the products' rounding noise.
+    lat = get_lattice(LatticeSpec(k_max, rule))
+    rng = np.random.default_rng(seed)
+    times = unit_times(4)
+    parts = [random_sliced(lat, times, rng, scale=s, a=a) for s in (1e-3, 1e-6, 1e-9)]
+    ordered = [(x, y) for i, x in enumerate(parts)
+               for j, y in enumerate(parts) if (i, j) != (0, 0)]
+    want = sum((star_product(x, y) for x, y in ordered[1:]), star_product(*ordered[0]))
+    majorant = sum(np.stack([pair_majorant(p, r) for p, r in zip(x.slices, y.slices)])
+                   for x, y in ordered)
+    avg = 0.5 * (majorant[:-1] + majorant[1:])
+    got = assemble_forcing(*parts)
+    for n, t in enumerate(times):
+        bound = (duhamel_weights(times, t, lat.norm_sq_f) * avg[:n]).sum(axis=0)
+        err = np.linalg.norm(got.slices[n].data - want.slices[n].data, axis=1)
+        assert (err <= 1e-13 * bound).all()
+
+
 def test_forcing_single_shared_mode_vanishes(ball2):
     times = unit_times(4)
     f = SpectralField.from_modes(ball2, {(1, 0, 0): (0.0, 1e-3, 0.0)})
@@ -240,6 +273,27 @@ def test_advance_zero_data_stays_zero(ball2):
     assert all(g.support_size == 0 for g in state.remainder_history)
     assert record.phi_sup == 0.0
     assert record.fp_iterations == 1
+
+
+def test_bilinear_calls_per_step(ball2, monkeypatch):
+    # per step: 9 slices for the correction, 2 forcing star products, and
+    # one linear + quadratic map evaluation (3 star products) per iteration
+    # after the first plus the certification pass
+    calls = []
+    original = nstorus.operators.bilinear
+
+    def counting(u, v):
+        calls.append(1)
+        return original(u, v)
+
+    monkeypatch.setattr(nstorus.operators, "bilinear", counting)
+    v0 = random_field(ball2, np.random.default_rng(0), scale=1e-3)
+    state = DecompositionState.initial(v0)
+    for _ in range(2):
+        calls.clear()
+        state, record = advance_unit_interval(state, PARAMS)
+        assert record.fp_iterations > 1
+        assert len(calls) == 27 + 27 * record.fp_iterations
 
 
 def test_advance_single_mode_is_pure_heat_decay(ball2):

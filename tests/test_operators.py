@@ -19,7 +19,7 @@ from nstorus import (
     star_product,
     unit_times,
 )
-from util import ball, direct_bilinear, random_field, random_sliced
+from util import ball, direct_bilinear, duhamel_terms, random_field, random_sliced
 
 
 # -- Leray projection ----------------------------------------------------------
@@ -230,6 +230,40 @@ def test_duhamel_monotone_for_nondecreasing_source(ball2):
 
 
 # -- star product -----------------------------------------------------------------
+
+def random_grid(rng, horizon, substeps, uniform):
+    """Grid 0 = s_0 < ... < s_S = horizon: equal steps, or sorted uniform
+    draws whose smallest gaps are far below the mean step."""
+    if uniform:
+        return tuple(horizon * i / substeps for i in range(substeps + 1))
+    return (0.0, *np.sort(rng.uniform(0.0, horizon, substeps - 1)), horizon)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.sampled_from(list(TruncationRule)), st.integers(1, 200),
+       st.booleans(), st.sampled_from([1.0, 4.0, 24.0]), st.floats(0, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_star_product_matches_direct_duhamel_per_site(k_max, rule, substeps, uniform,
+                                                      horizon, a, seed):
+    # The cumulative recurrence is the per-time rule regrouped, so at every
+    # grid time and site it agrees with the direct sum of the rule's terms
+    # to rounding relative to the terms' magnitudes, however far the fields
+    # have decayed.
+    lat = get_lattice(LatticeSpec(k_max, rule))
+    rng = np.random.default_rng(seed)
+    times = random_grid(rng, horizon, substeps, uniform)
+    u = random_sliced(lat, times, rng, a=a)
+    v = random_sliced(lat, times, rng, a=a)
+    prod = star_product(u, v)
+    samples = TimeSlicedField(times, tuple(bilinear(x, y) for x, y in zip(u.slices, v.slices)))
+    for t, got in zip(times, prod.slices):
+        terms = duhamel_terms(samples, t)
+        err = np.abs(got.data - terms.sum(axis=0))
+        assert (err <= 1e-13 * np.abs(terms).sum(axis=0)).all()
+    # duhamel_integrate reads the same pass
+    n = int(rng.integers(len(times)))
+    assert np.array_equal(duhamel_integrate(samples, times[n]).data, prod.slices[n].data)
+
 
 def test_star_product_zero_left(ball2):
     times = unit_times(4)

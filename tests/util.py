@@ -1,5 +1,5 @@
 """Shared helpers for building random test fields, and a reference
-convolution independent of the one in nstorus."""
+convolution and Duhamel rule independent of the ones in nstorus."""
 
 import numpy as np
 
@@ -23,9 +23,12 @@ def random_field(lat, rng, scale=1.0, solenoidal=True, sparsity=0.0):
     return SpectralField(lat, data)
 
 
-def random_sliced(lat, times, rng, scale=1.0):
+def random_sliced(lat, times, rng, scale=1.0, a=0.0):
+    """Random field per grid time; a > 0 multiplies each by exp(-a|k|^2)."""
+    decay = np.exp(-a * lat.norm_sq_f)
     return TimeSlicedField(
-        tuple(times), tuple(random_field(lat, rng, scale) for _ in times)
+        tuple(times),
+        tuple(random_field(lat, rng, scale).scaled_by_sites(decay) for _ in times),
     )
 
 
@@ -58,3 +61,37 @@ def direct_bilinear(u, v):
         out[ki[starts]] = np.add.reduceat(contrib, starts, axis=0)
     out -= ((kf * out).sum(axis=1) / lat.norm_sq_f)[:, None] * kf
     return 2j * np.pi * out
+
+
+def duhamel_weights(times, t, q):
+    """The Duhamel rule's weights W_i(k) at grid time t, evaluated directly
+    for that t alone; an (n, N) array, n = number of substeps before t.
+
+    W_i = exp(-(t - s_{i+1})|k|^2) (1 - exp(-(s_{i+1} - s_i)|k|^2)) / |k|^2
+    is the exact kernel integral over substep i, written as a product: the
+    difference of the two exponentials loses digits to cancellation when
+    (s_{i+1} - s_i)|k|^2 is small (8.7e-14 of the terms' magnitude over 196
+    random substeps, where the product form is within 5e-16)."""
+    n = next(i for i, s in enumerate(times) if abs(s - t) <= 1e-12 * max(1.0, t))
+    s = np.asarray(times[: n + 1])
+    return np.exp(-np.outer(t - s[1:], q)) * -np.expm1(-np.outer(np.diff(s), q)) / q
+
+
+def duhamel_terms(source, t):
+    """The per-substep terms W_i(k) * avg_i(k) of the Duhamel rule at grid
+    time t; their sum over axis 0 is the rule's value, evaluated for that t
+    alone (O(S) per time, O(S^2) for every time); (n, N, 3)."""
+    w = duhamel_weights(source.times, t, source.lattice.norm_sq_f)
+    data = np.stack([sl.data for sl in source.slices[: len(w) + 1]])
+    return 0.5 * (data[:-1] + data[1:]) * w[:, :, None]
+
+
+def pair_majorant(u, v):
+    """Per-site bound 2 pi sum_l |k| |u(k-l)| |v(l)| on the convolution's
+    pair products, the scale its rounding error is relative to; (N,)."""
+    lat = u.lattice
+    ki, li, mi = conv_triples(lat)
+    mag_u = np.linalg.norm(u.data, axis=1)
+    mag_v = np.linalg.norm(v.data, axis=1)
+    w = np.sqrt(lat.norm_sq_f)[ki] * mag_u[mi] * mag_v[li]
+    return 2 * np.pi * np.bincount(ki, weights=w, minlength=len(lat))
