@@ -19,8 +19,9 @@ where the forcing collects the eight ordered products of the three
 assembled parts except heat*heat (that pairing is the gaussian correction),
 summed by bilinearity as two star products; the linear map couples g
 against the parts' sum from both sides, and the quadratic term is g against
-itself. For small data the map contracts in the weighted
-remainder norm and plain iteration from zero converges.
+itself (two star products per evaluation, see remainder_maps). For small
+data the map contracts in the weighted remainder norm and plain iteration
+from zero converges.
 
 Histories are frozen at their interval-end values; the decomposition is
 exact at the discrete level, so the composed interval solves agree with a
@@ -55,6 +56,7 @@ __all__ = [
     "assemble_remainder_part",
     "assemble_forcing",
     "iterate_contraction",
+    "remainder_maps",
     "solve_remainder",
     "solve_interval",
     "apply_interval",
@@ -192,9 +194,9 @@ class FixedPointResult:
     solution_norm: float
 
 
-def iterate_contraction(forcing, linear_map, quadratic_map, norm_fn,
-                        tol: float, max_iter: int) -> FixedPointResult:
-    """Solve x = forcing + linear(x) + quadratic(x) by plain iteration from 0.
+def iterate_contraction(forcing, maps, norm_fn, tol: float, max_iter: int) -> FixedPointResult:
+    """Solve x = forcing + linear(x) + quadratic(x) by plain iteration from 0,
+    where maps(x) returns the pair (linear(x), quadratic(x)).
 
     Both maps vanish at zero, so the first iterate is the forcing itself
     and the maps are first evaluated at it. Stops when the norm of the
@@ -215,8 +217,7 @@ def iterate_contraction(forcing, linear_map, quadratic_map, norm_fn,
     for _ in range(max_iter):
         nxt = forcing
         if iterations:
-            lin = linear_map(prev)
-            quad = quadratic_map(prev)
+            lin, quad = maps(prev)
             if prev_norm > 0:
                 measurements.append((prev_norm, norm_fn(lin), norm_fn(quad)))
             nxt = forcing + lin + quad
@@ -248,8 +249,7 @@ def iterate_contraction(forcing, linear_map, quadratic_map, norm_fn,
             last_ratio=ratios[-1] if ratios else float("nan"),
         )
     # certification pass at the accepted solution
-    lin = linear_map(prev)
-    quad = quadratic_map(prev)
+    lin, quad = maps(prev)
     if prev_norm > 0:
         measurements.append((prev_norm, norm_fn(lin), norm_fn(quad)))
     residual = norm_fn(forcing + lin + quad - prev)
@@ -265,6 +265,19 @@ def iterate_contraction(forcing, linear_map, quadratic_map, norm_fn,
     )
 
 
+def remainder_maps(total: TimeSlicedField):
+    """The fixed-point map's parts at g, as maps(g) = (linear, quadratic):
+    linear = S(T, g) + S(g, T) and quadratic = S(g, g) for T = total.
+    S(g, T) and S(g, g) share their left factor, so they are one star
+    product: two interaction matrices per slice instead of three."""
+
+    def maps(g):
+        g_total, g_g = star_product(g, total, g)
+        return star_product(total, g) + g_total, g_g
+
+    return maps
+
+
 def solve_remainder(
     forcing: TimeSlicedField,
     heat_part: TimeSlicedField,
@@ -278,19 +291,12 @@ def solve_remainder(
     The convergence metric is the weighted remainder norm at index m_next
     with rate decay_c, maximized over grid slices.
     """
-    total = heat_part + gaussian_part + remainder_part
-
-    def linear_map(g):
-        return star_product(total, g) + star_product(g, total)
-
-    def quadratic_map(g):
-        return star_product(g, g)
+    maps = remainder_maps(heat_part + gaussian_part + remainder_part)
 
     def norm_fn(x):
         return sliced_fmc_norm(x, m_next, params.decay_c, params.beta)
 
-    return iterate_contraction(forcing, linear_map, quadratic_map, norm_fn,
-                               params.fp_tol, params.fp_max_iter)
+    return iterate_contraction(forcing, maps, norm_fn, params.fp_tol, params.fp_max_iter)
 
 
 @dataclass(frozen=True, eq=False)

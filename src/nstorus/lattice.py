@@ -84,18 +84,29 @@ def _enumerate_sites(spec: LatticeSpec) -> np.ndarray:
     return np.ascontiguousarray(sites[keep])
 
 
+# Bytes of one row block of the convolution's (rows, N) complex matrices:
+# small enough that a block of D = <k, u(m)> stays in cache while it is
+# scattered into A and multiplied.
+_BLOCK_BYTES = 512 * 1024
+
+
 @dataclass(frozen=True, eq=False)
 class _ConvTable:
-    """Flat indices of the lattice convolution's pairs (k, l), k-l a site.
+    """Flat indices of the lattice convolution's pairs (k, l), k-l a site,
+    grouped by row blocks of `rows` output sites.
 
-    For N sites, pair p scatters entry src[p] = ki*N + mi of the flattened
-    (N, N) matrix D[k, m] = <k, u(m)> to entry dest[p] = ki*N + li of the
-    flattened interaction matrix A[k, l] = <k, u(k-l)>, where mi is the index
-    of k-l. Pairs are in row-major order of A, so dest is strictly increasing.
+    For N sites, pair p scatters entry src[p] = (ki % rows)*N + mi of the
+    flattened (rows, N) block of D[k, m] = <k, u(m)> holding row ki to entry
+    dest[p] = ki*N + li of the flattened interaction matrix A[k, l] =
+    <k, u(k-l)>, where mi is the index of k-l. Pairs are in row-major order
+    of A, so dest is strictly increasing and each row block's pairs are one
+    contiguous run: blocks holds (r0, r1, dest, src) views per block.
     """
 
+    rows: int
     dest: np.ndarray
     src: np.ndarray
+    blocks: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]
 
 
 class Lattice:
@@ -157,16 +168,17 @@ class Lattice:
         return self._conv
 
     def conv_work(self) -> tuple[np.ndarray, np.ndarray]:
-        """Two (N, N) complex work matrices reused by every convolution call.
+        """Work matrices reused by every convolution call: a (rows, N) block
+        of D and the full (N, N) interaction matrix A, rows = conv_table().rows.
 
         Reuse keeps each call free of fresh allocations, whose page faults
-        would otherwise cost as much as the arithmetic. The second matrix is
-        written only at conv_table().dest and so stays zero elsewhere.
-        Callers on one lattice must not overlap: bilinear is not thread-safe.
+        would otherwise cost as much as the arithmetic. A is written only at
+        conv_table().dest and so stays zero elsewhere. Callers on one lattice
+        must not overlap: bilinear is not thread-safe.
         """
         if self._conv_work is None:
             n = len(self.sites)
-            self._conv_work = (np.empty((n, n), dtype=np.complex128),
+            self._conv_work = (np.empty((self.conv_table().rows, n), dtype=np.complex128),
                                np.zeros((n, n), dtype=np.complex128))
         return self._conv_work
 
@@ -177,6 +189,7 @@ class Lattice:
         lookup = np.full((side, side, side), -1, dtype=np.int64)
         shifted = self.sites + k_max
         lookup[shifted[:, 0], shifted[:, 1], shifted[:, 2]] = np.arange(n)
+        block = min(n, max(1, _BLOCK_BYTES // (16 * n)))
 
         dest_parts, src_parts = [], []
         chunk = max(1, min(n, 512))
@@ -188,10 +201,15 @@ class Lattice:
             dd = d[rows, cols] + k_max
             mi = lookup[dd[:, 0], dd[:, 1], dd[:, 2]]
             keep = mi >= 0
-            row_start = (rows[keep] + a) * n
-            dest_parts.append(row_start + cols[keep])
-            src_parts.append(row_start + mi[keep])
-        return _ConvTable(dest=np.concatenate(dest_parts), src=np.concatenate(src_parts))
+            ki = rows[keep] + a
+            dest_parts.append(ki * n + cols[keep])
+            src_parts.append(ki % block * n + mi[keep])
+        dest, src = np.concatenate(dest_parts), np.concatenate(src_parts)
+        starts = range(0, n, block)
+        cuts = np.searchsorted(dest, [r0 * n for r0 in starts] + [n * n])
+        blocks = tuple((r0, min(n, r0 + block), dest[c0:c1], src[c0:c1])
+                       for r0, c0, c1 in zip(starts, cuts, cuts[1:]))
+        return _ConvTable(rows=block, dest=dest, src=src, blocks=blocks)
 
 
 @lru_cache(maxsize=None)

@@ -9,8 +9,10 @@ summed over pairs with l and k-l both nonzero lattice sites (Galerkin
 truncation: interactions leaving the lattice are dropped). Because P_k does
 not depend on l, the projection is applied once to the accumulated sum per
 output mode, which also makes the output solenoidal by construction. The
-sum is one dense matrix product (see bilinear); every output mode is summed
-from its own pair products, so small modes keep their relative accuracy.
+sum is one dense matrix product per left factor u, shared by every right
+factor v that u meets and built in cache-sized row blocks (see bilinear);
+every output mode is summed from its own pair products, so small modes keep
+their relative accuracy.
 
 Determinism: the summation order is the BLAS library's, which may differ
 between BLAS builds and thread counts. The same config and seed give
@@ -75,29 +77,50 @@ def leray_project(k, x) -> np.ndarray:
     return np.array([x0 - factor * kx, x1 - factor * ky, x2 - factor * kz])
 
 
-def bilinear(u: SpectralField, v: SpectralField) -> SpectralField:
-    """Truncated convection convolution of two fields on a shared lattice.
+def bilinear(u: SpectralField, *vs: SpectralField):
+    """Truncated convection convolution of u with each of vs on a shared
+    lattice; one field for one v, else a tuple with one field per v.
 
     The pairs are scattered into the dense interaction matrix
     A[k, l] = <k, u(k-l)> (zero where k-l is not a site), and one matrix
-    product A @ v sums them. Each output mode is the sum of the same pair
-    products as the direct convolution; only the summation order is BLAS's,
-    so every mode keeps its own relative accuracy however small it is. Both
-    matrices are the lattice's reused work arrays (Lattice.conv_work), so
-    calls on one lattice must not run concurrently.
+    product A @ [v_1 ... v_n] sums them for every v at once, so one build
+    of A(u) serves all right factors that share u. A is filled one row
+    block at a time from a cache-sized block of D[k, m] = <k, u(m)> and that
+    block's rows of the product are taken while they are still in cache
+    (the blocked layout of Goto & van de Geijn 2008); D is never formed
+    whole. Each output mode is the sum of the same pair products as the
+    direct convolution; only the summation order is BLAS's, so every mode
+    keeps its own relative accuracy however small it is. When u or every v
+    is all zero the products are exact zeros and are not computed. The
+    block of D and A are the lattice's reused work arrays
+    (Lattice.conv_work), so calls on one lattice must not run concurrently.
     """
-    if u.lattice != v.lattice:
-        raise ValueError("bilinear requires fields on the same lattice")
+    if not vs:
+        raise TypeError("bilinear needs at least one right factor")
     lat = u.lattice
+    if any(v.lattice != lat for v in vs):
+        raise ValueError("bilinear requires fields on the same lattice")
+    # built before the zero check, so any first call prepares the lattice
     tab = lat.conv_table()
-    kf = lat.sites_f
     dots, inter = lat.conv_work()
-    np.matmul(kf, u.data.T, out=dots)             # dots[k, m] = <k, u(m)>
-    inter.ravel()[tab.dest] = dots.ravel()[tab.src]
-    out = inter @ v.data
-    out -= ((kf * out).sum(axis=1) / lat.norm_sq_f)[:, None] * kf
-    out *= _TWO_PI_I
-    return SpectralField(lat, out)
+    n = len(lat)
+    out = np.zeros((n, 3 * len(vs)), dtype=np.complex128)
+    if u.data.any() and any(v.data.any() for v in vs):
+        kf = lat.sites_f
+        rhs = np.concatenate([v.data for v in vs], axis=1)
+        # <k, u(m)> as one real product: u's (re, im) pairs side by side
+        u_ri = u.data.view(np.float64).reshape(n, 3, 2).transpose(1, 0, 2).reshape(3, 2 * n)
+        dots_ri, flat_dots, flat_inter = dots.view(np.float64), dots.ravel(), inter.ravel()
+        for r0, r1, dest, src in tab.blocks:
+            np.matmul(kf[r0:r1], u_ri, out=dots_ri[: r1 - r0])   # dots[k-r0, m] = <k, u(m)>
+            flat_inter[dest] = flat_dots[src]
+            np.matmul(inter[r0:r1], rhs, out=out[r0:r1])
+        per_v = out.reshape(n, len(vs), 3)
+        per_v -= ((kf[:, None, :] * per_v).sum(axis=2) / lat.norm_sq_f[:, None])[:, :, None] \
+            * kf[:, None, :]
+        out *= _TWO_PI_I
+    fields = tuple(SpectralField(lat, out[:, 3 * i: 3 * i + 3]) for i in range(len(vs)))
+    return fields[0] if len(vs) == 1 else fields
 
 
 def unit_times(substeps: int) -> tuple[float, ...]:
@@ -189,13 +212,13 @@ def grid_index(times, t: float) -> int:
     raise ValueError(f"t={t!r} is not on the substep grid {times[0]}..{times[-1]}")
 
 
-def _duhamel_pass(lat: Lattice, times, samples):
+def _duhamel_pass(lat: Lattice, times, samples, width: int = 3):
     """Yield the Duhamel rule's value at each grid time in turn, from the
-    (N, 3) source arrays `samples` (an iterable, read as the pass goes)."""
+    (N, width) source arrays `samples` (an iterable, read as the pass goes)."""
     q = lat.norm_sq_f[:, None]
     steps, which = np.unique(np.diff(times), return_inverse=True)
     rules = [(np.exp(-d * q), -np.expm1(-d * q) / q) for d in steps]
-    acc = np.zeros((len(q), 3), dtype=np.complex128)
+    acc = np.zeros((len(q), width), dtype=np.complex128)
     yield acc
     for j, (prev, cur) in zip(which, pairwise(samples)):
         decay, gain = rules[j]
@@ -216,17 +239,29 @@ def duhamel_integrate(source: TimeSlicedField, t: float) -> SpectralField:
     return SpectralField(source.lattice, next(islice(values, n, None)))
 
 
-def star_product(u: TimeSlicedField, v: TimeSlicedField) -> TimeSlicedField:
-    """Heat-weighted time integral of the convolution of two sliced fields.
+def star_product(u: TimeSlicedField, *vs: TimeSlicedField):
+    """Heat-weighted time integral of the convolution of u with each of vs;
+    one sliced field for one v, else a tuple with one per v.
 
     (u * v)(t) = integral_0^t exp(-(t-s)|k|^2) conv(u(s), v(s)) ds at every
-    grid time, from one bilinear call per slice and one cumulative pass;
-    the t = 0 slice is the zero field (empty integral).
+    grid time, from one bilinear call per slice (shared by all of vs) and
+    one cumulative pass over the stacked samples; the t = 0 slice is the
+    zero field (empty integral).
     """
-    u._check_same_grid(v)
-    samples = (bilinear(a, b).data for a, b in zip(u.slices, v.slices))
-    values = _duhamel_pass(u.lattice, u.times, samples)
-    return TimeSlicedField(u.times, tuple(SpectralField(u.lattice, i) for i in values))
+    for v in vs:
+        u._check_same_grid(v)
+    lat = u.lattice
+
+    def stacked(a, bs):
+        prods = bilinear(a, *bs)
+        return prods.data if len(bs) == 1 else np.concatenate([p.data for p in prods], axis=1)
+
+    samples = (stacked(a, bs) for a, *bs in zip(u.slices, *(v.slices for v in vs)))
+    values = list(_duhamel_pass(lat, u.times, samples, 3 * len(vs)))
+    prods = tuple(TimeSlicedField(u.times, tuple(SpectralField(lat, acc[:, 3 * i: 3 * i + 3])
+                                                 for acc in values))
+                  for i in range(len(vs)))
+    return prods[0] if len(vs) == 1 else prods
 
 
 def identity_split(a1: float, a2: float, k, l) -> tuple[float, float, float]:

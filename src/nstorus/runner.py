@@ -204,7 +204,8 @@ def check_run(run_dir) -> RunOutcome:
 
     Re-fits the per-age bound constants from the h_/g_ history files and
     recomputes the data-norm of each integer-time velocity checkpoint,
-    writing check_report.csv next to the originals.
+    writing check_report.csv next to the originals. A run writes one h_ and
+    one g_ file per step, so unequal counts are a config error.
     """
     run_dir = Path(run_dir)
     cfg_path = run_dir / "run_config.cfg"
@@ -225,15 +226,21 @@ def check_run(run_dir) -> RunOutcome:
         velocities = [load_field(p, spec) for p in velocity_paths]
     except CheckpointError as exc:
         return RunOutcome(STATUS_CONFIG_ERROR, str(exc), run_dir, [])
+    if len(gauss_hist) != len(rem_hist):
+        return RunOutcome(STATUS_CONFIG_ERROR,
+                          f"{fields_dir} holds {len(gauss_hist)} h_*.ckpt but "
+                          f"{len(rem_hist)} g_*.ckpt history files; a run writes one "
+                          "of each per step", run_dir, [])
     gauss_d = certificates.fit_gaussian_bound(gauss_hist, params)
     rem_d, rem_rate = certificates.fit_remainder_bound(rem_hist, params)
     rows = []
     for j in range(max(len(gauss_hist), len(velocities))):
+        age = 1 <= j <= len(gauss_hist)
         rows.append((
             j,
-            gauss_d[j - 1] if 1 <= j <= len(gauss_hist) else float("nan"),
-            rem_d[j - 1] if 1 <= j <= len(rem_hist) else float("nan"),
-            rem_rate[j - 1] if 1 <= j <= len(rem_hist) else float("nan"),
+            gauss_d[j - 1] if age else float("nan"),
+            rem_d[j - 1] if age else float("nan"),
+            rem_rate[j - 1] if age else float("nan"),
             phi_norm(velocities[j], params.alpha) if j < len(velocities) else float("nan"),
         ))
     _write_csv(run_dir / "check_report.csv", CHECK_REPORT_SCHEMA,

@@ -150,7 +150,7 @@ def norm_fn(x):
 
 def test_contraction_zero_data(ball2):
     zero = TimeSlicedField.zero(ball2, unit_times(2))
-    fp = iterate_contraction(zero, lambda g: g * 0.0, lambda g: g * 0.0,
+    fp = iterate_contraction(zero, lambda g: (g * 0.0, g * 0.0),
                              norm_fn, tol=1e-12, max_iter=5)
     est = contraction_coefficients(fp)
     assert est.c1 == 0.0 and est.c2 == 0.0
@@ -160,7 +160,7 @@ def test_contraction_zero_data(ball2):
 
 def test_contraction_measures_synthetic_linear_gain(ball2):
     forcing = random_sliced(ball2, unit_times(2), np.random.default_rng(3), scale=1e-4)
-    fp = iterate_contraction(forcing, lambda g: g * 0.3, lambda g: g * 0.0,
+    fp = iterate_contraction(forcing, lambda g: (g * 0.3, g * 0.0),
                              norm_fn, tol=1e-14, max_iter=80)
     est = contraction_coefficients(fp)
     assert est.c2 == pytest.approx(0.3, abs=1e-10)
@@ -173,7 +173,7 @@ def test_contraction_measures_quadratic_gain(ball2):
     def quad(g):
         return g * (norm_fn(g) * 0.25)  # |quad(g)| = 0.25 |g|^2
 
-    fp = iterate_contraction(forcing, lambda g: g * 0.0, quad,
+    fp = iterate_contraction(forcing, lambda g: (g * 0.0, quad(g)),
                              norm_fn, tol=1e-16, max_iter=80)
     est = contraction_coefficients(fp)
     assert est.c3 == pytest.approx(0.25, rel=1e-8)

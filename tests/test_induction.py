@@ -29,8 +29,8 @@ from nstorus import (
     star_product,
     unit_times,
 )
-from nstorus.induction import apply_interval, iterate_contraction
-from util import ball, duhamel_weights, pair_majorant, random_field, random_sliced
+from nstorus.induction import apply_interval, iterate_contraction, remainder_maps
+from util import ball, random_field, random_sliced, star_majorant
 
 PARAMS = SolverParams()
 
@@ -183,14 +183,14 @@ def test_forcing_matches_eight_pairings_per_site(k_max, rule, a, seed):
     ordered = [(x, y) for i, x in enumerate(parts)
                for j, y in enumerate(parts) if (i, j) != (0, 0)]
     want = sum((star_product(x, y) for x, y in ordered[1:]), star_product(*ordered[0]))
-    majorant = sum(np.stack([pair_majorant(p, r) for p, r in zip(x.slices, y.slices)])
-                   for x, y in ordered)
-    avg = 0.5 * (majorant[:-1] + majorant[1:])
-    got = assemble_forcing(*parts)
-    for n, t in enumerate(times):
-        bound = (duhamel_weights(times, t, lat.norm_sq_f) * avg[:n]).sum(axis=0)
-        err = np.linalg.norm(got.slices[n].data - want.slices[n].data, axis=1)
-        assert (err <= 1e-13 * bound).all()
+    assert_within_majorant(assemble_forcing(*parts), want, ordered)
+
+
+def assert_within_majorant(got, want, pairs):
+    bound = star_majorant(pairs)
+    for n, (a, b) in enumerate(zip(got.slices, want.slices)):
+        err = np.linalg.norm(a.data - b.data, axis=1)
+        assert (err <= 1e-13 * bound[n]).all()
 
 
 def test_forcing_single_shared_mode_vanishes(ball2):
@@ -202,6 +202,24 @@ def test_forcing_single_shared_mode_vanishes(ball2):
 
 
 # -- remainder fixed point -----------------------------------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.sampled_from(list(TruncationRule)), st.floats(0, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_fused_maps_match_separate_star_products_per_site(k_max, rule, a, seed):
+    # remainder_maps takes S(g, T) and S(g, g) from one star product with
+    # the shared left factor g; each site must agree with the separate
+    # products to rounding relative to their pair products' magnitudes.
+    lat = get_lattice(LatticeSpec(k_max, rule))
+    rng = np.random.default_rng(seed)
+    times = unit_times(4)
+    total = random_sliced(lat, times, rng, scale=1e-3, a=a)
+    g = random_sliced(lat, times, rng, scale=1e-6, a=a)
+    lin, quad = remainder_maps(total)(g)
+    assert_within_majorant(lin, star_product(total, g) + star_product(g, total),
+                           [(total, g), (g, total)])
+    assert_within_majorant(quad, star_product(g, g), [(g, g)])
+
 
 def test_fixed_point_zero_data_one_iteration(ball2):
     times = unit_times(4)
@@ -259,7 +277,7 @@ def test_iterate_contraction_respects_budget(ball2):
         return sliced_fmc_norm(x, 1, PARAMS.decay_c, PARAMS.beta)
 
     with pytest.raises(ConvergenceError):
-        iterate_contraction(forcing, lambda g: g * 0.9, lambda g: g * 0.0,
+        iterate_contraction(forcing, lambda g: (g * 0.9, g * 0.0),
                             norm_fn, tol=1e-16, max_iter=5)
 
 
@@ -277,14 +295,15 @@ def test_advance_zero_data_stays_zero(ball2):
 
 def test_bilinear_calls_per_step(ball2, monkeypatch):
     # per step: 9 slices for the correction, 2 forcing star products, and
-    # one linear + quadratic map evaluation (3 star products) per iteration
-    # after the first plus the certification pass
+    # one fused linear + quadratic map evaluation (2 star products, the
+    # right factors T and g sharing the left factor g) per iteration after
+    # the first plus the certification pass
     calls = []
     original = nstorus.operators.bilinear
 
-    def counting(u, v):
+    def counting(u, *vs):
         calls.append(1)
-        return original(u, v)
+        return original(u, *vs)
 
     monkeypatch.setattr(nstorus.operators, "bilinear", counting)
     v0 = random_field(ball2, np.random.default_rng(0), scale=1e-3)
@@ -293,7 +312,7 @@ def test_bilinear_calls_per_step(ball2, monkeypatch):
         calls.clear()
         state, record = advance_unit_interval(state, PARAMS)
         assert record.fp_iterations > 1
-        assert len(calls) == 27 + 27 * record.fp_iterations
+        assert len(calls) == 27 + 18 * record.fp_iterations
 
 
 def test_advance_single_mode_is_pure_heat_decay(ball2):

@@ -86,8 +86,8 @@ def test_lattice_equality_by_spec():
 def test_conv_table_triples_are_valid(ball2):
     tab = ball2.conv_table()
     ki, li = np.divmod(tab.dest, len(ball2))
-    ki_src, mi = np.divmod(tab.src, len(ball2))
-    assert (ki == ki_src).all()
+    row_in_block, mi = np.divmod(tab.src, len(ball2))
+    assert (ki % tab.rows == row_in_block).all()
     sites = ball2.sites
     diff = sites[ki] - sites[li]
     assert (diff == sites[mi]).all()
@@ -104,7 +104,24 @@ def test_conv_table_sorted_by_output(ball2):
         # and exactly the pairs of an independent enumeration
         ki, li, mi = conv_triples(lat)
         assert (tab.dest == ki * len(lat) + li).all()
-        assert (tab.src == ki * len(lat) + mi).all()
+        assert (tab.src == ki % tab.rows * len(lat) + mi).all()
+
+
+@pytest.mark.parametrize("k_max", [1, 4, 6])
+def test_conv_table_blocks_partition_the_pairs(k_max):
+    lat = get_lattice(LatticeSpec(k_max))
+    n = len(lat)
+    tab = lat.conv_table()
+    assert tab.rows == min(n, max(1, 512 * 1024 // (16 * n)))
+    assert [b[0] for b in tab.blocks] == list(range(0, n, tab.rows))
+    assert tab.blocks[-1][1] == n
+    assert np.array_equal(np.concatenate([b[2] for b in tab.blocks]), tab.dest)
+    assert np.array_equal(np.concatenate([b[3] for b in tab.blocks]), tab.src)
+    for r0, r1, dest, _ in tab.blocks:
+        assert r0 < r1 <= r0 + tab.rows
+        assert ((dest >= r0 * n) & (dest < r1 * n)).all()
+    dots, inter = lat.conv_work()
+    assert dots.shape == (tab.rows, n) and inter.shape == (n, n)
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nstorus import (
     DuhamelGrid,
+    Lattice,
     LatticeSpec,
     SpectralField,
     TimeSlicedField,
@@ -19,7 +20,8 @@ from nstorus import (
     star_product,
     unit_times,
 )
-from util import ball, direct_bilinear, duhamel_terms, random_field, random_sliced
+from util import (ball, direct_bilinear, duhamel_terms, random_field, random_sliced,
+                  star_majorant)
 
 
 # -- Leray projection ----------------------------------------------------------
@@ -116,16 +118,59 @@ def test_bilinear_matches_direct_sum_per_site(k_max, rule, a, seed):
     # Fields decaying like exp(-a|k|^2) span up to ~40 decades over the
     # lattice. A kernel summing the same pair products as the direct sum
     # keeps every site's relative accuracy; one with an absolute error
-    # floor (an FFT's ~1e-16 max|u||v|) fails at the decayed sites.
+    # floor (an FFT's ~1e-16 max|u||v|) fails at the decayed sites. The
+    # shared-left-factor form must give each v the same accuracy.
     lat = get_lattice(LatticeSpec(k_max, rule))
     rng = np.random.default_rng(seed)
     decay = np.exp(-a * lat.norm_sq_f)
-    u = random_field(lat, rng).scaled_by_sites(decay)
-    v = random_field(lat, rng).scaled_by_sites(decay)
-    want = direct_bilinear(u, v)
-    got = bilinear(u, v).data
-    err = np.linalg.norm(got - want, axis=1)
-    assert (err <= 1e-13 * np.linalg.norm(want, axis=1)).all()
+    u, v1, v2 = (random_field(lat, rng).scaled_by_sites(decay) for _ in range(3))
+    assert_matches_direct_per_site(u, (v1,), (bilinear(u, v1),))
+    assert_matches_direct_per_site(u, (v1, v2), bilinear(u, v1, v2))
+
+
+def assert_matches_direct_per_site(u, vs, got):
+    assert len(got) == len(vs)
+    for v, out in zip(vs, got):
+        want = direct_bilinear(u, v)
+        err = np.linalg.norm(out.data - want, axis=1)
+        assert (err <= 1e-13 * np.linalg.norm(want, axis=1)).all()
+
+
+def test_bilinear_matches_direct_sum_per_site_many_blocks():
+    # At k_max 6 the interaction matrix is built in ~27 row blocks (at
+    # most 2 at k_max <= 4), so only this case covers the block seams.
+    lat = ball(6)
+    assert len(lat.conv_table().blocks) > 20
+    rng = np.random.default_rng(6)
+    decay = np.exp(-0.5 * lat.norm_sq_f)
+    u, v1, v2 = (random_field(lat, rng).scaled_by_sites(decay) for _ in range(3))
+    assert_matches_direct_per_site(u, (v1, v2), bilinear(u, v1, v2))
+
+
+def test_bilinear_skips_zero_products(ball2):
+    rng = np.random.default_rng(3)
+    u, v = random_field(ball2, rng), random_field(ball2, rng)
+    zero = SpectralField.zero(ball2)
+    for out in (*bilinear(zero, v, u), *bilinear(u, zero, zero)):
+        assert not out.data.any()
+    # a zero right factor beside a nonzero one still gets exact zeros
+    out_zero, out_v = bilinear(u, zero, v)
+    assert not out_zero.data.any()
+    assert out_v.data.any()
+
+
+def test_bilinear_zero_call_prepares_lattice():
+    # a warm-up call on zeros still builds the pair table and work arrays,
+    # so their one-off cost is paid at set-up, not in the first solve
+    lat = Lattice(LatticeSpec(2))
+    zero = SpectralField.zero(lat)
+    bilinear(zero, zero)
+    assert lat._conv is not None and lat._conv_work is not None
+
+
+def test_bilinear_needs_a_right_factor(ball2):
+    with pytest.raises(TypeError):
+        bilinear(SpectralField.zero(ball2))
 
 
 def test_bilinear_lattice_mismatch(ball1, ball2):
@@ -294,6 +339,18 @@ def test_star_product_t_constant_closed_form(ball2):
         expect = base.scaled_by_sites((1.0 - np.exp(-t * q)) / q)
         assert np.allclose(sl.data, expect.data, rtol=1e-12, atol=1e-300)
     assert out.slices[0].support_size == 0  # empty integral at t = 0
+
+
+def test_star_product_shared_left_factor(ball2):
+    times = unit_times(4)
+    rng = np.random.default_rng(5)
+    u, v1, v2 = (random_sliced(ball2, times, rng) for _ in range(3))
+    got = star_product(u, v1, v2)
+    assert len(got) == 2
+    for out, v in zip(got, (v1, v2)):
+        bound = star_majorant([(u, v)])
+        for n, (a, b) in enumerate(zip(out.slices, star_product(u, v).slices)):
+            assert (np.linalg.norm(a.data - b.data, axis=1) <= 1e-13 * bound[n]).all()
 
 
 def test_star_product_grid_mismatch(ball2):

@@ -7,6 +7,7 @@ from nstorus import RunConfig, SpectralField, save_field
 from nstorus.cli import main
 from nstorus.lattice import LatticeSpec, get_lattice
 from nstorus.runner import (
+    STATUS_CONFIG_ERROR,
     STATUS_FP_FAILURE,
     STATUS_OK,
     bisect_delta,
@@ -139,6 +140,18 @@ def test_check_report_writes_plain_floats(tmp_path):
     assert "np." not in text
     _, _, rows = read_csv(Path(cfg.output_dir) / "check_report.csv")
     assert all(math.isfinite(float(x)) for x in rows[-1])
+
+
+def test_check_rejects_mismatched_histories(tmp_path):
+    cfg = small_config(tmp_path, emit=frozenset({"norm_series", "certificates", "fields"}),
+                       horizon_m=2)
+    run(cfg)
+    fields_dir = Path(cfg.output_dir) / "fields"
+    (fields_dir / "g_0002.ckpt").unlink()
+    outcome = check_run(cfg.output_dir)
+    assert outcome.status == STATUS_CONFIG_ERROR
+    assert "2 h_*.ckpt" in outcome.message and "1 g_*.ckpt" in outcome.message
+    assert not (Path(cfg.output_dir) / "check_report.csv").exists()
 
 
 def test_check_requires_fields(tmp_path):

@@ -95,3 +95,17 @@ def pair_majorant(u, v):
     mag_v = np.linalg.norm(v.data, axis=1)
     w = np.sqrt(lat.norm_sq_f)[ki] * mag_u[mi] * mag_v[li]
     return 2 * np.pi * np.bincount(ki, weights=w, minlength=len(lat))
+
+
+def star_majorant(pairs):
+    """Per-site bound on the sum of the star products S(x, y) over the
+    (x, y) sliced-field pairs: the Duhamel rule applied to their summed
+    pair_majorant, the scale the products' rounding error is relative to;
+    an (S+1, N) array, one row per grid time."""
+    x0 = pairs[0][0]
+    times, q = x0.times, x0.lattice.norm_sq_f
+    majorant = sum(np.stack([pair_majorant(a, b) for a, b in zip(x.slices, y.slices)])
+                   for x, y in pairs)
+    avg = 0.5 * (majorant[:-1] + majorant[1:])
+    return np.stack([(duhamel_weights(times, t, q) * avg[:n]).sum(axis=0)
+                     for n, t in enumerate(times)])
