@@ -6,7 +6,7 @@ import argparse
 import time
 
 from nstorus import RunConfig, generate_ic
-from nstorus.induction import DecompositionState, apply_interval, solve_interval
+from nstorus.induction import DecompositionState, induction_steps
 
 
 def main():
@@ -25,9 +25,7 @@ def main():
     print(f"{'m':>3} {'iters':>5} {'c1':>10} {'c2':>10} {'gauss_D':>10} "
           f"{'rem_D':>10} {'decay':>7} {'phi_sup':>10}")
     start = time.perf_counter()
-    for _ in range(args.horizon):
-        sol = solve_interval(state, params)
-        state, r = apply_interval(state, sol, params)
+    for _, _, r in induction_steps(state, params, args.horizon):
         print(f"{r.m:>3} {r.fp_iterations:>5} {r.c1:>10.3e} {r.c2:>10.3e} "
               f"{r.gaussian_D:>10.3e} {r.remainder_D:>10.3e} "
               f"{r.remainder_decay:>7.3f} {r.phi_sup:>10.3e}")

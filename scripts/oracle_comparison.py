@@ -6,7 +6,7 @@ times."""
 import argparse
 
 from nstorus import RunConfig, generate_ic, picard_solve
-from nstorus.induction import DecompositionState, apply_interval, solve_interval
+from nstorus.induction import DecompositionState, induction_steps
 
 
 def main():
@@ -24,12 +24,8 @@ def main():
     params = config.solver_params()
     v0 = generate_ic(config)
 
-    state = DecompositionState.initial(v0)
-    velocities = [v0]
-    for _ in range(args.horizon):
-        sol = solve_interval(state, params)
-        velocities.append(sol.velocity_slices()[-1])
-        state, _ = apply_interval(state, sol, params)
+    steps = induction_steps(DecompositionState.initial(v0), params, args.horizon)
+    velocities = [v0] + [sol.velocity.last_slice() for sol, _, _ in steps]
 
     trajectory = picard_solve(v0, float(args.horizon), params)
     print(f"picard converged in {trajectory.iterations_used} iterations "

@@ -14,7 +14,6 @@ from .certificates import (
     contraction_coefficients,
     fit_gaussian_bound,
     fit_remainder_bound,
-    phi_envelope,
 )
 from .checkpoint import load_field, save_field
 from .config import RunConfig, generate_ic, parse_config, serialize_config
@@ -22,19 +21,18 @@ from .errors import CheckpointError, ConfigError, ConvergenceError
 from .fields import SpectralField, fmc_norm, heat_multiply, phi_norm
 from .induction import (
     DecompositionState,
-    advance_unit_interval,
     assemble_forcing,
     assemble_gaussian_part,
     assemble_heat_part,
     assemble_remainder_part,
     compute_gaussian_correction,
+    induction_steps,
     reconstruct_velocity,
     solve_interval,
     solve_remainder,
 )
 from .lattice import Lattice, LatticeSpec, TruncationRule, WaveVector, build_lattice, get_lattice
 from .operators import (
-    DuhamelGrid,
     TimeSlicedField,
     bilinear,
     duhamel_integrate,

@@ -28,7 +28,6 @@ __all__ = [
     "fit_remainder_bound",
     "check_gaussian_envelope",
     "contraction_coefficients",
-    "phi_envelope",
     "build_record",
 ]
 
@@ -169,14 +168,6 @@ def contraction_coefficients(fp: FixedPointResult) -> ContractionEstimate:
     return ContractionEstimate(c1, c2, c3, satisfied)
 
 
-def phi_envelope(timed_fields, params: SolverParams):
-    """Data-norm time series [(t, |v(t)|_alpha)] plus a flag set when the
-    series ever exceeds 2 delta."""
-    series = [(float(t), phi_norm(f, params.alpha)) for t, f in timed_fields]
-    exceeded = any(v > 2.0 * params.delta for _, v in series)
-    return series, exceeded
-
-
 def build_record(prev_m: int, new_state: DecompositionState,
                  sol: IntervalSolution, params: SolverParams) -> CertificateRecord:
     """Fill the per-step certificate from the step's fields and histories."""
@@ -184,11 +175,6 @@ def build_record(prev_m: int, new_state: DecompositionState,
     rem_d, rem_rate = fit_remainder_bound(new_state.remainder_history, params)
     envelope = check_gaussian_envelope(sol.gaussian_part, prev_m, params)
     ce = contraction_coefficients(sol.fixed_point)
-    velocities = sol.velocity_slices()
-    series, _ = phi_envelope(
-        ((prev_m + t, f) for t, f in zip(sol.times, velocities)), params
-    )
-    phi_sup = max(v for _, v in series)
     finite_rates = rem_rate[np.isfinite(rem_rate)]
     return CertificateRecord(
         m=new_state.m,
@@ -201,5 +187,5 @@ def build_record(prev_m: int, new_state: DecompositionState,
         c3=ce.c3,
         contraction_ok=ce.satisfied,
         fp_iterations=sol.fixed_point.iterations,
-        phi_sup=phi_sup,
+        phi_sup=phi_norm(sol.velocity, params.alpha),
     )

@@ -80,13 +80,6 @@ class SpectralField:
         site = key.as_tuple() if isinstance(key, WaveVector) else tuple(key)
         return self.data[self.lattice.site_index(site)].copy()
 
-    def items(self):
-        """Yield (WaveVector, amplitude) over the supported sites."""
-        mags = self.magnitudes()
-        for i in np.flatnonzero(mags > 0):
-            s = self.lattice.sites[i]
-            yield WaveVector(int(s[0]), int(s[1]), int(s[2])), self.data[i].copy()
-
     def magnitudes(self) -> np.ndarray:
         """Per-site complex Euclidean magnitude of the 3-vector amplitude."""
         return np.sqrt((self.data.real ** 2 + self.data.imag ** 2).sum(axis=1))
@@ -147,19 +140,24 @@ class SpectralField:
         return float(np.sqrt((diff.real ** 2 + diff.imag ** 2).sum(axis=1)).max(initial=0.0))
 
 
-def phi_norm(f: SpectralField, alpha: float) -> float:
-    """sup over supported k of |k|^alpha * |f(k)| (zero field maps to 0)."""
+def phi_norm(f, alpha: float) -> float:
+    """sup over supported k of |k|^alpha * |f(k)| (zero field maps to 0).
+
+    f is a SpectralField, or a TimeSlicedField, whose sup then also runs
+    over every grid slice."""
     mags = f.magnitudes()
     weights = f.lattice.norm_sq_f ** (alpha / 2.0)
     return float(np.max(weights * mags, initial=0.0))
 
 
-def fmc_norm(f: SpectralField, m, c: float, beta: float) -> float:
+def fmc_norm(f, m, c: float, beta: float) -> float:
     """Minimal C with |f(k)| <= C |k|^-beta exp(-c sqrt(m) |k|) on the lattice.
 
     Computed as sup_k |k|^beta exp(c sqrt(m) |k|) |f(k)| over the supported
     sites only: at large m the weight overflows to inf at large |k|, and inf
     times an empty site's zero would be nan. Requires beta > 3 and m, c > 0.
+    f is a SpectralField, or a TimeSlicedField, whose sup then also runs
+    over every grid slice.
     """
     if beta <= 3:
         raise ValueError(f"beta must be > 3, got {beta}")
@@ -167,7 +165,7 @@ def fmc_norm(f: SpectralField, m, c: float, beta: float) -> float:
         raise ValueError("m and c must be positive")
     mags = f.magnitudes()
     supported = mags > 0
-    q = f.lattice.norm_sq_f[supported]
+    q = np.broadcast_to(f.lattice.norm_sq_f, mags.shape)[supported]
     weights = q ** (beta / 2.0) * np.exp(c * np.sqrt(float(m)) * np.sqrt(q))
     return float(np.max(weights * mags[supported], initial=0.0))
 

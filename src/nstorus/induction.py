@@ -26,17 +26,24 @@ from zero converges.
 Histories are frozen at their interval-end values; the decomposition is
 exact at the discrete level, so the composed interval solves agree with a
 global Picard solve on the same grid to fixed-point tolerance.
+
+Every part is a TimeSlicedField over the interval's grid. The history
+parts are one heat-decayed sum over ages j, each age adding an
+(S+1, N)-weighted term to every grid time at once. induction_steps is the
+one loop over steps: runs, the smallness bisection and the scripts all
+advance through it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .fields import SpectralField, heat_multiply, UNDERFLOW_FLOOR
+from .fields import SpectralField, UNDERFLOW_FLOOR
 from .operators import (
     TimeSlicedField,
     grid_index,
@@ -60,7 +67,7 @@ __all__ = [
     "solve_remainder",
     "solve_interval",
     "apply_interval",
-    "advance_unit_interval",
+    "induction_steps",
     "reconstruct_velocity",
 ]
 
@@ -103,26 +110,34 @@ class DecompositionState:
         return self.initial_field.lattice
 
 
-def _history_weights(m: int, j: int, t: float, q: np.ndarray) -> np.ndarray:
-    """Heat weights exp(-(m - j + t)|k|^2) with underflow pruning."""
-    w = np.exp(-(m - j + t) * q)
+def _heat_weights(ages: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Heat weights exp(-a|k|^2), one row per age a, with underflow pruning."""
+    w = np.exp(-ages[:, None] * q)
     w[w < UNDERFLOW_FLOOR] = 0.0
     return w
 
 
+def _add_decayed_history(state: DecompositionState, history, times, acc: np.ndarray):
+    """acc[n] += sum_j exp(-(m - j + t_n)|k|^2) history[j-1] at every grid
+    time t_n, added one age j at a time in increasing order; returns acc."""
+    t = np.asarray(times, dtype=np.float64)
+    for j, h in enumerate(history, start=1):
+        acc += _heat_weights(state.m - j + t, state.lattice.norm_sq_f)[:, :, None] * h.data
+    return acc
+
+
 def assemble_heat_part(state: DecompositionState, times) -> TimeSlicedField:
     """Initial data decayed to absolute time m + t for each grid time t."""
-    return TimeSlicedField(
-        tuple(times),
-        tuple(heat_multiply(state.initial_field, state.m + t) for t in times),
-    )
+    times = tuple(times)
+    w = _heat_weights(state.m + np.asarray(times, dtype=np.float64), state.lattice.norm_sq_f)
+    return TimeSlicedField(times, state.lattice, state.initial_field.data * w[:, :, None])
 
 
 def compute_gaussian_correction(heat_part: TimeSlicedField, params: SolverParams) -> TimeSlicedField:
     """|k|^(2 epsilon) times the heat part's self star product."""
     qe = heat_part.lattice.norm_sq_f ** params.epsilon
     prod = star_product(heat_part, heat_part)
-    return TimeSlicedField(prod.times, tuple(s.scaled_by_sites(qe) for s in prod.slices))
+    return TimeSlicedField(prod.times, prod.lattice, prod.data * qe[:, None])
 
 
 def assemble_gaussian_part(
@@ -136,31 +151,17 @@ def assemble_gaussian_part(
     times = tuple(times)
     if correction.times != times:
         raise ValueError("correction grid does not match the interval grid")
-    lat = state.lattice
-    q = lat.norm_sq_f
-    qe = q ** params.epsilon
-    slices = []
-    for n, t in enumerate(times):
-        acc = correction.slices[n].data.copy()
-        for j, h in enumerate(state.gaussian_history, start=1):
-            w = _history_weights(state.m, j, t, q)
-            acc += w[:, None] * h.data
-        slices.append(SpectralField(lat, acc / qe[:, None]))
-    return TimeSlicedField(times, tuple(slices))
+    qe = state.lattice.norm_sq_f ** params.epsilon
+    acc = _add_decayed_history(state, state.gaussian_history, times, correction.data.copy())
+    return TimeSlicedField(times, state.lattice, acc / qe[:, None])
 
 
 def assemble_remainder_part(state: DecompositionState, times) -> TimeSlicedField:
     """Heat-decayed remainder history (no current-interval term)."""
-    lat = state.lattice
-    q = lat.norm_sq_f
-    slices = []
-    for t in times:
-        acc = np.zeros((len(lat), 3), dtype=np.complex128)
-        for j, g in enumerate(state.remainder_history, start=1):
-            w = _history_weights(state.m, j, t, q)
-            acc += w[:, None] * g.data
-        slices.append(SpectralField(lat, acc))
-    return TimeSlicedField(tuple(times), tuple(slices))
+    times = tuple(times)
+    acc = np.zeros((len(times), len(state.lattice), 3), dtype=np.complex128)
+    return TimeSlicedField(times, state.lattice,
+                           _add_decayed_history(state, state.remainder_history, times, acc))
 
 
 def assemble_forcing(
@@ -310,17 +311,17 @@ class IntervalSolution:
     correction: TimeSlicedField
     fixed_point: FixedPointResult
 
+    @cached_property
+    def velocity(self) -> TimeSlicedField:
+        """The velocity on the step's grid: the three parts plus the new
+        remainder."""
+        return self.heat_part + self.gaussian_part + self.remainder_part + self.fixed_point.solution
+
     def velocity_slices(self) -> tuple[SpectralField, ...]:
-        g = self.fixed_point.solution
-        return tuple(
-            self.heat_part.slices[n] + self.gaussian_part.slices[n]
-            + self.remainder_part.slices[n] + g.slices[n]
-            for n in range(len(self.times))
-        )
+        return self.velocity.slices
 
     def velocity_at(self, t: float) -> SpectralField:
-        n = grid_index(self.times, t)
-        return self.velocity_slices()[n]
+        return self.velocity.at_time(t)
 
 
 def solve_interval(state: DecompositionState, params: SolverParams) -> IntervalSolution:
@@ -346,38 +347,38 @@ def apply_interval(state: DecompositionState, sol: IntervalSolution, params: Sol
     new_state = DecompositionState(
         m=state.m + 1,
         initial_field=state.initial_field,
-        gaussian_history=state.gaussian_history + (sol.correction.slices[-1],),
-        remainder_history=state.remainder_history + (sol.fixed_point.solution.slices[-1],),
+        gaussian_history=state.gaussian_history + (sol.correction.last_slice(),),
+        remainder_history=state.remainder_history + (sol.fixed_point.solution.last_slice(),),
     )
     record = build_record(state.m, new_state, sol, params)
     return new_state, record
 
 
-def advance_unit_interval(state: DecompositionState, params: SolverParams):
-    """One induction step m -> m + 1; returns (new state, certificate record)."""
-    sol = solve_interval(state, params)
-    return apply_interval(state, sol, params)
+def induction_steps(state: DecompositionState, params: SolverParams, count: int):
+    """Advance count unit intervals from state, yielding
+    (interval solution, new state, certificate record) after each step.
+
+    A ConvergenceError propagates from the step that failed; the last state
+    yielded before it is the state that step started from.
+    """
+    for _ in range(count):
+        sol = solve_interval(state, params)
+        state, record = apply_interval(state, sol, params)
+        yield sol, state, record
 
 
 def reconstruct_velocity(state: DecompositionState, t: float, params: SolverParams) -> SpectralField:
     """Velocity at absolute time state.m + t for a grid time t in [0, 1].
 
-    At t = 0 this is the frozen decomposition itself. For t > 0 the
+    At t = 0 this is the frozen decomposition itself, summed as the
+    interval's assembly sums its t = 0 slice. For t > 0 the
     current-interval correction and remainder are required, so the interval
     is solved and the four parts are summed at t.
     """
-    times = unit_times(params.substeps)
-    n = grid_index(times, t)
-    if n == 0:
-        lat = state.lattice
-        q = lat.norm_sq_f
-        qe = q ** params.epsilon
-        acc = heat_multiply(state.initial_field, float(state.m)).data.copy()
-        for j, h in enumerate(state.gaussian_history, start=1):
-            w = _history_weights(state.m, j, 0.0, q)
-            acc += w[:, None] * h.data / qe[:, None]
-        for j, g in enumerate(state.remainder_history, start=1):
-            w = _history_weights(state.m, j, 0.0, q)
-            acc += w[:, None] * g.data
-        return SpectralField(lat, acc)
+    if grid_index(unit_times(params.substeps), t) == 0:
+        times = (0.0,)
+        gaussian = assemble_gaussian_part(state, TimeSlicedField.zero(state.lattice, times),
+                                          times, params)
+        parts = assemble_heat_part(state, times) + gaussian + assemble_remainder_part(state, times)
+        return parts.slices[0]
     return solve_interval(state, params).velocity_at(t)

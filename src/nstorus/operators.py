@@ -35,12 +35,19 @@ substeps (Cox & Matthews 2002; Hochbruck & Ostermann 2010),
 so integrating S + 1 samples costs O(S) field operations, not O(S^2).
 Every term of the sum keeps a nonnegative weight, so each mode keeps its
 own relative accuracy.
+
+A function of time on the substep grid is a TimeSlicedField: one read-only
+(S+1, N, 3) array, so its sums, norms and star products are whole-array
+expressions and the Duhamel pass writes straight into one output array.
+Its .slices are SpectralField views of the rows, for readers that want one
+time at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, pairwise
+from functools import cached_property
+from itertools import pairwise
 
 import numpy as np
 
@@ -51,7 +58,6 @@ __all__ = [
     "leray_project",
     "bilinear",
     "TimeSlicedField",
-    "DuhamelGrid",
     "unit_times",
     "grid_index",
     "duhamel_integrate",
@@ -132,35 +138,61 @@ def unit_times(substeps: int) -> tuple[float, ...]:
 
 @dataclass(frozen=True, eq=False)
 class TimeSlicedField:
-    """A field-valued function of time sampled on a fixed substep grid."""
+    """A field-valued function of time sampled on a fixed substep grid.
+
+    data[n] holds the (N, 3) amplitudes at times[n], stored as one read-only
+    (S+1, N, 3) array, so sums, norms and products over time are single
+    array expressions; every operation returns a new instance.
+    """
 
     times: tuple[float, ...]
-    slices: tuple[SpectralField, ...]
+    lattice: Lattice
+    data: np.ndarray  # (S+1, N, 3) complex128, read-only
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
-        slices = tuple(self.slices)
-        if len(times) != len(slices) or not times:
-            raise ValueError("times and slices must be non-empty and equal length")
-        if any(b <= a for a, b in zip(times, times[1:])):
+        arr = np.ascontiguousarray(self.data, dtype=np.complex128)
+        if not times or arr.shape != (len(times), len(self.lattice), 3):
+            raise ValueError(f"data shape {arr.shape} does not match {len(times)} times "
+                             f"on a lattice of {len(self.lattice)} sites")
+        if any(b <= a for a, b in pairwise(times)):
             raise ValueError("times must be strictly increasing")
-        lat = slices[0].lattice
-        if any(s.lattice != lat for s in slices):
-            raise ValueError("all slices must share one lattice")
+        arr.setflags(write=False)
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "slices", slices)
+        object.__setattr__(self, "data", arr)
 
-    @property
-    def lattice(self) -> Lattice:
-        return self.slices[0].lattice
+    @classmethod
+    def from_slices(cls, times, fields):
+        """Stack one field per grid time."""
+        fields = tuple(fields)
+        if not fields:
+            raise ValueError("need at least one slice")
+        lat = fields[0].lattice
+        if any(f.lattice != lat for f in fields):
+            raise ValueError("all slices must share one lattice")
+        return cls(times, lat, np.stack([f.data for f in fields]))
 
     @classmethod
     def zero(cls, lattice, times):
-        z = SpectralField.zero(lattice)
-        return cls(tuple(times), tuple(z for _ in times))
+        times = tuple(times)
+        return cls(times, lattice, np.zeros((len(times), len(lattice), 3), dtype=np.complex128))
+
+    @cached_property
+    def slices(self) -> tuple[SpectralField, ...]:
+        """The samples as read-only fields that are views of data."""
+        return tuple(SpectralField(self.lattice, d) for d in self.data)
+
+    def last_slice(self) -> SpectralField:
+        """The last sample as a field with its own copy of the data, for
+        keeping beyond this object without keeping the whole array alive."""
+        return SpectralField(self.lattice, self.data[-1].copy())
 
     def at_time(self, t: float) -> SpectralField:
         return self.slices[grid_index(self.times, t)]
+
+    def magnitudes(self) -> np.ndarray:
+        """Per-slice, per-site complex Euclidean magnitudes; (S+1, N)."""
+        return np.sqrt((self.data.real ** 2 + self.data.imag ** 2).sum(axis=2))
 
     def _check_same_grid(self, other: "TimeSlicedField"):
         if self.times != other.times:
@@ -170,38 +202,16 @@ class TimeSlicedField:
 
     def __add__(self, other):
         self._check_same_grid(other)
-        return TimeSlicedField(self.times, tuple(a + b for a, b in zip(self.slices, other.slices)))
+        return TimeSlicedField(self.times, self.lattice, self.data + other.data)
 
     def __sub__(self, other):
         self._check_same_grid(other)
-        return TimeSlicedField(self.times, tuple(a - b for a, b in zip(self.slices, other.slices)))
+        return TimeSlicedField(self.times, self.lattice, self.data - other.data)
 
     def __mul__(self, scalar):
-        return TimeSlicedField(self.times, tuple(s * scalar for s in self.slices))
+        return TimeSlicedField(self.times, self.lattice, self.data * complex(scalar))
 
     __rmul__ = __mul__
-
-
-class DuhamelGrid(TimeSlicedField):
-    """Integrand samples on the unit-interval substep grid.
-
-    This is the quadrature contract for the time-integrated products: the
-    stored samples are the integrand sources at each substep time, with
-    endpoints pinned to exactly 0 and 1.
-    """
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.times[0] != 0.0 or self.times[-1] != 1.0:
-            raise ValueError("DuhamelGrid times must start at 0 and end at 1")
-
-    @property
-    def substeps(self) -> int:
-        return len(self.times) - 1
-
-    @property
-    def samples(self) -> tuple[SpectralField, ...]:
-        return self.slices
 
 
 def grid_index(times, t: float) -> int:
@@ -212,18 +222,16 @@ def grid_index(times, t: float) -> int:
     raise ValueError(f"t={t!r} is not on the substep grid {times[0]}..{times[-1]}")
 
 
-def _duhamel_pass(lat: Lattice, times, samples, width: int = 3):
-    """Yield the Duhamel rule's value at each grid time in turn, from the
-    (N, width) source arrays `samples` (an iterable, read as the pass goes)."""
+def _duhamel_pass(lat: Lattice, times, samples, out: np.ndarray) -> None:
+    """Write the Duhamel rule's value at each grid time n into out[n], from
+    the source samples (arrays shaped like out[0], read as the pass goes)."""
     q = lat.norm_sq_f[:, None]
     steps, which = np.unique(np.diff(times), return_inverse=True)
     rules = [(np.exp(-d * q), -np.expm1(-d * q) / q) for d in steps]
-    acc = np.zeros((len(q), width), dtype=np.complex128)
-    yield acc
-    for j, (prev, cur) in zip(which, pairwise(samples)):
+    out[0] = 0.0
+    for n, (j, (prev, cur)) in enumerate(zip(which, pairwise(samples))):
         decay, gain = rules[j]
-        acc = decay * acc + gain * (0.5 * (prev + cur))
-        yield acc
+        out[n + 1] = decay * out[n] + gain * (0.5 * (prev + cur))
 
 
 def duhamel_integrate(source: TimeSlicedField, t: float) -> SpectralField:
@@ -235,8 +243,9 @@ def duhamel_integrate(source: TimeSlicedField, t: float) -> SpectralField:
     constant in s.
     """
     n = grid_index(source.times, t)
-    values = _duhamel_pass(source.lattice, source.times, (sl.data for sl in source.slices))
-    return SpectralField(source.lattice, next(islice(values, n, None)))
+    out = np.empty_like(source.data[: n + 1])
+    _duhamel_pass(source.lattice, source.times[: n + 1], source.data[: n + 1], out)
+    return SpectralField(source.lattice, out[n])
 
 
 def star_product(u: TimeSlicedField, *vs: TimeSlicedField):
@@ -245,23 +254,21 @@ def star_product(u: TimeSlicedField, *vs: TimeSlicedField):
 
     (u * v)(t) = integral_0^t exp(-(t-s)|k|^2) conv(u(s), v(s)) ds at every
     grid time, from one bilinear call per slice (shared by all of vs) and
-    one cumulative pass over the stacked samples; the t = 0 slice is the
-    zero field (empty integral).
+    one cumulative pass over the side-by-side samples, written into one
+    (S+1, N, 3 len(vs)) array; the t = 0 slice is the zero field (empty
+    integral).
     """
     for v in vs:
         u._check_same_grid(v)
     lat = u.lattice
-
-    def stacked(a, bs):
-        prods = bilinear(a, *bs)
-        return prods.data if len(bs) == 1 else np.concatenate([p.data for p in prods], axis=1)
-
-    samples = (stacked(a, bs) for a, *bs in zip(u.slices, *(v.slices for v in vs)))
-    values = list(_duhamel_pass(lat, u.times, samples, 3 * len(vs)))
-    prods = tuple(TimeSlicedField(u.times, tuple(SpectralField(lat, acc[:, 3 * i: 3 * i + 3])
-                                                 for acc in values))
-                  for i in range(len(vs)))
-    return prods[0] if len(vs) == 1 else prods
+    prods = (bilinear(a, *bs) for a, *bs in zip(u.slices, *(v.slices for v in vs)))
+    samples = ((np.hstack([p.data for p in ps]) for ps in prods) if len(vs) > 1
+               else (p.data for p in prods))
+    out = np.empty((len(u.times), len(lat), 3 * len(vs)), dtype=np.complex128)
+    _duhamel_pass(lat, u.times, samples, out)
+    sliced = tuple(TimeSlicedField(u.times, lat, out[:, :, 3 * i: 3 * i + 3])
+                   for i in range(len(vs)))
+    return sliced[0] if len(vs) == 1 else sliced
 
 
 def identity_split(a1: float, a2: float, k, l) -> tuple[float, float, float]:
@@ -288,4 +295,5 @@ def identity_split(a1: float, a2: float, k, l) -> tuple[float, float, float]:
 
 
 def sliced_fmc_norm(x: TimeSlicedField, m, c: float, beta: float) -> float:
-    return max(fmc_norm(s, m, c, beta) for s in x.slices)
+    """fmc_norm maximized over every grid slice of x."""
+    return fmc_norm(x, m, c, beta)

@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError
-from .fields import SpectralField, heat_multiply, phi_norm
-from .induction import _DIVERGENCE_CAP
+from .fields import SpectralField, phi_norm
+from .induction import _DIVERGENCE_CAP, DecompositionState, assemble_heat_part
 from .operators import TimeSlicedField, star_product
 from .params import SolverParams
 
@@ -58,16 +58,20 @@ def picard_solve(v0: SpectralField, horizon: float, params: SolverParams) -> Pic
             f"1/{params.substeps}"
         )
     times = tuple(i / params.substeps for i in range(n_sub + 1))
-    lat = v0.lattice
-    heat_slices = TimeSlicedField(times, tuple(heat_multiply(v0, t) for t in times))
-    current = TimeSlicedField.zero(lat, times)
+    # the heat flow of v0: the heat part of a decomposition with no history
+    heat = assemble_heat_part(DecompositionState.initial(v0), times)
+    current = TimeSlicedField.zero(v0.lattice, times)
     alpha = params.alpha
 
     change = math.inf
     update_norms: list[float] = []
     for iteration in range(1, params.fp_max_iter + 1):
-        nxt = heat_slices + star_product(current, current)
-        change = max(phi_norm(s, alpha) for s in (nxt - current).slices)
+        nxt = heat + star_product(current, current)
+        # release the old iterate before the norm and the update before the
+        # next star product: each is a whole-grid array
+        update, current = nxt - current, nxt
+        change = phi_norm(update, alpha)
+        del update
         if not math.isfinite(change) or change > _DIVERGENCE_CAP:
             raise ConvergenceError(
                 f"Picard iteration diverged after {iteration} iterations "
@@ -76,7 +80,6 @@ def picard_solve(v0: SpectralField, horizon: float, params: SolverParams) -> Pic
                 last_update=change,
             )
         update_norms.append(change)
-        current = nxt
         if change < params.fp_tol:
             return PicardTrajectory(times, current.slices, iteration, change,
                                     tuple(update_norms))

@@ -19,7 +19,7 @@ from .checkpoint import load_field, save_field
 from .config import RunConfig, generate_ic, parse_config, serialize_config
 from .errors import CheckpointError, ConfigError, ConvergenceError
 from .fields import fmc_norm, phi_norm
-from .induction import DecompositionState, apply_interval, solve_interval
+from .induction import DecompositionState, induction_steps
 from .picard import picard_solve
 
 __all__ = [
@@ -114,21 +114,17 @@ def run(config: RunConfig) -> RunOutcome:
     message = "ok"
     failed_step = None
     try:
-        for _ in range(config.horizon_m):
-            sol = solve_interval(state, params)
-            velocities = sol.velocity_slices()
+        for sol, state, record in induction_steps(state, params, config.horizon_m):
             g = sol.fixed_point.solution
-            m_next = state.m + 1
             for n, t in enumerate(sol.times):
                 norm_rows.append((
-                    state.m, t,
-                    phi_norm(velocities[n], params.alpha),
-                    fmc_norm(g.slices[n], m_next, params.decay_c, params.beta),
-                    sol.fixed_point.iterations,
+                    state.m - 1, t,
+                    phi_norm(sol.velocity.slices[n], params.alpha),
+                    fmc_norm(g.slices[n], state.m, params.decay_c, params.beta),
+                    record.fp_iterations,
                 ))
-            state, record = apply_interval(state, sol, params)
             records.append(record)
-            integer_velocities.append(velocities[-1])
+            integer_velocities.append(sol.velocity.last_slice())
     except ConvergenceError as exc:
         status = STATUS_FP_FAILURE
         failed_step = state.m
@@ -233,6 +229,7 @@ def check_run(run_dir) -> RunOutcome:
                           "of each per step", run_dir, [])
     gauss_d = certificates.fit_gaussian_bound(gauss_hist, params)
     rem_d, rem_rate = certificates.fit_remainder_bound(rem_hist, params)
+    phis = [phi_norm(v, params.alpha) for v in velocities]
     rows = []
     for j in range(max(len(gauss_hist), len(velocities))):
         age = 1 <= j <= len(gauss_hist)
@@ -241,12 +238,11 @@ def check_run(run_dir) -> RunOutcome:
             gauss_d[j - 1] if age else float("nan"),
             rem_d[j - 1] if age else float("nan"),
             rem_rate[j - 1] if age else float("nan"),
-            phi_norm(velocities[j], params.alpha) if j < len(velocities) else float("nan"),
+            phis[j] if j < len(phis) else float("nan"),
         ))
     _write_csv(run_dir / "check_report.csv", CHECK_REPORT_SCHEMA,
                ("j", "gaussian_D", "remainder_D", "remainder_decay", "phi_norm"),
                rows)
-    phis = [phi_norm(v, params.alpha) for v in velocities]
     envelope_ok = all(p <= 2 * config.delta for p in phis)
     message = (
         f"checked {len(gauss_hist)} history ages, {len(velocities)} snapshots; "
@@ -271,9 +267,8 @@ def _converges(config: RunConfig, delta: float, horizon: int) -> bool:
     params = trial.solver_params()
     state = DecompositionState.initial(generate_ic(trial))
     try:
-        for _ in range(horizon):
-            sol = solve_interval(state, params)
-            state, _ = apply_interval(state, sol, params)
+        for _ in induction_steps(state, params, horizon):
+            pass
     except ConvergenceError:
         return False
     return True

@@ -214,7 +214,7 @@ def linear_source_error(substeps, a, b):
     slices = tuple(
         SpectralField.from_modes(lat, {(1, 0, 0): (0.0, a + b * t, 0.0)}) for t in times
     )
-    out = duhamel_integrate(TimeSlicedField(times, slices), 1.0)
+    out = duhamel_integrate(TimeSlicedField.from_slices(times, slices), 1.0)
     return abs(out[(1, 0, 0)][1].real - exact_linear_duhamel(1.0, a, b))
 
 
@@ -223,7 +223,7 @@ def test_criterion_08_quadrature_order():
     lat = get_lattice(LatticeSpec(2))
     times = unit_times(8)
     const = SpectralField.from_modes(lat, {(0, 2, 0): (1.0, -2.0, 1.0j)})
-    src = TimeSlicedField(times, tuple(const for _ in times))
+    src = TimeSlicedField.from_slices(times, tuple(const for _ in times))
     out = duhamel_integrate(src, 1.0)
     q = 4.0
     expect = const.data[lat.site_index((0, 2, 0))] * (1.0 - math.exp(-q)) / q

@@ -11,7 +11,6 @@ from nstorus import (
     contraction_coefficients,
     fit_gaussian_bound,
     fit_remainder_bound,
-    phi_envelope,
     unit_times,
 )
 from nstorus.induction import iterate_contraction
@@ -129,7 +128,7 @@ def test_envelope_recovers_planted_constant(ball2):
         mags = (PARAMS.delta ** 2 / q ** PARAMS.epsilon
                 * -np.expm1(-0.5 * t * q) / q * np.exp(-0.5 * (m + 1) * q))
         slices.append(SpectralField(ball2, dirs * mags[:, None]))
-    part = TimeSlicedField(times, tuple(slices))
+    part = TimeSlicedField.from_slices(times, tuple(slices))
     assert check_gaussian_envelope(part, m, PARAMS) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -138,7 +137,7 @@ def test_envelope_ignores_degenerate_initial_slice(ball2):
     times = unit_times(4)
     h = random_field(ball2, np.random.default_rng(0), scale=1e-8)
     slices = [h] + [SpectralField.zero(ball2)] * 4
-    part = TimeSlicedField(times, tuple(slices))
+    part = TimeSlicedField.from_slices(times, tuple(slices))
     assert check_gaussian_envelope(part, 0, PARAMS) == 0.0
 
 
@@ -178,28 +177,3 @@ def test_contraction_measures_quadratic_gain(ball2):
     est = contraction_coefficients(fp)
     assert est.c3 == pytest.approx(0.25, rel=1e-8)
 
-
-# -- data-norm envelope ---------------------------------------------------------------
-
-def test_phi_envelope_zero_series(ball2):
-    series, exceeded = phi_envelope(
-        [(0.0, SpectralField.zero(ball2)), (1.0, SpectralField.zero(ball2))], PARAMS)
-    assert series == [(0.0, 0.0), (1.0, 0.0)]
-    assert not exceeded
-
-
-def test_phi_envelope_single_mode_decay(ball2):
-    delta = PARAMS.delta
-    fields = [(t, SpectralField.from_modes(
-        ball2, {(1, 0, 0): (0.0, delta * math.exp(-t), 0.0)})) for t in (0.0, 0.5, 1.0)]
-    series, exceeded = phi_envelope(fields, PARAMS)
-    assert not exceeded
-    values = [v for _, v in series]
-    assert values == sorted(values, reverse=True)
-    assert values[0] == pytest.approx(delta, rel=1e-15)
-
-
-def test_phi_envelope_flags_excess(ball2):
-    big = SpectralField.from_modes(ball2, {(1, 0, 0): (0.0, 3 * PARAMS.delta, 0.0)})
-    _, exceeded = phi_envelope([(0.0, big)], PARAMS)
-    assert exceeded

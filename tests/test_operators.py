@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nstorus import (
-    DuhamelGrid,
     Lattice,
     LatticeSpec,
     SpectralField,
@@ -185,19 +184,46 @@ def test_unit_times_endpoints():
     assert times[0] == 0.0 and times[-1] == 1.0 and len(times) == 9
 
 
-def test_duhamel_grid_validates_endpoints(ball2):
-    z = SpectralField.zero(ball2)
-    with pytest.raises(ValueError):
-        DuhamelGrid((0.0, 0.5), (z, z))
-    grid = DuhamelGrid(unit_times(4), tuple(z for _ in range(5)))
-    assert grid.substeps == 4
-    assert grid.samples == grid.slices
-
-
 def test_time_sliced_requires_increasing_times(ball2):
     z = SpectralField.zero(ball2)
     with pytest.raises(ValueError):
-        TimeSlicedField((0.0, 0.0, 1.0), (z, z, z))
+        TimeSlicedField.from_slices((0.0, 0.0, 1.0), (z, z, z))
+    with pytest.raises(ValueError):
+        TimeSlicedField((0.0, 1.0, 0.5), ball2, np.zeros((3, len(ball2), 3)))
+
+
+def test_time_sliced_rejects_wrong_shape_and_lattice(ball1, ball2):
+    with pytest.raises(ValueError):
+        TimeSlicedField((0.0, 1.0), ball2, np.zeros((3, len(ball2), 3)))
+    with pytest.raises(ValueError):
+        TimeSlicedField((0.0, 1.0), ball2, np.zeros((2, len(ball1), 3)))
+    with pytest.raises(ValueError):
+        TimeSlicedField((), ball2, np.zeros((0, len(ball2), 3)))
+    with pytest.raises(ValueError):
+        TimeSlicedField.from_slices((0.0, 1.0), (SpectralField.zero(ball1),
+                                                 SpectralField.zero(ball2)))
+    with pytest.raises(ValueError):
+        TimeSlicedField.zero(ball1, (0.0, 1.0)) + TimeSlicedField.zero(ball2, (0.0, 1.0))
+
+
+def test_time_sliced_data_is_read_only(ball2):
+    x = random_sliced(ball2, unit_times(2), np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        x.data[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        x.slices[1].data[0, 0] = 1.0
+
+
+def test_time_sliced_from_slices_round_trip(ball2):
+    rng = np.random.default_rng(1)
+    fields = [random_field(ball2, rng) for _ in range(5)]
+    x = TimeSlicedField.from_slices(unit_times(4), fields)
+    assert x.data.shape == (5, len(ball2), 3)
+    for n, f in enumerate(fields):
+        assert np.array_equal(x.slices[n].data, f.data)
+        assert np.shares_memory(x.slices[n].data, x.data)
+    assert np.array_equal(x.last_slice().data, fields[-1].data)
+    assert not np.shares_memory(x.last_slice().data, x.data)
 
 
 # -- Duhamel quadrature -----------------------------------------------------------
@@ -224,12 +250,12 @@ def test_duhamel_zero_source(ball2):
 
 def test_duhamel_constant_source_closed_form(ball2):
     f = SpectralField.from_modes(ball2, {(1, 0, 0): (0.0, 1.0, 0.0)})
-    src = TimeSlicedField(unit_times(8), tuple(f for _ in range(9)))
+    src = TimeSlicedField.from_slices(unit_times(8), tuple(f for _ in range(9)))
     out = duhamel_integrate(src, 1.0)
     assert out[(1, 0, 0)][1].real == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14)
     # exact on constants at every grid time and every |k|
     g = SpectralField.from_modes(ball2, {(2, 0, 0): (0.0, 0.0, 1.0)})
-    src2 = TimeSlicedField(unit_times(8), tuple(g for _ in range(9)))
+    src2 = TimeSlicedField.from_slices(unit_times(8), tuple(g for _ in range(9)))
     out2 = duhamel_integrate(src2, 0.5)
     assert out2[(2, 0, 0)][2].real == pytest.approx((1 - math.exp(-2.0)) / 4.0, rel=1e-14)
 
@@ -241,7 +267,7 @@ def quadrature_error_on_linear_source(substeps, q_site, a, b):
     slices = tuple(
         SpectralField.from_modes(lat, {site: (0.0, a + b * t, 0.0)}) for t in times
     )
-    out = duhamel_integrate(TimeSlicedField(times, slices), 1.0)
+    out = duhamel_integrate(TimeSlicedField.from_slices(times, slices), 1.0)
     q = float(sum(c * c for c in site))
     return abs(out[site][1].real - exact_linear_duhamel(q, a, b))
 
@@ -265,7 +291,7 @@ def test_duhamel_rejects_offgrid_t(ball2):
 
 def test_duhamel_monotone_for_nondecreasing_source(ball2):
     times = unit_times(8)
-    src = TimeSlicedField(
+    src = TimeSlicedField.from_slices(
         times,
         tuple(SpectralField.from_modes(ball2, {(1, 0, 0): (0.0, 1.0 + t, 0.0)})
               for t in times),
@@ -300,7 +326,8 @@ def test_star_product_matches_direct_duhamel_per_site(k_max, rule, substeps, uni
     u = random_sliced(lat, times, rng, a=a)
     v = random_sliced(lat, times, rng, a=a)
     prod = star_product(u, v)
-    samples = TimeSlicedField(times, tuple(bilinear(x, y) for x, y in zip(u.slices, v.slices)))
+    samples = TimeSlicedField.from_slices(times, [bilinear(x, y)
+                                                  for x, y in zip(u.slices, v.slices)])
     for t, got in zip(times, prod.slices):
         terms = duhamel_terms(samples, t)
         err = np.abs(got.data - terms.sum(axis=0))
@@ -321,7 +348,7 @@ def test_star_product_zero_left(ball2):
 def test_star_product_single_mode_vanishes(ball2):
     times = unit_times(4)
     f = SpectralField.from_modes(ball2, {(1, 0, 0): (0.0, 1.0, 0.0)})
-    u = TimeSlicedField(times, tuple(f for _ in times))
+    u = TimeSlicedField.from_slices(times, tuple(f for _ in times))
     out = star_product(u, u)
     assert all(s.magnitudes().max(initial=0.0) < 1e-16 for s in out.slices)
 
@@ -330,8 +357,8 @@ def test_star_product_t_constant_closed_form(ball2):
     times = unit_times(8)
     u0 = SpectralField.from_modes(ball2, {(1, 0, 0): (0.0, 1.0, 0.0)})
     v0 = SpectralField.from_modes(ball2, {(0, 1, 0): (1.0, 0.0, 0.0)})
-    u = TimeSlicedField(times, tuple(u0 for _ in times))
-    v = TimeSlicedField(times, tuple(v0 for _ in times))
+    u = TimeSlicedField.from_slices(times, tuple(u0 for _ in times))
+    v = TimeSlicedField.from_slices(times, tuple(v0 for _ in times))
     out = star_product(u, v)
     base = bilinear(u0, v0)
     q = ball2.norm_sq_f

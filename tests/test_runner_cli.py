@@ -154,6 +154,21 @@ def test_check_rejects_mismatched_histories(tmp_path):
     assert not (Path(cfg.output_dir) / "check_report.csv").exists()
 
 
+def test_check_flags_phi_envelope_excess(tmp_path):
+    cfg = small_config(tmp_path, emit=frozenset({"norm_series", "certificates", "fields"}),
+                       horizon_m=2)
+    run(cfg)
+    assert "phi envelope <= 2 delta" in check_run(cfg.output_dir).message
+    lat = get_lattice(cfg.lattice_spec())
+    big = SpectralField.from_modes(lat, {(1, 0, 0): (0.0, 3 * cfg.delta, 0.0)})
+    save_field(big, Path(cfg.output_dir) / "fields" / "v_0001.ckpt")
+    outcome = check_run(cfg.output_dir)
+    assert outcome.status == STATUS_OK
+    assert "phi envelope EXCEEDED" in outcome.message
+    _, _, rows = read_csv(Path(cfg.output_dir) / "check_report.csv")
+    assert float(rows[1][4]) == pytest.approx(3 * cfg.delta, rel=1e-15)
+
+
 def test_check_requires_fields(tmp_path):
     cfg = small_config(tmp_path)
     run(cfg)

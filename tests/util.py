@@ -1,9 +1,11 @@
 """Shared helpers for building random test fields, and a reference
-convolution and Duhamel rule independent of the ones in nstorus."""
+convolution, Duhamel rule and history assembly independent of the ones in
+nstorus."""
 
 import numpy as np
 
 from nstorus import LatticeSpec, SpectralField, TimeSlicedField, get_lattice
+from nstorus.fields import UNDERFLOW_FLOOR
 
 
 def ball(k_max):
@@ -26,7 +28,7 @@ def random_field(lat, rng, scale=1.0, solenoidal=True, sparsity=0.0):
 def random_sliced(lat, times, rng, scale=1.0, a=0.0):
     """Random field per grid time; a > 0 multiplies each by exp(-a|k|^2)."""
     decay = np.exp(-a * lat.norm_sq_f)
-    return TimeSlicedField(
+    return TimeSlicedField.from_slices(
         tuple(times),
         tuple(random_field(lat, rng, scale).scaled_by_sites(decay) for _ in times),
     )
@@ -109,3 +111,25 @@ def star_majorant(pairs):
     avg = 0.5 * (majorant[:-1] + majorant[1:])
     return np.stack([(duhamel_weights(times, t, q) * avg[:n]).sum(axis=0)
                      for n, t in enumerate(times)])
+
+
+def looped_history_parts(state, correction, params):
+    """The gaussian and remainder parts assembled one (grid time t, age j)
+    pair at a time, each slice from its own weights
+    exp(-(m - j + t)|k|^2) (pruned below the underflow floor), summed in
+    increasing j; (S+1, N, 3) arrays (gaussian, remainder)."""
+    q = state.lattice.norm_sq_f
+    qe = q ** params.epsilon
+
+    def decayed(t, history, acc):
+        for j, h in enumerate(history, start=1):
+            w = np.exp(-(state.m - j + t) * q)
+            w[w < UNDERFLOW_FLOOR] = 0.0
+            acc += w[:, None] * h.data
+        return acc
+
+    gaussian = [decayed(t, state.gaussian_history, c.data.copy()) / qe[:, None]
+                for t, c in zip(correction.times, correction.slices)]
+    remainder = [decayed(t, state.remainder_history, np.zeros_like(c.data))
+                 for t, c in zip(correction.times, correction.slices)]
+    return np.stack(gaussian), np.stack(remainder)
