@@ -18,7 +18,7 @@ from .certificates import (
 from .checkpoint import load_field, save_field
 from .config import RunConfig, generate_ic, parse_config, serialize_config
 from .errors import CheckpointError, ConfigError, ConvergenceError
-from .fields import SpectralField, fmc_norm, heat_multiply, phi_norm
+from .fields import SpectralField, fmc_norm, phi_norm
 from .induction import (
     DecompositionState,
     assemble_forcing,
@@ -38,7 +38,6 @@ from .operators import (
     duhamel_integrate,
     identity_split,
     leray_project,
-    sliced_fmc_norm,
     star_product,
     unit_times,
 )

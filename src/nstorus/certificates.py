@@ -71,8 +71,9 @@ class ContractionEstimate:
     satisfied: bool
 
 
-def fit_gaussian_bound(history, params: SolverParams) -> np.ndarray:
-    """Per-age minimal D with |h_j(k)| <= D delta^2 exp(-j|k|^2/2)/|k|^(2 eps).
+def fit_gaussian_bound(history, params: SolverParams, first_age: int = 1) -> np.ndarray:
+    """Per-age minimal D with |h_j(k)| <= D delta^2 exp(-j|k|^2/2)/|k|^(2 eps),
+    for history[i] of age j = first_age + i.
 
     Evaluated in log space: the compensating weight exp(+j|k|^2/2) overflows
     long before the products do.
@@ -80,7 +81,7 @@ def fit_gaussian_bound(history, params: SolverParams) -> np.ndarray:
     out = np.zeros(len(history))
     log_d2 = 2.0 * math.log(params.delta)
     for idx, h in enumerate(history):
-        j = idx + 1
+        j = first_age + idx
         q = h.lattice.norm_sq_f
         mags = h.magnitudes()
         mask = mags > 0
@@ -92,8 +93,9 @@ def fit_gaussian_bound(history, params: SolverParams) -> np.ndarray:
     return out
 
 
-def fit_remainder_bound(history, params: SolverParams):
-    """Per-age (minimal D at the configured decay rate, fitted decay rate).
+def fit_remainder_bound(history, params: SolverParams, first_age: int = 1):
+    """Per-age (minimal D at the configured decay rate, fitted decay rate),
+    for history[i] of age j = first_age + i.
 
     The D column is the weighted remainder norm at index j divided by
     delta^2. The decay rate is least-squares fitted from
@@ -104,7 +106,7 @@ def fit_remainder_bound(history, params: SolverParams):
     d_vals = np.zeros(len(history))
     rate_vals = np.full(len(history), np.nan)
     for idx, g in enumerate(history):
-        j = idx + 1
+        j = first_age + idx
         d_vals[idx] = fmc_norm(g, j, params.decay_c, params.beta) / params.delta ** 2
         q = g.lattice.norm_sq_f
         mags = g.magnitudes()
@@ -125,27 +127,21 @@ def check_gaussian_envelope(gaussian_part: TimeSlicedField, m: int,
                             params: SolverParams) -> float:
     """Minimal D bounding the assembled gaussian part by
     (D delta^2/|k|^(2 eps)) (1 - exp(-t|k|^2/2))/|k|^2 exp(-(m+1)|k|^2/2)
-    over all grid (t, k) with t > 0.
+    over all grid (t, k) with t > 0, as one masked (S, N) expression.
 
     The t = 0 slice is excluded: its envelope factor is exactly zero while
     the slice still carries history terms, so the bound form is degenerate
     there.
     """
     log_d2 = 2.0 * math.log(params.delta)
-    best = 0.0
-    for t, sl in zip(gaussian_part.times, gaussian_part.slices):
-        if t <= 0:
-            continue
-        q = sl.lattice.norm_sq_f
-        mags = sl.magnitudes()
-        mask = mags > 0
-        if not mask.any():
-            continue
-        qm = q[mask]
-        logs = (np.log(mags[mask]) + (params.epsilon + 1.0) * np.log(qm)
-                + 0.5 * (m + 1) * qm - np.log(-np.expm1(-0.5 * t * qm)) - log_d2)
-        best = max(best, math.exp(float(logs.max())))
-    return best
+    t = np.asarray(gaussian_part.times)
+    later = t > 0
+    mags = gaussian_part.magnitudes()[later]
+    q = gaussian_part.lattice.norm_sq_f
+    log_mags = np.log(mags, out=np.full_like(mags, -np.inf), where=mags > 0)
+    logs = (log_mags + (params.epsilon + 1.0) * np.log(q) + 0.5 * (m + 1) * q
+            - np.log(-np.expm1(-0.5 * t[later, None] * q)) - log_d2)
+    return math.exp(float(logs.max(initial=-np.inf)))
 
 
 def contraction_coefficients(fp: FixedPointResult) -> ContractionEstimate:
@@ -169,10 +165,26 @@ def contraction_coefficients(fp: FixedPointResult) -> ContractionEstimate:
 
 
 def build_record(prev_m: int, new_state: DecompositionState,
-                 sol: IntervalSolution, params: SolverParams) -> CertificateRecord:
-    """Fill the per-step certificate from the step's fields and histories."""
-    gauss = fit_gaussian_bound(new_state.gaussian_history, params)
-    rem_d, rem_rate = fit_remainder_bound(new_state.remainder_history, params)
+                 sol: IntervalSolution, params: SolverParams,
+                 previous: CertificateRecord | None = None) -> CertificateRecord:
+    """Fill the per-step certificate from the step's fields and histories.
+
+    The history constants are running extrema over ages. Given previous,
+    the record of the step that ended at prev_m, only the new age is
+    fitted and folded into previous's extrema, which gives the same values
+    as fitting every age; without it every age is fitted.
+    """
+    gauss_hist, rem_hist, first_age = new_state.gaussian_history, new_state.remainder_history, 1
+    if previous is not None:
+        if previous.m != prev_m:
+            raise ValueError(f"previous record is for m={previous.m}, not {prev_m}")
+        gauss_hist, rem_hist, first_age = gauss_hist[-1:], rem_hist[-1:], new_state.m
+    gauss = fit_gaussian_bound(gauss_hist, params, first_age)
+    rem_d, rem_rate = fit_remainder_bound(rem_hist, params, first_age)
+    if previous is not None:
+        gauss = np.append(gauss, previous.gaussian_D)
+        rem_d = np.append(rem_d, previous.remainder_D)
+        rem_rate = np.append(rem_rate, previous.remainder_decay)
     envelope = check_gaussian_envelope(sol.gaussian_part, prev_m, params)
     ce = contraction_coefficients(sol.fixed_point)
     finite_rates = rem_rate[np.isfinite(rem_rate)]

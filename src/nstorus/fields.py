@@ -18,7 +18,6 @@ __all__ = [
     "SpectralField",
     "phi_norm",
     "fmc_norm",
-    "heat_multiply",
     "UNDERFLOW_FLOOR",
 ]
 
@@ -110,10 +109,6 @@ class SpectralField:
 
     __rmul__ = __mul__
 
-    def scaled_by_sites(self, factors: np.ndarray) -> "SpectralField":
-        """Multiply each site amplitude by a per-site scalar factor."""
-        return SpectralField(self.lattice, self.data * np.asarray(factors)[:, None])
-
     def allclose(self, other: "SpectralField", rtol=1e-12, atol=0.0) -> bool:
         self._check_same_lattice(other)
         return bool(np.allclose(self.data, other.data, rtol=rtol, atol=atol))
@@ -140,24 +135,27 @@ class SpectralField:
         return float(np.sqrt((diff.real ** 2 + diff.imag ** 2).sum(axis=1)).max(initial=0.0))
 
 
-def phi_norm(f, alpha: float) -> float:
+def phi_norm(f, alpha: float, axis=None):
     """sup over supported k of |k|^alpha * |f(k)| (zero field maps to 0).
 
     f is a SpectralField, or a TimeSlicedField, whose sup then also runs
-    over every grid slice."""
+    over every grid slice; with axis=-1 it is one sup per slice instead,
+    an (S+1,) array."""
     mags = f.magnitudes()
     weights = f.lattice.norm_sq_f ** (alpha / 2.0)
-    return float(np.max(weights * mags, initial=0.0))
+    sup = np.max(weights * mags, axis=axis, initial=0.0)
+    return float(sup) if axis is None else sup
 
 
-def fmc_norm(f, m, c: float, beta: float) -> float:
+def fmc_norm(f, m, c: float, beta: float, axis=None):
     """Minimal C with |f(k)| <= C |k|^-beta exp(-c sqrt(m) |k|) on the lattice.
 
     Computed as sup_k |k|^beta exp(c sqrt(m) |k|) |f(k)| over the supported
     sites only: at large m the weight overflows to inf at large |k|, and inf
     times an empty site's zero would be nan. Requires beta > 3 and m, c > 0.
     f is a SpectralField, or a TimeSlicedField, whose sup then also runs
-    over every grid slice.
+    over every grid slice; with axis=-1 it is one sup per slice instead,
+    an (S+1,) array.
     """
     if beta <= 3:
         raise ValueError(f"beta must be > 3, got {beta}")
@@ -165,16 +163,9 @@ def fmc_norm(f, m, c: float, beta: float) -> float:
         raise ValueError("m and c must be positive")
     mags = f.magnitudes()
     supported = mags > 0
-    q = np.broadcast_to(f.lattice.norm_sq_f, mags.shape)[supported]
-    weights = q ** (beta / 2.0) * np.exp(c * np.sqrt(float(m)) * np.sqrt(q))
-    return float(np.max(weights * mags[supported], initial=0.0))
-
-
-def heat_multiply(f: SpectralField, t: float) -> SpectralField:
-    """Scale each amplitude by exp(-t |k|^2); factors below the underflow
-    floor are clamped to exact zero, removing the entry from the support."""
-    if t < 0:
-        raise ValueError(f"heat multiplier requires t >= 0, got {t}")
-    factors = np.exp(-t * f.lattice.norm_sq_f)
-    factors[factors < UNDERFLOW_FLOOR] = 0.0
-    return f.scaled_by_sites(factors)
+    q = f.lattice.norm_sq_f
+    with np.errstate(over="ignore"):
+        weights = q ** (beta / 2.0) * np.exp(c * np.sqrt(float(m)) * np.sqrt(q))
+    weighted = np.multiply(weights, mags, out=np.zeros_like(mags), where=supported)
+    sup = np.max(weighted, axis=axis, initial=0.0)
+    return float(sup) if axis is None else sup

@@ -27,27 +27,50 @@ Histories are frozen at their interval-end values; the decomposition is
 exact at the discrete level, so the composed interval solves agree with a
 global Picard solve on the same grid to fixed-point tolerance.
 
-Every part is a TimeSlicedField over the interval's grid. The history
-parts are one heat-decayed sum over ages j, each age adding an
-(S+1, N)-weighted term to every grid time at once. induction_steps is the
-one loop over steps: runs, the smallness bisection and the scripts all
-advance through it.
+A frozen entry only decays afterwards, so each history is carried as its
+running sum
+
+    R_m = sum_{j <= m} exp(-(m-j)|k|^2) h_j,   R_{m+1} = exp(-|k|^2) R_m + h_{m+1},
+
+and its part at grid time t of the interval is exp(-t|k|^2) R_m. The
+decay factor exp(-|k|^2) and the grid-time weights are heat weights, set to
+zero below UNDERFLOW_FLOOR like every other. A single term can no longer
+be pruned by its own age, since R has merged the terms: an old term stays
+in R and decays until it leaves the normal floating-point range, where the
+component is flushed to zero, so no stored R entry is subnormal.
+
+Against adding every term with its own weight w_j = exp(-(m-j+t)|k|^2),
+this changes a part, per site and component and to first order in the
+rounding, by at most
+
+    2^-52 sum_j (3(m-j) + 4 + 2(m-j+t)|k|^2) w_j |h_j|
+        + UNDERFLOW_FLOOR (1 + sum_j |h_j|).
+
+A term goes through m-j rounded decays and additions here and through up
+to m-j+1 additions there, and exp(-x) of a rounded argument x carries a
+relative error of up to about 2^-52 x in either sum; the second line covers
+the terms the floor would have pruned by age, and the flushed subnormals.
+With the certificate record fitting only the new age (see
+certificates.build_record), the cost of a step no longer grows with m.
+
+Every part is a TimeSlicedField over the interval's grid. induction_steps
+is the one loop over steps: runs, the smallness bisection and the scripts
+all advance through it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .fields import SpectralField, UNDERFLOW_FLOOR
+from .fields import SpectralField, UNDERFLOW_FLOOR, fmc_norm
 from .operators import (
     TimeSlicedField,
     grid_index,
-    sliced_fmc_norm,
     star_product,
     unit_times,
 )
@@ -84,22 +107,41 @@ class DecompositionState:
     completed interval j = 1..m, frozen at that interval's end. Gaussian
     history entries are stored with their |k|^(2 epsilon) factor multiplied
     in; assembly divides it back out.
+
+    gaussian_sum and remainder_sum are the histories' running sums R_m (see
+    the module docstring). Left out, they are built from the histories, and
+    every entry is checked; apply_interval passes them extended by the new
+    pair instead, and then only that pair is checked.
     """
 
     m: int
     initial_field: SpectralField
     gaussian_history: tuple[SpectralField, ...] = ()
     remainder_history: tuple[SpectralField, ...] = ()
+    gaussian_sum: SpectralField | None = field(default=None, repr=False)
+    remainder_sum: SpectralField | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.m < 0:
             raise ValueError("m must be non-negative")
         if len(self.gaussian_history) != self.m or len(self.remainder_history) != self.m:
             raise ValueError("history lengths must both equal m")
+        if (self.gaussian_sum is None) != (self.remainder_sum is None):
+            raise ValueError("give both running sums or neither")
         lat = self.initial_field.lattice
-        for f in (*self.gaussian_history, *self.remainder_history):
-            if f.lattice != lat:
-                raise ValueError("history fields must share the initial field's lattice")
+        fresh = self.gaussian_sum is None
+        checked = ((*self.gaussian_history, *self.remainder_history) if fresh else
+                   (*self.gaussian_history[-1:], *self.remainder_history[-1:],
+                    self.gaussian_sum, self.remainder_sum))
+        if any(f.lattice != lat for f in checked):
+            raise ValueError("history fields must share the initial field's lattice")
+        if fresh:
+            for name, history in (("gaussian_sum", self.gaussian_history),
+                                  ("remainder_sum", self.remainder_history)):
+                total = SpectralField.zero(lat)
+                for h in history:
+                    total = _extend_sum(total, h)
+                object.__setattr__(self, name, total)
 
     @classmethod
     def initial(cls, v0: SpectralField) -> "DecompositionState":
@@ -111,19 +153,32 @@ class DecompositionState:
 
 
 def _heat_weights(ages: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Heat weights exp(-a|k|^2), one row per age a, with underflow pruning."""
+    """Heat weights exp(-a|k|^2), one row per age a >= 0, with underflow
+    pruning."""
+    if (ages < 0).any():
+        raise ValueError("heat weights need non-negative ages")
     w = np.exp(-ages[:, None] * q)
     w[w < UNDERFLOW_FLOOR] = 0.0
     return w
 
 
-def _add_decayed_history(state: DecompositionState, history, times, acc: np.ndarray):
-    """acc[n] += sum_j exp(-(m - j + t_n)|k|^2) history[j-1] at every grid
-    time t_n, added one age j at a time in increasing order; returns acc."""
-    t = np.asarray(times, dtype=np.float64)
-    for j, h in enumerate(history, start=1):
-        acc += _heat_weights(state.m - j + t, state.lattice.norm_sq_f)[:, :, None] * h.data
-    return acc
+_SMALLEST_NORMAL = np.finfo(np.float64).tiny
+
+
+def _extend_sum(total: SpectralField, entry: SpectralField) -> SpectralField:
+    """The running sum one age on, exp(-|k|^2) total + entry, with every
+    component below the normal range flushed to zero."""
+    lat = entry.lattice
+    data = _heat_weights(np.ones(1), lat.norm_sq_f)[0][:, None] * total.data + entry.data
+    parts = data.view(np.float64)
+    parts[np.abs(parts) < _SMALLEST_NORMAL] = 0.0
+    return SpectralField(lat, data)
+
+
+def _decayed(total: SpectralField, times) -> np.ndarray:
+    """exp(-t|k|^2) total at every grid time t; (S+1, N, 3)."""
+    w = _heat_weights(np.asarray(times, dtype=np.float64), total.lattice.norm_sq_f)
+    return w[:, :, None] * total.data
 
 
 def assemble_heat_part(state: DecompositionState, times) -> TimeSlicedField:
@@ -152,16 +207,14 @@ def assemble_gaussian_part(
     if correction.times != times:
         raise ValueError("correction grid does not match the interval grid")
     qe = state.lattice.norm_sq_f ** params.epsilon
-    acc = _add_decayed_history(state, state.gaussian_history, times, correction.data.copy())
+    acc = correction.data + _decayed(state.gaussian_sum, times)
     return TimeSlicedField(times, state.lattice, acc / qe[:, None])
 
 
 def assemble_remainder_part(state: DecompositionState, times) -> TimeSlicedField:
     """Heat-decayed remainder history (no current-interval term)."""
     times = tuple(times)
-    acc = np.zeros((len(times), len(state.lattice), 3), dtype=np.complex128)
-    return TimeSlicedField(times, state.lattice,
-                           _add_decayed_history(state, state.remainder_history, times, acc))
+    return TimeSlicedField(times, state.lattice, _decayed(state.remainder_sum, times))
 
 
 def assemble_forcing(
@@ -295,7 +348,7 @@ def solve_remainder(
     maps = remainder_maps(heat_part + gaussian_part + remainder_part)
 
     def norm_fn(x):
-        return sliced_fmc_norm(x, m_next, params.decay_c, params.beta)
+        return fmc_norm(x, m_next, params.decay_c, params.beta)
 
     return iterate_contraction(forcing, maps, norm_fn, params.fp_tol, params.fp_max_iter)
 
@@ -339,31 +392,42 @@ def solve_interval(state: DecompositionState, params: SolverParams) -> IntervalS
                             correction, fixed_point)
 
 
-def apply_interval(state: DecompositionState, sol: IntervalSolution, params: SolverParams):
-    """Append the interval-end correction and remainder to the histories and
-    emit the step's certificate record."""
+def apply_interval(state: DecompositionState, sol: IntervalSolution, params: SolverParams,
+                   previous=None):
+    """Append the interval-end correction and remainder to the histories,
+    extending their running sums, and emit the step's certificate record.
+
+    previous is the certificate record of the step that ended at state.m;
+    the new record extends its running constants by the new age alone.
+    Without it every age is fitted.
+    """
     from .certificates import build_record  # local import to avoid a cycle
 
+    h, g = sol.correction.last_slice(), sol.fixed_point.solution.last_slice()
     new_state = DecompositionState(
         m=state.m + 1,
         initial_field=state.initial_field,
-        gaussian_history=state.gaussian_history + (sol.correction.last_slice(),),
-        remainder_history=state.remainder_history + (sol.fixed_point.solution.last_slice(),),
+        gaussian_history=state.gaussian_history + (h,),
+        remainder_history=state.remainder_history + (g,),
+        gaussian_sum=_extend_sum(state.gaussian_sum, h),
+        remainder_sum=_extend_sum(state.remainder_sum, g),
     )
-    record = build_record(state.m, new_state, sol, params)
+    record = build_record(state.m, new_state, sol, params, previous)
     return new_state, record
 
 
 def induction_steps(state: DecompositionState, params: SolverParams, count: int):
     """Advance count unit intervals from state, yielding
-    (interval solution, new state, certificate record) after each step.
+    (interval solution, new state, certificate record) after each step;
+    each record is handed to the next step, which extends it.
 
     A ConvergenceError propagates from the step that failed; the last state
     yielded before it is the state that step started from.
     """
+    record = None
     for _ in range(count):
         sol = solve_interval(state, params)
-        state, record = apply_interval(state, sol, params)
+        state, record = apply_interval(state, sol, params, record)
         yield sol, state, record
 
 

@@ -38,9 +38,9 @@ own relative accuracy.
 
 A function of time on the substep grid is a TimeSlicedField: one read-only
 (S+1, N, 3) array, so its sums, norms and star products are whole-array
-expressions and the Duhamel pass writes straight into one output array.
-Its .slices are SpectralField views of the rows, for readers that want one
-time at a time.
+expressions: a star product is one bilinear call over the grid, whose
+samples the Duhamel pass then overwrites in place. Its .slices are
+SpectralField views of the rows, for readers that want one time at a time.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from .fields import SpectralField, fmc_norm
+from .fields import SpectralField
 from .lattice import Lattice, WaveVector
 
 __all__ = [
@@ -63,11 +63,13 @@ __all__ = [
     "duhamel_integrate",
     "star_product",
     "identity_split",
-    "sliced_fmc_norm",
 ]
 
 _TWO_PI_I = 2j * np.pi
 _GRID_TOL = 1e-12
+# Bytes of output projected at once: keeps the projection's temporaries
+# small next to a long grid's (S+1, N, 3) arrays.
+_PROJECTION_BYTES = 256 * 1024
 
 
 def leray_project(k, x) -> np.ndarray:
@@ -83,50 +85,83 @@ def leray_project(k, x) -> np.ndarray:
     return np.array([x0 - factor * kx, x1 - factor * ky, x2 - factor * kz])
 
 
-def bilinear(u: SpectralField, *vs: SpectralField):
+def bilinear(u, *vs, out=None):
     """Truncated convection convolution of u with each of vs on a shared
-    lattice; one field for one v, else a tuple with one field per v.
+    lattice: fields, or TimeSlicedFields on one grid convolved at every grid
+    time. Returns one result of u's kind for one v, else a tuple with one
+    per v; with out, an (S+1, N, 3 len(vs)) complex array, the products are
+    written there side by side (one (N, 3) block per v) and out is returned.
 
-    The pairs are scattered into the dense interaction matrix
+    Per slice, the pairs are scattered into the dense interaction matrix
     A[k, l] = <k, u(k-l)> (zero where k-l is not a site), and one matrix
     product A @ [v_1 ... v_n] sums them for every v at once, so one build
-    of A(u) serves all right factors that share u. A is filled one row
-    block at a time from a cache-sized block of D[k, m] = <k, u(m)> and that
-    block's rows of the product are taken while they are still in cache
-    (the blocked layout of Goto & van de Geijn 2008); D is never formed
-    whole. Each output mode is the sum of the same pair products as the
-    direct convolution; only the summation order is BLAS's, so every mode
-    keeps its own relative accuracy however small it is. When u or every v
-    is all zero the products are exact zeros and are not computed. The
-    block of D and A are the lattice's reused work arrays
-    (Lattice.conv_work), so calls on one lattice must not run concurrently.
+    of A(u) serves all right factors that share u (see _slice_products).
+    Each output mode is the sum of the same pair products as the direct
+    convolution; only the summation order is BLAS's, so every mode keeps
+    its own relative accuracy however small it is. A slice where u or every
+    v is all zero has exact zero products, which are not computed. The
+    projection and the factor 2 pi i are applied to the whole output at
+    the end, a few slices at a time. The block of D and A are the
+    lattice's reused work arrays (Lattice.conv_work), so calls on one
+    lattice must not run concurrently.
     """
     if not vs:
         raise TypeError("bilinear needs at least one right factor")
     lat = u.lattice
     if any(v.lattice != lat for v in vs):
         raise ValueError("bilinear requires fields on the same lattice")
+    if any(type(v) is not type(u) or getattr(v, "times", None) != getattr(u, "times", None)
+           for v in vs):
+        raise ValueError("bilinear requires fields on the same time grid")
+    n = len(lat)
+    u_st = u.data.reshape(-1, n, 3)   # a field is a one-slice stack
+    v_st = [v.data.reshape(-1, n, 3) for v in vs]
+    res = np.empty((len(u_st), n, 3 * len(vs)), dtype=np.complex128) if out is None else out
+    for s, u_s in enumerate(u_st):
+        _slice_products(lat, u_s, [v[s] for v in v_st], res[s])
+    kf = lat.sites_f[:, None, :]
+    q = lat.norm_sq_f[:, None]
+    per_v = res.reshape(len(u_st), n, len(vs), 3)
+    step = max(1, _PROJECTION_BYTES // per_v[0].nbytes)
+    for s0 in range(0, len(per_v), step):
+        block = per_v[s0:s0 + step]
+        block -= ((kf * block).sum(axis=3) / q)[..., None] * kf
+        block *= _TWO_PI_I
+    if out is not None:
+        return out
+    blocks = [res[:, :, 3 * i: 3 * i + 3] for i in range(len(vs))]
+    if isinstance(u, TimeSlicedField):
+        parts = tuple(TimeSlicedField(u.times, lat, b) for b in blocks)
+    else:
+        parts = tuple(SpectralField(lat, b[0]) for b in blocks)
+    return parts[0] if len(vs) == 1 else parts
+
+
+def _slice_products(lat: Lattice, u: np.ndarray, vs: list, out: np.ndarray) -> None:
+    """Write A(u) @ [v_1 ... v_n] for one slice into the (N, 3n) array out,
+    before the projection; zeros when u or every v is all zero.
+
+    A is filled one row block at a time from a cache-sized block of
+    D[k, m] = <k, u(m)>, and that block's rows of the product are taken
+    while they are still in cache (the blocked layout of Goto & van de
+    Geijn 2008); D is never formed whole.
+    """
     # built before the zero check, so any first call prepares the lattice
     tab = lat.conv_table()
     dots, inter = lat.conv_work()
+    if not (u.any() and any(v.any() for v in vs)):
+        out[...] = 0.0
+        return
     n = len(lat)
-    out = np.zeros((n, 3 * len(vs)), dtype=np.complex128)
-    if u.data.any() and any(v.data.any() for v in vs):
-        kf = lat.sites_f
-        rhs = np.concatenate([v.data for v in vs], axis=1)
-        # <k, u(m)> as one real product: u's (re, im) pairs side by side
-        u_ri = u.data.view(np.float64).reshape(n, 3, 2).transpose(1, 0, 2).reshape(3, 2 * n)
-        dots_ri, flat_dots, flat_inter = dots.view(np.float64), dots.ravel(), inter.ravel()
-        for r0, r1, dest, src in tab.blocks:
-            np.matmul(kf[r0:r1], u_ri, out=dots_ri[: r1 - r0])   # dots[k-r0, m] = <k, u(m)>
-            flat_inter[dest] = flat_dots[src]
-            np.matmul(inter[r0:r1], rhs, out=out[r0:r1])
-        per_v = out.reshape(n, len(vs), 3)
-        per_v -= ((kf[:, None, :] * per_v).sum(axis=2) / lat.norm_sq_f[:, None])[:, :, None] \
-            * kf[:, None, :]
-        out *= _TWO_PI_I
-    fields = tuple(SpectralField(lat, out[:, 3 * i: 3 * i + 3]) for i in range(len(vs)))
-    return fields[0] if len(vs) == 1 else fields
+    kf = lat.sites_f
+    rhs = vs[0] if len(vs) == 1 else np.concatenate(vs, axis=1)
+    # <k, u(m)> as one real product: u's (re, im) pairs side by side
+    u_ri = u.view(np.float64).reshape(n, 3, 2).transpose(1, 0, 2).reshape(3, 2 * n)
+    dots_ri, flat_dots, flat_inter = dots.view(np.float64), dots.ravel(), inter.ravel()
+    for r0, r1, dest, src in tab.blocks:
+        np.matmul(kf[r0:r1], u_ri, out=dots_ri[: r1 - r0])   # dots[k-r0, m] = <k, u(m)>
+        flat_inter[dest] = flat_dots[src]
+        np.matmul(inter[r0:r1], rhs, out=out[r0:r1])
 
 
 def unit_times(substeps: int) -> tuple[float, ...]:
@@ -222,16 +257,19 @@ def grid_index(times, t: float) -> int:
     raise ValueError(f"t={t!r} is not on the substep grid {times[0]}..{times[-1]}")
 
 
-def _duhamel_pass(lat: Lattice, times, samples, out: np.ndarray) -> None:
-    """Write the Duhamel rule's value at each grid time n into out[n], from
-    the source samples (arrays shaped like out[0], read as the pass goes)."""
+def _duhamel_pass(lat: Lattice, times, data: np.ndarray) -> None:
+    """Overwrite the source samples data[n] with the Duhamel rule's value
+    at grid time n, in place; data[n] is read before it is overwritten."""
     q = lat.norm_sq_f[:, None]
     steps, which = np.unique(np.diff(times), return_inverse=True)
     rules = [(np.exp(-d * q), -np.expm1(-d * q) / q) for d in steps]
-    out[0] = 0.0
-    for n, (j, (prev, cur)) in enumerate(zip(which, pairwise(samples))):
+    prev = data[0].copy()
+    data[0] = 0.0
+    for n, j in enumerate(which):
         decay, gain = rules[j]
-        out[n + 1] = decay * out[n] + gain * (0.5 * (prev + cur))
+        avg = 0.5 * (prev + data[n + 1])
+        prev[...] = data[n + 1]
+        data[n + 1] = decay * data[n] + gain * avg
 
 
 def duhamel_integrate(source: TimeSlicedField, t: float) -> SpectralField:
@@ -243,8 +281,8 @@ def duhamel_integrate(source: TimeSlicedField, t: float) -> SpectralField:
     constant in s.
     """
     n = grid_index(source.times, t)
-    out = np.empty_like(source.data[: n + 1])
-    _duhamel_pass(source.lattice, source.times[: n + 1], source.data[: n + 1], out)
+    out = source.data[: n + 1].copy()
+    _duhamel_pass(source.lattice, source.times[: n + 1], out)
     return SpectralField(source.lattice, out[n])
 
 
@@ -253,19 +291,16 @@ def star_product(u: TimeSlicedField, *vs: TimeSlicedField):
     one sliced field for one v, else a tuple with one per v.
 
     (u * v)(t) = integral_0^t exp(-(t-s)|k|^2) conv(u(s), v(s)) ds at every
-    grid time, from one bilinear call per slice (shared by all of vs) and
-    one cumulative pass over the side-by-side samples, written into one
-    (S+1, N, 3 len(vs)) array; the t = 0 slice is the zero field (empty
-    integral).
+    grid time, from one bilinear call over the whole grid (one interaction
+    matrix per slice, shared by all of vs) that writes the side-by-side
+    samples into one (S+1, N, 3 len(vs)) array, and one cumulative pass
+    that overwrites them with the integrals; the t = 0 slice is the zero
+    field (empty integral).
     """
-    for v in vs:
-        u._check_same_grid(v)
     lat = u.lattice
-    prods = (bilinear(a, *bs) for a, *bs in zip(u.slices, *(v.slices for v in vs)))
-    samples = ((np.hstack([p.data for p in ps]) for ps in prods) if len(vs) > 1
-               else (p.data for p in prods))
     out = np.empty((len(u.times), len(lat), 3 * len(vs)), dtype=np.complex128)
-    _duhamel_pass(lat, u.times, samples, out)
+    bilinear(u, *vs, out=out)   # checks that vs share u's lattice and grid
+    _duhamel_pass(lat, u.times, out)
     sliced = tuple(TimeSlicedField(u.times, lat, out[:, :, 3 * i: 3 * i + 3])
                    for i in range(len(vs)))
     return sliced[0] if len(vs) == 1 else sliced
@@ -287,13 +322,9 @@ def identity_split(a1: float, a2: float, k, l) -> tuple[float, float, float]:
         raise ValueError("a1 + a2 must be positive")
     kv = np.asarray(k.as_tuple() if isinstance(k, WaveVector) else k, dtype=np.float64)
     lv = np.asarray(l.as_tuple() if isinstance(l, WaveVector) else l, dtype=np.float64)
-    coeff_k = a1 * a2 / total
     shift = a1 / total
+    coeff_k = shift * a2   # a1 a2 / total without underflow of a1 a2
     diff = lv - shift * kv
     residual = total * float(diff @ diff)
     return coeff_k, shift, residual
 
-
-def sliced_fmc_norm(x: TimeSlicedField, m, c: float, beta: float) -> float:
-    """fmc_norm maximized over every grid slice of x."""
-    return fmc_norm(x, m, c, beta)

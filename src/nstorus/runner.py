@@ -115,14 +115,11 @@ def run(config: RunConfig) -> RunOutcome:
     failed_step = None
     try:
         for sol, state, record in induction_steps(state, params, config.horizon_m):
-            g = sol.fixed_point.solution
-            for n, t in enumerate(sol.times):
-                norm_rows.append((
-                    state.m - 1, t,
-                    phi_norm(sol.velocity.slices[n], params.alpha),
-                    fmc_norm(g.slices[n], state.m, params.decay_c, params.beta),
-                    record.fp_iterations,
-                ))
+            phis = phi_norm(sol.velocity, params.alpha, axis=-1)
+            fmcs = fmc_norm(sol.fixed_point.solution, state.m, params.decay_c, params.beta,
+                            axis=-1)
+            norm_rows.extend((state.m - 1, t, float(phi), float(fmc), record.fp_iterations)
+                             for t, phi, fmc in zip(sol.times, phis, fmcs))
             records.append(record)
             integer_velocities.append(sol.velocity.last_slice())
     except ConvergenceError as exc:

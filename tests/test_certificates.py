@@ -11,10 +11,10 @@ from nstorus import (
     contraction_coefficients,
     fit_gaussian_bound,
     fit_remainder_bound,
+    fmc_norm,
     unit_times,
 )
-from nstorus.induction import iterate_contraction
-from nstorus.operators import sliced_fmc_norm
+from nstorus.induction import DecompositionState, induction_steps, iterate_contraction
 from util import random_field, random_sliced
 
 PARAMS = SolverParams()
@@ -144,7 +144,7 @@ def test_envelope_ignores_degenerate_initial_slice(ball2):
 # -- contraction coefficients -------------------------------------------------------
 
 def norm_fn(x):
-    return sliced_fmc_norm(x, 1, PARAMS.decay_c, PARAMS.beta)
+    return fmc_norm(x, 1, PARAMS.decay_c, PARAMS.beta)
 
 
 def test_contraction_zero_data(ball2):
@@ -177,3 +177,64 @@ def test_contraction_measures_quadratic_gain(ball2):
     est = contraction_coefficients(fp)
     assert est.c3 == pytest.approx(0.25, rel=1e-8)
 
+
+# -- the per-step ledger ------------------------------------------------------------
+
+def test_ledger_records_equal_full_refits(ball2):
+    # each step fits only its new age and folds it into the previous
+    # record's running extrema: the same values as fitting every age
+    params = SolverParams(delta=0.03)
+    state = DecompositionState.initial(random_field(ball2, np.random.default_rng(2), 0.01))
+    finite_rates = 0
+    for _, state, record in induction_steps(state, params, 32):
+        gauss = fit_gaussian_bound(state.gaussian_history, params)
+        rem_d, rem_rate = fit_remainder_bound(state.remainder_history, params)
+        rates = rem_rate[np.isfinite(rem_rate)]
+        assert record.gaussian_D == gauss.max()
+        assert record.remainder_D == rem_d.max()
+        if rates.size:
+            finite_rates += 1
+            assert record.remainder_decay == rates.min()
+        else:
+            assert math.isnan(record.remainder_decay)
+    assert finite_rates > 0 and record.gaussian_D > 0 and record.remainder_D > 0
+
+
+def test_fit_first_age_offsets_ages(ball2):
+    hist = [planted_gaussian_entry(ball2, j, PARAMS, 2.0) for j in (1, 2, 3)]
+    rem = [planted_remainder_entry(ball2, j, PARAMS, 3.0) for j in (1, 2, 3)]
+    assert np.array_equal(fit_gaussian_bound(hist[2:], PARAMS, first_age=3),
+                          fit_gaussian_bound(hist, PARAMS)[2:])
+    d_last, rate_last = fit_remainder_bound(rem[2:], PARAMS, first_age=3)
+    d_all, rate_all = fit_remainder_bound(rem, PARAMS)
+    assert np.array_equal(d_last, d_all[2:]) and np.array_equal(rate_last, rate_all[2:])
+
+
+def looped_envelope(gaussian_part, m, params):
+    """check_gaussian_envelope as one masked fit per slice."""
+    log_d2 = 2.0 * math.log(params.delta)
+    best = 0.0
+    for t, sl in zip(gaussian_part.times, gaussian_part.slices):
+        if t <= 0:
+            continue
+        q = sl.lattice.norm_sq_f
+        mags = sl.magnitudes()
+        mask = mags > 0
+        if not mask.any():
+            continue
+        qm = q[mask]
+        logs = (np.log(mags[mask]) + (params.epsilon + 1.0) * np.log(qm)
+                + 0.5 * (m + 1) * qm - np.log(-np.expm1(-0.5 * t * qm)) - log_d2)
+        best = max(best, math.exp(float(logs.max())))
+    return best
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_envelope_equals_per_slice_loop(ball3, seed):
+    rng = np.random.default_rng(seed)
+    times = (0.0, *np.sort(rng.uniform(0, 3, 6)))
+    part = TimeSlicedField.from_slices(times, [
+        random_field(ball3, rng, scale=10.0 ** rng.uniform(-12, 0), sparsity=rng.uniform(0, 1))
+        for _ in times])
+    m = int(rng.integers(0, 40))
+    assert check_gaussian_envelope(part, m, PARAMS) == looped_envelope(part, m, PARAMS)

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nstorus import SpectralField, fmc_norm, heat_multiply, phi_norm
+from nstorus import (
+    DecompositionState,
+    SpectralField,
+    TimeSlicedField,
+    assemble_heat_part,
+    fmc_norm,
+    phi_norm,
+)
+from nstorus.induction import _heat_weights
 from util import ball, random_field
 
 
@@ -82,35 +90,64 @@ def test_fmc_norm_rejects_small_beta(ball2):
         fmc_norm(SpectralField.zero(ball2), 1, 0.5, 3.0)
 
 
-# -- heat multiplier -----------------------------------------------------------
+def supported_fmc_norm(f, m, c, beta):
+    """fmc_norm of one field with the weights evaluated on its support only."""
+    mags = f.magnitudes()
+    q = f.lattice.norm_sq_f[mags > 0]
+    weights = q ** (beta / 2.0) * np.exp(c * np.sqrt(float(m)) * np.sqrt(q))
+    return float(np.max(weights * mags[mags > 0], initial=0.0))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_per_slice_norms_equal_per_slice_calls(seed):
+    # norm_series.csv's columns: one masked reduction per slice, equal to
+    # one call per slice field; m up to 1e6 overflows weights at empty sites
+    lat = ball(3)
+    rng = np.random.default_rng(seed)
+    times = tuple(float(t) for t in range(5))
+    f = TimeSlicedField.from_slices(times, [
+        random_field(lat, rng, scale=10.0 ** rng.uniform(-12, 0), sparsity=rng.uniform(0, 1))
+        for _ in times])
+    m = float(rng.choice([1, 7, 1e6]))
+    assert phi_norm(f, 2.25, axis=-1).tolist() == [phi_norm(s, 2.25) for s in f.slices]
+    assert fmc_norm(f, m, 0.5, 3.5, axis=-1).tolist() == \
+        [supported_fmc_norm(s, m, 0.5, 3.5) for s in f.slices]
+    assert phi_norm(f, 2.25) == max(phi_norm(s, 2.25) for s in f.slices)
+
+
+# -- heat weights: the clamped factors exp(-t|k|^2) of the heat part -----------
 
 def test_heat_identity_at_t0(ball2):
+    assert np.array_equal(_heat_weights(np.zeros(1), ball2.norm_sq_f), np.ones((1, len(ball2))))
     rng = np.random.default_rng(7)
     f = random_field(ball2, rng)
-    assert heat_multiply(f, 0.0).allclose(f, rtol=0, atol=0)
+    part = assemble_heat_part(DecompositionState.initial(f), (0.0,))
+    assert np.array_equal(part.data[0], f.data)
 
 
 def test_heat_single_mode(ball2):
     f = SpectralField.from_modes(ball2, {(1, 0, 0): (0.0, 1.0, 0.0)})
-    g = heat_multiply(f, 1.0)
-    assert g[(1, 0, 0)][1] == pytest.approx(math.exp(-1.0), rel=1e-15)
+    part = assemble_heat_part(DecompositionState.initial(f), (0.0, 1.0))
+    assert part.at_time(1.0)[(1, 0, 0)][1] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
 def test_heat_factor_eval(ball2):
-    f = SpectralField.from_modes(ball2, {(1, 1, 1): (1.0, 0.0, -1.0)})
-    g = heat_multiply(f, 0.5)
-    assert g[(1, 1, 1)][0] == pytest.approx(math.exp(-1.5), rel=1e-15)
+    w = _heat_weights(np.array([0.5]), ball2.norm_sq_f)[0]
+    assert w[ball2.site_index((1, 1, 1))] == pytest.approx(math.exp(-1.5), rel=1e-15)
 
 
 def test_heat_rejects_negative_t(ball2):
     with pytest.raises(ValueError):
-        heat_multiply(SpectralField.zero(ball2), -0.1)
+        _heat_weights(np.array([0.5, -0.1]), ball2.norm_sq_f)
+    with pytest.raises(ValueError):
+        assemble_heat_part(DecompositionState.initial(SpectralField.zero(ball2)), (-0.1, 0.0))
 
 
 def test_heat_underflow_prunes_support(ball2):
     f = SpectralField.from_modes(ball2, {(2, 0, 0): (0.0, 1.0, 0.0)})
-    g = heat_multiply(f, 200.0)  # exp(-800) underflows past the clamp
-    assert g.support_size == 0
+    part = assemble_heat_part(DecompositionState.initial(f), (0.0, 200.0))
+    assert part.at_time(200.0).support_size == 0  # exp(-800) is below the clamp
+    assert _heat_weights(np.array([200.0]), ball2.norm_sq_f)[0][ball2.site_index((2, 0, 0))] == 0
 
 
 @settings(max_examples=50, deadline=None)
@@ -118,9 +155,12 @@ def test_heat_underflow_prunes_support(ball2):
 def test_heat_semigroup(s, t, seed):
     lat = ball(2)
     f = random_field(lat, np.random.default_rng(seed))
-    a = heat_multiply(heat_multiply(f, s), t)
-    b = heat_multiply(f, s + t)
-    assert np.allclose(a.data, b.data, rtol=1e-13, atol=0)
+    w = _heat_weights(np.array([s, t, s + t]), lat.norm_sq_f)
+    assert np.allclose(w[0] * w[1], w[2], rtol=1e-13, atol=0)
+    state = DecompositionState.initial(f)
+    two_steps = assemble_heat_part(state, (s,)).data[0] * w[1][:, None]
+    one_step = assemble_heat_part(state, (s + t,)).data[0]
+    assert np.allclose(two_steps, one_step, rtol=1e-13, atol=0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -128,7 +168,8 @@ def test_heat_semigroup(s, t, seed):
 def test_heat_contracts_phi_norm(t, seed):
     lat = ball(2)
     f = random_field(lat, np.random.default_rng(seed))
-    assert phi_norm(heat_multiply(f, t), 2.25) <= phi_norm(f, 2.25)
+    part = assemble_heat_part(DecompositionState.initial(f), (0.0, t) if t > 0 else (0.0,))
+    assert phi_norm(part, 2.25, axis=-1)[-1] <= phi_norm(f, 2.25)
 
 
 # -- norm axioms ---------------------------------------------------------------

@@ -19,16 +19,17 @@ from nstorus import (
     assemble_heat_part,
     assemble_remainder_part,
     compute_gaussian_correction,
+    fmc_norm,
     get_lattice,
     induction_steps,
     picard_solve,
     reconstruct_velocity,
-    sliced_fmc_norm,
     solve_interval,
     solve_remainder,
     star_product,
     unit_times,
 )
+from nstorus.fields import UNDERFLOW_FLOOR
 from nstorus.induction import apply_interval, iterate_contraction, remainder_maps
 from util import ball, looped_history_parts, random_field, random_sliced, star_majorant
 
@@ -113,27 +114,69 @@ def test_remainder_part_matches_brute_force_sum(ball2):
         assert np.allclose(part.slices[n].data, expect, rtol=1e-13, atol=0)
 
 
+def history_part_bounds(state, correction, params):
+    """Per-site, per-component bounds on |running-sum part - looped part|
+    for the gaussian and remainder parts, as stated in the induction module
+    docstring: 2^-52 sum_j (3(m-j) + 4 + 2(m-j+t)|k|^2) w_j |h_j| +
+    UNDERFLOW_FLOOR (1 + sum_j |h_j|), w_j the looped clamped weight; the
+    gaussian part adds (m+2) 2^-52 |correction| and divides by |k|^(2 eps);
+    (S+1, N, 3) arrays."""
+    m, q = state.m, state.lattice.norm_sq_f
+    qe = q ** params.epsilon
+
+    def bound(history, extra):
+        weighted = (m + 2) * np.abs(extra)
+        for j, h in enumerate(history, start=1):
+            for n, t in enumerate(correction.times):
+                w = np.exp(-(m - j + t) * q)
+                w[w < UNDERFLOW_FLOOR] = 0.0
+                gain = 3 * (m - j) + 4 + 2 * (m - j + t) * q
+                weighted[n] += (gain * w)[:, None] * np.abs(h.data)
+        total = sum((np.abs(h.data) for h in history), np.zeros(q.shape + (3,)))
+        return 2.0 ** -52 * weighted + UNDERFLOW_FLOOR * (1 + total)
+
+    return (bound(state.gaussian_history, correction.data) / qe[:, None],
+            bound(state.remainder_history, np.zeros(correction.data.shape)))
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from([0, 1, 5]), st.integers(1, 3), st.sampled_from(list(TruncationRule)),
+@given(st.sampled_from([0, 1, 5, 30]), st.integers(1, 3), st.sampled_from(list(TruncationRule)),
        st.integers(1, 8), st.sampled_from([1.0, 40.0]), st.floats(0, 3),
        st.integers(0, 2 ** 32 - 1))
 def test_history_assembly_matches_per_time_loop(m, k_max, rule, substeps, horizon, a, seed):
-    # the array assembly adds the same terms in the same order per site
-    # as the per-(t, j) loop it replaced, so it agrees exactly; grids out
-    # to t = 40 also prune weights below the underflow floor
+    # the running sums regroup the per-(t, j) loop's terms, so per site
+    # and component they agree to the stated rounding bound; grids out to
+    # t = 40 also prune weights below the underflow floor
     lat = get_lattice(LatticeSpec(k_max, rule))
     rng = np.random.default_rng(seed)
     scales = 10.0 ** rng.uniform(-12, 0, size=2 * m)
-    history = [random_field(lat, rng, scale=s).scaled_by_sites(np.exp(-a * lat.norm_sq_f))
-               for s in scales]
+    decay = np.exp(-a * lat.norm_sq_f)[:, None]
+    history = [SpectralField(lat, random_field(lat, rng, scale=s).data * decay) for s in scales]
     state = DecompositionState(m, random_field(lat, rng), tuple(history[:m]),
                                tuple(history[m:]))
     times = tuple(horizon * t for t in unit_times(substeps))
     correction = random_sliced(lat, times, rng, scale=1e-6, a=a)
     gaussian, remainder = looped_history_parts(state, correction, PARAMS)
-    assert np.array_equal(assemble_gaussian_part(state, correction, times, PARAMS).data,
-                          gaussian)
-    assert np.array_equal(assemble_remainder_part(state, times).data, remainder)
+    g_bound, r_bound = history_part_bounds(state, correction, PARAMS)
+    got_g = assemble_gaussian_part(state, correction, times, PARAMS).data
+    got_r = assemble_remainder_part(state, times).data
+    assert (np.abs(got_g - gaussian) <= g_bound).all()
+    assert (np.abs(got_r - remainder) <= r_bound).all()
+
+
+def test_running_sums_flush_subnormals(ball2):
+    # an entry that decays below the normal range leaves the sum instead
+    # of being stored as a subnormal number
+    tiny = np.finfo(np.float64).tiny
+    h = SpectralField.from_modes(ball2, {(1, 0, 0): (0.0, 2 * tiny, 0.0),
+                                        (0, 1, 0): (1.0, 0.0, 0.0)})
+    zero = SpectralField.zero(ball2)
+    state = DecompositionState(2, zero, (h, zero), (zero, h))
+    parts = np.concatenate([state.gaussian_sum.data, state.remainder_sum.data]).view(np.float64)
+    assert not ((parts != 0) & (np.abs(parts) < tiny)).any()
+    assert state.gaussian_sum[(1, 0, 0)][1] == 0.0
+    assert state.gaussian_sum[(0, 1, 0)][0] == np.exp(-1.0)
+    assert state.remainder_sum[(1, 0, 0)][1] == 2 * tiny
 
 
 # -- the interval correction -------------------------------------------------------
@@ -162,8 +205,8 @@ def test_correction_matches_first_picard_term(ball2):
     first_correction = star_product(heat, heat)  # picard: v2 - v1 on [0,1]
     qe = ball2.norm_sq_f ** PARAMS.epsilon
     for n in range(len(times)):
-        expect = first_correction.slices[n].scaled_by_sites(qe)
-        assert np.allclose(corr.slices[n].data, expect.data, rtol=1e-12, atol=0)
+        expect = first_correction.slices[n].data * qe[:, None]
+        assert np.allclose(corr.slices[n].data, expect, rtol=1e-12, atol=0)
 
 
 # -- forcing assembly ---------------------------------------------------------------
@@ -270,9 +313,9 @@ def test_fixed_point_matches_neumann_series(ball2):
     for _ in range(60):
         term = star_product(total, term) + star_product(term, total)
         series = series + term
-        if sliced_fmc_norm(term, 1, params.decay_c, params.beta) < 1e-20:
+        if fmc_norm(term, 1, params.decay_c, params.beta) < 1e-20:
             break
-    diff = sliced_fmc_norm(result.solution - series, 1, params.decay_c, params.beta)
+    diff = fmc_norm(result.solution - series, 1, params.decay_c, params.beta)
     assert diff <= params.fp_tol
 
 
@@ -297,7 +340,7 @@ def test_iterate_contraction_respects_budget(ball2):
     forcing = random_sliced(ball2, times, np.random.default_rng(2), scale=1.0)
 
     def norm_fn(x):
-        return sliced_fmc_norm(x, 1, PARAMS.decay_c, PARAMS.beta)
+        return fmc_norm(x, 1, PARAMS.decay_c, PARAMS.beta)
 
     with pytest.raises(ConvergenceError):
         iterate_contraction(forcing, lambda g: (g * 0.9, g * 0.0),
@@ -317,23 +360,32 @@ def test_advance_zero_data_stays_zero(ball2):
 
 
 def test_bilinear_calls_per_step(ball2, monkeypatch):
-    # per step: 9 slices for the correction, 2 forcing star products, and
-    # one fused linear + quadratic map evaluation (2 star products, the
-    # right factors T and g sharing the left factor g) per iteration after
-    # the first plus the certification pass
-    calls = []
+    # interaction-matrix builds per step: 9 slices for the correction, 2
+    # forcing star products, and one fused linear + quadratic map
+    # evaluation (2 star products, the right factors T and g sharing the
+    # left factor g) per iteration after the first plus the certification
+    # pass; each star product is one bilinear call over its 9 slices
+    builds, calls = [], []
+    slice_products = nstorus.operators._slice_products
     original = nstorus.operators.bilinear
 
-    def counting(u, *vs):
-        calls.append(1)
-        return original(u, *vs)
+    def counting_builds(lat, u, vs, out):
+        builds.append(1)
+        return slice_products(lat, u, vs, out)
 
-    monkeypatch.setattr(nstorus.operators, "bilinear", counting)
+    def counting_calls(u, *vs, **kwargs):
+        calls.append(1)
+        return original(u, *vs, **kwargs)
+
+    monkeypatch.setattr(nstorus.operators, "_slice_products", counting_builds)
+    monkeypatch.setattr(nstorus.operators, "bilinear", counting_calls)
     v0 = random_field(ball2, np.random.default_rng(0), scale=1e-3)
     state = DecompositionState.initial(v0)
     for _, _, record in induction_steps(state, PARAMS, 2):
         assert record.fp_iterations > 1
-        assert len(calls) == 27 + 18 * record.fp_iterations
+        assert len(builds) == 27 + 18 * record.fp_iterations
+        assert len(calls) == len(builds) // 9
+        builds.clear()
         calls.clear()
 
 
@@ -429,9 +481,30 @@ def test_reconstruct_velocity_at_zero_is_interval_start(ball2):
     assert np.array_equal(v.data, solve_interval(state, PARAMS).velocity_at(0.0).data)
 
 
+def test_running_sums_carried_match_rebuilt_state(ball2):
+    # apply_interval extends R by the new pair; a state built from the same
+    # histories runs the same recurrence over them, so both agree exactly
+    state = DecompositionState.initial(random_field(ball2, np.random.default_rng(4), 1e-3))
+    for _, state, _ in induction_steps(state, PARAMS, 6):
+        pass
+    rebuilt = DecompositionState(state.m, state.initial_field, state.gaussian_history,
+                                 state.remainder_history)
+    assert np.array_equal(rebuilt.gaussian_sum.data, state.gaussian_sum.data)
+    assert np.array_equal(rebuilt.remainder_sum.data, state.remainder_sum.data)
+    assert state.remainder_sum.support_size > 0
+
+
 def test_state_validation():
     lat = ball(2)
     with pytest.raises(ValueError):
         DecompositionState(1, SpectralField.zero(lat))  # missing histories
     with pytest.raises(ValueError):
         DecompositionState(-1, SpectralField.zero(lat))
+    zero = SpectralField.zero(lat)
+    with pytest.raises(ValueError):
+        DecompositionState(1, zero, (zero,), (zero,), gaussian_sum=zero)  # one sum only
+    other = SpectralField.zero(ball(1))
+    with pytest.raises(ValueError):
+        DecompositionState(1, zero, (other,), (zero,))
+    with pytest.raises(ValueError):  # a state given its sums checks the newest pair
+        DecompositionState(1, zero, (zero,), (other,), gaussian_sum=zero, remainder_sum=zero)

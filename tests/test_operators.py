@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -122,7 +123,8 @@ def test_bilinear_matches_direct_sum_per_site(k_max, rule, a, seed):
     lat = get_lattice(LatticeSpec(k_max, rule))
     rng = np.random.default_rng(seed)
     decay = np.exp(-a * lat.norm_sq_f)
-    u, v1, v2 = (random_field(lat, rng).scaled_by_sites(decay) for _ in range(3))
+    u, v1, v2 = (SpectralField(lat, random_field(lat, rng).data * decay[:, None])
+                 for _ in range(3))
     assert_matches_direct_per_site(u, (v1,), (bilinear(u, v1),))
     assert_matches_direct_per_site(u, (v1, v2), bilinear(u, v1, v2))
 
@@ -142,7 +144,8 @@ def test_bilinear_matches_direct_sum_per_site_many_blocks():
     assert len(lat.conv_table().blocks) > 20
     rng = np.random.default_rng(6)
     decay = np.exp(-0.5 * lat.norm_sq_f)
-    u, v1, v2 = (random_field(lat, rng).scaled_by_sites(decay) for _ in range(3))
+    u, v1, v2 = (SpectralField(lat, random_field(lat, rng).data * decay[:, None])
+                 for _ in range(3))
     assert_matches_direct_per_site(u, (v1, v2), bilinear(u, v1, v2))
 
 
@@ -165,6 +168,32 @@ def test_bilinear_zero_call_prepares_lattice():
     zero = SpectralField.zero(lat)
     bilinear(zero, zero)
     assert lat._conv is not None and lat._conv_work is not None
+
+
+def test_bilinear_on_sliced_fields_is_per_slice(ball2):
+    # one call over the grid: the same kernel as one call per slice,
+    # zero slices included, and with out the side-by-side products
+    times = unit_times(4)
+    rng = np.random.default_rng(9)
+    u, v1, v2 = (random_sliced(ball2, times, rng) for _ in range(3))
+    u = TimeSlicedField(times, ball2, u.data * np.array([1, 0, 1, 1, 1])[:, None, None])
+    v1 = TimeSlicedField(times, ball2, v1.data * np.array([1, 1, 0, 0, 1])[:, None, None])
+    v2 = TimeSlicedField(times, ball2, v2.data * np.array([1, 1, 0, 1, 1])[:, None, None])
+    got1, got2 = bilinear(u, v1, v2)
+    for n, (a, b, c) in enumerate(zip(u.slices, v1.slices, v2.slices)):
+        want1, want2 = bilinear(a, b, c)
+        assert np.array_equal(got1.data[n], want1.data)
+        assert np.array_equal(got2.data[n], want2.data)
+    assert not got1.data[2].any() and not got2.data[1].any()
+    out = np.full((len(times), len(ball2), 6), np.nan, dtype=np.complex128)
+    assert bilinear(u, v1, v2, out=out) is out
+    assert np.array_equal(out, np.concatenate([got1.data, got2.data], axis=2))
+    with pytest.raises(ValueError):
+        bilinear(u, TimeSlicedField.zero(ball2, unit_times(2)))
+    with pytest.raises(ValueError):
+        star_product(u, TimeSlicedField.zero(ball2, unit_times(2)))
+    with pytest.raises(ValueError):
+        bilinear(u.slices[0], v1)
 
 
 def test_bilinear_needs_a_right_factor(ball2):
@@ -363,8 +392,8 @@ def test_star_product_t_constant_closed_form(ball2):
     base = bilinear(u0, v0)
     q = ball2.norm_sq_f
     for t, sl in zip(out.times, out.slices):
-        expect = base.scaled_by_sites((1.0 - np.exp(-t * q)) / q)
-        assert np.allclose(sl.data, expect.data, rtol=1e-12, atol=1e-300)
+        expect = base.data * ((1.0 - np.exp(-t * q)) / q)[:, None]
+        assert np.allclose(sl.data, expect, rtol=1e-12, atol=1e-300)
     assert out.slices[0].support_size == 0  # empty integral at t = 0
 
 
@@ -422,9 +451,25 @@ def test_identity_split_rejects_zero_pair():
 @given(st.floats(0, 10), st.floats(0, 10),
        st.tuples(*[st.integers(-8, 8)] * 3), st.tuples(*[st.integers(-8, 8)] * 3))
 def test_identity_split_reconstruction(a1, a2, k, l):
+    # Both sides exactly: a1, a2 and the returned floats are binary
+    # rationals. To first order coeff_k |k|^2 is within 3u of itself and the
+    # residual within 7u of itself plus 6u a1 |k| |l - shift k|, which is at
+    # most 6u |k| <= 6u 8 sqrt(3) times the left side; both parts are at
+    # most the left side, so the error is below 91u lhs < 91 ulp(lhs)
+    # (u = 2^-53). Results below the normal range round by up to 2^-1075
+    # each, and coeff_k's is multiplied by |k|^2.
     if a1 + a2 <= 0:
         return
-    kv, lv = np.array(k, float), np.array(l, float)
     coeff_k, _, residual = identity_split(a1, a2, k, l)
-    lhs = a1 * ((kv - lv) @ (kv - lv)) + a2 * (lv @ lv)
-    assert abs(lhs - (coeff_k * (kv @ kv) + residual)) < 1e-12
+    kk = sum(c * c for c in k)
+    lhs = Fraction(a1) * sum((a - b) ** 2 for a, b in zip(k, l)) + Fraction(a2) * sum(
+        c * c for c in l)
+    rhs = Fraction(coeff_k) * kk + Fraction(residual)
+    bound = 96 * Fraction(math.ulp(float(lhs))) + Fraction(2.0 ** -1074) * (kk + 1)
+    assert abs(lhs - rhs) <= bound
+
+
+def test_identity_split_coefficient_does_not_underflow():
+    # a1 a2 underflows to zero, a1 a2 / (a1 + a2) = 5e-201 does not
+    coeff_k, _, _ = identity_split(1e-200, 1e-200, (1, 0, 0), (0, 1, 0))
+    assert coeff_k == pytest.approx(5e-201, rel=1e-15)

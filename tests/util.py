@@ -30,7 +30,8 @@ def random_sliced(lat, times, rng, scale=1.0, a=0.0):
     decay = np.exp(-a * lat.norm_sq_f)
     return TimeSlicedField.from_slices(
         tuple(times),
-        tuple(random_field(lat, rng, scale).scaled_by_sites(decay) for _ in times),
+        tuple(SpectralField(lat, random_field(lat, rng, scale).data * decay[:, None])
+              for _ in times),
     )
 
 
