@@ -114,7 +114,7 @@ def fit_remainder_bound(history, params: SolverParams, first_age: int = 1):
         if mask.sum() < 4:
             continue
         kabs = np.sqrt(q[mask])
-        if np.unique(kabs).size < 2:
+        if kabs.min() == kabs.max():   # one |k| shell; np.unique would import numpy.ma
             continue
         x = math.sqrt(j) * kabs
         y = np.log(mags[mask]) + params.beta * np.log(kabs)

@@ -14,10 +14,14 @@ Layout (all little-endian, fixed width, no serialization dependency):
 
 Only supported (nonzero) sites are stored. Loading validates the header,
 the byte length, and site membership, and never returns a partial field.
+Every artifact, checkpoints included, is written through write_atomic, so a
+failed write leaves no partial file behind.
 """
 
 from __future__ import annotations
 
+import os
+import secrets
 import struct
 from pathlib import Path
 
@@ -27,7 +31,7 @@ from .errors import CheckpointError
 from .fields import SpectralField
 from .lattice import LatticeSpec, TruncationRule, get_lattice
 
-__all__ = ["save_field", "load_field", "MAGIC", "FORMAT_VERSION"]
+__all__ = ["save_field", "load_field", "write_atomic", "MAGIC", "FORMAT_VERSION"]
 
 MAGIC = b"NSTFLD01"
 FORMAT_VERSION = 1
@@ -35,6 +39,29 @@ _HEADER = struct.Struct("<8sIIiIQ")
 _RULE_CODES = {TruncationRule.EUCLIDEAN_BALL: 0, TruncationRule.SUP_CUBE: 1}
 _CODE_RULES = {v: k for k, v in _RULE_CODES.items()}
 _RECORD_DTYPE = np.dtype([("site", "<i4", (3,)), ("value", "<f8", (6,))])
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write data to path through a temporary file in the same directory
+    that is renamed over path once complete, so path holds either its old
+    content or all of data, never part of it. A failed write removes the
+    temporary file. (Atomic against the process dying, not against power
+    loss: nothing is fsynced.)
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_field(field: SpectralField, path) -> None:
@@ -50,7 +77,7 @@ def save_field(field: SpectralField, path) -> None:
         MAGIC, FORMAT_VERSION, _RULE_CODES[lat.spec.truncation_rule],
         lat.spec.k_max, 0, len(idx),
     )
-    Path(path).write_bytes(header + records.tobytes())
+    write_atomic(path, header + records.tobytes())
 
 
 def load_field(path, expected_spec: LatticeSpec | None = None) -> SpectralField:

@@ -370,12 +370,6 @@ class IntervalSolution:
         remainder."""
         return self.heat_part + self.gaussian_part + self.remainder_part + self.fixed_point.solution
 
-    def velocity_slices(self) -> tuple[SpectralField, ...]:
-        return self.velocity.slices
-
-    def velocity_at(self, t: float) -> SpectralField:
-        return self.velocity.at_time(t)
-
 
 def solve_interval(state: DecompositionState, params: SolverParams) -> IntervalSolution:
     """Assemble the three parts on the substep grid and solve for the new
@@ -445,4 +439,4 @@ def reconstruct_velocity(state: DecompositionState, t: float, params: SolverPara
                                           times, params)
         parts = assemble_heat_part(state, times) + gaussian + assemble_remainder_part(state, times)
         return parts.slices[0]
-    return solve_interval(state, params).velocity_at(t)
+    return solve_interval(state, params).velocity.at_time(t)

@@ -86,27 +86,26 @@ def _enumerate_sites(spec: LatticeSpec) -> np.ndarray:
 
 # Bytes of one row block of the convolution's (rows, N) complex matrices:
 # small enough that a block of D = <k, u(m)> stays in cache while it is
-# scattered into A and multiplied.
+# gathered into a block of A and multiplied.
 _BLOCK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True, eq=False)
 class _ConvTable:
-    """Flat indices of the lattice convolution's pairs (k, l), k-l a site,
-    grouped by row blocks of `rows` output sites.
+    """Gather indices that build the lattice convolution's interaction
+    matrix A[k, l] = <k, u(k-l)> one block of `rows` output sites at a time.
 
-    For N sites, pair p scatters entry src[p] = (ki % rows)*N + mi of the
-    flattened (rows, N) block of D[k, m] = <k, u(m)> holding row ki to entry
-    dest[p] = ki*N + li of the flattened interaction matrix A[k, l] =
-    <k, u(k-l)>, where mi is the index of k-l. Pairs are in row-major order
-    of A, so dest is strictly increasing and each row block's pairs are one
-    contiguous run: blocks holds (r0, r1, dest, src) views per block.
+    For N sites, a block's rows r0 <= k < r1 are gathered from the flat D
+    buffer of Lattice.conv_work, whose first (r1-r0)*N entries hold
+    D[k, m] = <k, u(m)> for those rows and whose entry rows*N, the zero
+    slot, is always 0: entry (k-r0)*N + l of the block's gather is
+    (k-r0)*N + index(k-l) when k-l is a site, else rows*N. The blocks hold
+    (r0, r1, gather) with gather an (r1-r0, N) view of one flat N*N array,
+    so no (N, N) complex matrix is ever formed.
     """
 
     rows: int
-    dest: np.ndarray
-    src: np.ndarray
-    blocks: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]
+    blocks: tuple[tuple[int, int, np.ndarray], ...]
 
 
 class Lattice:
@@ -168,48 +167,44 @@ class Lattice:
         return self._conv
 
     def conv_work(self) -> tuple[np.ndarray, np.ndarray]:
-        """Work matrices reused by every convolution call: a (rows, N) block
-        of D and the full (N, N) interaction matrix A, rows = conv_table().rows.
+        """Work arrays reused by every convolution call: the flat D buffer of
+        rows*N + 1 complex entries, whose last entry (the zero slot) stays
+        0, and a (rows, N) block of the interaction matrix A, with
+        rows = conv_table().rows.
 
         Reuse keeps each call free of fresh allocations, whose page faults
-        would otherwise cost as much as the arithmetic. A is written only at
-        conv_table().dest and so stays zero elsewhere. Callers on one lattice
-        must not overlap: bilinear is not thread-safe.
+        would otherwise cost as much as the arithmetic. Only the first
+        rows*N entries of the D buffer are ever written. Callers on one
+        lattice must not overlap: bilinear is not thread-safe.
         """
         if self._conv_work is None:
-            n = len(self.sites)
-            self._conv_work = (np.empty((self.conv_table().rows, n), dtype=np.complex128),
-                               np.zeros((n, n), dtype=np.complex128))
+            n, rows = len(self.sites), self.conv_table().rows
+            self._conv_work = (np.zeros(rows * n + 1, dtype=np.complex128),
+                               np.empty((rows, n), dtype=np.complex128))
         return self._conv_work
 
     def _build_conv_table(self) -> _ConvTable:
         k_max = self.spec.k_max
         n = len(self.sites)
-        side = 2 * k_max + 1
-        lookup = np.full((side, side, side), -1, dtype=np.int64)
-        shifted = self.sites + k_max
-        lookup[shifted[:, 0], shifted[:, 1], shifted[:, 2]] = np.arange(n)
         block = min(n, max(1, _BLOCK_BYTES // (16 * n)))
-
-        dest_parts, src_parts = [], []
-        chunk = max(1, min(n, 512))
-        for a in range(0, n, chunk):
-            b = min(n, a + chunk)
-            d = self.sites[a:b, None, :] - self.sites[None, :, :]
-            inside = (np.abs(d) <= k_max).all(axis=2)
-            rows, cols = np.nonzero(inside)
-            dd = d[rows, cols] + k_max
-            mi = lookup[dd[:, 0], dd[:, 1], dd[:, 2]]
-            keep = mi >= 0
-            ki = rows[keep] + a
-            dest_parts.append(ki * n + cols[keep])
-            src_parts.append(ki % block * n + mi[keep])
-        dest, src = np.concatenate(dest_parts), np.concatenate(src_parts)
-        starts = range(0, n, block)
-        cuts = np.searchsorted(dest, [r0 * n for r0 in starts] + [n * n])
-        blocks = tuple((r0, min(n, r0 + block), dest[c0:c1], src[c0:c1])
-                       for r0, c0, c1 in zip(starts, cuts, cuts[1:]))
-        return _ConvTable(rows=block, dest=dest, src=src, blocks=blocks)
+        # allocated first, then filled one row block at a time
+        gather = np.empty(n * n, dtype=np.intp)
+        # a cube of side 4 k_max + 1 holds every difference of two sites
+        side = 4 * k_max + 1
+        lookup = np.full((side, side, side), -1, dtype=np.intp)
+        shifted = self.sites + 2 * k_max
+        lookup[shifted[:, 0], shifted[:, 1], shifted[:, 2]] = np.arange(n)
+        row_start = np.arange(block)[:, None] * n
+        blocks = []
+        for r0 in range(0, n, block):
+            r1 = min(n, r0 + block)
+            d = self.sites[r0:r1, None, :] - self.sites[None, :, :] + 2 * k_max
+            mi = lookup[d[..., 0], d[..., 1], d[..., 2]]
+            g = gather[r0 * n: r1 * n].reshape(r1 - r0, n)
+            np.add(mi, row_start[: r1 - r0], out=g)
+            g[mi < 0] = block * n   # the zero slot
+            blocks.append((r0, r1, g))
+        return _ConvTable(rows=block, blocks=tuple(blocks))
 
 
 @lru_cache(maxsize=None)

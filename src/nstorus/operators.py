@@ -74,13 +74,17 @@ _PROJECTION_BYTES = 256 * 1024
 
 def leray_project(k, x) -> np.ndarray:
     """Project x onto the plane orthogonal to k: x - (<k,x>/|k|^2) k."""
+    # arrays are unpacked to Python numbers at once: cheaper than
+    # converting their numpy scalars one by one, with the same values
     if isinstance(k, WaveVector):
         k = k.as_tuple()
-    kx, ky, kz = (float(c) for c in k)
+    elif isinstance(k, np.ndarray):
+        k = k.tolist()
+    kx, ky, kz = map(float, k)
     ksq = kx * kx + ky * ky + kz * kz
     if ksq == 0:
         raise ValueError("Leray projector is undefined at k = 0")
-    x0, x1, x2 = (complex(c) for c in x)
+    x0, x1, x2 = map(complex, x.tolist() if isinstance(x, np.ndarray) else x)
     factor = (kx * x0 + ky * x1 + kz * x2) / ksq
     return np.array([x0 - factor * kx, x1 - factor * ky, x2 - factor * kz])
 
@@ -92,17 +96,20 @@ def bilinear(u, *vs, out=None):
     per v; with out, an (S+1, N, 3 len(vs)) complex array, the products are
     written there side by side (one (N, 3) block per v) and out is returned.
 
-    Per slice, the pairs are scattered into the dense interaction matrix
-    A[k, l] = <k, u(k-l)> (zero where k-l is not a site), and one matrix
-    product A @ [v_1 ... v_n] sums them for every v at once, so one build
-    of A(u) serves all right factors that share u (see _slice_products).
+    Per slice, the pairs are gathered into the interaction matrix
+    A[k, l] = <k, u(k-l)> (zero where k-l is not a site), one cache-sized
+    row block at a time, and one matrix product per block,
+    A[rows] @ [v_1 ... v_n], sums them for every v at once, so one build
+    of A(u) serves all right factors that share u; the full (N, N) A is
+    never formed (see _slice_products).
     Each output mode is the sum of the same pair products as the direct
     convolution; only the summation order is BLAS's, so every mode keeps
     its own relative accuracy however small it is. A slice where u or every
     v is all zero has exact zero products, which are not computed. The
     projection and the factor 2 pi i are applied to the whole output at
-    the end, a few slices at a time. The block of D and A are the
-    lattice's reused work arrays (Lattice.conv_work), so calls on one
+    the end, a few slices at a time. The D buffer, with its zero slot,
+    and the block of A are the lattice's reused work arrays
+    (Lattice.conv_work), so bilinear is not thread-safe: calls on one
     lattice must not run concurrently.
     """
     if not vs:
@@ -141,10 +148,11 @@ def _slice_products(lat: Lattice, u: np.ndarray, vs: list, out: np.ndarray) -> N
     """Write A(u) @ [v_1 ... v_n] for one slice into the (N, 3n) array out,
     before the projection; zeros when u or every v is all zero.
 
-    A is filled one row block at a time from a cache-sized block of
-    D[k, m] = <k, u(m)>, and that block's rows of the product are taken
-    while they are still in cache (the blocked layout of Goto & van de
-    Geijn 2008); D is never formed whole.
+    Per row block of the table: a cache-sized block of D[k, m] = <k, u(m)>
+    is written to the D buffer, A's rows are gathered from it (the zero
+    slot fills the entries whose k-l is not a site), and that block's rows
+    of the product are taken while both are still in cache (the blocked
+    layout of Goto & van de Geijn 2008). Neither D nor A is formed whole.
     """
     # built before the zero check, so any first call prepares the lattice
     tab = lat.conv_table()
@@ -157,11 +165,13 @@ def _slice_products(lat: Lattice, u: np.ndarray, vs: list, out: np.ndarray) -> N
     rhs = vs[0] if len(vs) == 1 else np.concatenate(vs, axis=1)
     # <k, u(m)> as one real product: u's (re, im) pairs side by side
     u_ri = u.view(np.float64).reshape(n, 3, 2).transpose(1, 0, 2).reshape(3, 2 * n)
-    dots_ri, flat_dots, flat_inter = dots.view(np.float64), dots.ravel(), inter.ravel()
-    for r0, r1, dest, src in tab.blocks:
-        np.matmul(kf[r0:r1], u_ri, out=dots_ri[: r1 - r0])   # dots[k-r0, m] = <k, u(m)>
-        flat_inter[dest] = flat_dots[src]
-        np.matmul(inter[r0:r1], rhs, out=out[r0:r1])
+    # the buffer's rows, without the zero slot
+    dots_ri = dots[:-1].view(np.float64).reshape(tab.rows, 2 * n)
+    for r0, r1, gather in tab.blocks:
+        np.matmul(kf[r0:r1], u_ri, out=dots_ri[: r1 - r0])   # D[k-r0, m] = <k, u(m)>
+        # every index is in range; "wrap" only skips numpy's bounds check
+        np.take(dots, gather, out=inter[: r1 - r0], mode="wrap")
+        np.matmul(inter[: r1 - r0], rhs, out=out[r0:r1])
 
 
 def unit_times(substeps: int) -> tuple[float, ...]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import certificates
-from .checkpoint import load_field, save_field
+from .checkpoint import load_field, save_field, write_atomic
 from .config import RunConfig, generate_ic, parse_config, serialize_config
 from .errors import CheckpointError, ConfigError, ConvergenceError
 from .fields import fmc_norm, phi_norm
@@ -65,7 +65,7 @@ def _fmt(value) -> str:
 def _write_csv(path: Path, schema: str, columns, rows) -> None:
     lines = [f"# schema={schema}", ",".join(columns)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def read_csv(path) -> tuple[str, list[str], list[list[str]]]:
@@ -101,7 +101,7 @@ def run(config: RunConfig) -> RunOutcome:
     check against the direct Picard solver."""
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "run_config.cfg").write_text(serialize_config(config), encoding="ascii")
+    write_atomic(out_dir / "run_config.cfg", serialize_config(config).encode("ascii"))
 
     params = config.solver_params()
     v0 = generate_ic(config)
@@ -173,7 +173,7 @@ def run_oracle(config: RunConfig) -> RunOutcome:
     """Picard-only run over horizon_m; writes oracle_series.csv."""
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "run_config.cfg").write_text(serialize_config(config), encoding="ascii")
+    write_atomic(out_dir / "run_config.cfg", serialize_config(config).encode("ascii"))
     params = config.solver_params()
     v0 = generate_ic(config)
     try:

@@ -101,7 +101,7 @@ def test_criterion_03_single_mode_exactness():
     for m in range(1, 11):
         sol = solve_interval(state, params)
         state, _ = apply_interval(state, sol, params)
-        v = sol.velocity_slices()[-1]
+        v = sol.velocity.slices[-1]
         expect = delta * math.exp(-m)
         ok &= abs(v[(1, 0, 0)][1].real - expect) <= 1e-12 * expect
         ok &= v.support_size == 1
@@ -126,7 +126,7 @@ def test_criterion_04_oracle_equivalence():
     velocities = [v0]
     for _ in range(3):
         sol = solve_interval(state, params)
-        velocities.append(sol.velocity_slices()[-1])
+        velocities.append(sol.velocity.slices[-1])
         state, _ = apply_interval(state, sol, params)
     trajectory = picard_solve(v0, 3.0, params)
     worst = max(

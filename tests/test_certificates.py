@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from nstorus.induction import DecompositionState, induction_steps, iterate_contr
 from util import random_field, random_sliced
 
 PARAMS = SolverParams()
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def unit_perp_directions(lat):
@@ -102,6 +108,41 @@ def test_remainder_fit_skipped_for_sparse_support(ball2):
     d, rate = fit_remainder_bound([f], PARAMS)
     assert d[0] > 0
     assert np.isnan(rate[0])
+
+
+def test_remainder_fit_skipped_for_one_shell(ball2):
+    # six supported modes, all with |k| = 1: no slope to fit
+    f = SpectralField.from_modes(ball2, {s: (1e-9, 1e-9, 0.0) for s in
+                                         [(1, 0, 0), (-1, 0, 0), (0, 1, 0),
+                                          (0, -1, 0), (0, 0, 1), (0, 0, -1)]})
+    d, rate = fit_remainder_bound([f], PARAMS)
+    assert f.support_size == 6 and d[0] > 0
+    assert np.isnan(rate[0])
+
+
+def test_induction_step_imports_no_masked_arrays():
+    # numpy.ma costs about 20 ms to import, paid inside the first timed
+    # solve of a process if anything on the step's path pulls it in
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from nstorus import LatticeSpec, SolverParams, get_lattice
+        from nstorus.induction import DecompositionState, induction_steps
+        sys.path.insert(0, sys.argv[1])
+        from util import random_field
+        v0 = random_field(get_lattice(LatticeSpec(3)), np.random.default_rng(5), 1e-3)
+        state = DecompositionState.initial(v0)
+        for _, _, rec in induction_steps(state, SolverParams(), 1):
+            assert not np.isnan(rec.remainder_decay)   # the fit ran
+        print("numpy.ma" in sys.modules)
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "tests")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_remainder_fit_scale_covariant(ball2):

@@ -408,12 +408,12 @@ def test_decomposition_consistency_across_steps(ball2):
     prev_end = None
     for _ in range(3):
         sol = solve_interval(state, PARAMS)
-        start = sol.velocity_slices()[0]
+        start = sol.velocity.slices[0]
         if prev_end is not None:
             diff = (start - prev_end).magnitudes().max()
             scale = max(prev_end.magnitudes().max(), 1e-300)
             assert diff / scale < 1e-13
-        prev_end = sol.velocity_slices()[-1]
+        prev_end = sol.velocity.slices[-1]
         state, _ = apply_interval(state, sol, PARAMS)
 
 
@@ -421,7 +421,7 @@ def test_all_slices_divergence_free_and_zero_mode_absent(ball2):
     state = two_mode_state(ball2)
     for _ in range(2):
         sol = solve_interval(state, PARAMS)
-        for v in sol.velocity_slices():
+        for v in sol.velocity.slices:
             assert v.max_divergence_ratio() <= PARAMS.eps_div
             with pytest.raises(KeyError):  # the origin is not a site
                 v[(0, 0, 0)]
@@ -440,7 +440,7 @@ def test_mirror_symmetry_preserved(ball2):
     state = DecompositionState.initial(v0)
     for _ in range(2):
         sol = solve_interval(state, PARAMS)
-        for v in sol.velocity_slices():
+        for v in sol.velocity.slices:
             assert v.reality_defect() < 1e-15
         state, _ = apply_interval(state, sol, PARAMS)
 
@@ -457,7 +457,7 @@ def test_oracle_equivalence_small_lattice(ball2):
     velocities = [v0]
     for _ in range(3):
         sol = solve_interval(state, PARAMS)
-        velocities.append(sol.velocity_slices()[-1])
+        velocities.append(sol.velocity.slices[-1])
         state, _ = apply_interval(state, sol, PARAMS)
     trajectory = picard_solve(v0, 3.0, PARAMS)
     for m, v in enumerate(velocities):
@@ -469,7 +469,7 @@ def test_reconstruct_velocity_interior_time(ball2):
     state = two_mode_state(ball2)
     sol = solve_interval(state, PARAMS)
     v = reconstruct_velocity(state, 0.5, PARAMS)
-    assert v.allclose(sol.velocity_at(0.5), rtol=1e-13)
+    assert v.allclose(sol.velocity.at_time(0.5), rtol=1e-13)
 
 
 def test_reconstruct_velocity_at_zero_is_interval_start(ball2):
@@ -478,7 +478,7 @@ def test_reconstruct_velocity_at_zero_is_interval_start(ball2):
     for _, state, _ in induction_steps(state, PARAMS, 2):
         pass
     v = reconstruct_velocity(state, 0.0, PARAMS)
-    assert np.array_equal(v.data, solve_interval(state, PARAMS).velocity_at(0.0).data)
+    assert np.array_equal(v.data, solve_interval(state, PARAMS).velocity.at_time(0.0).data)
 
 
 def test_running_sums_carried_match_rebuilt_state(ball2):

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nstorus import LatticeSpec, TruncationRule, WaveVector, build_lattice, get_lattice
+from nstorus import LatticeSpec, TruncationRule, WaveVector, bilinear, build_lattice, get_lattice
+from nstorus.lattice import _ConvTable
 
-from util import conv_triples
+from util import conv_triples, random_field
 
 
 def brute_force_ball(k_max):
@@ -83,28 +84,44 @@ def test_lattice_equality_by_spec():
     assert a != get_lattice(LatticeSpec(2, TruncationRule.SUP_CUBE))
 
 
+def gathered_pairs(lat):
+    """The table's gather indices as (ki, li, entry) over all N*N pairs, with
+    entry the D-buffer index that pair (ki, li) reads."""
+    tab = lat.conv_table()
+    n = len(lat)
+    ki, li = np.divmod(np.arange(n * n), n)
+    entry = np.concatenate([g.ravel() for _, _, g in tab.blocks])
+    return ki, li, entry
+
+
 def test_conv_table_triples_are_valid(ball2):
     tab = ball2.conv_table()
-    ki, li = np.divmod(tab.dest, len(ball2))
-    row_in_block, mi = np.divmod(tab.src, len(ball2))
-    assert (ki % tab.rows == row_in_block).all()
+    n = len(ball2)
+    zero_slot = tab.rows * n
+    ki, li, entry = gathered_pairs(ball2)
+    pair = entry != zero_slot
+    # a pair (k, l) reads D[k, m] in its block's rows, with sites[m] = k - l
+    row_in_block, mi = np.divmod(entry[pair], n)
+    assert (row_in_block == ki[pair] % tab.rows).all()
     sites = ball2.sites
-    diff = sites[ki] - sites[li]
+    diff = sites[ki[pair]] - sites[li[pair]]
     assert (diff == sites[mi]).all()
     # no zero vector slips in as l or k-l
-    assert (np.abs(sites[li]).sum(axis=1) > 0).all()
+    assert (np.abs(sites[li[pair]]).sum(axis=1) > 0).all()
     assert (np.abs(diff).sum(axis=1) > 0).all()
 
 
 def test_conv_table_sorted_by_output(ball2):
     for lat in (ball2, get_lattice(LatticeSpec(2, TruncationRule.SUP_CUBE))):
         tab = lat.conv_table()
-        # each pair once, in row-major order of the interaction matrix
-        assert (np.diff(tab.dest) > 0).all()
-        # and exactly the pairs of an independent enumeration
+        n = len(lat)
         ki, li, mi = conv_triples(lat)
-        assert (tab.dest == ki * len(lat) + li).all()
-        assert (tab.src == ki % tab.rows * len(lat) + mi).all()
+        want = np.full(n * n, tab.rows * n)
+        want[ki * n + li] = ki % tab.rows * n + mi
+        # exactly the pairs of an independent enumeration read D, each at
+        # its own row of the block; every other entry reads the zero slot
+        _, _, entry = gathered_pairs(lat)
+        assert np.array_equal(entry, want)
 
 
 @pytest.mark.parametrize("k_max", [1, 4, 6])
@@ -114,14 +131,50 @@ def test_conv_table_blocks_partition_the_pairs(k_max):
     tab = lat.conv_table()
     assert tab.rows == min(n, max(1, 512 * 1024 // (16 * n)))
     assert [b[0] for b in tab.blocks] == list(range(0, n, tab.rows))
+    assert all(a[1] == b[0] for a, b in zip(tab.blocks, tab.blocks[1:]))
     assert tab.blocks[-1][1] == n
-    assert np.array_equal(np.concatenate([b[2] for b in tab.blocks]), tab.dest)
-    assert np.array_equal(np.concatenate([b[3] for b in tab.blocks]), tab.src)
-    for r0, r1, dest, _ in tab.blocks:
+    for r0, r1, gather in tab.blocks:
         assert r0 < r1 <= r0 + tab.rows
-        assert ((dest >= r0 * n) & (dest < r1 * n)).all()
+        assert gather.shape == (r1 - r0, n)
+        # every index lies in the block's own rows of D or is the zero slot
+        assert ((gather < (r1 - r0) * n) | (gather == tab.rows * n)).all()
+    # and the blocks are views of one flat N*N array
+    base = tab.blocks[0][2].base
+    assert base is not None and base.size == n * n
+    assert all(g.base is base for _, _, g in tab.blocks)
+    ki, li, _ = conv_triples(lat)
+    assert ki.size == int(sum((g != tab.rows * n).sum() for _, _, g in tab.blocks))
     dots, inter = lat.conv_work()
-    assert dots.shape == (tab.rows, n) and inter.shape == (n, n)
+    assert dots.shape == (tab.rows * n + 1,) and inter.shape == (tab.rows, n)
+
+
+def test_conv_zero_slot_stays_zero_after_bilinear():
+    lat = get_lattice(LatticeSpec(6))
+    rng = np.random.default_rng(61)
+    u, v = random_field(lat, rng), random_field(lat, rng)
+    bilinear(u, v)
+    dots, _ = lat.conv_work()
+    assert dots[-1].tobytes() == bytes(16)   # +0.0 + 0.0j exactly
+
+
+def test_no_full_interaction_matrix_on_the_lattice():
+    lat = get_lattice(LatticeSpec(6))
+    n = len(lat)
+    rng = np.random.default_rng(62)
+    bilinear(random_field(lat, rng), random_field(lat, rng))
+
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                yield from arrays(item)
+        elif isinstance(obj, _ConvTable):
+            yield from arrays(obj.blocks)
+
+    held = list(arrays(list(vars(lat).values())))
+    assert held, "the lattice should hold its table and work arrays"
+    assert not [a.shape for a in held if np.iscomplexobj(a) and a.size >= n * n]
 
 
 @settings(max_examples=40, deadline=None)

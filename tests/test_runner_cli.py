@@ -1,12 +1,17 @@
+import errno
 import math
+import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nstorus import RunConfig, SpectralField, save_field
 from nstorus.cli import main
 from nstorus.lattice import LatticeSpec, get_lattice
 from nstorus.runner import (
+    NORM_SERIES_COLUMNS,
+    NORM_SERIES_SCHEMA,
     STATUS_CONFIG_ERROR,
     STATUS_FP_FAILURE,
     STATUS_OK,
@@ -15,6 +20,7 @@ from nstorus.runner import (
     read_csv,
     run,
     run_oracle,
+    _write_csv,
 )
 
 
@@ -22,6 +28,42 @@ def small_config(tmp_path, **kw):
     base = dict(k_max=2, horizon_m=3, output_dir=str(tmp_path / "out"))
     base.update(kw)
     return RunConfig(**base)
+
+
+ARTIFACT_WRITERS = {
+    "csv": ("out/norm_series.csv", lambda path, tmp_path: _write_csv(
+        path, NORM_SERIES_SCHEMA, NORM_SERIES_COLUMNS, [(1, 0.5, 1.25, 0.0, 3)] * 50)),
+    "checkpoint": ("out/v.ckpt", lambda path, tmp_path: save_field(
+        SpectralField(get_lattice(LatticeSpec(2)), np.ones((32, 3))), path)),
+    "run config": ("out/run_config.cfg", lambda path, tmp_path: run(small_config(tmp_path))),
+    "oracle run config": ("out/run_config.cfg",
+                          lambda path, tmp_path: run_oracle(small_config(tmp_path))),
+}
+
+
+@pytest.mark.parametrize("writer", ARTIFACT_WRITERS)
+def test_artifact_write_failing_halfway_leaves_no_file(writer, tmp_path, monkeypatch):
+    name, write = ARTIFACT_WRITERS[writer]
+    path = tmp_path / name
+    path.parent.mkdir()
+    real_write = os.write
+    written = []
+
+    def write_half_then_fail(fd, data):
+        written.append(real_write(fd, bytes(data[: len(data) // 2])))
+        raise OSError(errno.ENOSPC, "no space left on device")
+
+    monkeypatch.setattr(os, "write", write_half_then_fail)
+    with pytest.raises(OSError):
+        write(path, tmp_path)
+    monkeypatch.undo()
+    assert written and written[0] > 0   # the failure came after a partial write
+    assert not path.exists()
+    assert list(path.parent.iterdir()) == []   # no temporary file either
+    # and a write that completes leaves exactly the target
+    write(path, tmp_path)
+    assert path.is_file() and path.stat().st_size > 0
+    assert not [p for p in path.parent.iterdir() if p.name.endswith(".tmp")]
 
 
 def test_run_writes_artifacts_and_config(tmp_path):
