@@ -31,7 +31,7 @@ from .induction import (
     solve_interval,
     solve_remainder,
 )
-from .lattice import Lattice, LatticeSpec, TruncationRule, WaveVector, build_lattice, get_lattice
+from .lattice import Lattice, LatticeSpec, TruncationRule, get_lattice
 from .operators import (
     TimeSlicedField,
     bilinear,

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigError
 from .fields import SpectralField, phi_norm
 from .lattice import LatticeSpec, TruncationRule, get_lattice
-from .params import SolverParams, DEFAULT_DECAY_C
+from .params import SolverParams
 
 __all__ = [
     "RunConfig",
@@ -23,6 +23,7 @@ __all__ = [
     "EMIT_KINDS",
     "parse_config",
     "serialize_config",
+    "format_value",
     "config_from_mapping",
     "generate_ic",
 ]
@@ -34,14 +35,14 @@ EMIT_KINDS = ("norm_series", "certificates", "fields")
 @dataclass(frozen=True)
 class RunConfig:
     # solver parameters
-    epsilon: float = 0.25
-    beta: float = 3.5
-    delta: float = 1e-3
-    decay_c: float = DEFAULT_DECAY_C
-    fp_tol: float = 1e-11
-    fp_max_iter: int = 50
-    substeps: int = 8
-    eps_div: float = 1e-12
+    epsilon: float = SolverParams.epsilon
+    beta: float = SolverParams.beta
+    delta: float = SolverParams.delta
+    decay_c: float = SolverParams.decay_c
+    fp_tol: float = SolverParams.fp_tol
+    fp_max_iter: int = SolverParams.fp_max_iter
+    substeps: int = SolverParams.substeps
+    eps_div: float = SolverParams.eps_div
     # lattice
     k_max: int = 4
     truncation_rule: str = "euclidean_ball"
@@ -163,11 +164,12 @@ def parse_config(text: str) -> RunConfig:
     return config_from_mapping(mapping)
 
 
-def _format_value(value) -> str:
+def format_value(value) -> str:
+    """One config value or CSV cell as text that parses back to the same value."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # numpy 2 reprs np.float64 as "np.float64(...)"
     if isinstance(value, frozenset):
         return ",".join(sorted(value))
     return str(value)
@@ -175,7 +177,7 @@ def _format_value(value) -> str:
 
 def serialize_config(config: RunConfig) -> str:
     """Emit the full configuration, one key per line, reparse-identical."""
-    lines = [f"{f.name} = {_format_value(getattr(config, f.name))}"
+    lines = [f"{f.name} = {format_value(getattr(config, f.name))}"
              for f in dc_fields(RunConfig)]
     return "\n".join(lines) + "\n"
 

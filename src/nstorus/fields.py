@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice, LatticeSpec, WaveVector, get_lattice
+from .lattice import Lattice
 
 __all__ = [
     "SpectralField",
@@ -24,14 +24,6 @@ __all__ = [
 # Multiplier factors below this are clamped to exact zero and the entry
 # leaves the support, so supports stay sparse at large times.
 UNDERFLOW_FLOOR = 1e-300
-
-
-def _as_lattice(lattice) -> Lattice:
-    if isinstance(lattice, Lattice):
-        return lattice
-    if isinstance(lattice, LatticeSpec):
-        return get_lattice(lattice)
-    raise TypeError(f"expected Lattice or LatticeSpec, got {type(lattice)!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,8 +38,9 @@ class SpectralField:
     data: np.ndarray  # (N, 3) complex128, read-only
 
     def __post_init__(self):
-        lat = _as_lattice(self.lattice)
-        object.__setattr__(self, "lattice", lat)
+        lat = self.lattice
+        if not isinstance(lat, Lattice):
+            raise TypeError(f"expected a Lattice, got {type(lat)!r}")
         arr = np.ascontiguousarray(self.data, dtype=np.complex128)
         if arr.shape != (len(lat), 3):
             raise ValueError(f"data shape {arr.shape} does not match lattice size {len(lat)}")
@@ -57,27 +50,24 @@ class SpectralField:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zero(lattice) -> "SpectralField":
-        lat = _as_lattice(lattice)
-        return SpectralField(lat, np.zeros((len(lat), 3), dtype=np.complex128))
+    def zero(lattice: Lattice) -> "SpectralField":
+        return SpectralField(lattice, np.zeros((len(lattice), 3), dtype=np.complex128))
 
     @staticmethod
-    def from_modes(lattice, modes) -> "SpectralField":
+    def from_modes(lattice: Lattice, modes) -> "SpectralField":
         """Build a field from a {site: 3-vector} mapping; other sites are zero."""
-        lat = _as_lattice(lattice)
-        data = np.zeros((len(lat), 3), dtype=np.complex128)
+        data = np.zeros((len(lattice), 3), dtype=np.complex128)
         for key, vec in modes.items():
-            site = key.as_tuple() if isinstance(key, WaveVector) else tuple(key)
-            if site not in lat.index:
-                raise KeyError(f"site {site} is not on the lattice (k_max={lat.spec.k_max})")
-            data[lat.index[site]] = np.asarray(vec, dtype=np.complex128)
-        return SpectralField(lat, data)
+            site = tuple(key)
+            if site not in lattice.index:
+                raise KeyError(f"site {site} is not on the lattice (k_max={lattice.spec.k_max})")
+            data[lattice.index[site]] = np.asarray(vec, dtype=np.complex128)
+        return SpectralField(lattice, data)
 
     # -- mapping-style access ------------------------------------------------
 
     def __getitem__(self, key) -> np.ndarray:
-        site = key.as_tuple() if isinstance(key, WaveVector) else tuple(key)
-        return self.data[self.lattice.site_index(site)].copy()
+        return self.data[self.lattice.site_index(key)].copy()
 
     def magnitudes(self) -> np.ndarray:
         """Per-site complex Euclidean magnitude of the 3-vector amplitude."""

@@ -8,7 +8,7 @@ depend only on the lattice spec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -16,10 +16,8 @@ import numpy as np
 
 __all__ = [
     "TruncationRule",
-    "WaveVector",
     "LatticeSpec",
     "Lattice",
-    "build_lattice",
     "get_lattice",
 ]
 
@@ -29,30 +27,6 @@ class TruncationRule(str, Enum):
 
     EUCLIDEAN_BALL = "euclidean_ball"  # kx^2 + ky^2 + kz^2 <= k_max^2
     SUP_CUBE = "sup_cube"              # max(|kx|, |ky|, |kz|) <= k_max
-
-
-@dataclass(frozen=True, order=True)
-class WaveVector:
-    """Lattice site with its squared Euclidean norm cached exactly."""
-
-    kx: int
-    ky: int
-    kz: int
-    norm_sq: int = field(init=False, compare=False)
-
-    def __post_init__(self):
-        ns = self.kx * self.kx + self.ky * self.ky + self.kz * self.kz
-        object.__setattr__(self, "norm_sq", ns)
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.kx, self.ky, self.kz)
-
-    def __neg__(self) -> "WaveVector":
-        return WaveVector(-self.kx, -self.ky, -self.kz)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.norm_sq == 0
 
 
 @dataclass(frozen=True)
@@ -131,10 +105,6 @@ class Lattice:
     def __len__(self) -> int:
         return len(self.sites)
 
-    @property
-    def size(self) -> int:
-        return len(self.sites)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Lattice) and self.spec == other.spec
 
@@ -144,14 +114,8 @@ class Lattice:
     def __repr__(self) -> str:
         return f"Lattice({self.spec.k_max}, {self.spec.truncation_rule.value}, sites={len(self)})"
 
-    def contains(self, site) -> bool:
-        return tuple(site) in self.index
-
     def site_index(self, site) -> int:
         return self.index[tuple(site)]
-
-    def wavevectors(self) -> tuple[WaveVector, ...]:
-        return tuple(WaveVector(*s) for s in self.sites.tolist())
 
     def negation_permutation(self) -> np.ndarray:
         """Index array p with sites[p[i]] == -sites[i]."""
@@ -211,12 +175,3 @@ class Lattice:
 def get_lattice(spec: LatticeSpec) -> Lattice:
     """Shared Lattice instance per spec (caches the convolution table)."""
     return Lattice(spec)
-
-
-def build_lattice(spec: LatticeSpec) -> tuple[WaveVector, ...]:
-    """All nonzero sites inside the truncation region, lexicographic order.
-
-    The returned sequence is closed under negation and never contains the
-    origin; an empty truncation region is rejected at LatticeSpec level.
-    """
-    return get_lattice(spec).wavevectors()

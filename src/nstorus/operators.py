@@ -52,7 +52,7 @@ from itertools import pairwise
 import numpy as np
 
 from .fields import SpectralField
-from .lattice import Lattice, WaveVector
+from .lattice import Lattice
 
 __all__ = [
     "leray_project",
@@ -76,9 +76,7 @@ def leray_project(k, x) -> np.ndarray:
     """Project x onto the plane orthogonal to k: x - (<k,x>/|k|^2) k."""
     # arrays are unpacked to Python numbers at once: cheaper than
     # converting their numpy scalars one by one, with the same values
-    if isinstance(k, WaveVector):
-        k = k.as_tuple()
-    elif isinstance(k, np.ndarray):
+    if isinstance(k, np.ndarray):
         k = k.tolist()
     kx, ky, kz = map(float, k)
     ksq = kx * kx + ky * ky + kz * kz
@@ -117,8 +115,8 @@ def bilinear(u, *vs, out=None):
     lat = u.lattice
     if any(v.lattice != lat for v in vs):
         raise ValueError("bilinear requires fields on the same lattice")
-    if any(type(v) is not type(u) or getattr(v, "times", None) != getattr(u, "times", None)
-           for v in vs):
+    # a field has no times, so this also rejects a field mixed with sliced fields
+    if any(getattr(v, "times", None) != getattr(u, "times", None) for v in vs):
         raise ValueError("bilinear requires fields on the same time grid")
     n = len(lat)
     u_st = u.data.reshape(-1, n, 3)   # a field is a one-slice stack
@@ -330,8 +328,8 @@ def identity_split(a1: float, a2: float, k, l) -> tuple[float, float, float]:
     total = a1 + a2
     if total <= 0:
         raise ValueError("a1 + a2 must be positive")
-    kv = np.asarray(k.as_tuple() if isinstance(k, WaveVector) else k, dtype=np.float64)
-    lv = np.asarray(l.as_tuple() if isinstance(l, WaveVector) else l, dtype=np.float64)
+    kv = np.asarray(k, dtype=np.float64)
+    lv = np.asarray(l, dtype=np.float64)
     shift = a1 / total
     coeff_k = shift * a2   # a1 a2 / total without underflow of a1 a2
     diff = lv - shift * kv

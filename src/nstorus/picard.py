@@ -5,9 +5,12 @@ No decomposition is involved: iterate
     v(t) = heat(v0, t) + integral_0^t exp(-(t-s)|k|^2) conv(v(s), v(s)) ds
 
 on the full grid over [0, horizon] until the sup-over-slices data-norm
-change drops below tolerance. The lattice and quadrature rule are shared
-with the induction solver, so discrepancies between the two isolate
-decomposition and fixed-point logic rather than discretization.
+change drops below tolerance. Each iterate is one TimeSlicedField over the
+whole grid, and so is the result: a PicardTrajectory is the last iterate's
+(S+1, N, 3) array plus the update norm of every iteration. The lattice and
+quadrature rule are shared with the induction solver, so discrepancies
+between the two isolate decomposition and fixed-point logic rather than
+discretization.
 """
 
 from __future__ import annotations
@@ -15,33 +18,35 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConvergenceError
 from .fields import SpectralField, phi_norm
 from .induction import _DIVERGENCE_CAP, DecompositionState, assemble_heat_part
 from .operators import TimeSlicedField, star_product
 from .params import SolverParams
 
-__all__ = ["PicardTrajectory", "picard_solve"]
+__all__ = ["PicardTrajectory", "picard_solve", "integer_time_deviations"]
 
 
 @dataclass(frozen=True, eq=False)
-class PicardTrajectory:
+class PicardTrajectory(TimeSlicedField):
     """Mild solution sampled on the substep grid over [0, horizon].
 
-    update_norms holds the sup-over-slices data-norm change of every
-    iteration, so convergence speed can be inspected after the fact.
+    data is the last iterate. update_norms holds the sup-over-slices
+    data-norm change of every iteration, so convergence speed can be
+    inspected after the fact.
     """
 
-    times: tuple[float, ...]
-    slices: tuple[SpectralField, ...]
-    iterations_used: int
-    final_update_norm: float
-    update_norms: tuple[float, ...] = ()
+    update_norms: tuple[float, ...]
 
-    def at_time(self, t: float) -> SpectralField:
-        from .operators import grid_index
+    @property
+    def iterations_used(self) -> int:
+        return len(self.update_norms)
 
-        return self.slices[grid_index(self.times, t)]
+    @property
+    def final_update_norm(self) -> float:
+        return self.update_norms[-1]
 
 
 def picard_solve(v0: SpectralField, horizon: float, params: SolverParams) -> PicardTrajectory:
@@ -81,11 +86,21 @@ def picard_solve(v0: SpectralField, horizon: float, params: SolverParams) -> Pic
             )
         update_norms.append(change)
         if change < params.fp_tol:
-            return PicardTrajectory(times, current.slices, iteration, change,
-                                    tuple(update_norms))
+            return PicardTrajectory(times, v0.lattice, current.data, tuple(update_norms))
     raise ConvergenceError(
         f"Picard iteration did not converge within {params.fp_max_iter} iterations "
         f"(last update {change:.3e})",
         iterations=params.fp_max_iter,
         last_update=change,
     )
+
+
+def integer_time_deviations(trajectory: PicardTrajectory, velocities,
+                            substeps: int) -> np.ndarray:
+    """Max mode-wise |v_m - trajectory(m)| at each integer time m = 0, 1, ...
+
+    velocities holds one field per integer time of the trajectory, whose
+    grid has substeps slices per unit time; one deviation per velocity.
+    """
+    diff = np.stack([v.data for v in velocities]) - trajectory.data[::substeps]
+    return np.sqrt((diff.real ** 2 + diff.imag ** 2).sum(axis=2)).max(axis=1, initial=0.0)

@@ -16,11 +16,11 @@ from pathlib import Path
 
 from . import certificates
 from .checkpoint import load_field, save_field, write_atomic
-from .config import RunConfig, generate_ic, parse_config, serialize_config
+from .config import RunConfig, format_value, generate_ic, parse_config, serialize_config
 from .errors import CheckpointError, ConfigError, ConvergenceError
 from .fields import fmc_norm, phi_norm
 from .induction import DecompositionState, induction_steps
-from .picard import picard_solve
+from .picard import integer_time_deviations, picard_solve
 
 __all__ = [
     "STATUS_OK",
@@ -54,17 +54,9 @@ CERTIFICATE_COLUMNS = (
 )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(float(value))  # numpy 2 reprs np.float64 as "np.float64(...)"
-    return str(value)
-
-
 def _write_csv(path: Path, schema: str, columns, rows) -> None:
     lines = [f"# schema={schema}", ",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(format_value(v) for v in row) for row in rows)
     write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
@@ -153,11 +145,8 @@ def run(config: RunConfig) -> RunOutcome:
             return RunOutcome(STATUS_ORACLE_MISMATCH,
                               f"oracle solver failed to converge: {exc}",
                               out_dir, records, None, None)
-        diffs = []
-        for m, v in enumerate(integer_velocities):
-            ref = trajectory.slices[m * params.substeps]
-            diffs.append(float((v - ref).magnitudes().max(initial=0.0)))
-        oracle_max_diff = max(diffs)
+        oracle_max_diff = float(integer_time_deviations(
+            trajectory, integer_velocities, params.substeps).max())
         if oracle_max_diff > config.oracle_tol:
             status = STATUS_ORACLE_MISMATCH
             message = (f"oracle mismatch: max mode-wise deviation "
@@ -180,10 +169,8 @@ def run_oracle(config: RunConfig) -> RunOutcome:
         trajectory = picard_solve(v0, float(config.horizon_m), params)
     except ConvergenceError as exc:
         return RunOutcome(STATUS_FP_FAILURE, f"oracle failed: {exc}", out_dir, [])
-    rows = [(t, phi_norm(s, params.alpha)) for t, s in
-            zip(trajectory.times, trajectory.slices)]
-    _write_csv(out_dir / "oracle_series.csv", ORACLE_SERIES_SCHEMA,
-               ("t", "phi_norm"), rows)
+    _write_csv(out_dir / "oracle_series.csv", ORACLE_SERIES_SCHEMA, ("t", "phi_norm"),
+               zip(trajectory.times, phi_norm(trajectory, params.alpha, axis=-1)))
     return RunOutcome(
         STATUS_OK,
         f"ok ({trajectory.iterations_used} iterations, final update "

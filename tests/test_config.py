@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from nstorus import (
     ConfigError,
     RunConfig,
+    SolverParams,
     generate_ic,
     parse_config,
     phi_norm,
@@ -23,6 +24,7 @@ def test_empty_text_gives_defaults():
     assert cfg.delta == 1e-3
     assert cfg.substeps == 8
     assert cfg.rng_seed == 0
+    assert RunConfig().solver_params() == SolverParams()
 
 
 def test_epsilon_constraint_reported():
@@ -90,6 +92,14 @@ def test_round_trip_property(epsilon, beta, k_max, seed):
         "epsilon": epsilon, "beta": beta, "k_max": k_max, "rng_seed": seed,
     })
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_round_trip_numpy_scalars():
+    cfg = RunConfig(delta=np.float64(1e-3), epsilon=np.float64(0.2), k_max=np.int64(3),
+                    fp_max_iter=np.int64(40), rng_seed=np.uint64(7))
+    text = serialize_config(cfg)
+    assert "np." not in text
+    assert parse_config(text) == cfg
 
 
 def test_from_checkpoint_requires_path():

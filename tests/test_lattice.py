@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nstorus import LatticeSpec, TruncationRule, WaveVector, bilinear, build_lattice, get_lattice
+from nstorus import LatticeSpec, TruncationRule, bilinear, get_lattice
 from nstorus.lattice import _ConvTable
 
 from util import conv_triples, random_field
@@ -22,32 +22,30 @@ def brute_force_ball(k_max):
     return sites
 
 
-def test_wavevector_norm_sq_exact():
-    assert WaveVector(1, -2, 3).norm_sq == 14
-    assert WaveVector(0, 0, 0).norm_sq == 0
-    assert WaveVector(0, 0, 0).is_zero
+def assert_matches_brute_force(k_max):
+    lat = get_lattice(LatticeSpec(k_max))
+    expected = sorted(brute_force_ball(k_max))
+    assert [tuple(s) for s in lat.sites.tolist()] == expected
+    assert lat.norm_sq.tolist() == [kx * kx + ky * ky + kz * kz for kx, ky, kz in expected]
 
 
 def test_sup_cube_kmax1_has_26_sites():
-    sites = build_lattice(LatticeSpec(1, TruncationRule.SUP_CUBE))
+    sites = get_lattice(LatticeSpec(1, TruncationRule.SUP_CUBE)).sites
     assert len(sites) == 26
 
 
 def test_ball_kmax1_has_6_sites():
-    sites = build_lattice(LatticeSpec(1))
-    assert len(sites) == 6
-    assert all(v.norm_sq == 1 for v in sites)
+    lat = get_lattice(LatticeSpec(1))
+    assert len(lat.sites) == 6
+    assert (lat.norm_sq == 1).all()
 
 
 def test_ball_kmax2_matches_brute_force():
-    sites = build_lattice(LatticeSpec(2))
-    expected = brute_force_ball(2)
-    assert [v.as_tuple() for v in sites] == sorted(expected)
+    assert_matches_brute_force(2)
 
 
 def test_ball_kmax4_matches_brute_force():
-    sites = build_lattice(LatticeSpec(4))
-    assert [v.as_tuple() for v in sites] == sorted(brute_force_ball(4))
+    assert_matches_brute_force(4)
 
 
 def test_sites_lexicographically_ordered(ball3):
@@ -181,5 +179,5 @@ def test_no_full_interaction_matrix_on_the_lattice():
 @given(st.integers(1, 3), st.sampled_from(list(TruncationRule)))
 def test_membership_is_negation_symmetric(k_max, rule):
     lat = get_lattice(LatticeSpec(k_max, rule))
-    for v in lat.wavevectors():
-        assert lat.contains((-v).as_tuple())
+    for kx, ky, kz in lat.sites.tolist():
+        assert (-kx, -ky, -kz) in lat.index

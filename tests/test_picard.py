@@ -7,6 +7,8 @@ from nstorus import (
     ConvergenceError,
     SolverParams,
     SpectralField,
+    TimeSlicedField,
+    bilinear,
     phi_norm,
     picard_solve,
 )
@@ -38,6 +40,21 @@ def test_two_mode_iterates_decay_geometrically(ball2):
     traj = picard_solve(v0, 3.0, PARAMS)
     ratios = [b / a for a, b in zip(traj.update_norms, traj.update_norms[1:]) if a > 0]
     assert ratios and all(r < 0.1 for r in ratios)
+
+
+def test_trajectory_is_one_time_sliced_field(ball2):
+    v0 = SpectralField.from_modes(
+        ball2, {(1, 0, 0): (0.0, 0.0, 1e-3), (0, 1, 0): (1e-3, 0.0, 0.0)}
+    )
+    traj = picard_solve(v0, 1.0, PARAMS)
+    assert isinstance(traj, TimeSlicedField)
+    assert traj.data.shape == (PARAMS.substeps + 1, len(ball2), 3)
+    assert traj.iterations_used == len(traj.update_norms) > 1
+    assert traj.final_update_norm == traj.update_norms[-1] < PARAMS.fp_tol
+    phis = phi_norm(traj, PARAMS.alpha, axis=-1)
+    assert phis.tolist() == [phi_norm(s, PARAMS.alpha) for s in traj.slices]
+    plain = TimeSlicedField(traj.times, ball2, traj.data)
+    assert np.array_equal(bilinear(traj, plain).data, bilinear(plain, plain).data)
 
 
 def test_slices_divergence_free(ball2):
