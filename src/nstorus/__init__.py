@@ -18,7 +18,7 @@ from .certificates import (
 from .checkpoint import load_field, save_field
 from .config import RunConfig, generate_ic, parse_config, serialize_config
 from .errors import CheckpointError, ConfigError, ConvergenceError
-from .fields import SpectralField, fmc_norm, phi_norm
+from .fields import SpectralField, TimeSlicedField, fmc_norm, phi_norm
 from .induction import (
     DecompositionState,
     assemble_forcing,
@@ -27,13 +27,11 @@ from .induction import (
     assemble_remainder_part,
     compute_gaussian_correction,
     induction_steps,
-    reconstruct_velocity,
     solve_interval,
     solve_remainder,
 )
 from .lattice import Lattice, LatticeSpec, TruncationRule, get_lattice
 from .operators import (
-    TimeSlicedField,
     bilinear,
     duhamel_integrate,
     identity_split,

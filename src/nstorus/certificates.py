@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import fmc_norm, phi_norm
+from .fields import TimeSlicedField, fmc_norm, phi_norm
 from .induction import DecompositionState, FixedPointResult, IntervalSolution
-from .operators import TimeSlicedField
 from .params import SolverParams
 
 __all__ = [

@@ -33,16 +33,12 @@ EMIT_KINDS = ("norm_series", "certificates", "fields")
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    # solver parameters
-    epsilon: float = SolverParams.epsilon
-    beta: float = SolverParams.beta
-    delta: float = SolverParams.delta
-    decay_c: float = SolverParams.decay_c
-    fp_tol: float = SolverParams.fp_tol
-    fp_max_iter: int = SolverParams.fp_max_iter
-    substeps: int = SolverParams.substeps
-    eps_div: float = SolverParams.eps_div
+class RunConfig(SolverParams):
+    """The solver parameters (first, in SolverParams' order) and the run's
+    lattice, initial condition and outputs. Text values may not carry '#',
+    a line break or surrounding whitespace, which run_config.cfg could not
+    read back."""
+
     # lattice
     k_max: int = 4
     truncation_rule: str = "euclidean_ball"
@@ -59,8 +55,14 @@ class RunConfig:
     oracle_tol: float = 1e-9
 
     def __post_init__(self):
+        for f in dc_fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, str) and (value != value.strip()
+                                           or any(c in value for c in "#\n\r")):
+                raise ConfigError(f"{f.name} must not contain '#' or a line break, or "
+                                  f"begin or end with whitespace; got {value!r}")
         try:
-            self.solver_params()
+            super().__post_init__()
             self.lattice_spec()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -82,11 +84,7 @@ class RunConfig:
         object.__setattr__(self, "emit", frozenset(self.emit))
 
     def solver_params(self) -> SolverParams:
-        return SolverParams(
-            epsilon=self.epsilon, beta=self.beta, delta=self.delta,
-            decay_c=self.decay_c, fp_tol=self.fp_tol, fp_max_iter=self.fp_max_iter,
-            substeps=self.substeps, eps_div=self.eps_div,
-        )
+        return SolverParams(**{f.name: getattr(self, f.name) for f in dc_fields(SolverParams)})
 
     def lattice_spec(self) -> LatticeSpec:
         return LatticeSpec(self.k_max, TruncationRule(self.truncation_rule))
@@ -109,22 +107,11 @@ def _parse_emit(text: str) -> frozenset:
 _PARSERS = {
     float: float,
     int: int,
-    str: lambda s: s.strip(),
     bool: _parse_bool,
     frozenset: _parse_emit,
 }
 
-
-def _field_types() -> dict[str, type]:
-    hints = {}
-    for f in dc_fields(RunConfig):
-        hints[f.name] = f.type if isinstance(f.type, type) else {
-            "float": float, "int": int, "str": str, "bool": bool, "frozenset": frozenset,
-        }[f.type]
-    return hints
-
-
-_FIELD_TYPES = _field_types()
+_FIELD_TYPES = {f.name: type(f.default) for f in dc_fields(RunConfig)}
 
 
 def config_from_mapping(mapping: dict) -> RunConfig:

@@ -4,11 +4,23 @@ A field maps each lattice site k to a complex 3-vector amplitude. Storage is
 dense over the lattice site table (unsupported sites hold exact zeros), which
 keeps every operation a vectorized array expression. Fields are immutable:
 the backing array is non-writeable and all operations return new instances.
+
+A SpectralField is one (N, 3) array. A function of time on a substep grid is
+a TimeSlicedField: one read-only (S+1, N, 3) array, so its sums, norms and
+star products are whole-array expressions (a star product is one bilinear
+call over the grid, whose samples the Duhamel pass then overwrites in
+place). Its .slices are SpectralField views of the rows, for readers that
+want one time at a time. The two kinds share one implementation of the
+storage, the algebra and the invariant checks, written over the array's
+last axes; neither is a subclass of the other, and operands of different
+kinds, lattices or grids are rejected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import pairwise
 
 import numpy as np
 
@@ -16,6 +28,8 @@ from .lattice import Lattice
 
 __all__ = [
     "SpectralField",
+    "TimeSlicedField",
+    "grid_index",
     "phi_norm",
     "fmc_norm",
     "UNDERFLOW_FLOOR",
@@ -24,10 +38,79 @@ __all__ = [
 # Multiplier factors below this are clamped to exact zero and the entry
 # leaves the support, so supports stay sparse at large times.
 UNDERFLOW_FLOOR = 1e-300
+# Relative distance within which grid_index takes a time to be a grid time.
+_GRID_TOL = 1e-12
+
+
+class _ArrayField:
+    """Storage, algebra and invariant checks over a read-only complex array
+    whose last two axes are (lattice site, component); the kinds differ in
+    their leading axes and in _like, which wraps an array as the same kind
+    on the same lattice (and grid)."""
+
+    def _freeze(self, shape: tuple[int, ...]) -> None:
+        arr = np.ascontiguousarray(self.data, dtype=np.complex128)
+        if arr.shape != shape:
+            raise ValueError(f"data shape {arr.shape} does not match the expected {shape}")
+        arr.setflags(write=False)
+        object.__setattr__(self, "data", arr)
+
+    def _check_operand(self, other) -> None:
+        """Raise ValueError unless other has the same lattice and the same
+        time grid; a SpectralField has no grid, so kinds cannot mix."""
+        if other.lattice != self.lattice:
+            raise ValueError("fields live on different lattices")
+        if getattr(other, "times", None) != getattr(self, "times", None):
+            raise ValueError("fields live on different time grids")
+
+    def magnitudes(self) -> np.ndarray:
+        """Per-site complex Euclidean magnitude of the 3-vector amplitude;
+        (N,) for a field, (S+1, N) for a sliced field."""
+        return np.sqrt((self.data.real ** 2 + self.data.imag ** 2).sum(axis=-1))
+
+    # -- algebra ------------------------------------------------------------
+
+    def __add__(self, other):
+        self._check_operand(other)
+        return self._like(self.data + other.data)
+
+    def __sub__(self, other):
+        self._check_operand(other)
+        return self._like(self.data - other.data)
+
+    def __neg__(self):
+        return self._like(-self.data)
+
+    def __mul__(self, scalar):
+        return self._like(self.data * complex(scalar))
+
+    __rmul__ = __mul__
+
+    def allclose(self, other, rtol=1e-12, atol=0.0) -> bool:
+        self._check_operand(other)
+        return bool(np.allclose(self.data, other.data, rtol=rtol, atol=atol))
+
+    # -- invariant checks ----------------------------------------------------
+
+    def max_divergence_ratio(self) -> float:
+        """max over support of |<k, v(k)>| / (|k| |v(k)|), over every slice
+        of a sliced field; 0 for a zero field."""
+        mags = self.magnitudes()
+        dots = np.abs((self.lattice.sites_f * self.data).sum(axis=-1))
+        scale = mags * np.sqrt(self.lattice.norm_sq_f)
+        ratio = np.divide(dots, scale, out=np.zeros_like(mags), where=mags > 0)
+        return float(ratio.max(initial=0.0))
+
+    def reality_defect(self) -> float:
+        """max over sites (and slices) of |v(-k) - conj(v(k))|; 0 means
+        negation-symmetric."""
+        perm = self.lattice.negation_permutation()
+        diff = self.data[..., perm, :] - np.conj(self.data)
+        return float(np.sqrt((diff.real ** 2 + diff.imag ** 2).sum(axis=-1)).max(initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
-class SpectralField:
+class SpectralField(_ArrayField):
     """Complex 3-vector amplitudes on the nonzero sites of a lattice.
 
     data[i] is the amplitude at lattice.sites[i]. The origin is never a
@@ -38,16 +121,12 @@ class SpectralField:
     data: np.ndarray  # (N, 3) complex128, read-only
 
     def __post_init__(self):
-        lat = self.lattice
-        if not isinstance(lat, Lattice):
-            raise TypeError(f"expected a Lattice, got {type(lat)!r}")
-        arr = np.ascontiguousarray(self.data, dtype=np.complex128)
-        if arr.shape != (len(lat), 3):
-            raise ValueError(f"data shape {arr.shape} does not match lattice size {len(lat)}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        if not isinstance(self.lattice, Lattice):
+            raise TypeError(f"expected a Lattice, got {type(self.lattice)!r}")
+        self._freeze((len(self.lattice), 3))
 
-    # -- constructors -------------------------------------------------------
+    def _like(self, data) -> "SpectralField":
+        return SpectralField(self.lattice, data)
 
     @staticmethod
     def zero(lattice: Lattice) -> "SpectralField":
@@ -64,65 +143,74 @@ class SpectralField:
             data[lattice.index[site]] = np.asarray(vec, dtype=np.complex128)
         return SpectralField(lattice, data)
 
-    # -- mapping-style access ------------------------------------------------
-
     def __getitem__(self, key) -> np.ndarray:
         return self.data[self.lattice.site_index(key)].copy()
-
-    def magnitudes(self) -> np.ndarray:
-        """Per-site complex Euclidean magnitude of the 3-vector amplitude."""
-        return np.sqrt((self.data.real ** 2 + self.data.imag ** 2).sum(axis=1))
 
     @property
     def support_size(self) -> int:
         return int(np.count_nonzero(self.magnitudes() > 0))
 
-    # -- algebra ------------------------------------------------------------
 
-    def _check_same_lattice(self, other: "SpectralField"):
-        if self.lattice != other.lattice:
-            raise ValueError("fields live on different lattices")
+@dataclass(frozen=True, eq=False)
+class TimeSlicedField(_ArrayField):
+    """A field-valued function of time sampled on a fixed substep grid.
 
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        self._check_same_lattice(other)
-        return SpectralField(self.lattice, self.data + other.data)
+    data[n] holds the (N, 3) amplitudes at times[n], stored as one read-only
+    (S+1, N, 3) array.
+    """
 
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        self._check_same_lattice(other)
-        return SpectralField(self.lattice, self.data - other.data)
+    times: tuple[float, ...]
+    lattice: Lattice
+    data: np.ndarray  # (S+1, N, 3) complex128, read-only
 
-    def __neg__(self) -> "SpectralField":
-        return SpectralField(self.lattice, -self.data)
+    def __post_init__(self):
+        times = tuple(float(t) for t in self.times)
+        if not times:
+            raise ValueError("need at least one grid time")
+        if any(b <= a for a, b in pairwise(times)):
+            raise ValueError("times must be strictly increasing")
+        object.__setattr__(self, "times", times)
+        self._freeze((len(times), len(self.lattice), 3))
 
-    def __mul__(self, scalar) -> "SpectralField":
-        return SpectralField(self.lattice, self.data * complex(scalar))
+    def _like(self, data) -> "TimeSlicedField":
+        return TimeSlicedField(self.times, self.lattice, data)
 
-    __rmul__ = __mul__
+    @classmethod
+    def from_slices(cls, times, fields):
+        """Stack one field per grid time."""
+        fields = tuple(fields)
+        if not fields:
+            raise ValueError("need at least one slice")
+        lat = fields[0].lattice
+        if any(f.lattice != lat for f in fields):
+            raise ValueError("all slices must share one lattice")
+        return cls(times, lat, np.stack([f.data for f in fields]))
 
-    def allclose(self, other: "SpectralField", rtol=1e-12, atol=0.0) -> bool:
-        self._check_same_lattice(other)
-        return bool(np.allclose(self.data, other.data, rtol=rtol, atol=atol))
+    @classmethod
+    def zero(cls, lattice, times):
+        times = tuple(times)
+        return cls(times, lattice, np.zeros((len(times), len(lattice), 3), dtype=np.complex128))
 
-    # -- invariant checks ----------------------------------------------------
+    @cached_property
+    def slices(self) -> tuple[SpectralField, ...]:
+        """The samples as read-only fields that are views of data."""
+        return tuple(SpectralField(self.lattice, d) for d in self.data)
 
-    def max_divergence_ratio(self) -> float:
-        """max over support of |<k, v(k)>| / (|k| |v(k)|); 0 for a zero field."""
-        mags = self.magnitudes()
-        mask = mags > 0
-        if not mask.any():
-            return 0.0
-        dots = np.abs((self.lattice.sites_f[mask] * self.data[mask]).sum(axis=1))
-        scale = mags[mask] * np.sqrt(self.lattice.norm_sq_f[mask])
-        return float((dots / scale).max())
+    def last_slice(self) -> SpectralField:
+        """The last sample as a field with its own copy of the data, for
+        keeping beyond this object without keeping the whole array alive."""
+        return SpectralField(self.lattice, self.data[-1].copy())
 
-    def is_divergence_free(self, eps_div: float) -> bool:
-        return self.max_divergence_ratio() <= eps_div
+    def at_time(self, t: float) -> SpectralField:
+        return self.slices[grid_index(self.times, t)]
 
-    def reality_defect(self) -> float:
-        """max over sites of |v(-k) - conj(v(k))|; 0 means negation-symmetric."""
-        perm = self.lattice.negation_permutation()
-        diff = self.data[perm] - np.conj(self.data)
-        return float(np.sqrt((diff.real ** 2 + diff.imag ** 2).sum(axis=1)).max(initial=0.0))
+
+def grid_index(times, t: float) -> int:
+    """Index of t on the grid; evaluation off the grid is out of contract."""
+    for i, s in enumerate(times):
+        if abs(s - t) <= _GRID_TOL * max(1.0, abs(t)):
+            return i
+    raise ValueError(f"t={t!r} is not on the substep grid {times[0]}..{times[-1]}")
 
 
 def phi_norm(f, alpha: float, axis=None):

@@ -67,13 +67,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConvergenceError
-from .fields import SpectralField, UNDERFLOW_FLOOR, fmc_norm
-from .operators import (
-    TimeSlicedField,
-    grid_index,
-    star_product,
-    unit_times,
-)
+from .fields import SpectralField, TimeSlicedField, UNDERFLOW_FLOOR, fmc_norm
+from .operators import star_product, unit_times
 from .params import SolverParams
 
 __all__ = [
@@ -91,7 +86,6 @@ __all__ = [
     "solve_interval",
     "apply_interval",
     "induction_steps",
-    "reconstruct_velocity",
 ]
 
 # Update norms beyond this are treated as divergence even before hitting
@@ -424,19 +418,3 @@ def induction_steps(state: DecompositionState, params: SolverParams, count: int)
         state, record = apply_interval(state, sol, params, record)
         yield sol, state, record
 
-
-def reconstruct_velocity(state: DecompositionState, t: float, params: SolverParams) -> SpectralField:
-    """Velocity at absolute time state.m + t for a grid time t in [0, 1].
-
-    At t = 0 this is the frozen decomposition itself, summed as the
-    interval's assembly sums its t = 0 slice. For t > 0 the
-    current-interval correction and remainder are required, so the interval
-    is solved and the four parts are summed at t.
-    """
-    if grid_index(unit_times(params.substeps), t) == 0:
-        times = (0.0,)
-        gaussian = assemble_gaussian_part(state, TimeSlicedField.zero(state.lattice, times),
-                                          times, params)
-        parts = assemble_heat_part(state, times) + gaussian + assemble_remainder_part(state, times)
-        return parts.slices[0]
-    return solve_interval(state, params).velocity.at_time(t)

@@ -35,38 +35,25 @@ substeps (Cox & Matthews 2002; Hochbruck & Ostermann 2010),
 so integrating S + 1 samples costs O(S) field operations, not O(S^2).
 Every term of the sum keeps a nonnegative weight, so each mode keeps its
 own relative accuracy.
-
-A function of time on the substep grid is a TimeSlicedField: one read-only
-(S+1, N, 3) array, so its sums, norms and star products are whole-array
-expressions: a star product is one bilinear call over the grid, whose
-samples the Duhamel pass then overwrites in place. Its .slices are
-SpectralField views of the rows, for readers that want one time at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from itertools import pairwise
-
 import numpy as np
 
-from .fields import SpectralField
+from .fields import SpectralField, TimeSlicedField, grid_index
 from .lattice import Lattice
 
 __all__ = [
     "leray_project",
     "bilinear",
-    "TimeSlicedField",
     "unit_times",
-    "grid_index",
     "duhamel_integrate",
     "star_product",
     "identity_split",
 ]
 
 _TWO_PI_I = 2j * np.pi
-_GRID_TOL = 1e-12
 # Bytes of output projected at once: keeps the projection's temporaries
 # small next to a long grid's (S+1, N, 3) arrays.
 _PROJECTION_BYTES = 256 * 1024
@@ -112,12 +99,9 @@ def bilinear(u, *vs, out=None):
     """
     if not vs:
         raise TypeError("bilinear needs at least one right factor")
+    for v in vs:
+        u._check_operand(v)
     lat = u.lattice
-    if any(v.lattice != lat for v in vs):
-        raise ValueError("bilinear requires fields on the same lattice")
-    # a field has no times, so this also rejects a field mixed with sliced fields
-    if any(getattr(v, "times", None) != getattr(u, "times", None) for v in vs):
-        raise ValueError("bilinear requires fields on the same time grid")
     n = len(lat)
     u_st = u.data.reshape(-1, n, 3)   # a field is a one-slice stack
     v_st = [v.data.reshape(-1, n, 3) for v in vs]
@@ -134,11 +118,8 @@ def bilinear(u, *vs, out=None):
         block *= _TWO_PI_I
     if out is not None:
         return out
-    blocks = [res[:, :, 3 * i: 3 * i + 3] for i in range(len(vs))]
-    if isinstance(u, TimeSlicedField):
-        parts = tuple(TimeSlicedField(u.times, lat, b) for b in blocks)
-    else:
-        parts = tuple(SpectralField(lat, b[0]) for b in blocks)
+    parts = tuple(u._like(res[:, :, 3 * i: 3 * i + 3].reshape(u.data.shape))
+                  for i in range(len(vs)))
     return parts[0] if len(vs) == 1 else parts
 
 
@@ -177,92 +158,6 @@ def unit_times(substeps: int) -> tuple[float, ...]:
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     return tuple(i / substeps for i in range(substeps + 1))
-
-
-@dataclass(frozen=True, eq=False)
-class TimeSlicedField:
-    """A field-valued function of time sampled on a fixed substep grid.
-
-    data[n] holds the (N, 3) amplitudes at times[n], stored as one read-only
-    (S+1, N, 3) array, so sums, norms and products over time are single
-    array expressions; every operation returns a new instance.
-    """
-
-    times: tuple[float, ...]
-    lattice: Lattice
-    data: np.ndarray  # (S+1, N, 3) complex128, read-only
-
-    def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
-        arr = np.ascontiguousarray(self.data, dtype=np.complex128)
-        if not times or arr.shape != (len(times), len(self.lattice), 3):
-            raise ValueError(f"data shape {arr.shape} does not match {len(times)} times "
-                             f"on a lattice of {len(self.lattice)} sites")
-        if any(b <= a for a, b in pairwise(times)):
-            raise ValueError("times must be strictly increasing")
-        arr.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "data", arr)
-
-    @classmethod
-    def from_slices(cls, times, fields):
-        """Stack one field per grid time."""
-        fields = tuple(fields)
-        if not fields:
-            raise ValueError("need at least one slice")
-        lat = fields[0].lattice
-        if any(f.lattice != lat for f in fields):
-            raise ValueError("all slices must share one lattice")
-        return cls(times, lat, np.stack([f.data for f in fields]))
-
-    @classmethod
-    def zero(cls, lattice, times):
-        times = tuple(times)
-        return cls(times, lattice, np.zeros((len(times), len(lattice), 3), dtype=np.complex128))
-
-    @cached_property
-    def slices(self) -> tuple[SpectralField, ...]:
-        """The samples as read-only fields that are views of data."""
-        return tuple(SpectralField(self.lattice, d) for d in self.data)
-
-    def last_slice(self) -> SpectralField:
-        """The last sample as a field with its own copy of the data, for
-        keeping beyond this object without keeping the whole array alive."""
-        return SpectralField(self.lattice, self.data[-1].copy())
-
-    def at_time(self, t: float) -> SpectralField:
-        return self.slices[grid_index(self.times, t)]
-
-    def magnitudes(self) -> np.ndarray:
-        """Per-slice, per-site complex Euclidean magnitudes; (S+1, N)."""
-        return np.sqrt((self.data.real ** 2 + self.data.imag ** 2).sum(axis=2))
-
-    def _check_same_grid(self, other: "TimeSlicedField"):
-        if self.times != other.times:
-            raise ValueError("time grids do not match")
-        if self.lattice != other.lattice:
-            raise ValueError("lattices do not match")
-
-    def __add__(self, other):
-        self._check_same_grid(other)
-        return TimeSlicedField(self.times, self.lattice, self.data + other.data)
-
-    def __sub__(self, other):
-        self._check_same_grid(other)
-        return TimeSlicedField(self.times, self.lattice, self.data - other.data)
-
-    def __mul__(self, scalar):
-        return TimeSlicedField(self.times, self.lattice, self.data * complex(scalar))
-
-    __rmul__ = __mul__
-
-
-def grid_index(times, t: float) -> int:
-    """Index of t on the grid; evaluation off the grid is out of contract."""
-    for i, s in enumerate(times):
-        if abs(s - t) <= _GRID_TOL * max(1.0, abs(t)):
-            return i
-    raise ValueError(f"t={t!r} is not on the substep grid {times[0]}..{times[-1]}")
 
 
 def _duhamel_pass(lat: Lattice, times, data: np.ndarray) -> None:
@@ -309,8 +204,7 @@ def star_product(u: TimeSlicedField, *vs: TimeSlicedField):
     out = np.empty((len(u.times), len(lat), 3 * len(vs)), dtype=np.complex128)
     bilinear(u, *vs, out=out)   # checks that vs share u's lattice and grid
     _duhamel_pass(lat, u.times, out)
-    sliced = tuple(TimeSlicedField(u.times, lat, out[:, :, 3 * i: 3 * i + 3])
-                   for i in range(len(vs)))
+    sliced = tuple(u._like(out[:, :, 3 * i: 3 * i + 3]) for i in range(len(vs)))
     return sliced[0] if len(vs) == 1 else sliced
 
 

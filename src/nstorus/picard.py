@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .fields import SpectralField, phi_norm
+from .fields import SpectralField, TimeSlicedField, phi_norm
 from .induction import _DIVERGENCE_CAP, DecompositionState, assemble_heat_part
-from .operators import TimeSlicedField, star_product
+from .operators import star_product
 from .params import SolverParams
 
 __all__ = ["PicardTrajectory", "picard_solve", "integer_time_deviations"]

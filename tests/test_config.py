@@ -12,6 +12,7 @@ from nstorus import (
     phi_norm,
     serialize_config,
 )
+from nstorus.cli import OUTPUT_DIR_ENV, main
 from nstorus.config import config_from_mapping
 
 
@@ -100,6 +101,34 @@ def test_round_trip_numpy_scalars():
     text = serialize_config(cfg)
     assert "np." not in text
     assert parse_config(text) == cfg
+
+
+@pytest.mark.parametrize("key, value", [
+    ("output_dir", "runs/#3"),     # '#' starts a comment in run_config.cfg
+    ("output_dir", " out"),        # surrounding whitespace is stripped on reading
+    ("output_dir", "out\t"),
+    ("output_dir", "runs/a\nb"),   # a line break splits the line
+    ("ic_checkpoint", "ic\r.ckpt"),
+    ("truncation_rule", "sup_cube #"),
+])
+def test_text_values_that_cannot_round_trip_rejected(key, value):
+    with pytest.raises(ConfigError, match=key):
+        RunConfig(**{key: value})
+    with pytest.raises(ConfigError, match=key):
+        config_from_mapping({key: value})
+
+
+def test_round_trip_paths():
+    for path in ("runs/3", "a b/c.d", "/tmp/x-y_z", "~/out", "out=1", "runs/é"):
+        cfg = RunConfig(output_dir=path, ic_kind="from_checkpoint", ic_checkpoint=path)
+        assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_cli_rejects_unreadable_output_dir(tmp_path, monkeypatch):
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    target = tmp_path / "a#b"
+    assert main(["run", "--k-max", "2", "--horizon-m", "1", "--output-dir", str(target)]) == 1
+    assert not target.exists()
 
 
 def test_from_checkpoint_requires_path():

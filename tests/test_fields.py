@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from nstorus import (
     DecompositionState,
+    PicardTrajectory,
     SpectralField,
     TimeSlicedField,
     assemble_heat_part,
     fmc_norm,
     phi_norm,
+    unit_times,
 )
 from nstorus.induction import _heat_weights
 from util import ball, random_field
@@ -94,7 +96,8 @@ def supported_fmc_norm(f, m, c, beta):
     """fmc_norm of one field with the weights evaluated on its support only."""
     mags = f.magnitudes()
     q = f.lattice.norm_sq_f[mags > 0]
-    weights = q ** (beta / 2.0) * np.exp(c * np.sqrt(float(m)) * np.sqrt(q))
+    with np.errstate(over="ignore"):
+        weights = q ** (beta / 2.0) * np.exp(c * np.sqrt(float(m)) * np.sqrt(q))
     return float(np.max(weights * mags[mags > 0], initial=0.0))
 
 
@@ -255,3 +258,52 @@ def test_reality_defect(ball2):
     assert f.reality_defect() == 0.0
     g = SpectralField.from_modes(ball2, {(1, 0, 0): (0, 1j, 0)})
     assert g.reality_defect() > 0
+
+
+# -- the shared core: one implementation for both kinds ------------------------
+
+def any_field(lat, rng):
+    return random_field(lat, rng, solenoidal=False)
+
+
+def any_sliced(lat, rng, times=unit_times(2)):
+    slices = [random_field(lat, rng, solenoidal=False) for _ in times]
+    slices[1] = SpectralField.zero(lat)  # an empty slice among full ones
+    return TimeSlicedField.from_slices(times, slices)
+
+
+def any_trajectory(lat, rng, times=unit_times(2)):
+    x = any_sliced(lat, rng, times)
+    return PicardTrajectory(x.times, lat, x.data, (1.0,))
+
+
+@pytest.mark.parametrize("make", [any_field, any_sliced, any_trajectory],
+                         ids=["field", "sliced", "trajectory"])
+def test_field_core_algebra_and_invariants(make, ball1, ball2):
+    rng = np.random.default_rng(11)
+    x, y = make(ball2, rng), make(ball2, rng)
+    kind = SpectralField if isinstance(x, SpectralField) else TimeSlicedField
+    for result, expect in ((x + y, x.data + y.data), (x - y, x.data - y.data),
+                           (-x, -x.data), (2 * x, x.data * 2), (x * 2, x.data * 2)):
+        assert type(result) is kind  # a trajectory's sums are plain sliced fields
+        assert getattr(result, "times", None) == getattr(x, "times", None)
+        assert np.array_equal(result.data, expect)
+    near = x + y * 1e-14
+    for a, b in ((x, y), (x, near)):
+        assert a.allclose(b) == np.allclose(a.data, b.data, rtol=1e-12, atol=0.0)
+    assert x.allclose(near) and not x.allclose(y)
+
+    other_kind = any_sliced(ball2, rng) if kind is SpectralField else any_field(ball2, rng)
+    mismatched = [other_kind, make(ball1, rng)]
+    if kind is TimeSlicedField:
+        mismatched.append(make(ball2, rng, unit_times(4)))
+    for z in mismatched:
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a.allclose(b)):
+            with pytest.raises(ValueError):
+                op(x, z)
+            with pytest.raises(ValueError):
+                op(z, x)
+
+    slices = x.slices if kind is TimeSlicedField else (x,)
+    assert x.max_divergence_ratio() == max(s.max_divergence_ratio() for s in slices) > 1e-3
+    assert x.reality_defect() == max(s.reality_defect() for s in slices) > 0

@@ -23,7 +23,6 @@ from nstorus import (
     get_lattice,
     induction_steps,
     picard_solve,
-    reconstruct_velocity,
     solve_interval,
     solve_remainder,
     star_product,
@@ -393,11 +392,11 @@ def test_advance_single_mode_is_pure_heat_decay(ball2):
     delta = 1e-3
     f = SpectralField.from_modes(ball2, {(1, 0, 0): (0.0, delta, 0.0)})
     state = DecompositionState.initial(f)
-    for _, state, _ in induction_steps(state, PARAMS, 5):
+    for sol, state, _ in induction_steps(state, PARAMS, 5):
         pass
     assert all(h.support_size == 0 for h in state.gaussian_history)
     assert all(g.support_size == 0 for g in state.remainder_history)
-    v = reconstruct_velocity(state, 0.0, PARAMS)
+    v = sol.velocity.slices[-1]
     assert v[(1, 0, 0)][1].real == pytest.approx(delta * math.exp(-5.0), rel=1e-14)
     assert v.support_size == 1
 
@@ -463,22 +462,6 @@ def test_oracle_equivalence_small_lattice(ball2):
     for m, v in enumerate(velocities):
         ref = trajectory.slices[m * PARAMS.substeps]
         assert (v - ref).magnitudes().max(initial=0.0) <= 1e-9
-
-
-def test_reconstruct_velocity_interior_time(ball2):
-    state = two_mode_state(ball2)
-    sol = solve_interval(state, PARAMS)
-    v = reconstruct_velocity(state, 0.5, PARAMS)
-    assert v.allclose(sol.velocity.at_time(0.5), rtol=1e-13)
-
-
-def test_reconstruct_velocity_at_zero_is_interval_start(ball2):
-    # the frozen decomposition is summed exactly as the interval's t = 0 slice
-    state = two_mode_state(ball2)
-    for _, state, _ in induction_steps(state, PARAMS, 2):
-        pass
-    v = reconstruct_velocity(state, 0.0, PARAMS)
-    assert np.array_equal(v.data, solve_interval(state, PARAMS).velocity.at_time(0.0).data)
 
 
 def test_running_sums_carried_match_rebuilt_state(ball2):
