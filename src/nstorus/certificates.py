@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import TimeSlicedField, fmc_norm, phi_norm
-from .induction import DecompositionState, FixedPointResult, IntervalSolution
 from .params import SolverParams
 
 __all__ = [
@@ -143,8 +142,9 @@ def check_gaussian_envelope(gaussian_part: TimeSlicedField, m: int,
     return math.exp(float(logs.max(initial=-np.inf)))
 
 
-def contraction_coefficients(fp: FixedPointResult) -> ContractionEstimate:
-    """Measured coefficients of the remainder equation's norm inequality.
+def contraction_coefficients(fp) -> ContractionEstimate:
+    """Measured coefficients of the remainder equation's norm inequality,
+    from the fixed point's induction.FixedPointResult.
 
     c1 is the forcing norm; c2 the largest measured linear gain over the
     iterates; c3 the largest measured quadratic gain (nan when every
@@ -163,36 +163,21 @@ def contraction_coefficients(fp: FixedPointResult) -> ContractionEstimate:
     return ContractionEstimate(c1, c2, c3, satisfied)
 
 
-def build_record(prev_m: int, new_state: DecompositionState,
-                 sol: IntervalSolution, params: SolverParams,
-                 previous: CertificateRecord | None = None) -> CertificateRecord:
-    """Fill the per-step certificate from the step's fields and histories.
+def build_record(state, sol, params: SolverParams) -> CertificateRecord:
+    """Fill the certificate of the step that solved sol and ended at state.
 
-    The history constants are running extrema over ages. Given previous,
-    the record of the step that ended at prev_m, only the new age is
-    fitted and folded into previous's extrema, which gives the same values
-    as fitting every age; without it every age is fitted.
+    The history constants are state.bounds, the running extrema over ages
+    1..m that DecompositionState.extended keeps; the envelope, the
+    fixed-point coefficients and phi_sup come from the step's fields.
     """
-    gauss_hist, rem_hist, first_age = new_state.gaussian_history, new_state.remainder_history, 1
-    if previous is not None:
-        if previous.m != prev_m:
-            raise ValueError(f"previous record is for m={previous.m}, not {prev_m}")
-        gauss_hist, rem_hist, first_age = gauss_hist[-1:], rem_hist[-1:], new_state.m
-    gauss = fit_gaussian_bound(gauss_hist, params, first_age)
-    rem_d, rem_rate = fit_remainder_bound(rem_hist, params, first_age)
-    if previous is not None:
-        gauss = np.append(gauss, previous.gaussian_D)
-        rem_d = np.append(rem_d, previous.remainder_D)
-        rem_rate = np.append(rem_rate, previous.remainder_decay)
-    envelope = check_gaussian_envelope(sol.gaussian_part, prev_m, params)
+    gaussian_d, remainder_d, remainder_decay = state.bounds
     ce = contraction_coefficients(sol.fixed_point)
-    finite_rates = rem_rate[np.isfinite(rem_rate)]
     return CertificateRecord(
-        m=new_state.m,
-        gaussian_D=float(gauss.max(initial=0.0)),
-        remainder_D=float(rem_d.max(initial=0.0)),
-        remainder_decay=float(finite_rates.min()) if finite_rates.size else float("nan"),
-        envelope_D=envelope,
+        m=state.m,
+        gaussian_D=gaussian_d,
+        remainder_D=remainder_d,
+        remainder_decay=remainder_decay,
+        envelope_D=check_gaussian_envelope(sol.gaussian_part, state.m - 1, params),
         c1=ce.c1,
         c2=ce.c2,
         c3=ce.c3,

@@ -50,8 +50,9 @@ A term goes through m-j rounded decays and additions here and through up
 to m-j+1 additions there, and exp(-x) of a rounded argument x carries a
 relative error of up to about 2^-52 x in either sum; the second line covers
 the terms the floor would have pruned by age, and the flushed subnormals.
-With the certificate record fitting only the new age (see
-certificates.build_record), the cost of a step no longer grows with m.
+The certificate constants over ages are carried the same way: the state
+folds only the new age's fit into them (see DecompositionState.extended),
+so the cost of a step no longer grows with m.
 
 Every part is a TimeSlicedField over the interval's grid. induction_steps
 is the one loop over steps: runs, the smallness bisection and the scripts
@@ -66,6 +67,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .certificates import build_record, fit_gaussian_bound, fit_remainder_bound
 from .errors import ConvergenceError
 from .fields import SpectralField, TimeSlicedField, UNDERFLOW_FLOOR, fmc_norm
 from .operators import star_product, unit_times
@@ -95,55 +97,65 @@ _DIVERGENCE_CAP = 1e50
 
 @dataclass(frozen=True, eq=False)
 class DecompositionState:
-    """Induction record at integer time m.
+    """Induction record at integer time m, built by DecompositionState.initial
+    and grown one interval at a time by extended.
 
     initial_field is the t = 0 velocity; the histories hold one entry per
     completed interval j = 1..m, frozen at that interval's end. Gaussian
     history entries are stored with their |k|^(2 epsilon) factor multiplied
     in; assembly divides it back out.
 
-    gaussian_sum and remainder_sum are the histories' running sums R_m (see
-    the module docstring). Left out, they are built from the histories, and
-    every entry is checked; apply_interval passes them extended by the new
-    pair instead, and then only that pair is checked.
+    Every reduction of the histories that a step needs is carried along:
+    gaussian_sum and remainder_sum are their running sums R_m (see the
+    module docstring), and bounds = (gaussian_D, remainder_D,
+    remainder_decay) are the certificate constants over ages 1..m: the
+    maxima of the per-age minimal D and the minimum of the finite fitted
+    decay rates (nan while there is none).
     """
 
-    m: int
     initial_field: SpectralField
-    gaussian_history: tuple[SpectralField, ...] = ()
-    remainder_history: tuple[SpectralField, ...] = ()
-    gaussian_sum: SpectralField | None = field(default=None, repr=False)
-    remainder_sum: SpectralField | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.m < 0:
-            raise ValueError("m must be non-negative")
-        if len(self.gaussian_history) != self.m or len(self.remainder_history) != self.m:
-            raise ValueError("history lengths must both equal m")
-        if (self.gaussian_sum is None) != (self.remainder_sum is None):
-            raise ValueError("give both running sums or neither")
-        lat = self.initial_field.lattice
-        fresh = self.gaussian_sum is None
-        checked = ((*self.gaussian_history, *self.remainder_history) if fresh else
-                   (*self.gaussian_history[-1:], *self.remainder_history[-1:],
-                    self.gaussian_sum, self.remainder_sum))
-        if any(f.lattice != lat for f in checked):
-            raise ValueError("history fields must share the initial field's lattice")
-        if fresh:
-            for name, history in (("gaussian_sum", self.gaussian_history),
-                                  ("remainder_sum", self.remainder_history)):
-                total = SpectralField.zero(lat)
-                for h in history:
-                    total = _extend_sum(total, h)
-                object.__setattr__(self, name, total)
+    gaussian_history: tuple[SpectralField, ...]
+    remainder_history: tuple[SpectralField, ...]
+    gaussian_sum: SpectralField = field(repr=False)
+    remainder_sum: SpectralField = field(repr=False)
+    bounds: tuple[float, float, float]
 
     @classmethod
     def initial(cls, v0: SpectralField) -> "DecompositionState":
-        return cls(0, v0)
+        zero = SpectralField.zero(v0.lattice)
+        return cls(v0, (), (), zero, zero, (0.0, 0.0, math.nan))
+
+    @property
+    def m(self) -> int:
+        return len(self.gaussian_history)
 
     @property
     def lattice(self):
         return self.initial_field.lattice
+
+    def extended(self, h: SpectralField, g: SpectralField,
+                 params: SolverParams) -> "DecompositionState":
+        """The state at m + 1, with h and g as the histories' age-(m + 1)
+        entries: both running sums extended and the new age's fitted
+        constants folded into bounds."""
+        if h.lattice != self.lattice or g.lattice != self.lattice:
+            raise ValueError("history fields must share the initial field's lattice")
+        age = self.m + 1
+        gauss_d, rem_d, rate = self.bounds
+        (new_gauss_d,) = fit_gaussian_bound((h,), params, age)
+        (new_rem_d,), new_rates = fit_remainder_bound((g,), params, age)
+        rates = np.append(new_rates, rate)
+        rates = rates[np.isfinite(rates)]
+        bounds = (float(np.maximum(gauss_d, new_gauss_d)), float(np.maximum(rem_d, new_rem_d)),
+                  float(rates.min()) if rates.size else math.nan)
+        return DecompositionState(
+            self.initial_field,
+            self.gaussian_history + (h,),
+            self.remainder_history + (g,),
+            _extend_sum(self.gaussian_sum, h),
+            _extend_sum(self.remainder_sum, g),
+            bounds,
+        )
 
 
 def _heat_weights(ages: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -351,12 +363,15 @@ def solve_remainder(
 class IntervalSolution:
     """All per-interval fields produced while advancing one unit interval."""
 
-    times: tuple[float, ...]
     heat_part: TimeSlicedField
     gaussian_part: TimeSlicedField
     remainder_part: TimeSlicedField
     correction: TimeSlicedField
     fixed_point: FixedPointResult
+
+    @property
+    def times(self) -> tuple[float, ...]:
+        return self.heat_part.times
 
     @cached_property
     def velocity(self) -> TimeSlicedField:
@@ -376,45 +391,25 @@ def solve_interval(state: DecompositionState, params: SolverParams) -> IntervalS
     forcing = assemble_forcing(heat_part, gaussian_part, remainder_part)
     fixed_point = solve_remainder(forcing, heat_part, gaussian_part,
                                   remainder_part, params, state.m + 1)
-    return IntervalSolution(times, heat_part, gaussian_part, remainder_part,
-                            correction, fixed_point)
+    return IntervalSolution(heat_part, gaussian_part, remainder_part, correction, fixed_point)
 
 
-def apply_interval(state: DecompositionState, sol: IntervalSolution, params: SolverParams,
-                   previous=None):
-    """Append the interval-end correction and remainder to the histories,
-    extending their running sums, and emit the step's certificate record.
-
-    previous is the certificate record of the step that ended at state.m;
-    the new record extends its running constants by the new age alone.
-    Without it every age is fitted.
-    """
-    from .certificates import build_record  # local import to avoid a cycle
-
-    h, g = sol.correction.last_slice(), sol.fixed_point.solution.last_slice()
-    new_state = DecompositionState(
-        m=state.m + 1,
-        initial_field=state.initial_field,
-        gaussian_history=state.gaussian_history + (h,),
-        remainder_history=state.remainder_history + (g,),
-        gaussian_sum=_extend_sum(state.gaussian_sum, h),
-        remainder_sum=_extend_sum(state.remainder_sum, g),
-    )
-    record = build_record(state.m, new_state, sol, params, previous)
-    return new_state, record
+def apply_interval(state: DecompositionState, sol: IntervalSolution, params: SolverParams):
+    """Extend state by the interval-end correction and remainder, and emit
+    the step's certificate record."""
+    new_state = state.extended(sol.correction.last_slice(),
+                               sol.fixed_point.solution.last_slice(), params)
+    return new_state, build_record(new_state, sol, params)
 
 
 def induction_steps(state: DecompositionState, params: SolverParams, count: int):
     """Advance count unit intervals from state, yielding
-    (interval solution, new state, certificate record) after each step;
-    each record is handed to the next step, which extends it.
+    (interval solution, new state, certificate record) after each step.
 
     A ConvergenceError propagates from the step that failed; the last state
     yielded before it is the state that step started from.
     """
-    record = None
     for _ in range(count):
         sol = solve_interval(state, params)
-        state, record = apply_interval(state, sol, params, record)
+        state, record = apply_interval(state, sol, params)
         yield sol, state, record
-

@@ -11,7 +11,7 @@ Each CSV starts with a '# schema=' line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 from . import certificates
@@ -48,10 +48,7 @@ CHECK_REPORT_SCHEMA = "nstorus.check_report.v1"
 BISECT_SCHEMA = "nstorus.bisect_delta.v1"
 
 NORM_SERIES_COLUMNS = ("m", "t", "phi_norm", "fmc_norm_g", "fp_iterations")
-CERTIFICATE_COLUMNS = (
-    "m", "gaussian_D", "remainder_D", "remainder_decay", "envelope_D",
-    "c1", "c2", "c3", "contraction_ok", "fp_iterations", "phi_sup",
-)
+CERTIFICATE_COLUMNS = tuple(f.name for f in fields(certificates.CertificateRecord))
 
 
 def _write_csv(path: Path, schema: str, columns, rows) -> None:
@@ -79,12 +76,6 @@ class RunOutcome:
     records: list
     oracle_max_diff: float | None = None
     failed_step: int | None = None
-
-
-def _record_row(rec) -> tuple:
-    return (rec.m, rec.gaussian_D, rec.remainder_D, rec.remainder_decay,
-            rec.envelope_D, rec.c1, rec.c2, rec.c3, rec.contraction_ok,
-            rec.fp_iterations, rec.phi_sup)
 
 
 def run(config: RunConfig) -> RunOutcome:
@@ -125,7 +116,7 @@ def run(config: RunConfig) -> RunOutcome:
                    NORM_SERIES_COLUMNS, norm_rows)
     if "certificates" in config.emit:
         _write_csv(out_dir / "certificates.csv", CERTIFICATES_SCHEMA,
-                   CERTIFICATE_COLUMNS, [_record_row(r) for r in records])
+                   CERTIFICATE_COLUMNS, [astuple(r) for r in records])
     if status == STATUS_OK and "fields" in config.emit:
         fields_dir = out_dir / "fields"
         fields_dir.mkdir(exist_ok=True)
@@ -261,40 +252,35 @@ def _converges(config: RunConfig, delta: float, horizon: int) -> bool:
 def bisect_delta(config: RunConfig, delta_lo: float = 1e-6, delta_hi: float = 1.0,
                  bisect_steps: int = 20, bisect_horizon: int = 50) -> BisectOutcome:
     """Bracket the largest smallness scale for which bisect_horizon steps
-    converge; writes bisect_delta.csv rows (iteration, delta, converged)."""
+    converge; writes bisect_delta.csv rows (iteration, delta, converged)
+    whatever the outcome."""
     if not 0 < delta_lo < delta_hi:
         raise ConfigError("need 0 < delta_lo < delta_hi")
-    rows = []
-    if not _converges(config, delta_lo, bisect_horizon):
-        return BisectOutcome(delta_lo, delta_hi, rows,
-                             f"delta_lo={delta_lo!r} already fails to converge",
-                             STATUS_FP_FAILURE)
-    rows.append((0, delta_lo, True))
-    if _converges(config, delta_hi, bisect_horizon):
-        rows.append((0, delta_hi, True))
+    lo_ok = _converges(config, delta_lo, bisect_horizon)
+    hi_ok = lo_ok and _converges(config, delta_hi, bisect_horizon)
+    rows = [(0, delta_lo, lo_ok)] + ([(0, delta_hi, hi_ok)] if lo_ok else [])
+    if not lo_ok:
+        out = BisectOutcome(delta_lo, delta_hi, rows,
+                            f"delta_lo={delta_lo!r} already fails to converge",
+                            STATUS_FP_FAILURE)
+    elif hi_ok:
         out = BisectOutcome(delta_hi, delta_hi, rows,
                             f"delta_hi={delta_hi!r} converges; threshold is above it")
-        _write_bisect(config, out)
-        return out
-    rows.append((0, delta_hi, False))
-    lo, hi = delta_lo, delta_hi
-    for i in range(1, bisect_steps + 1):
-        mid = math.sqrt(lo * hi)  # bisect in log scale: the regimes span decades
-        ok = _converges(config, mid, bisect_horizon)
-        rows.append((i, mid, ok))
-        if ok:
-            lo = mid
-        else:
-            hi = mid
-    out = BisectOutcome(lo, hi, rows,
-                        f"contraction threshold bracketed in [{lo!r}, {hi!r}] "
-                        f"after {bisect_steps} bisection steps")
-    _write_bisect(config, out)
-    return out
-
-
-def _write_bisect(config: RunConfig, outcome: BisectOutcome) -> None:
+    else:
+        lo, hi = delta_lo, delta_hi
+        for i in range(1, bisect_steps + 1):
+            mid = math.sqrt(lo * hi)  # bisect in log scale: the regimes span decades
+            ok = _converges(config, mid, bisect_horizon)
+            rows.append((i, mid, ok))
+            if ok:
+                lo = mid
+            else:
+                hi = mid
+        out = BisectOutcome(lo, hi, rows,
+                            f"contraction threshold bracketed in [{lo!r}, {hi!r}] "
+                            f"after {bisect_steps} bisection steps")
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "bisect_delta.csv", BISECT_SCHEMA,
-               ("iteration", "delta", "converged"), outcome.rows)
+               ("iteration", "delta", "converged"), out.rows)
+    return out

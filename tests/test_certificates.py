@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from nstorus import (
+    CertificateRecord,
     SolverParams,
     SpectralField,
     TimeSlicedField,
@@ -19,7 +21,8 @@ from nstorus import (
     fmc_norm,
     unit_times,
 )
-from nstorus.induction import DecompositionState, induction_steps, iterate_contraction
+from nstorus.induction import (DecompositionState, apply_interval, induction_steps,
+                               iterate_contraction, solve_interval)
 from util import random_field, random_sliced
 
 PARAMS = SolverParams()
@@ -222,23 +225,44 @@ def test_contraction_measures_quadratic_gain(ball2):
 # -- the per-step ledger ------------------------------------------------------------
 
 def test_ledger_records_equal_full_refits(ball2):
-    # each step fits only its new age and folds it into the previous
-    # record's running extrema: the same values as fitting every age
+    # each step fits only its new age and folds it into the state's running
+    # extrema: the same values as fitting every age
     params = SolverParams(delta=0.03)
     state = DecompositionState.initial(random_field(ball2, np.random.default_rng(2), 0.01))
     finite_rates = 0
     for _, state, record in induction_steps(state, params, 32):
+        gaussian_d, remainder_d, remainder_decay = state.bounds
         gauss = fit_gaussian_bound(state.gaussian_history, params)
         rem_d, rem_rate = fit_remainder_bound(state.remainder_history, params)
         rates = rem_rate[np.isfinite(rem_rate)]
-        assert record.gaussian_D == gauss.max()
-        assert record.remainder_D == rem_d.max()
+        assert gaussian_d == gauss.max()
+        assert remainder_d == rem_d.max()
         if rates.size:
             finite_rates += 1
-            assert record.remainder_decay == rates.min()
+            assert remainder_decay == rates.min()
         else:
-            assert math.isnan(record.remainder_decay)
-    assert finite_rates > 0 and record.gaussian_D > 0 and record.remainder_D > 0
+            assert math.isnan(remainder_decay)
+        assert (record.gaussian_D, record.remainder_D) == (gaussian_d, remainder_d)
+    assert finite_rates > 0 and gaussian_d > 0 and remainder_d > 0
+
+
+def test_apply_interval_loop_records_equal_induction_steps(ball2):
+    # a caller that loops solve_interval + apply_interval itself passes no
+    # record along and still gets induction_steps' running constants
+    params = SolverParams(delta=0.03)
+    v0 = random_field(ball2, np.random.default_rng(2), 0.01)
+    state = DecompositionState.initial(v0)
+    looped = []
+    for _ in range(8):
+        sol = solve_interval(state, params)
+        state, record = apply_interval(state, sol, params)
+        looped.append(record)
+    stepped = [r for _, _, r in induction_steps(DecompositionState.initial(v0), params, 8)]
+    assert len(looped) == len(stepped) == 8
+    for a, b in zip(looped, stepped):
+        for f in dataclasses.fields(CertificateRecord):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert x == y or (math.isnan(x) and math.isnan(y)), (a.m, f.name)
 
 
 def test_fit_first_age_offsets_ages(ball2):

@@ -30,7 +30,8 @@ from nstorus import (
 )
 from nstorus.fields import UNDERFLOW_FLOOR
 from nstorus.induction import apply_interval, iterate_contraction, remainder_maps
-from util import ball, looped_history_parts, random_field, random_sliced, star_majorant
+from util import (ball, looped_history_parts, random_field, random_sliced, star_majorant,
+                  state_from_histories)
 
 PARAMS = SolverParams()
 
@@ -52,8 +53,8 @@ def test_heat_part_at_origin_time(ball2):
 
 def test_heat_part_decay_factor(ball2):
     f = SpectralField.from_modes(ball2, {(1, 0, 0): (0.0, 1.0, 0.0)})
-    state = DecompositionState(2, f, (SpectralField.zero(ball2),) * 2,
-                               (SpectralField.zero(ball2),) * 2)
+    state = state_from_histories(f, (SpectralField.zero(ball2),) * 2,
+                                 (SpectralField.zero(ball2),) * 2, PARAMS)
     part = assemble_heat_part(state, unit_times(2))
     assert part.at_time(0.5)[(1, 0, 0)][1].real == pytest.approx(math.exp(-2.5), rel=1e-14)
 
@@ -74,8 +75,8 @@ def test_gaussian_part_empty_history_zero_correction(ball2):
 def test_gaussian_part_latest_entry_weight_collapses(ball2):
     rng = np.random.default_rng(5)
     h = random_field(ball2, rng, scale=1e-6)
-    state = DecompositionState(1, random_field(ball2, rng, scale=1e-3), (h,),
-                               (SpectralField.zero(ball2),))
+    state = state_from_histories(random_field(ball2, rng, scale=1e-3), (h,),
+                                 (SpectralField.zero(ball2),), PARAMS)
     times = unit_times(4)
     part = assemble_gaussian_part(state, TimeSlicedField.zero(ball2, times), times, PARAMS)
     qe = ball2.norm_sq_f ** PARAMS.epsilon
@@ -85,8 +86,8 @@ def test_gaussian_part_latest_entry_weight_collapses(ball2):
 def test_gaussian_part_matches_brute_force_sum(ball2):
     rng = np.random.default_rng(6)
     h1, h2 = random_field(ball2, rng, 1e-6), random_field(ball2, rng, 1e-6)
-    state = DecompositionState(2, random_field(ball2, rng, 1e-3), (h1, h2),
-                               (SpectralField.zero(ball2),) * 2)
+    state = state_from_histories(random_field(ball2, rng, 1e-3), (h1, h2),
+                                 (SpectralField.zero(ball2),) * 2, PARAMS)
     times = unit_times(4)
     part = assemble_gaussian_part(state, TimeSlicedField.zero(ball2, times), times, PARAMS)
     q = ball2.norm_sq_f
@@ -102,8 +103,8 @@ def test_gaussian_part_matches_brute_force_sum(ball2):
 def test_remainder_part_matches_brute_force_sum(ball2):
     rng = np.random.default_rng(8)
     g1, g2 = random_field(ball2, rng, 1e-6), random_field(ball2, rng, 1e-6)
-    state = DecompositionState(2, random_field(ball2, rng, 1e-3),
-                               (SpectralField.zero(ball2),) * 2, (g1, g2))
+    state = state_from_histories(random_field(ball2, rng, 1e-3),
+                                 (SpectralField.zero(ball2),) * 2, (g1, g2), PARAMS)
     times = unit_times(4)
     part = assemble_remainder_part(state, times)
     q = ball2.norm_sq_f
@@ -151,8 +152,7 @@ def test_history_assembly_matches_per_time_loop(m, k_max, rule, substeps, horizo
     scales = 10.0 ** rng.uniform(-12, 0, size=2 * m)
     decay = np.exp(-a * lat.norm_sq_f)[:, None]
     history = [SpectralField(lat, random_field(lat, rng, scale=s).data * decay) for s in scales]
-    state = DecompositionState(m, random_field(lat, rng), tuple(history[:m]),
-                               tuple(history[m:]))
+    state = state_from_histories(random_field(lat, rng), history[:m], history[m:], PARAMS)
     times = tuple(horizon * t for t in unit_times(substeps))
     correction = random_sliced(lat, times, rng, scale=1e-6, a=a)
     gaussian, remainder = looped_history_parts(state, correction, PARAMS)
@@ -170,7 +170,7 @@ def test_running_sums_flush_subnormals(ball2):
     h = SpectralField.from_modes(ball2, {(1, 0, 0): (0.0, 2 * tiny, 0.0),
                                         (0, 1, 0): (1.0, 0.0, 0.0)})
     zero = SpectralField.zero(ball2)
-    state = DecompositionState(2, zero, (h, zero), (zero, h))
+    state = state_from_histories(zero, (h, zero), (zero, h), PARAMS)
     parts = np.concatenate([state.gaussian_sum.data, state.remainder_sum.data]).view(np.float64)
     assert not ((parts != 0) & (np.abs(parts) < tiny)).any()
     assert state.gaussian_sum[(1, 0, 0)][1] == 0.0
@@ -464,30 +464,9 @@ def test_oracle_equivalence_small_lattice(ball2):
         assert (v - ref).magnitudes().max(initial=0.0) <= 1e-9
 
 
-def test_running_sums_carried_match_rebuilt_state(ball2):
-    # apply_interval extends R by the new pair; a state built from the same
-    # histories runs the same recurrence over them, so both agree exactly
-    state = DecompositionState.initial(random_field(ball2, np.random.default_rng(4), 1e-3))
-    for _, state, _ in induction_steps(state, PARAMS, 6):
-        pass
-    rebuilt = DecompositionState(state.m, state.initial_field, state.gaussian_history,
-                                 state.remainder_history)
-    assert np.array_equal(rebuilt.gaussian_sum.data, state.gaussian_sum.data)
-    assert np.array_equal(rebuilt.remainder_sum.data, state.remainder_sum.data)
-    assert state.remainder_sum.support_size > 0
-
-
-def test_state_validation():
-    lat = ball(2)
-    with pytest.raises(ValueError):
-        DecompositionState(1, SpectralField.zero(lat))  # missing histories
-    with pytest.raises(ValueError):
-        DecompositionState(-1, SpectralField.zero(lat))
-    zero = SpectralField.zero(lat)
-    with pytest.raises(ValueError):
-        DecompositionState(1, zero, (zero,), (zero,), gaussian_sum=zero)  # one sum only
-    other = SpectralField.zero(ball(1))
-    with pytest.raises(ValueError):
-        DecompositionState(1, zero, (other,), (zero,))
-    with pytest.raises(ValueError):  # a state given its sums checks the newest pair
-        DecompositionState(1, zero, (zero,), (other,), gaussian_sum=zero, remainder_sum=zero)
+def test_extended_rejects_pair_on_another_lattice():
+    zero, other = SpectralField.zero(ball(2)), SpectralField.zero(ball(1))
+    state = DecompositionState.initial(zero)
+    for h, g in ((other, zero), (zero, other)):
+        with pytest.raises(ValueError):
+            state.extended(h, g, PARAMS)

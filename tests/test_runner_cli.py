@@ -300,3 +300,15 @@ def test_cli_bisect_subcommand(tmp_path):
                  "--bisect-steps", "3", "--bisect-horizon", "2"])
     assert code == 0
     assert (out / "bisect_delta.csv").is_file()
+
+
+def test_cli_bisect_writes_rows_when_delta_lo_fails(tmp_path):
+    out = tmp_path / "bs_fail"
+    code = main(["bisect-delta", "--k-max", "2", "--fp-max-iter", "5",
+                 "--output-dir", str(out), "--delta-lo", "0.5", "--delta-hi", "1.0",
+                 "--bisect-steps", "3", "--bisect-horizon", "2"])
+    assert code == STATUS_FP_FAILURE
+    schema, cols, rows = read_csv(out / "bisect_delta.csv")
+    assert schema == "nstorus.bisect_delta.v1"
+    assert cols == ["iteration", "delta", "converged"]
+    assert rows == [["0", "0.5", "false"]]

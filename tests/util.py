@@ -4,7 +4,7 @@ nstorus."""
 
 import numpy as np
 
-from nstorus import LatticeSpec, SpectralField, TimeSlicedField, get_lattice
+from nstorus import DecompositionState, LatticeSpec, SpectralField, TimeSlicedField, get_lattice
 from nstorus.fields import UNDERFLOW_FLOOR
 
 
@@ -134,3 +134,12 @@ def looped_history_parts(state, correction, params):
     remainder = [decayed(t, state.remainder_history, np.zeros_like(c.data))
                  for t, c in zip(correction.times, correction.slices)]
     return np.stack(gaussian), np.stack(remainder)
+
+
+def state_from_histories(v0, gaussian_history, remainder_history, params):
+    """The state at m = len(history): DecompositionState.initial(v0)
+    extended by each (gaussian, remainder) history pair in turn."""
+    state = DecompositionState.initial(v0)
+    for h, g in zip(gaussian_history, remainder_history, strict=True):
+        state = state.extended(h, g, params)
+    return state
