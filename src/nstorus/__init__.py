@@ -23,9 +23,9 @@ from .induction import (
     DecompositionState,
     assemble_forcing,
     assemble_gaussian_part,
-    assemble_heat_part,
     assemble_remainder_part,
     compute_gaussian_correction,
+    heat_flow,
     induction_steps,
     solve_interval,
     solve_remainder,

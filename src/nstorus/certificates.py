@@ -7,6 +7,11 @@ modes, evaluated in log space where Gaussian weights would overflow), and
 the per-step record collects them so that boundedness in m can be checked
 empirically. Checks use grid suprema only; restricting a pointwise-in-t
 bound to grid times weakens it but cannot falsify it.
+
+Magnitudes come from fields.site_magnitudes, so no nonzero entry leaves
+the support. The fits keep subnormal magnitudes (below 2^-1022): each is
+within a few units of 2^-1074, which moves its log by at most about log 2,
+while dropping them would bias a fitted rate towards the remaining shells.
 """
 
 from __future__ import annotations

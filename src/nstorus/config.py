@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields as dc_fields
 import numpy as np
 
 from .errors import ConfigError
-from .fields import SpectralField, phi_norm
+from .fields import SpectralField, phi_norm, site_magnitudes
 from .lattice import LatticeSpec, TruncationRule, get_lattice
 from .params import SolverParams
 
@@ -181,7 +181,7 @@ def _random_phi_ball(config: RunConfig) -> SpectralField:
     # project each draw orthogonal to its site, then normalize so the
     # weighted amplitude |k|^alpha |v(k)| equals scale * delta per site
     raw = raw - ((kf * raw).sum(axis=1) / q)[:, None] * kf
-    mags = np.sqrt((raw.real ** 2 + raw.imag ** 2).sum(axis=1))
+    mags = site_magnitudes(raw)
     safe = mags > 0
     factors = np.zeros(n)
     factors[safe] = scales[safe] * config.delta / (mags[safe] * q[safe] ** (alpha / 2.0))

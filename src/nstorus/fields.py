@@ -30,6 +30,7 @@ __all__ = [
     "SpectralField",
     "TimeSlicedField",
     "grid_index",
+    "site_magnitudes",
     "phi_norm",
     "fmc_norm",
     "UNDERFLOW_FLOOR",
@@ -40,6 +41,21 @@ __all__ = [
 UNDERFLOW_FLOOR = 1e-300
 # Relative distance within which grid_index takes a time to be a grid time.
 _GRID_TOL = 1e-12
+# Squares below the normal range cost a sum of at least 2^-968 = 2^54 * 2^-1022
+# under 2^-104 of itself; below it they may have lost bits or underflowed to 0.
+_SQUARES_EXACT = 2.0 ** -968
+
+
+def site_magnitudes(data: np.ndarray) -> np.ndarray:
+    """Euclidean magnitude of the complex 3-vectors on data's last axis; by
+    nested hypot where the squares are too small, so no nonzero reads 0."""
+    sq = (data.real ** 2 + data.imag ** 2).sum(axis=-1)
+    mags = np.sqrt(sq)
+    small = sq < _SQUARES_EXACT
+    if small.any():
+        mod = np.abs(data[small])
+        mags[small] = np.hypot(np.hypot(mod[:, 0], mod[:, 1]), mod[:, 2])
+    return mags
 
 
 class _ArrayField:
@@ -66,7 +82,7 @@ class _ArrayField:
     def magnitudes(self) -> np.ndarray:
         """Per-site complex Euclidean magnitude of the 3-vector amplitude;
         (N,) for a field, (S+1, N) for a sliced field."""
-        return np.sqrt((self.data.real ** 2 + self.data.imag ** 2).sum(axis=-1))
+        return site_magnitudes(self.data)
 
     # -- algebra ------------------------------------------------------------
 
@@ -106,7 +122,7 @@ class _ArrayField:
         negation-symmetric."""
         perm = self.lattice.negation_permutation()
         diff = self.data[..., perm, :] - np.conj(self.data)
-        return float(np.sqrt((diff.real ** 2 + diff.imag ** 2).sum(axis=-1)).max(initial=0.0))
+        return float(site_magnitudes(diff).max(initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)

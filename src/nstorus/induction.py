@@ -21,7 +21,10 @@ summed by bilinearity as two star products; the linear map couples g
 against the parts' sum from both sides, and the quadratic term is g against
 itself (two star products per evaluation, see remainder_maps). For small
 data the map contracts in the weighted remainder norm and plain iteration
-from zero converges.
+from zero converges in fixed_point, the one loop, which the Picard oracle
+runs too; iterate_contraction adds the certificates' measurements. One
+heat flow, heat_flow, gives the heat part (also the oracle's first
+iterate) and each history's part from its running sum.
 
 Histories are frozen at their interval-end values; the decomposition is
 exact at the discrete level, so the composed interval solves agree with a
@@ -64,6 +67,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import pairwise
 
 import numpy as np
 
@@ -77,11 +81,12 @@ __all__ = [
     "DecompositionState",
     "IntervalSolution",
     "FixedPointResult",
-    "assemble_heat_part",
+    "heat_flow",
     "compute_gaussian_correction",
     "assemble_gaussian_part",
     "assemble_remainder_part",
     "assemble_forcing",
+    "fixed_point",
     "iterate_contraction",
     "remainder_maps",
     "solve_remainder",
@@ -175,23 +180,19 @@ def _extend_sum(total: SpectralField, entry: SpectralField) -> SpectralField:
     """The running sum one age on, exp(-|k|^2) total + entry, with every
     component below the normal range flushed to zero."""
     lat = entry.lattice
-    data = _heat_weights(np.ones(1), lat.norm_sq_f)[0][:, None] * total.data + entry.data
+    data = heat_flow(total, 1, (0.0,)).data[0] + entry.data
     parts = data.view(np.float64)
     parts[np.abs(parts) < _SMALLEST_NORMAL] = 0.0
     return SpectralField(lat, data)
 
 
-def _decayed(total: SpectralField, times) -> np.ndarray:
-    """exp(-t|k|^2) total at every grid time t; (S+1, N, 3)."""
-    w = _heat_weights(np.asarray(times, dtype=np.float64), total.lattice.norm_sq_f)
-    return w[:, :, None] * total.data
-
-
-def assemble_heat_part(state: DecompositionState, times) -> TimeSlicedField:
-    """Initial data decayed to absolute time m + t for each grid time t."""
+def heat_flow(f: SpectralField, m, times) -> TimeSlicedField:
+    """exp(-(m+t)|k|^2) f at each grid time t: with f the initial data, the
+    heat part of the step from integer time m (with m = 0 also the Picard
+    oracle's first iterate); with f a running sum, that history's part."""
     times = tuple(times)
-    w = _heat_weights(state.m + np.asarray(times, dtype=np.float64), state.lattice.norm_sq_f)
-    return TimeSlicedField(times, state.lattice, state.initial_field.data * w[:, :, None])
+    w = _heat_weights(m + np.asarray(times, dtype=np.float64), f.lattice.norm_sq_f)
+    return TimeSlicedField(times, f.lattice, f.data * w[:, :, None])
 
 
 def compute_gaussian_correction(heat_part: TimeSlicedField, params: SolverParams) -> TimeSlicedField:
@@ -213,14 +214,13 @@ def assemble_gaussian_part(
     if correction.times != times:
         raise ValueError("correction grid does not match the interval grid")
     qe = state.lattice.norm_sq_f ** params.epsilon
-    acc = correction.data + _decayed(state.gaussian_sum, times)
+    acc = correction.data + heat_flow(state.gaussian_sum, 0, times).data
     return TimeSlicedField(times, state.lattice, acc / qe[:, None])
 
 
 def assemble_remainder_part(state: DecompositionState, times) -> TimeSlicedField:
     """Heat-decayed remainder history (no current-interval term)."""
-    times = tuple(times)
-    return TimeSlicedField(times, state.lattice, _decayed(state.remainder_sum, times))
+    return heat_flow(state.remainder_sum, 0, times)
 
 
 def assemble_forcing(
@@ -245,7 +245,6 @@ class FixedPointResult:
     """
 
     solution: TimeSlicedField
-    iterations: int
     ratios: tuple[float, ...]
     update_norms: tuple[float, ...]
     forcing_norm: float
@@ -253,75 +252,75 @@ class FixedPointResult:
     residual: float
     solution_norm: float
 
+    @property
+    def iterations(self) -> int:
+        return len(self.update_norms)
+
+
+def fixed_point(first, step, norm_fn, tol: float, max_iter: int):
+    """Iterate x <- step(x) from the iterate first until the norm of the
+    update falls below tol; returns (x, update_norms, ratios), with ratios
+    d_i / d_(i-1) for each update norm d_(i-1) > 0. first is iterate 1, the
+    update from a zero start. Raises ConvergenceError after max_iter
+    iterates, or at an update norm that is non-finite or above the
+    divergence cap."""
+    x, d = first, norm_fn(first)
+    updates: list[float] = []
+    while True:
+        ratio = d / updates[-1] if updates and updates[-1] > 0 else math.nan
+        if not math.isfinite(d) or d > _DIVERGENCE_CAP:
+            raise ConvergenceError(
+                f"fixed-point iteration diverged after {len(updates) + 1} iterations "
+                f"(update norm {d:.3e}); the data is outside the contraction regime",
+                iterations=len(updates) + 1, last_update=d, last_ratio=ratio)
+        updates.append(d)
+        if d < tol:
+            return x, tuple(updates), tuple(b / a for a, b in pairwise(updates) if a > 0)
+        if len(updates) == max_iter:
+            raise ConvergenceError(
+                f"fixed-point iteration did not converge within {max_iter} iterations "
+                f"(last update {d:.3e}, last ratio {ratio:.3e})",
+                iterations=max_iter, last_update=d, last_ratio=ratio)
+        nxt = step(x)
+        # release the old iterate before the norm, and the update before
+        # the next step: each is a whole-grid array
+        update, x = nxt - x, nxt
+        del nxt
+        d = norm_fn(update)
+        del update
+
 
 def iterate_contraction(forcing, maps, norm_fn, tol: float, max_iter: int) -> FixedPointResult:
     """Solve x = forcing + linear(x) + quadratic(x) by plain iteration from 0,
     where maps(x) returns the pair (linear(x), quadratic(x)).
 
-    Both maps vanish at zero, so the first iterate is the forcing itself
-    and the maps are first evaluated at it. Stops when the norm of the
-    update falls below tol; raises ConvergenceError when the budget is
-    exhausted, the update norm exceeds the divergence cap, or a non-finite
-    update appears. After acceptance the
-    map is evaluated once more at the solution to measure the residual and
-    the linear/quadratic gains used by the certificates.
+    Both maps vanish at zero, so the first iterate of fixed_point is the
+    forcing itself. After acceptance the map is evaluated once more at the
+    solution to measure the residual and the linear/quadratic gains used by
+    the certificates.
     """
-    prev = forcing * 0.0
-    prev_norm = 0.0
-    updates: list[float] = []
-    ratios: list[float] = []
     measurements: list[tuple[float, float, float]] = []
-    forcing_norm = norm_fn(forcing)
-    iterations = 0
-    converged = False
-    for _ in range(max_iter):
-        nxt = forcing
-        if iterations:
-            lin, quad = maps(prev)
-            if prev_norm > 0:
-                measurements.append((prev_norm, norm_fn(lin), norm_fn(quad)))
-            nxt = forcing + lin + quad
-        iterations += 1
-        d = norm_fn(nxt - prev)
-        if not math.isfinite(d) or d > _DIVERGENCE_CAP:
-            raise ConvergenceError(
-                f"fixed-point iteration diverged after {iterations} iterations "
-                f"(update norm {d:.3e}); the data is outside the contraction regime",
-                iterations=iterations,
-                last_update=d,
-                last_ratio=(d / updates[-1]) if updates and updates[-1] > 0 else float("nan"),
-            )
-        if updates and updates[-1] > 0:
-            ratios.append(d / updates[-1])
-        updates.append(d)
-        prev = nxt
-        prev_norm = norm_fn(nxt)
-        if d < tol:
-            converged = True
-            break
-    if not converged:
-        raise ConvergenceError(
-            f"fixed-point iteration did not converge within {iterations} iterations "
-            f"(last update {updates[-1]:.3e}, last ratio "
-            f"{ratios[-1] if ratios else float('nan'):.3e})",
-            iterations=iterations,
-            last_update=updates[-1],
-            last_ratio=ratios[-1] if ratios else float("nan"),
-        )
+
+    def evaluate(x):
+        """(|x|, the map at x), recording the gains at a nonzero x."""
+        lin, quad = maps(x)
+        x_norm = norm_fn(x)
+        if x_norm > 0:
+            measurements.append((x_norm, norm_fn(lin), norm_fn(quad)))
+        return x_norm, forcing + lin + quad
+
+    solution, updates, ratios = fixed_point(forcing, lambda x: evaluate(x)[1], norm_fn,
+                                            tol, max_iter)
     # certification pass at the accepted solution
-    lin, quad = maps(prev)
-    if prev_norm > 0:
-        measurements.append((prev_norm, norm_fn(lin), norm_fn(quad)))
-    residual = norm_fn(forcing + lin + quad - prev)
+    solution_norm, image = evaluate(solution)
     return FixedPointResult(
-        solution=prev,
-        iterations=iterations,
-        ratios=tuple(ratios),
-        update_norms=tuple(updates),
-        forcing_norm=forcing_norm,
+        solution=solution,
+        ratios=ratios,
+        update_norms=updates,
+        forcing_norm=updates[0],  # the first update is the forcing itself
         measurements=tuple(measurements),
-        residual=residual,
-        solution_norm=prev_norm,
+        residual=norm_fn(image - solution),
+        solution_norm=solution_norm,
     )
 
 
@@ -384,7 +383,7 @@ def solve_interval(state: DecompositionState, params: SolverParams) -> IntervalS
     """Assemble the three parts on the substep grid and solve for the new
     remainder; raises ConvergenceError outside the contraction regime."""
     times = unit_times(params.substeps)
-    heat_part = assemble_heat_part(state, times)
+    heat_part = heat_flow(state.initial_field, state.m, times)
     correction = compute_gaussian_correction(heat_part, params)
     gaussian_part = assemble_gaussian_part(state, correction, times, params)
     remainder_part = assemble_remainder_part(state, times)

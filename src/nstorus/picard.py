@@ -4,25 +4,23 @@ No decomposition is involved: iterate
 
     v(t) = heat(v0, t) + integral_0^t exp(-(t-s)|k|^2) conv(v(s), v(s)) ds
 
-on the full grid over [0, horizon] until the sup-over-slices data-norm
-change drops below tolerance. Each iterate is one TimeSlicedField over the
+on the full grid over [0, horizon] from the zero trajectory (so the first
+iterate is the heat flow) until the sup-over-slices data-norm change drops
+below tolerance. The heat flow, the loop, the lattice and the quadrature
+rule are the induction solver's, so discrepancies between the two solvers
+isolate the decomposition. Each iterate is one TimeSlicedField over the
 whole grid, and so is the result: a PicardTrajectory is the last iterate's
-(S+1, N, 3) array plus the update norm of every iteration. The lattice and
-quadrature rule are shared with the induction solver, so discrepancies
-between the two isolate decomposition and fixed-point logic rather than
-discretization.
+(S+1, N, 3) array plus the update norm of every iteration.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
-from .fields import SpectralField, TimeSlicedField, phi_norm
-from .induction import _DIVERGENCE_CAP, DecompositionState, assemble_heat_part
+from .fields import SpectralField, TimeSlicedField, phi_norm, site_magnitudes
+from .induction import fixed_point, heat_flow
 from .operators import star_product
 from .params import SolverParams
 
@@ -63,36 +61,11 @@ def picard_solve(v0: SpectralField, horizon: float, params: SolverParams) -> Pic
             f"1/{params.substeps}"
         )
     times = tuple(i / params.substeps for i in range(n_sub + 1))
-    # the heat flow of v0: the heat part of a decomposition with no history
-    heat = assemble_heat_part(DecompositionState.initial(v0), times)
-    current = TimeSlicedField.zero(v0.lattice, times)
-    alpha = params.alpha
-
-    change = math.inf
-    update_norms: list[float] = []
-    for iteration in range(1, params.fp_max_iter + 1):
-        nxt = heat + star_product(current, current)
-        # release the old iterate before the norm and the update before the
-        # next star product: each is a whole-grid array
-        update, current = nxt - current, nxt
-        change = phi_norm(update, alpha)
-        del update
-        if not math.isfinite(change) or change > _DIVERGENCE_CAP:
-            raise ConvergenceError(
-                f"Picard iteration diverged after {iteration} iterations "
-                f"(update norm {change:.3e})",
-                iterations=iteration,
-                last_update=change,
-            )
-        update_norms.append(change)
-        if change < params.fp_tol:
-            return PicardTrajectory(times, v0.lattice, current.data, tuple(update_norms))
-    raise ConvergenceError(
-        f"Picard iteration did not converge within {params.fp_max_iter} iterations "
-        f"(last update {change:.3e})",
-        iterations=params.fp_max_iter,
-        last_update=change,
-    )
+    heat = heat_flow(v0, 0, times)
+    solution, update_norms, _ = fixed_point(
+        heat, lambda v: heat + star_product(v, v), lambda u: phi_norm(u, params.alpha),
+        params.fp_tol, params.fp_max_iter)
+    return PicardTrajectory(times, v0.lattice, solution.data, update_norms)
 
 
 def integer_time_deviations(trajectory: PicardTrajectory, velocities,
@@ -103,4 +76,4 @@ def integer_time_deviations(trajectory: PicardTrajectory, velocities,
     grid has substeps slices per unit time; one deviation per velocity.
     """
     diff = np.stack([v.data for v in velocities]) - trajectory.data[::substeps]
-    return np.sqrt((diff.real ** 2 + diff.imag ** 2).sum(axis=2)).max(axis=1, initial=0.0)
+    return site_magnitudes(diff).max(axis=1, initial=0.0)

@@ -105,6 +105,20 @@ def test_remainder_fit_recovers_other_rates(ball2):
     assert np.isnan(rate[:2]).all()
 
 
+def test_remainder_fit_reads_entries_below_the_squares_range(ball2):
+    # every entry is below 1e-155, where the squares of the components are
+    # subnormal or zero: read from them, the outer shells lose bits or leave
+    # the support and the fitted rate turns negative
+    constant = 10.0 ** -160.9 / PARAMS.delta ** 2
+    g = planted_remainder_entry(ball2, 1, PARAMS, constant=constant)
+    assert g.magnitudes().max() < 1e-155
+    d, rate = fit_remainder_bound([g], PARAMS)
+    assert g.support_size == len(ball2)
+    assert rate[0] > 0
+    assert rate[0] == pytest.approx(PARAMS.decay_c, rel=1e-6)
+    assert d[0] == pytest.approx(constant, rel=1e-12, abs=0)
+
+
 def test_remainder_fit_skipped_for_sparse_support(ball2):
     f = SpectralField.from_modes(ball2, {(1, 0, 0): (0.0, 1e-9, 0.0),
                                          (0, 1, 0): (1e-9, 0.0, 0.0)})

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nstorus import (
-    DecompositionState,
     PicardTrajectory,
     SpectralField,
     TimeSlicedField,
-    assemble_heat_part,
     fmc_norm,
+    heat_flow,
     phi_norm,
     unit_times,
 )
@@ -101,6 +100,18 @@ def supported_fmc_norm(f, m, c, beta):
     return float(np.max(weights * mags[mags > 0], initial=0.0))
 
 
+@pytest.mark.parametrize("scale", [1e-150, 1e-160, 1e-170, 1e-300])
+def test_magnitudes_of_tiny_entries(ball2, scale):
+    # the squares of these entries are subnormal or underflow to zero, so a
+    # plain sqrt of the sum of squares loses bits or reads 0
+    f = random_field(ball2, np.random.default_rng(5), scale=scale)
+    expect = [math.hypot(*np.concatenate([v.real, v.imag])) for v in f.data]
+    assert f.magnitudes().tolist() == pytest.approx(expect, rel=1e-15, abs=0)
+    assert f.support_size == len(ball2)
+    assert phi_norm(f, 2.25) > 0
+    assert fmc_norm(f, 1, 0.5, 3.5) > 0
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_per_slice_norms_equal_per_slice_calls(seed):
     # norm_series.csv's columns: one masked reduction per slice, equal to
@@ -124,13 +135,13 @@ def test_heat_identity_at_t0(ball2):
     assert np.array_equal(_heat_weights(np.zeros(1), ball2.norm_sq_f), np.ones((1, len(ball2))))
     rng = np.random.default_rng(7)
     f = random_field(ball2, rng)
-    part = assemble_heat_part(DecompositionState.initial(f), (0.0,))
+    part = heat_flow(f, 0, (0.0,))
     assert np.array_equal(part.data[0], f.data)
 
 
 def test_heat_single_mode(ball2):
     f = SpectralField.from_modes(ball2, {(1, 0, 0): (0.0, 1.0, 0.0)})
-    part = assemble_heat_part(DecompositionState.initial(f), (0.0, 1.0))
+    part = heat_flow(f, 0, (0.0, 1.0))
     assert part.at_time(1.0)[(1, 0, 0)][1] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
@@ -143,12 +154,12 @@ def test_heat_rejects_negative_t(ball2):
     with pytest.raises(ValueError):
         _heat_weights(np.array([0.5, -0.1]), ball2.norm_sq_f)
     with pytest.raises(ValueError):
-        assemble_heat_part(DecompositionState.initial(SpectralField.zero(ball2)), (-0.1, 0.0))
+        heat_flow(SpectralField.zero(ball2), 0, (-0.1, 0.0))
 
 
 def test_heat_underflow_prunes_support(ball2):
     f = SpectralField.from_modes(ball2, {(2, 0, 0): (0.0, 1.0, 0.0)})
-    part = assemble_heat_part(DecompositionState.initial(f), (0.0, 200.0))
+    part = heat_flow(f, 0, (0.0, 200.0))
     assert part.at_time(200.0).support_size == 0  # exp(-800) is below the clamp
     assert _heat_weights(np.array([200.0]), ball2.norm_sq_f)[0][ball2.site_index((2, 0, 0))] == 0
 
@@ -160,9 +171,8 @@ def test_heat_semigroup(s, t, seed):
     f = random_field(lat, np.random.default_rng(seed))
     w = _heat_weights(np.array([s, t, s + t]), lat.norm_sq_f)
     assert np.allclose(w[0] * w[1], w[2], rtol=1e-13, atol=0)
-    state = DecompositionState.initial(f)
-    two_steps = assemble_heat_part(state, (s,)).data[0] * w[1][:, None]
-    one_step = assemble_heat_part(state, (s + t,)).data[0]
+    two_steps = heat_flow(f, 0, (s,)).data[0] * w[1][:, None]
+    one_step = heat_flow(f, 0, (s + t,)).data[0]
     assert np.allclose(two_steps, one_step, rtol=1e-13, atol=0)
 
 
@@ -171,7 +181,7 @@ def test_heat_semigroup(s, t, seed):
 def test_heat_contracts_phi_norm(t, seed):
     lat = ball(2)
     f = random_field(lat, np.random.default_rng(seed))
-    part = assemble_heat_part(DecompositionState.initial(f), (0.0, t) if t > 0 else (0.0,))
+    part = heat_flow(f, 0, (0.0, t) if t > 0 else (0.0,))
     assert phi_norm(part, 2.25, axis=-1)[-1] <= phi_norm(f, 2.25)
 
 

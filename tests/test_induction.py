@@ -16,11 +16,11 @@ from nstorus import (
     TruncationRule,
     assemble_forcing,
     assemble_gaussian_part,
-    assemble_heat_part,
     assemble_remainder_part,
     compute_gaussian_correction,
     fmc_norm,
     get_lattice,
+    heat_flow,
     induction_steps,
     picard_solve,
     solve_interval,
@@ -47,21 +47,18 @@ def two_mode_state(lat, delta=1e-3):
 
 def test_heat_part_at_origin_time(ball2):
     state = two_mode_state(ball2)
-    part = assemble_heat_part(state, unit_times(4))
+    part = heat_flow(state.initial_field, state.m, unit_times(4))
     assert part.slices[0].allclose(state.initial_field, rtol=0, atol=0)
 
 
 def test_heat_part_decay_factor(ball2):
     f = SpectralField.from_modes(ball2, {(1, 0, 0): (0.0, 1.0, 0.0)})
-    state = state_from_histories(f, (SpectralField.zero(ball2),) * 2,
-                                 (SpectralField.zero(ball2),) * 2, PARAMS)
-    part = assemble_heat_part(state, unit_times(2))
+    part = heat_flow(f, 2, unit_times(2))
     assert part.at_time(0.5)[(1, 0, 0)][1].real == pytest.approx(math.exp(-2.5), rel=1e-14)
 
 
 def test_heat_part_zero_initial_field(ball2):
-    state = DecompositionState.initial(SpectralField.zero(ball2))
-    part = assemble_heat_part(state, unit_times(4))
+    part = heat_flow(SpectralField.zero(ball2), 0, unit_times(4))
     assert all(s.support_size == 0 for s in part.slices)
 
 
@@ -188,8 +185,7 @@ def test_correction_zero_for_zero_heat_part(ball2):
 
 def test_correction_zero_for_single_mode(ball2):
     f = SpectralField.from_modes(ball2, {(1, 0, 0): (0.0, 1e-3, 0.0)})
-    state = DecompositionState.initial(f)
-    heat = assemble_heat_part(state, unit_times(4))
+    heat = heat_flow(f, 0, unit_times(4))
     corr = compute_gaussian_correction(heat, PARAMS)
     assert all(s.magnitudes().max(initial=0.0) < 1e-18 for s in corr.slices)
 
@@ -199,7 +195,7 @@ def test_correction_matches_first_picard_term(ball2):
     # beyond pure heat flow when the data is two-mode
     state = two_mode_state(ball2)
     times = unit_times(PARAMS.substeps)
-    heat = assemble_heat_part(state, times)
+    heat = heat_flow(state.initial_field, state.m, times)
     corr = compute_gaussian_correction(heat, PARAMS)
     first_correction = star_product(heat, heat)  # picard: v2 - v1 on [0,1]
     qe = ball2.norm_sq_f ** PARAMS.epsilon

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import nstorus.picard
 from nstorus import (
     ConvergenceError,
     SolverParams,
@@ -101,5 +102,27 @@ def test_large_data_raises(ball2):
     kf = ball2.sites_f
     data -= ((kf * data).sum(axis=1) / ball2.norm_sq_f)[:, None] * kf
     v0 = SpectralField(ball2, data * 50.0)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError) as err:
         picard_solve(v0, 1.0, PARAMS)
+    # the error reports the growth of the last update over the one before
+    assert err.value.iterations >= 2
+    assert math.isfinite(err.value.last_ratio) and err.value.last_ratio > 1
+
+
+def test_first_iterate_is_heat_flow_without_a_star_product(ball2, monkeypatch):
+    # iterate 1 is the heat flow itself; each later iterate costs one star
+    # product of the iterate before it
+    calls = []
+    star_product = nstorus.picard.star_product
+
+    def counting(*args):
+        calls.append(args)
+        return star_product(*args)
+
+    monkeypatch.setattr(nstorus.picard, "star_product", counting)
+    v0 = SpectralField.from_modes(
+        ball2, {(1, 0, 0): (0.0, 0.0, 1e-3), (0, 1, 0): (1e-3, 0.0, 0.0)}
+    )
+    traj = picard_solve(v0, 3.0, PARAMS)
+    assert traj.iterations_used == 3
+    assert len(calls) == traj.iterations_used - 1
