@@ -5,6 +5,7 @@ point still contracts, by bisection over delta."""
 import argparse
 
 from nstorus import RunConfig
+from nstorus.cli import BISECT_FLAGS
 from nstorus.runner import bisect_delta
 
 
@@ -12,17 +13,15 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--k-max", type=int, default=4)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--delta-lo", type=float, default=1e-6)
-    ap.add_argument("--delta-hi", type=float, default=1.0)
-    ap.add_argument("--bisect-steps", type=int, default=20)
-    ap.add_argument("--bisect-horizon", type=int, default=50)
     ap.add_argument("--output-dir", default="out_bisect")
-    args = ap.parse_args()
+    # only the bisection flags given are passed on (see BISECT_FLAGS)
+    for name, kind in BISECT_FLAGS.items():
+        ap.add_argument("--" + name.replace("_", "-"), type=kind, default=argparse.SUPPRESS)
+    args = vars(ap.parse_args())
 
-    config = RunConfig(k_max=args.k_max, rng_seed=args.seed,
-                       output_dir=args.output_dir)
-    outcome = bisect_delta(config, args.delta_lo, args.delta_hi,
-                           args.bisect_steps, args.bisect_horizon)
+    config = RunConfig(k_max=args.pop("k_max"), rng_seed=args.pop("seed"),
+                       output_dir=args.pop("output_dir"))
+    outcome = bisect_delta(config, **args)
     for it, delta, ok in outcome.rows:
         print(f"step {it:>2}  delta={delta:.6e}  "
               f"{'converged' if ok else 'diverged'}")

@@ -27,6 +27,9 @@ from .errors import ConfigError
 from .runner import bisect_delta, check_run, run, run_oracle
 
 OUTPUT_DIR_ENV = "NSTORUS_OUTPUT_DIR"
+# bisect-delta's own flags, by keyword of runner.bisect_delta: an absent
+# flag is not passed, so the function's signature holds every default.
+BISECT_FLAGS = {"delta_lo": float, "delta_hi": float, "bisect_steps": int, "bisect_horizon": int}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -73,10 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bisect = sub.add_parser("bisect-delta",
                               help="bracket the largest converging delta")
     _add_config_flags(p_bisect)
-    p_bisect.add_argument("--delta-lo", type=float, default=1e-6)
-    p_bisect.add_argument("--delta-hi", type=float, default=1.0)
-    p_bisect.add_argument("--bisect-steps", type=int, default=20)
-    p_bisect.add_argument("--bisect-horizon", type=int, default=50)
+    for name, kind in BISECT_FLAGS.items():
+        p_bisect.add_argument("--" + name.replace("_", "-"), type=kind,
+                              default=argparse.SUPPRESS)
     return parser
 
 
@@ -92,8 +94,8 @@ def main(argv=None) -> int:
             elif args.command == "oracle":
                 outcome = run_oracle(config)
             else:
-                outcome = bisect_delta(config, args.delta_lo, args.delta_hi,
-                                       args.bisect_steps, args.bisect_horizon)
+                outcome = bisect_delta(config, **{k: v for k, v in vars(args).items()
+                                                  if k in BISECT_FLAGS})
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
+from .checkpoint import load_field
 from .errors import ConfigError
 from .fields import SpectralField, phi_norm, site_magnitudes
 from .lattice import LatticeSpec, TruncationRule, get_lattice
@@ -187,10 +188,9 @@ def _random_phi_ball(config: RunConfig) -> SpectralField:
     factors[safe] = scales[safe] * config.delta / (mags[safe] * q[safe] ** (alpha / 2.0))
     data = raw * factors[:, None]
     if config.reality_symmetry:
-        perm = lat.negation_permutation()
-        # keep the draw at the lexicographically smaller site of each pair
-        overwrite = perm < np.arange(n)
-        data[overwrite] = np.conj(data[perm[overwrite]])
+        # keep the draw at the lexicographically smaller site of each pair;
+        # site n-1-i is -(site i), so the larger ones are the upper half
+        data[n // 2:] = np.conj(data[n // 2 - 1::-1])
     field = SpectralField(lat, data)
     # rounding guard: the bound |v0|_alpha <= delta must hold exactly
     phi = phi_norm(field, alpha)
@@ -219,7 +219,5 @@ def generate_ic(config: RunConfig) -> SpectralField:
             lat, {(1, 0, 0): (0.0, 0.0, delta), (0, 1, 0): (delta, 0.0, 0.0)}
         )
     if config.ic_kind == "from_checkpoint":
-        from .checkpoint import load_field
-
         return load_field(config.ic_checkpoint, expected_spec=config.lattice_spec())
     return _random_phi_ball(config)

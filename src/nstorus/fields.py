@@ -48,12 +48,15 @@ _SQUARES_EXACT = 2.0 ** -968
 
 def site_magnitudes(data: np.ndarray) -> np.ndarray:
     """Euclidean magnitude of the complex 3-vectors on data's last axis; by
-    nested hypot where the squares are too small, so no nonzero reads 0."""
+    nested hypot where the squares are too small, so no nonzero reads 0.
+    Exact zeros already read 0, so that path is skipped when they are all
+    it would see."""
     sq = (data.real ** 2 + data.imag ** 2).sum(axis=-1)
     mags = np.sqrt(sq)
     small = sq < _SQUARES_EXACT
-    if small.any():
-        mod = np.abs(data[small])
+    tiny = data[small]
+    if np.count_nonzero(tiny):
+        mod = np.abs(tiny)
         mags[small] = np.hypot(np.hypot(mod[:, 0], mod[:, 1]), mod[:, 2])
     return mags
 
@@ -119,9 +122,8 @@ class _ArrayField:
 
     def reality_defect(self) -> float:
         """max over sites (and slices) of |v(-k) - conj(v(k))|; 0 means
-        negation-symmetric."""
-        perm = self.lattice.negation_permutation()
-        diff = self.data[..., perm, :] - np.conj(self.data)
+        negation-symmetric. Site N-1-i is -(site i) (see lattice)."""
+        diff = self.data[..., ::-1, :] - np.conj(self.data)
         return float(site_magnitudes(diff).max(initial=0.0))
 
 

@@ -205,17 +205,14 @@ def compute_gaussian_correction(heat_part: TimeSlicedField, params: SolverParams
 def assemble_gaussian_part(
     state: DecompositionState,
     correction: TimeSlicedField,
-    times,
     params: SolverParams,
 ) -> TimeSlicedField:
     """Heat-decayed gaussian history plus the current-interval correction,
-    all carrying the common 1/|k|^(2 epsilon) factor."""
-    times = tuple(times)
-    if correction.times != times:
-        raise ValueError("correction grid does not match the interval grid")
+    all carrying the common 1/|k|^(2 epsilon) factor, on the correction's
+    grid."""
     qe = state.lattice.norm_sq_f ** params.epsilon
-    acc = correction.data + heat_flow(state.gaussian_sum, 0, times).data
-    return TimeSlicedField(times, state.lattice, acc / qe[:, None])
+    acc = correction.data + heat_flow(state.gaussian_sum, 0, correction.times).data
+    return TimeSlicedField(correction.times, state.lattice, acc / qe[:, None])
 
 
 def assemble_remainder_part(state: DecompositionState, times) -> TimeSlicedField:
@@ -385,7 +382,7 @@ def solve_interval(state: DecompositionState, params: SolverParams) -> IntervalS
     times = unit_times(params.substeps)
     heat_part = heat_flow(state.initial_field, state.m, times)
     correction = compute_gaussian_correction(heat_part, params)
-    gaussian_part = assemble_gaussian_part(state, correction, times, params)
+    gaussian_part = assemble_gaussian_part(state, correction, params)
     remainder_part = assemble_remainder_part(state, times)
     forcing = assemble_forcing(heat_part, gaussian_part, remainder_part)
     fixed_point = solve_remainder(forcing, heat_part, gaussian_part,

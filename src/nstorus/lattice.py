@@ -3,14 +3,16 @@
 Every field, operator and norm in this package is indexed by the sites of a
 finite, negation-symmetric sublattice of Z^3 minus the origin. Sites are kept
 in lexicographic order, so site indices, and every array laid out by them,
-depend only on the lattice spec.
+depend only on the lattice spec. Negation reverses that order on a set
+closed under it, so site N-1-i is -(site i): reversing an array's site axis
+pairs each site with its negative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -98,9 +100,6 @@ class Lattice:
         self.norm_sq = (sites * sites).sum(axis=1)
         self.norm_sq_f = self.norm_sq.astype(np.float64)
         self.index = {tuple(s): i for i, s in enumerate(sites.tolist())}
-        self._conv: _ConvTable | None = None
-        self._conv_work: tuple[np.ndarray, np.ndarray] | None = None
-        self._negation: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.sites)
@@ -117,37 +116,9 @@ class Lattice:
     def site_index(self, site) -> int:
         return self.index[tuple(site)]
 
-    def negation_permutation(self) -> np.ndarray:
-        """Index array p with sites[p[i]] == -sites[i]."""
-        if self._negation is None:
-            perm = np.array([self.index[(-x, -y, -z)] for x, y, z in self.sites.tolist()],
-                            dtype=np.int64)
-            self._negation = perm
-        return self._negation
-
+    @cached_property
     def conv_table(self) -> _ConvTable:
-        if self._conv is None:
-            self._conv = self._build_conv_table()
-        return self._conv
-
-    def conv_work(self) -> tuple[np.ndarray, np.ndarray]:
-        """Work arrays reused by every convolution call: the flat D buffer of
-        rows*N + 1 complex entries, whose last entry (the zero slot) stays
-        0, and a (rows, N) block of the interaction matrix A, with
-        rows = conv_table().rows.
-
-        Reuse keeps each call free of fresh allocations, whose page faults
-        would otherwise cost as much as the arithmetic. Only the first
-        rows*N entries of the D buffer are ever written. Callers on one
-        lattice must not overlap: bilinear is not thread-safe.
-        """
-        if self._conv_work is None:
-            n, rows = len(self.sites), self.conv_table().rows
-            self._conv_work = (np.zeros(rows * n + 1, dtype=np.complex128),
-                               np.empty((rows, n), dtype=np.complex128))
-        return self._conv_work
-
-    def _build_conv_table(self) -> _ConvTable:
+        """The convolution's gather table, built on first use."""
         k_max = self.spec.k_max
         n = len(self.sites)
         block = min(n, max(1, _BLOCK_BYTES // (16 * n)))
@@ -169,6 +140,22 @@ class Lattice:
             g[mi < 0] = block * n   # the zero slot
             blocks.append((r0, r1, g))
         return _ConvTable(rows=block, blocks=tuple(blocks))
+
+    @cached_property
+    def conv_work(self) -> tuple[np.ndarray, np.ndarray]:
+        """Work arrays reused by every convolution call: the flat D buffer of
+        rows*N + 1 complex entries, whose last entry (the zero slot) stays
+        0, and a (rows, N) block of the interaction matrix A, with
+        rows = conv_table.rows.
+
+        Reuse keeps each call free of fresh allocations, whose page faults
+        would otherwise cost as much as the arithmetic. Only the first
+        rows*N entries of the D buffer are ever written. Callers on one
+        lattice must not overlap: bilinear is not thread-safe.
+        """
+        n, rows = len(self.sites), self.conv_table.rows
+        return (np.zeros(rows * n + 1, dtype=np.complex128),
+                np.empty((rows, n), dtype=np.complex128))
 
 
 @lru_cache(maxsize=None)

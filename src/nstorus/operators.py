@@ -134,8 +134,8 @@ def _slice_products(lat: Lattice, u: np.ndarray, vs: list, out: np.ndarray) -> N
     layout of Goto & van de Geijn 2008). Neither D nor A is formed whole.
     """
     # built before the zero check, so any first call prepares the lattice
-    tab = lat.conv_table()
-    dots, inter = lat.conv_work()
+    tab = lat.conv_table
+    dots, inter = lat.conv_work
     if not (u.any() and any(v.any() for v in vs)):
         out[...] = 0.0
         return

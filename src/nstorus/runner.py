@@ -11,15 +11,16 @@ Each CSV starts with a '# schema=' line.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import certificates
 from .checkpoint import load_field, save_field, write_atomic
 from .config import RunConfig, format_value, generate_ic, parse_config, serialize_config
 from .errors import CheckpointError, ConfigError, ConvergenceError
-from .fields import fmc_norm, phi_norm
+from .fields import SpectralField, fmc_norm, phi_norm
 from .induction import DecompositionState, induction_steps
+from .params import SolverParams
 from .picard import integer_time_deviations, picard_solve
 
 __all__ = [
@@ -72,22 +73,25 @@ def read_csv(path) -> tuple[str, list[str], list[list[str]]]:
 class RunOutcome:
     status: int
     message: str
-    output_dir: Path
-    records: list
+    records: list = field(default_factory=list)
     oracle_max_diff: float | None = None
     failed_step: int | None = None
+
+
+def _start(config: RunConfig) -> tuple[Path, SolverParams, SpectralField]:
+    """Create the output directory and write run_config.cfg there; returns
+    it with the solver parameters and the initial velocity."""
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_atomic(out_dir / "run_config.cfg", serialize_config(config).encode("ascii"))
+    return out_dir, config.solver_params(), generate_ic(config)
 
 
 def run(config: RunConfig) -> RunOutcome:
     """Advance horizon_m unit intervals, writing norm series, certificates,
     optional field checkpoints, and (for short horizons) an oracle cross
     check against the direct Picard solver."""
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_atomic(out_dir / "run_config.cfg", serialize_config(config).encode("ascii"))
-
-    params = config.solver_params()
-    v0 = generate_ic(config)
+    out_dir, params, v0 = _start(config)
     state = DecompositionState.initial(v0)
 
     norm_rows = []
@@ -134,8 +138,7 @@ def run(config: RunConfig) -> RunOutcome:
             trajectory = picard_solve(v0, float(config.horizon_m), params)
         except ConvergenceError as exc:
             return RunOutcome(STATUS_ORACLE_MISMATCH,
-                              f"oracle solver failed to converge: {exc}",
-                              out_dir, records, None, None)
+                              f"oracle solver failed to converge: {exc}", records)
         oracle_max_diff = float(integer_time_deviations(
             trajectory, integer_velocities, params.substeps).max())
         if oracle_max_diff > config.oracle_tol:
@@ -146,28 +149,33 @@ def run(config: RunConfig) -> RunOutcome:
             message = (f"ok (oracle agreement {oracle_max_diff:.3e} "
                        f"<= {config.oracle_tol:.3e})")
 
-    return RunOutcome(status, message, out_dir, records, oracle_max_diff, failed_step)
+    return RunOutcome(status, message, records, oracle_max_diff, failed_step)
 
 
 def run_oracle(config: RunConfig) -> RunOutcome:
     """Picard-only run over horizon_m; writes oracle_series.csv."""
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_atomic(out_dir / "run_config.cfg", serialize_config(config).encode("ascii"))
-    params = config.solver_params()
-    v0 = generate_ic(config)
+    out_dir, params, v0 = _start(config)
     try:
         trajectory = picard_solve(v0, float(config.horizon_m), params)
     except ConvergenceError as exc:
-        return RunOutcome(STATUS_FP_FAILURE, f"oracle failed: {exc}", out_dir, [])
+        return RunOutcome(STATUS_FP_FAILURE, f"oracle failed: {exc}")
     _write_csv(out_dir / "oracle_series.csv", ORACLE_SERIES_SCHEMA, ("t", "phi_norm"),
                zip(trajectory.times, phi_norm(trajectory, params.alpha, axis=-1)))
-    return RunOutcome(
-        STATUS_OK,
-        f"ok ({trajectory.iterations_used} iterations, final update "
-        f"{trajectory.final_update_norm:.3e})",
-        out_dir, [],
-    )
+    return RunOutcome(STATUS_OK, f"ok ({trajectory.iterations_used} iterations, final "
+                                 f"update {trajectory.final_update_norm:.3e})")
+
+
+def _numbered(fields_dir: Path, prefix: str, first: int) -> list[Path]:
+    """The files a run names prefix + f"{j:04d}.ckpt" for j = first,
+    first + 1, ..., as many as there are prefix*.ckpt files; CheckpointError
+    names the first one missing when those files are not exactly these."""
+    present = {p.name for p in fields_dir.glob(prefix + "*.ckpt")}
+    names = [f"{prefix}{j:04d}.ckpt" for j in range(first, first + len(present))]
+    missing = [name for name in names if name not in present]
+    if missing:
+        stray = min(present.difference(names))
+        raise CheckpointError(f"{fields_dir / missing[0]} is missing ({stray} is stray)")
+    return [fields_dir / name for name in names]
 
 
 def check_run(run_dir) -> RunOutcome:
@@ -175,33 +183,33 @@ def check_run(run_dir) -> RunOutcome:
 
     Re-fits the per-age bound constants from the h_/g_ history files and
     recomputes the data-norm of each integer-time velocity checkpoint,
-    writing check_report.csv next to the originals. A run writes one h_ and
-    one g_ file per step, so unequal counts are a config error.
+    writing check_report.csv next to the originals. Ages are read from the
+    file names: a run writes one h_ and one g_ file per age 1..n and one v_
+    file per time 0..n, so unequal counts, a gap or a stray file are a
+    config error.
     """
     run_dir = Path(run_dir)
     cfg_path = run_dir / "run_config.cfg"
     fields_dir = run_dir / "fields"
     if not cfg_path.is_file():
-        return RunOutcome(STATUS_CONFIG_ERROR, f"{cfg_path} not found", run_dir, [])
+        return RunOutcome(STATUS_CONFIG_ERROR, f"{cfg_path} not found")
     if not fields_dir.is_dir():
         return RunOutcome(STATUS_CONFIG_ERROR,
-                          f"{fields_dir} not found (run with emit including 'fields')",
-                          run_dir, [])
+                          f"{fields_dir} not found (run with emit including 'fields')")
     config = parse_config(cfg_path.read_text(encoding="ascii"))
     params = config.solver_params()
     spec = config.lattice_spec()
     try:
-        gauss_hist = [load_field(p, spec) for p in sorted(fields_dir.glob("h_*.ckpt"))]
-        rem_hist = [load_field(p, spec) for p in sorted(fields_dir.glob("g_*.ckpt"))]
-        velocity_paths = sorted(fields_dir.glob("v_*.ckpt"))
-        velocities = [load_field(p, spec) for p in velocity_paths]
+        gauss_hist = [load_field(p, spec) for p in _numbered(fields_dir, "h_", 1)]
+        rem_hist = [load_field(p, spec) for p in _numbered(fields_dir, "g_", 1)]
+        velocities = [load_field(p, spec) for p in _numbered(fields_dir, "v_", 0)]
     except CheckpointError as exc:
-        return RunOutcome(STATUS_CONFIG_ERROR, str(exc), run_dir, [])
+        return RunOutcome(STATUS_CONFIG_ERROR, str(exc))
     if len(gauss_hist) != len(rem_hist):
         return RunOutcome(STATUS_CONFIG_ERROR,
                           f"{fields_dir} holds {len(gauss_hist)} h_*.ckpt but "
                           f"{len(rem_hist)} g_*.ckpt history files; a run writes one "
-                          "of each per step", run_dir, [])
+                          "of each per step")
     gauss_d = certificates.fit_gaussian_bound(gauss_hist, params)
     rem_d, rem_rate = certificates.fit_remainder_bound(rem_hist, params)
     phis = [phi_norm(v, params.alpha) for v in velocities]
@@ -225,7 +233,7 @@ def check_run(run_dir) -> RunOutcome:
         f"max remainder_D {rem_d.max(initial=0.0):.6g}, "
         f"phi envelope {'<= 2 delta' if envelope_ok else 'EXCEEDED'}"
     )
-    return RunOutcome(STATUS_OK, message, run_dir, [])
+    return RunOutcome(STATUS_OK, message)
 
 
 @dataclass

@@ -110,6 +110,13 @@ def test_magnitudes_of_tiny_entries(ball2, scale):
     assert f.support_size == len(ball2)
     assert phi_norm(f, 2.25) > 0
     assert fmc_norm(f, 1, 0.5, 3.5) > 0
+    # exact-zero sites next to tiny entries read 0, and the tiny ones do not
+    g = random_field(ball2, np.random.default_rng(6), scale=scale, sparsity=0.4)
+    zero = ~g.data.any(axis=1)
+    assert 0 < zero.sum() < len(ball2)
+    expect = [math.hypot(*np.concatenate([v.real, v.imag])) for v in g.data]
+    assert g.magnitudes().tolist() == pytest.approx(expect, rel=1e-15, abs=0)
+    assert g.support_size == len(ball2) - zero.sum()
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -65,7 +65,7 @@ def test_heat_part_zero_initial_field(ball2):
 def test_gaussian_part_empty_history_zero_correction(ball2):
     state = DecompositionState.initial(SpectralField.zero(ball2))
     times = unit_times(4)
-    part = assemble_gaussian_part(state, TimeSlicedField.zero(ball2, times), times, PARAMS)
+    part = assemble_gaussian_part(state, TimeSlicedField.zero(ball2, times), PARAMS)
     assert all(s.support_size == 0 for s in part.slices)
 
 
@@ -75,7 +75,7 @@ def test_gaussian_part_latest_entry_weight_collapses(ball2):
     state = state_from_histories(random_field(ball2, rng, scale=1e-3), (h,),
                                  (SpectralField.zero(ball2),), PARAMS)
     times = unit_times(4)
-    part = assemble_gaussian_part(state, TimeSlicedField.zero(ball2, times), times, PARAMS)
+    part = assemble_gaussian_part(state, TimeSlicedField.zero(ball2, times), PARAMS)
     qe = ball2.norm_sq_f ** PARAMS.epsilon
     assert np.array_equal(part.slices[0].data, h.data / qe[:, None])
 
@@ -86,7 +86,7 @@ def test_gaussian_part_matches_brute_force_sum(ball2):
     state = state_from_histories(random_field(ball2, rng, 1e-3), (h1, h2),
                                  (SpectralField.zero(ball2),) * 2, PARAMS)
     times = unit_times(4)
-    part = assemble_gaussian_part(state, TimeSlicedField.zero(ball2, times), times, PARAMS)
+    part = assemble_gaussian_part(state, TimeSlicedField.zero(ball2, times), PARAMS)
     q = ball2.norm_sq_f
     qe = q ** PARAMS.epsilon
     for n, t in enumerate(times):
@@ -154,7 +154,7 @@ def test_history_assembly_matches_per_time_loop(m, k_max, rule, substeps, horizo
     correction = random_sliced(lat, times, rng, scale=1e-6, a=a)
     gaussian, remainder = looped_history_parts(state, correction, PARAMS)
     g_bound, r_bound = history_part_bounds(state, correction, PARAMS)
-    got_g = assemble_gaussian_part(state, correction, times, PARAMS).data
+    got_g = assemble_gaussian_part(state, correction, PARAMS).data
     got_r = assemble_remainder_part(state, times).data
     assert (np.abs(got_g - gaussian) <= g_bound).all()
     assert (np.abs(got_r - remainder) <= r_bound).all()

@@ -63,9 +63,12 @@ def test_closed_under_negation(ball3):
         assert (-s[0], -s[1], -s[2]) in ball3.index
 
 
-def test_negation_permutation(ball2):
-    perm = ball2.negation_permutation()
-    assert (ball2.sites[perm] == -ball2.sites).all()
+@pytest.mark.parametrize("rule", list(TruncationRule))
+@pytest.mark.parametrize("k_max", range(1, 9))
+def test_negation_is_index_reversal(k_max, rule):
+    # reality_defect and reality-symmetric initial data rely on this order
+    lat = get_lattice(LatticeSpec(k_max, rule))
+    assert (lat.sites[::-1] == -lat.sites).all()
 
 
 def test_kmax_zero_rejected():
@@ -85,7 +88,7 @@ def test_lattice_equality_by_spec():
 def gathered_pairs(lat):
     """The table's gather indices as (ki, li, entry) over all N*N pairs, with
     entry the D-buffer index that pair (ki, li) reads."""
-    tab = lat.conv_table()
+    tab = lat.conv_table
     n = len(lat)
     ki, li = np.divmod(np.arange(n * n), n)
     entry = np.concatenate([g.ravel() for _, _, g in tab.blocks])
@@ -93,7 +96,7 @@ def gathered_pairs(lat):
 
 
 def test_conv_table_triples_are_valid(ball2):
-    tab = ball2.conv_table()
+    tab = ball2.conv_table
     n = len(ball2)
     zero_slot = tab.rows * n
     ki, li, entry = gathered_pairs(ball2)
@@ -111,7 +114,7 @@ def test_conv_table_triples_are_valid(ball2):
 
 def test_conv_table_sorted_by_output(ball2):
     for lat in (ball2, get_lattice(LatticeSpec(2, TruncationRule.SUP_CUBE))):
-        tab = lat.conv_table()
+        tab = lat.conv_table
         n = len(lat)
         ki, li, mi = conv_triples(lat)
         want = np.full(n * n, tab.rows * n)
@@ -126,7 +129,7 @@ def test_conv_table_sorted_by_output(ball2):
 def test_conv_table_blocks_partition_the_pairs(k_max):
     lat = get_lattice(LatticeSpec(k_max))
     n = len(lat)
-    tab = lat.conv_table()
+    tab = lat.conv_table
     assert tab.rows == min(n, max(1, 512 * 1024 // (16 * n)))
     assert [b[0] for b in tab.blocks] == list(range(0, n, tab.rows))
     assert all(a[1] == b[0] for a, b in zip(tab.blocks, tab.blocks[1:]))
@@ -142,7 +145,7 @@ def test_conv_table_blocks_partition_the_pairs(k_max):
     assert all(g.base is base for _, _, g in tab.blocks)
     ki, li, _ = conv_triples(lat)
     assert ki.size == int(sum((g != tab.rows * n).sum() for _, _, g in tab.blocks))
-    dots, inter = lat.conv_work()
+    dots, inter = lat.conv_work
     assert dots.shape == (tab.rows * n + 1,) and inter.shape == (tab.rows, n)
 
 
@@ -151,7 +154,7 @@ def test_conv_zero_slot_stays_zero_after_bilinear():
     rng = np.random.default_rng(61)
     u, v = random_field(lat, rng), random_field(lat, rng)
     bilinear(u, v)
-    dots, _ = lat.conv_work()
+    dots, _ = lat.conv_work
     assert dots[-1].tobytes() == bytes(16)   # +0.0 + 0.0j exactly
 
 

@@ -196,6 +196,20 @@ def test_check_rejects_mismatched_histories(tmp_path):
     assert not (Path(cfg.output_dir) / "check_report.csv").exists()
 
 
+def test_check_rejects_a_gap_in_the_ages(tmp_path, capsys):
+    # equal h_/g_ counts with age 2 missing: ages come from the file names,
+    # so age 3 is not fitted as age 2
+    cfg = small_config(tmp_path, emit=frozenset({"norm_series", "certificates", "fields"}),
+                       horizon_m=3)
+    run(cfg)
+    fields_dir = Path(cfg.output_dir) / "fields"
+    (fields_dir / "h_0002.ckpt").unlink()
+    (fields_dir / "g_0002.ckpt").unlink()
+    assert main(["check", cfg.output_dir]) == STATUS_CONFIG_ERROR
+    assert "h_0002.ckpt is missing" in capsys.readouterr().out
+    assert not (Path(cfg.output_dir) / "check_report.csv").exists()
+
+
 def test_check_flags_phi_envelope_excess(tmp_path):
     cfg = small_config(tmp_path, emit=frozenset({"norm_series", "certificates", "fields"}),
                        horizon_m=2)
