@@ -11,7 +11,6 @@ grid serves as an independent oracle.
 from .certificates import (
     CertificateRecord,
     check_gaussian_envelope,
-    contraction_coefficients,
     fit_gaussian_bound,
     fit_remainder_bound,
 )

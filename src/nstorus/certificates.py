@@ -26,11 +26,9 @@ from .params import SolverParams
 
 __all__ = [
     "CertificateRecord",
-    "ContractionEstimate",
     "fit_gaussian_bound",
     "fit_remainder_bound",
     "check_gaussian_envelope",
-    "contraction_coefficients",
     "build_record",
 ]
 
@@ -49,7 +47,8 @@ class CertificateRecord:
                      (D delta^2/|k|^(2 eps)) (1-exp(-t|k|^2/2))/|k|^2 exp(-(m+1)|k|^2/2)
     c1, c2, c3:      measured forcing norm, linear gain and quadratic gain
                      of the remainder fixed point (c3 is nan when the
-                     iterates stayed at zero)
+                     iterates stayed at zero); contraction_ok is the
+                     sufficient local contraction condition c2 + 2 c3 |g| < 1
     phi_sup:         sup over the step's grid times of the data-norm of v
     """
 
@@ -64,14 +63,6 @@ class CertificateRecord:
     contraction_ok: bool
     fp_iterations: int
     phi_sup: float
-
-
-@dataclass(frozen=True)
-class ContractionEstimate:
-    c1: float
-    c2: float
-    c3: float
-    satisfied: bool
 
 
 def fit_gaussian_bound(history, params: SolverParams, first_age: int = 1) -> np.ndarray:
@@ -147,46 +138,26 @@ def check_gaussian_envelope(gaussian_part: TimeSlicedField, m: int,
     return math.exp(float(logs.max(initial=-np.inf)))
 
 
-def contraction_coefficients(fp) -> ContractionEstimate:
-    """Measured coefficients of the remainder equation's norm inequality,
-    from the fixed point's induction.FixedPointResult.
-
-    c1 is the forcing norm; c2 the largest measured linear gain over the
-    iterates; c3 the largest measured quadratic gain (nan when every
-    iterate was zero, e.g. zero data). satisfied reports the sufficient
-    local contraction condition c2 + 2 c3 |g| < 1.
-    """
-    c1 = fp.forcing_norm
-    if fp.measurements:
-        c2 = max(lin / gn for gn, lin, _ in fp.measurements)
-        c3 = max(quad / gn ** 2 for gn, _, quad in fp.measurements)
-    else:
-        c2 = 0.0
-        c3 = float("nan")
-    quad_term = 0.0 if fp.solution_norm == 0 else 2.0 * c3 * fp.solution_norm
-    satisfied = bool(c2 + quad_term < 1.0)
-    return ContractionEstimate(c1, c2, c3, satisfied)
-
-
 def build_record(state, sol, params: SolverParams) -> CertificateRecord:
     """Fill the certificate of the step that solved sol and ended at state.
 
     The history constants are state.bounds, the running extrema over ages
-    1..m that DecompositionState.extended keeps; the envelope, the
-    fixed-point coefficients and phi_sup come from the step's fields.
+    1..m that DecompositionState.extended keeps; the fixed-point
+    coefficients are its record's, and the envelope and phi_sup come from
+    the step's fields.
     """
     gaussian_d, remainder_d, remainder_decay = state.bounds
-    ce = contraction_coefficients(sol.fixed_point)
+    fp = sol.fixed_point
     return CertificateRecord(
         m=state.m,
         gaussian_D=gaussian_d,
         remainder_D=remainder_d,
         remainder_decay=remainder_decay,
         envelope_D=check_gaussian_envelope(sol.gaussian_part, state.m - 1, params),
-        c1=ce.c1,
-        c2=ce.c2,
-        c3=ce.c3,
-        contraction_ok=ce.satisfied,
-        fp_iterations=sol.fixed_point.iterations,
+        c1=fp.forcing_norm,
+        c2=fp.linear_gain,
+        c3=fp.quadratic_gain,
+        contraction_ok=fp.contracts,
+        fp_iterations=fp.iterations,
         phi_sup=phi_norm(sol.velocity, params.alpha),
     )

@@ -23,7 +23,7 @@ from dataclasses import fields as dc_fields
 from pathlib import Path
 
 from .config import RunConfig, config_from_mapping, parse_config
-from .errors import ConfigError
+from .errors import CheckpointError, ConfigError
 from .runner import bisect_delta, check_run, run, run_oracle
 
 OUTPUT_DIR_ENV = "NSTORUS_OUTPUT_DIR"
@@ -96,7 +96,7 @@ def main(argv=None) -> int:
             else:
                 outcome = bisect_delta(config, **{k: v for k, v in vars(args).items()
                                                   if k in BISECT_FLAGS})
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(outcome.message)

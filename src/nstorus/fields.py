@@ -231,37 +231,39 @@ def grid_index(times, t: float) -> int:
     raise ValueError(f"t={t!r} is not on the substep grid {times[0]}..{times[-1]}")
 
 
-def phi_norm(f, alpha: float, axis=None):
-    """sup over supported k of |k|^alpha * |f(k)| (zero field maps to 0).
+def _weighted_sup(f, weights: np.ndarray, axis):
+    """sup over the supported sites of weights * |f| (0 for a zero field).
 
-    f is a SpectralField, or a TimeSlicedField, whose sup then also runs
-    over every grid slice; with axis=-1 it is one sup per slice instead,
-    an (S+1,) array."""
+    Unsupported sites count 0 whatever their weight, so an infinite weight
+    there makes no nan, while a nan magnitude makes the sup nan. f is a
+    SpectralField, or a TimeSlicedField, whose sup then also runs over
+    every grid slice; with axis=-1 it is one sup per slice instead, an
+    (S+1,) array."""
     mags = f.magnitudes()
-    weights = f.lattice.norm_sq_f ** (alpha / 2.0)
-    sup = np.max(weights * mags, axis=axis, initial=0.0)
+    weighted = np.multiply(weights, mags, out=np.zeros_like(mags), where=mags != 0)
+    sup = np.max(weighted, axis=axis, initial=0.0)
     return float(sup) if axis is None else sup
+
+
+def phi_norm(f, alpha: float, axis=None):
+    """sup over supported k of |k|^alpha * |f(k)|; f and axis as in
+    _weighted_sup."""
+    return _weighted_sup(f, f.lattice.norm_sq_f ** (alpha / 2.0), axis)
 
 
 def fmc_norm(f, m, c: float, beta: float, axis=None):
     """Minimal C with |f(k)| <= C |k|^-beta exp(-c sqrt(m) |k|) on the lattice.
 
     Computed as sup_k |k|^beta exp(c sqrt(m) |k|) |f(k)| over the supported
-    sites only: at large m the weight overflows to inf at large |k|, and inf
-    times an empty site's zero would be nan. Requires beta > 3 and m, c > 0.
-    f is a SpectralField, or a TimeSlicedField, whose sup then also runs
-    over every grid slice; with axis=-1 it is one sup per slice instead,
-    an (S+1,) array.
+    sites only: at large m the weight overflows to inf at large |k|, where
+    the sites are empty. Requires beta > 3 and m, c > 0. f and axis as in
+    _weighted_sup.
     """
     if beta <= 3:
         raise ValueError(f"beta must be > 3, got {beta}")
     if m <= 0 or c <= 0:
         raise ValueError("m and c must be positive")
-    mags = f.magnitudes()
-    supported = mags > 0
     q = f.lattice.norm_sq_f
     with np.errstate(over="ignore"):
         weights = q ** (beta / 2.0) * np.exp(c * np.sqrt(float(m)) * np.sqrt(q))
-    weighted = np.multiply(weights, mags, out=np.zeros_like(mags), where=supported)
-    sup = np.max(weighted, axis=axis, initial=0.0)
-    return float(sup) if axis is None else sup
+    return _weighted_sup(f, weights, axis)

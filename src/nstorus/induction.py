@@ -22,7 +22,7 @@ against the parts' sum from both sides, and the quadratic term is g against
 itself (two star products per evaluation, see remainder_maps). For small
 data the map contracts in the weighted remainder norm and plain iteration
 from zero converges in fixed_point, the one loop, which the Picard oracle
-runs too; iterate_contraction adds the certificates' measurements. One
+runs too; iterate_contraction adds the certificates' gains. One
 heat flow, heat_flow, gives the heat part (also the oracle's first
 iterate) and each history's part from its running sum.
 
@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import pairwise
 
 import numpy as np
@@ -234,18 +233,20 @@ def assemble_forcing(
 
 @dataclass(frozen=True, eq=False)
 class FixedPointResult:
-    """Converged remainder plus the measurements taken along the way.
+    """The one record of a remainder solve: the accepted solution, the norm
+    of every update, the coefficients of the norm inequality and the
+    residual |map(g) - g| and norm |g| at the solution g.
 
-    measurements holds one (iterate_norm, linear_norm, quadratic_norm)
-    triple per map evaluation at a nonzero iterate, including one final
-    evaluation at the accepted solution (which also yields the residual).
+    linear_gain (c2) and quadratic_gain (c3) are the largest |linear(x)|/|x|
+    and |quadratic(x)|/|x|^2 over the map evaluations at nonzero iterates,
+    the final one at the solution included; 0.0 and nan when every iterate
+    was zero. c1 is forcing_norm.
     """
 
     solution: TimeSlicedField
-    ratios: tuple[float, ...]
     update_norms: tuple[float, ...]
-    forcing_norm: float
-    measurements: tuple[tuple[float, float, float], ...]
+    linear_gain: float
+    quadratic_gain: float
     residual: float
     solution_norm: float
 
@@ -253,12 +254,28 @@ class FixedPointResult:
     def iterations(self) -> int:
         return len(self.update_norms)
 
+    @property
+    def forcing_norm(self) -> float:
+        """c1: the first update is the forcing itself."""
+        return self.update_norms[0]
+
+    @property
+    def ratios(self) -> tuple[float, ...]:
+        """d_i / d_(i-1) for each update norm d_(i-1) > 0."""
+        return tuple(b / a for a, b in pairwise(self.update_norms) if a > 0)
+
+    @property
+    def contracts(self) -> bool:
+        """The sufficient local contraction condition c2 + 2 c3 |g| < 1."""
+        g = self.solution_norm
+        quad_term = 0.0 if g == 0 else 2.0 * self.quadratic_gain * g
+        return bool(self.linear_gain + quad_term < 1.0)
+
 
 def fixed_point(first, step, norm_fn, tol: float, max_iter: int):
     """Iterate x <- step(x) from the iterate first until the norm of the
-    update falls below tol; returns (x, update_norms, ratios), with ratios
-    d_i / d_(i-1) for each update norm d_(i-1) > 0. first is iterate 1, the
-    update from a zero start. Raises ConvergenceError after max_iter
+    update falls below tol; returns (x, update_norms). first is iterate 1,
+    the update from a zero start. Raises ConvergenceError after max_iter
     iterates, or at an update norm that is non-finite or above the
     divergence cap."""
     x, d = first, norm_fn(first)
@@ -272,7 +289,7 @@ def fixed_point(first, step, norm_fn, tol: float, max_iter: int):
                 iterations=len(updates) + 1, last_update=d, last_ratio=ratio)
         updates.append(d)
         if d < tol:
-            return x, tuple(updates), tuple(b / a for a, b in pairwise(updates) if a > 0)
+            return x, tuple(updates)
         if len(updates) == max_iter:
             raise ConvergenceError(
                 f"fixed-point iteration did not converge within {max_iter} iterations "
@@ -293,32 +310,24 @@ def iterate_contraction(forcing, maps, norm_fn, tol: float, max_iter: int) -> Fi
 
     Both maps vanish at zero, so the first iterate of fixed_point is the
     forcing itself. After acceptance the map is evaluated once more at the
-    solution to measure the residual and the linear/quadratic gains used by
-    the certificates.
+    solution to measure the residual and the last pair of gains.
     """
-    measurements: list[tuple[float, float, float]] = []
+    gains: list[tuple[float, float]] = []
 
     def evaluate(x):
         """(|x|, the map at x), recording the gains at a nonzero x."""
         lin, quad = maps(x)
         x_norm = norm_fn(x)
         if x_norm > 0:
-            measurements.append((x_norm, norm_fn(lin), norm_fn(quad)))
+            gains.append((norm_fn(lin) / x_norm, norm_fn(quad) / x_norm ** 2))
         return x_norm, forcing + lin + quad
 
-    solution, updates, ratios = fixed_point(forcing, lambda x: evaluate(x)[1], norm_fn,
-                                            tol, max_iter)
+    solution, updates = fixed_point(forcing, lambda x: evaluate(x)[1], norm_fn, tol, max_iter)
     # certification pass at the accepted solution
     solution_norm, image = evaluate(solution)
-    return FixedPointResult(
-        solution=solution,
-        ratios=ratios,
-        update_norms=updates,
-        forcing_norm=updates[0],  # the first update is the forcing itself
-        measurements=tuple(measurements),
-        residual=norm_fn(image - solution),
-        solution_norm=solution_norm,
-    )
+    linear_gain, quadratic_gain = map(max, zip(*gains)) if gains else (0.0, math.nan)
+    return FixedPointResult(solution, updates, linear_gain, quadratic_gain,
+                            norm_fn(image - solution), solution_norm)
 
 
 def remainder_maps(total: TimeSlicedField):
@@ -334,20 +343,15 @@ def remainder_maps(total: TimeSlicedField):
     return maps
 
 
-def solve_remainder(
-    forcing: TimeSlicedField,
-    heat_part: TimeSlicedField,
-    gaussian_part: TimeSlicedField,
-    remainder_part: TimeSlicedField,
-    params: SolverParams,
-    m_next: int,
-) -> FixedPointResult:
-    """Fixed point for the new remainder on the full substep grid.
+def solve_remainder(forcing: TimeSlicedField, total: TimeSlicedField,
+                    params: SolverParams, m_next: int) -> FixedPointResult:
+    """Fixed point for the new remainder on the full substep grid, with total
+    the sum of the three assembled parts.
 
     The convergence metric is the weighted remainder norm at index m_next
     with rate decay_c, maximized over grid slices.
     """
-    maps = remainder_maps(heat_part + gaussian_part + remainder_part)
+    maps = remainder_maps(total)
 
     def norm_fn(x):
         return fmc_norm(x, m_next, params.decay_c, params.beta)
@@ -357,23 +361,18 @@ def solve_remainder(
 
 @dataclass(frozen=True, eq=False)
 class IntervalSolution:
-    """All per-interval fields produced while advancing one unit interval."""
+    """The fields of one unit interval that its readers use: the new gaussian
+    correction, the assembled gaussian part, the remainder solve and the
+    velocity on the step's grid (the three parts plus the new remainder)."""
 
-    heat_part: TimeSlicedField
-    gaussian_part: TimeSlicedField
-    remainder_part: TimeSlicedField
     correction: TimeSlicedField
+    gaussian_part: TimeSlicedField
     fixed_point: FixedPointResult
+    velocity: TimeSlicedField
 
     @property
     def times(self) -> tuple[float, ...]:
-        return self.heat_part.times
-
-    @cached_property
-    def velocity(self) -> TimeSlicedField:
-        """The velocity on the step's grid: the three parts plus the new
-        remainder."""
-        return self.heat_part + self.gaussian_part + self.remainder_part + self.fixed_point.solution
+        return self.velocity.times
 
 
 def solve_interval(state: DecompositionState, params: SolverParams) -> IntervalSolution:
@@ -385,9 +384,9 @@ def solve_interval(state: DecompositionState, params: SolverParams) -> IntervalS
     gaussian_part = assemble_gaussian_part(state, correction, params)
     remainder_part = assemble_remainder_part(state, times)
     forcing = assemble_forcing(heat_part, gaussian_part, remainder_part)
-    fixed_point = solve_remainder(forcing, heat_part, gaussian_part,
-                                  remainder_part, params, state.m + 1)
-    return IntervalSolution(heat_part, gaussian_part, remainder_part, correction, fixed_point)
+    total = heat_part + gaussian_part + remainder_part
+    fixed_point = solve_remainder(forcing, total, params, state.m + 1)
+    return IntervalSolution(correction, gaussian_part, fixed_point, total + fixed_point.solution)
 
 
 def apply_interval(state: DecompositionState, sol: IntervalSolution, params: SolverParams):

@@ -62,7 +62,7 @@ def picard_solve(v0: SpectralField, horizon: float, params: SolverParams) -> Pic
         )
     times = tuple(i / params.substeps for i in range(n_sub + 1))
     heat = heat_flow(v0, 0, times)
-    solution, update_norms, _ = fixed_point(
+    solution, update_norms = fixed_point(
         heat, lambda v: heat + star_product(v, v), lambda u: phi_norm(u, params.alpha),
         params.fp_tol, params.fp_max_iter)
     return PicardTrajectory(times, v0.lattice, solution.data, update_norms)

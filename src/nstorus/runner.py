@@ -79,12 +79,14 @@ class RunOutcome:
 
 
 def _start(config: RunConfig) -> tuple[Path, SolverParams, SpectralField]:
-    """Create the output directory and write run_config.cfg there; returns
-    it with the solver parameters and the initial velocity."""
+    """Build the initial velocity, then create the output directory and
+    write run_config.cfg there, so a bad checkpoint leaves nothing behind;
+    returns the directory, the solver parameters and the initial velocity."""
+    v0 = generate_ic(config)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_atomic(out_dir / "run_config.cfg", serialize_config(config).encode("ascii"))
-    return out_dir, config.solver_params(), generate_ic(config)
+    return out_dir, config.solver_params(), v0
 
 
 def run(config: RunConfig) -> RunOutcome:
@@ -185,8 +187,8 @@ def check_run(run_dir) -> RunOutcome:
     recomputes the data-norm of each integer-time velocity checkpoint,
     writing check_report.csv next to the originals. Ages are read from the
     file names: a run writes one h_ and one g_ file per age 1..n and one v_
-    file per time 0..n, so unequal counts, a gap or a stray file are a
-    config error.
+    file per time 0..n, so counts other than n, n and n + 1, a gap or a
+    stray file are a config error.
     """
     run_dir = Path(run_dir)
     cfg_path = run_dir / "run_config.cfg"
@@ -210,19 +212,17 @@ def check_run(run_dir) -> RunOutcome:
                           f"{fields_dir} holds {len(gauss_hist)} h_*.ckpt but "
                           f"{len(rem_hist)} g_*.ckpt history files; a run writes one "
                           "of each per step")
+    if len(velocities) != len(gauss_hist) + 1:
+        return RunOutcome(STATUS_CONFIG_ERROR,
+                          f"{fields_dir} holds {len(velocities)} v_*.ckpt snapshots for "
+                          f"{len(gauss_hist)} history ages; a run writes one per time "
+                          f"0..{len(gauss_hist)}")
     gauss_d = certificates.fit_gaussian_bound(gauss_hist, params)
     rem_d, rem_rate = certificates.fit_remainder_bound(rem_hist, params)
     phis = [phi_norm(v, params.alpha) for v in velocities]
-    rows = []
-    for j in range(max(len(gauss_hist), len(velocities))):
-        age = 1 <= j <= len(gauss_hist)
-        rows.append((
-            j,
-            gauss_d[j - 1] if age else float("nan"),
-            rem_d[j - 1] if age else float("nan"),
-            rem_rate[j - 1] if age else float("nan"),
-            phis[j] if j < len(phis) else float("nan"),
-        ))
+    nan = [math.nan]  # time 0 has no history age
+    rows = zip(range(len(velocities)), nan + list(gauss_d), nan + list(rem_d),
+               nan + list(rem_rate), phis)
     _write_csv(run_dir / "check_report.csv", CHECK_REPORT_SCHEMA,
                ("j", "gaussian_D", "remainder_D", "remainder_decay", "phi_norm"),
                rows)

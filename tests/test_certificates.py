@@ -15,7 +15,6 @@ from nstorus import (
     SpectralField,
     TimeSlicedField,
     check_gaussian_envelope,
-    contraction_coefficients,
     fit_gaussian_bound,
     fit_remainder_bound,
     fmc_norm,
@@ -209,19 +208,17 @@ def test_contraction_zero_data(ball2):
     zero = TimeSlicedField.zero(ball2, unit_times(2))
     fp = iterate_contraction(zero, lambda g: (g * 0.0, g * 0.0),
                              norm_fn, tol=1e-12, max_iter=5)
-    est = contraction_coefficients(fp)
-    assert est.c1 == 0.0 and est.c2 == 0.0
-    assert math.isnan(est.c3)
-    assert est.satisfied
+    assert fp.forcing_norm == 0.0 and fp.linear_gain == 0.0
+    assert math.isnan(fp.quadratic_gain)
+    assert fp.contracts
 
 
 def test_contraction_measures_synthetic_linear_gain(ball2):
     forcing = random_sliced(ball2, unit_times(2), np.random.default_rng(3), scale=1e-4)
     fp = iterate_contraction(forcing, lambda g: (g * 0.3, g * 0.0),
                              norm_fn, tol=1e-14, max_iter=80)
-    est = contraction_coefficients(fp)
-    assert est.c2 == pytest.approx(0.3, abs=1e-10)
-    assert est.satisfied
+    assert fp.linear_gain == pytest.approx(0.3, abs=1e-10)
+    assert fp.contracts
 
 
 def test_contraction_measures_quadratic_gain(ball2):
@@ -232,8 +229,7 @@ def test_contraction_measures_quadratic_gain(ball2):
 
     fp = iterate_contraction(forcing, lambda g: (g * 0.0, quad(g)),
                              norm_fn, tol=1e-16, max_iter=80)
-    est = contraction_coefficients(fp)
-    assert est.c3 == pytest.approx(0.25, rel=1e-8)
+    assert fp.quadratic_gain == pytest.approx(0.25, rel=1e-8)
 
 
 # -- the per-step ledger ------------------------------------------------------------

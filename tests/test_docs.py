@@ -1,4 +1,4 @@
-"""The README's configuration table and exit codes match the code."""
+"""The README's configuration table, exit codes and CSV columns match the code."""
 
 import re
 from dataclasses import fields
@@ -26,3 +26,13 @@ def test_readme_exit_codes_match_runner_statuses():
     statuses = [v for k, v in vars(runner).items() if k.startswith("STATUS_")]
     # 2 is argparse's usage error, which no runner outcome carries
     assert sorted(named) == sorted([*statuses, 2])
+
+
+def test_readme_csv_columns_match_runner():
+    # items look like "* `name.csv` (`schema`), columns `a,b,...`"
+    items = re.findall(r"^\* `(\w+)\.csv` \(`([\w.]+)`\), columns\s+`([\w,]+)`",
+                       README, flags=re.MULTILINE)
+    assert {name: (schema, columns.split(",")) for name, schema, columns in items} == {
+        "norm_series": (runner.NORM_SERIES_SCHEMA, list(runner.NORM_SERIES_COLUMNS)),
+        "certificates": (runner.CERTIFICATES_SCHEMA, list(runner.CERTIFICATE_COLUMNS)),
+    }

@@ -86,6 +86,14 @@ def test_fmc_norm_low_mode_field_finite_at_large_m():
     assert value == pytest.approx(math.exp(c * 1e3), rel=1e-12)
 
 
+def test_norms_of_a_nan_entry_are_nan(ball2):
+    # the fixed-point loop reads a non-finite update norm as divergence, so
+    # a nan site must not be skipped as unsupported
+    f = SpectralField.from_modes(ball2, {(1, 0, 0): (0.0, math.nan, 0.0)})
+    assert math.isnan(fmc_norm(f, 1, 0.5, 3.5))
+    assert math.isnan(phi_norm(f, 2.25))
+
+
 def test_fmc_norm_rejects_small_beta(ball2):
     with pytest.raises(ValueError):
         fmc_norm(SpectralField.zero(ball2), 1, 0.5, 3.0)

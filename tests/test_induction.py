@@ -285,7 +285,7 @@ def test_fused_maps_match_separate_star_products_per_site(k_max, rule, a, seed):
 def test_fixed_point_zero_data_one_iteration(ball2):
     times = unit_times(4)
     zero = TimeSlicedField.zero(ball2, times)
-    result = solve_remainder(zero, zero, zero, zero, PARAMS, m_next=1)
+    result = solve_remainder(zero, zero, PARAMS, m_next=1)
     assert result.iterations == 1
     assert result.solution_norm == 0.0
     assert result.residual == 0.0
@@ -300,9 +300,9 @@ def test_fixed_point_matches_neumann_series(ball2):
     zero = TimeSlicedField.zero(ball2, times)
     forcing = random_sliced(ball2, times, rng, scale=1e-8)
     params = SolverParams(fp_tol=1e-13)
-    result = solve_remainder(forcing, heat, zero, zero, params, m_next=1)
-
     total = heat + zero + zero
+    result = solve_remainder(forcing, total, params, m_next=1)
+
     term = forcing
     series = forcing
     for _ in range(60):
@@ -315,9 +315,16 @@ def test_fixed_point_matches_neumann_series(ball2):
 
 
 def test_fixed_point_residual_small(ball2):
-    state = two_mode_state(ball2)
-    sol = solve_interval(state, PARAMS)
-    assert sol.fixed_point.residual <= 10 * PARAMS.fp_tol
+    # random data: the two-mode forcing lands outside the k_max 2 ball at m = 0
+    state = DecompositionState.initial(random_field(ball2, np.random.default_rng(5), 1e-3))
+    fp = solve_interval(state, PARAMS).fixed_point
+    assert fp.residual <= 10 * PARAMS.fp_tol
+    # c1 and the ratios are read off the update norms, not stored apart
+    d = fp.update_norms
+    assert fp.iterations == len(d) > 2
+    assert fp.forcing_norm == d[0] > 0
+    assert fp.ratios == tuple(d[i] / d[i - 1] for i in range(1, len(d)))
+    assert all(r < 1 for r in fp.ratios)
 
 
 def test_fixed_point_nonconvergence_raises_with_ratio(ball2):

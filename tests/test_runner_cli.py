@@ -210,6 +210,18 @@ def test_check_rejects_a_gap_in_the_ages(tmp_path, capsys):
     assert not (Path(cfg.output_dir) / "check_report.csv").exists()
 
 
+def test_check_rejects_a_missing_last_snapshot(tmp_path, capsys):
+    # three ages need the snapshots at times 0..3: without v_0003 the report
+    # would lose its last row
+    cfg = small_config(tmp_path, emit=frozenset({"norm_series", "certificates", "fields"}),
+                       horizon_m=3)
+    run(cfg)
+    (Path(cfg.output_dir) / "fields" / "v_0003.ckpt").unlink()
+    assert main(["check", cfg.output_dir]) == STATUS_CONFIG_ERROR
+    assert "3 v_*.ckpt snapshots for 3 history ages" in capsys.readouterr().out
+    assert not (Path(cfg.output_dir) / "check_report.csv").exists()
+
+
 def test_check_flags_phi_envelope_excess(tmp_path):
     cfg = small_config(tmp_path, emit=frozenset({"norm_series", "certificates", "fields"}),
                        horizon_m=2)
@@ -288,6 +300,31 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     code = main(["run", "--epsilon", "0.4", "--output-dir", str(tmp_path / "x")])
     assert code == 1
     assert "3*epsilon" in capsys.readouterr().err
+
+
+def _foreign_checkpoint(path):
+    save_field(SpectralField.from_modes(get_lattice(LatticeSpec(2)),
+                                        {(1, 0, 0): (0.0, 1e-3, 0.0)}), path)
+
+
+def _truncated_checkpoint(path):
+    _foreign_checkpoint(path)
+    path.write_bytes(path.read_bytes()[:-1])
+
+
+@pytest.mark.parametrize("make", [_foreign_checkpoint, _truncated_checkpoint, Path.mkdir],
+                         ids=["lattice mismatch", "truncated", "directory"])
+def test_cli_bad_ic_checkpoint_exit_code(make, tmp_path, capsys):
+    # exit 1 with one error line, and no output directory left behind
+    ckpt = tmp_path / "c0.ckpt"
+    make(ckpt)
+    out = tmp_path / "out"
+    code = main(["run", "--k-max", "3", "--ic-kind", "from_checkpoint",
+                 "--ic-checkpoint", str(ckpt), "--horizon-m", "1", "--output-dir", str(out)])
+    assert code == STATUS_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(ckpt) in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_fp_failure_exit_code(tmp_path):
