@@ -65,26 +65,27 @@ class CertificateRecord:
     phi_sup: float
 
 
+def _log_magnitudes(mags: np.ndarray) -> np.ndarray:
+    """log of the magnitudes, -inf at zero sites, so a sup in log space
+    skips them."""
+    return np.log(mags, out=np.full_like(mags, -np.inf), where=mags > 0)
+
+
 def fit_gaussian_bound(history, params: SolverParams, first_age: int = 1) -> np.ndarray:
     """Per-age minimal D with |h_j(k)| <= D delta^2 exp(-j|k|^2/2)/|k|^(2 eps),
-    for history[i] of age j = first_age + i.
+    for history[i] of age j = first_age + i, as one masked (ages, N)
+    expression; an all-zero entry gives 0.
 
     Evaluated in log space: the compensating weight exp(+j|k|^2/2) overflows
     long before the products do.
     """
-    out = np.zeros(len(history))
-    log_d2 = 2.0 * math.log(params.delta)
-    for idx, h in enumerate(history):
-        j = first_age + idx
-        q = h.lattice.norm_sq_f
-        mags = h.magnitudes()
-        mask = mags > 0
-        if not mask.any():
-            continue
-        logs = (np.log(mags[mask]) + params.epsilon * np.log(q[mask])
-                + 0.5 * j * q[mask] - log_d2)
-        out[idx] = math.exp(float(logs.max()))
-    return out
+    if not history:
+        return np.zeros(0)
+    q = history[0].lattice.norm_sq_f
+    ages = np.arange(first_age, first_age + len(history))[:, None]
+    logs = (_log_magnitudes(np.stack([h.magnitudes() for h in history]))
+            + params.epsilon * np.log(q) + 0.5 * ages * q - 2.0 * math.log(params.delta))
+    return np.fromiter(map(math.exp, logs.max(axis=1, initial=-np.inf)), float)
 
 
 def fit_remainder_bound(history, params: SolverParams, first_age: int = 1):
@@ -127,14 +128,12 @@ def check_gaussian_envelope(gaussian_part: TimeSlicedField, m: int,
     the slice still carries history terms, so the bound form is degenerate
     there.
     """
-    log_d2 = 2.0 * math.log(params.delta)
     t = np.asarray(gaussian_part.times)
     later = t > 0
     mags = gaussian_part.magnitudes()[later]
     q = gaussian_part.lattice.norm_sq_f
-    log_mags = np.log(mags, out=np.full_like(mags, -np.inf), where=mags > 0)
-    logs = (log_mags + (params.epsilon + 1.0) * np.log(q) + 0.5 * (m + 1) * q
-            - np.log(-np.expm1(-0.5 * t[later, None] * q)) - log_d2)
+    logs = (_log_magnitudes(mags) + (params.epsilon + 1.0) * np.log(q) + 0.5 * (m + 1) * q
+            - np.log(-np.expm1(-0.5 * t[later, None] * q)) - 2.0 * math.log(params.delta))
     return math.exp(float(logs.max(initial=-np.inf)))
 
 

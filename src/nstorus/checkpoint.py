@@ -12,8 +12,9 @@ Layout (all little-endian, fixed width, no serialization dependency):
     32      60*n  records: kx, ky, kz (int32 each) then re/im interleaved
                   float64 pairs for the three complex components
 
-Only supported (nonzero) sites are stored. Loading validates the header,
-the byte length, and site membership, and never returns a partial field.
+Only supported (nonzero) sites are stored, and only finite values: saving
+and loading both refuse nan and inf. Loading validates the header, the byte
+length, site membership and the values, and never returns a partial field.
 Every artifact, checkpoints included, is written through write_atomic, so a
 failed write leaves no partial file behind.
 """
@@ -65,10 +66,13 @@ def write_atomic(path, data: bytes) -> None:
 
 
 def save_field(field: SpectralField, path) -> None:
-    """Write the supported sites of a field; load_field inverts bit-exactly."""
+    """Write the supported (nonzero) sites of a field; load_field inverts
+    bit-exactly. A non-finite entry raises CheckpointError and writes
+    nothing."""
+    if not np.isfinite(field.data).all():
+        raise CheckpointError(f"{path}: refusing to save a field with non-finite values")
     lat = field.lattice
-    mags = field.magnitudes()
-    idx = np.flatnonzero(mags > 0)
+    idx = np.flatnonzero(field.data.any(axis=-1))
     records = np.empty(len(idx), dtype=_RECORD_DTYPE)
     records["site"] = lat.sites[idx].astype("<i4")
     values = np.ascontiguousarray(field.data[idx])
@@ -81,8 +85,9 @@ def save_field(field: SpectralField, path) -> None:
 
 
 def load_field(path, expected_spec: LatticeSpec | None = None) -> SpectralField:
-    """Read a checkpoint back; rejects bad magic, version, truncation, or a
-    lattice differing from expected_spec when one is given."""
+    """Read a checkpoint back; rejects bad magic, version, truncation, a
+    site outside the lattice or repeated, a non-finite value, or a lattice
+    differing from expected_spec when one is given."""
     blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size:
         raise CheckpointError(f"{path}: file too short for a checkpoint header")
@@ -113,6 +118,8 @@ def load_field(path, expected_spec: LatticeSpec | None = None) -> SpectralField:
     data = np.zeros((len(lat), 3), dtype=np.complex128)
     if count:
         records = np.frombuffer(body, dtype=_RECORD_DTYPE)
+        if not np.isfinite(records["value"]).all():
+            raise CheckpointError(f"{path}: non-finite value in the records")
         sites = records["site"].astype(np.int64)
         seen = set()
         rows = []

@@ -10,7 +10,8 @@ Flags mirror the configuration keys; `--config PATH` loads a file first and
 later flags override it. The environment variable NSTORUS_OUTPUT_DIR, when
 set, overrides the output directory.
 
-Exit codes: 0 success, 1 configuration error, 2 usage error (argparse),
+Exit codes: 0 success, 1 configuration or checkpoint error (printed as
+"error: ..." on stderr), 2 usage error (argparse),
 3 fixed-point non-convergence, 4 oracle mismatch.
 """
 
@@ -24,7 +25,7 @@ from pathlib import Path
 
 from .config import RunConfig, config_from_mapping, parse_config
 from .errors import CheckpointError, ConfigError
-from .runner import bisect_delta, check_run, run, run_oracle
+from .runner import STATUS_CONFIG_ERROR, bisect_delta, check_run, run, run_oracle
 
 OUTPUT_DIR_ENV = "NSTORUS_OUTPUT_DIR"
 # bisect-delta's own flags, by keyword of runner.bisect_delta: an absent
@@ -98,7 +99,7 @@ def main(argv=None) -> int:
                                                   if k in BISECT_FLAGS})
     except (ConfigError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return STATUS_CONFIG_ERROR
     print(outcome.message)
     return outcome.status
 

@@ -147,11 +147,9 @@ class DecompositionState:
         age = self.m + 1
         gauss_d, rem_d, rate = self.bounds
         (new_gauss_d,) = fit_gaussian_bound((h,), params, age)
-        (new_rem_d,), new_rates = fit_remainder_bound((g,), params, age)
-        rates = np.append(new_rates, rate)
-        rates = rates[np.isfinite(rates)]
+        (new_rem_d,), (new_rate,) = fit_remainder_bound((g,), params, age)
         bounds = (float(np.maximum(gauss_d, new_gauss_d)), float(np.maximum(rem_d, new_rem_d)),
-                  float(rates.min()) if rates.size else math.nan)
+                  float(np.fmin(rate, new_rate)))
         return DecompositionState(
             self.initial_field,
             self.gaussian_history + (h,),
@@ -285,7 +283,8 @@ def fixed_point(first, step, norm_fn, tol: float, max_iter: int):
         if not math.isfinite(d) or d > _DIVERGENCE_CAP:
             raise ConvergenceError(
                 f"fixed-point iteration diverged after {len(updates) + 1} iterations "
-                f"(update norm {d:.3e}); the data is outside the contraction regime",
+                f"(update norm {d:.3e}, last ratio {ratio:.3e}); the data is outside "
+                "the contraction regime",
                 iterations=len(updates) + 1, last_update=d, last_ratio=ratio)
         updates.append(d)
         if d < tol:

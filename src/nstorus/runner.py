@@ -114,8 +114,7 @@ def run(config: RunConfig) -> RunOutcome:
     except ConvergenceError as exc:
         status = STATUS_FP_FAILURE
         failed_step = state.m
-        message = (f"fixed-point failure at step m={state.m}: {exc} "
-                   f"(last ratio {exc.last_ratio:.3e})")
+        message = f"fixed-point failure at step m={state.m}: {exc}"
 
     if "norm_series" in config.emit:
         _write_csv(out_dir / "norm_series.csv", NORM_SERIES_SCHEMA,
@@ -188,35 +187,30 @@ def check_run(run_dir) -> RunOutcome:
     writing check_report.csv next to the originals. Ages are read from the
     file names: a run writes one h_ and one g_ file per age 1..n and one v_
     file per time 0..n, so counts other than n, n and n + 1, a gap or a
-    stray file are a config error.
+    stray file raise CheckpointError, as do a missing run_config.cfg or
+    fields directory and an unreadable checkpoint; nothing is written then.
     """
     run_dir = Path(run_dir)
     cfg_path = run_dir / "run_config.cfg"
     fields_dir = run_dir / "fields"
     if not cfg_path.is_file():
-        return RunOutcome(STATUS_CONFIG_ERROR, f"{cfg_path} not found")
+        raise CheckpointError(f"{cfg_path} not found")
     if not fields_dir.is_dir():
-        return RunOutcome(STATUS_CONFIG_ERROR,
-                          f"{fields_dir} not found (run with emit including 'fields')")
+        raise CheckpointError(f"{fields_dir} not found (run with emit including 'fields')")
     config = parse_config(cfg_path.read_text(encoding="ascii"))
     params = config.solver_params()
     spec = config.lattice_spec()
-    try:
-        gauss_hist = [load_field(p, spec) for p in _numbered(fields_dir, "h_", 1)]
-        rem_hist = [load_field(p, spec) for p in _numbered(fields_dir, "g_", 1)]
-        velocities = [load_field(p, spec) for p in _numbered(fields_dir, "v_", 0)]
-    except CheckpointError as exc:
-        return RunOutcome(STATUS_CONFIG_ERROR, str(exc))
+    gauss_hist = [load_field(p, spec) for p in _numbered(fields_dir, "h_", 1)]
+    rem_hist = [load_field(p, spec) for p in _numbered(fields_dir, "g_", 1)]
+    velocities = [load_field(p, spec) for p in _numbered(fields_dir, "v_", 0)]
     if len(gauss_hist) != len(rem_hist):
-        return RunOutcome(STATUS_CONFIG_ERROR,
-                          f"{fields_dir} holds {len(gauss_hist)} h_*.ckpt but "
-                          f"{len(rem_hist)} g_*.ckpt history files; a run writes one "
-                          "of each per step")
+        raise CheckpointError(f"{fields_dir} holds {len(gauss_hist)} h_*.ckpt but "
+                              f"{len(rem_hist)} g_*.ckpt history files; a run writes one "
+                              "of each per step")
     if len(velocities) != len(gauss_hist) + 1:
-        return RunOutcome(STATUS_CONFIG_ERROR,
-                          f"{fields_dir} holds {len(velocities)} v_*.ckpt snapshots for "
-                          f"{len(gauss_hist)} history ages; a run writes one per time "
-                          f"0..{len(gauss_hist)}")
+        raise CheckpointError(f"{fields_dir} holds {len(velocities)} v_*.ckpt snapshots for "
+                              f"{len(gauss_hist)} history ages; a run writes one per time "
+                              f"0..{len(gauss_hist)}")
     gauss_d = certificates.fit_gaussian_bound(gauss_hist, params)
     rem_d, rem_rate = certificates.fit_remainder_bound(rem_hist, params)
     phis = [phi_norm(v, params.alpha) for v in velocities]
@@ -245,18 +239,6 @@ class BisectOutcome:
     status: int = STATUS_OK
 
 
-def _converges(config: RunConfig, delta: float, horizon: int) -> bool:
-    trial = replace(config, delta=delta, horizon_m=horizon)
-    params = trial.solver_params()
-    state = DecompositionState.initial(generate_ic(trial))
-    try:
-        for _ in induction_steps(state, params, horizon):
-            pass
-    except ConvergenceError:
-        return False
-    return True
-
-
 def bisect_delta(config: RunConfig, delta_lo: float = 1e-6, delta_hi: float = 1.0,
                  bisect_steps: int = 20, bisect_horizon: int = 50) -> BisectOutcome:
     """Bracket the largest smallness scale for which bisect_horizon steps
@@ -264,31 +246,40 @@ def bisect_delta(config: RunConfig, delta_lo: float = 1e-6, delta_hi: float = 1.
     whatever the outcome."""
     if not 0 < delta_lo < delta_hi:
         raise ConfigError("need 0 < delta_lo < delta_hi")
-    lo_ok = _converges(config, delta_lo, bisect_horizon)
-    hi_ok = lo_ok and _converges(config, delta_hi, bisect_horizon)
-    rows = [(0, delta_lo, lo_ok)] + ([(0, delta_hi, hi_ok)] if lo_ok else [])
-    if not lo_ok:
-        out = BisectOutcome(delta_lo, delta_hi, rows,
-                            f"delta_lo={delta_lo!r} already fails to converge",
-                            STATUS_FP_FAILURE)
-    elif hi_ok:
-        out = BisectOutcome(delta_hi, delta_hi, rows,
-                            f"delta_hi={delta_hi!r} converges; threshold is above it")
+    rows = []
+
+    def trial(iteration: int, delta: float) -> bool:
+        """Run bisect_horizon steps at delta and record the verdict."""
+        trial_config = replace(config, delta=delta, horizon_m=bisect_horizon)
+        state = DecompositionState.initial(generate_ic(trial_config))
+        try:
+            for _ in induction_steps(state, trial_config.solver_params(), bisect_horizon):
+                pass
+            converged = True
+        except ConvergenceError:
+            converged = False
+        rows.append((iteration, delta, converged))
+        return converged
+
+    lo, hi, status = delta_lo, delta_hi, STATUS_OK
+    if not trial(0, delta_lo):
+        status = STATUS_FP_FAILURE
+        message = f"delta_lo={delta_lo!r} already fails to converge"
+    elif trial(0, delta_hi):
+        lo = delta_hi
+        message = f"delta_hi={delta_hi!r} converges; threshold is above it"
     else:
-        lo, hi = delta_lo, delta_hi
         for i in range(1, bisect_steps + 1):
             mid = math.sqrt(lo * hi)  # bisect in log scale: the regimes span decades
-            ok = _converges(config, mid, bisect_horizon)
-            rows.append((i, mid, ok))
-            if ok:
+            if trial(i, mid):
                 lo = mid
             else:
                 hi = mid
-        out = BisectOutcome(lo, hi, rows,
-                            f"contraction threshold bracketed in [{lo!r}, {hi!r}] "
-                            f"after {bisect_steps} bisection steps")
+        message = (f"contraction threshold bracketed in [{lo!r}, {hi!r}] "
+                   f"after {bisect_steps} bisection steps")
+
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "bisect_delta.csv", BISECT_SCHEMA,
-               ("iteration", "delta", "converged"), out.rows)
-    return out
+               ("iteration", "delta", "converged"), rows)
+    return BisectOutcome(lo, hi, rows, message, status)

@@ -55,7 +55,8 @@ def planted_remainder_entry(lat, j, params, constant=1.0, rate=None):
 
 def test_gaussian_fit_zero_history(ball2):
     out = fit_gaussian_bound([SpectralField.zero(ball2)] * 3, PARAMS)
-    assert (out == 0.0).all()
+    assert np.array_equal(out, np.zeros(3))
+    assert fit_gaussian_bound([], PARAMS).shape == (0,)
 
 
 def test_gaussian_fit_recovers_planted_constant(ball2):

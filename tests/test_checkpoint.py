@@ -94,3 +94,34 @@ def test_offsite_record_rejected(ball2, tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="outside"):
         load_field(path)
+
+
+def test_duplicate_record_rejected(ball2, tmp_path):
+    path = tmp_path / "d.ckpt"
+    f = SpectralField.from_modes(ball2, {(1, 0, 0): (1.0, 0.0, 0.0), (0, 1, 0): (2.0, 0.0, 0.0)})
+    save_field(f, path)
+    blob = bytearray(path.read_bytes())
+    # copy the first record's site triple onto the second record
+    blob[92:104] = blob[32:44]
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="duplicate site"):
+        load_field(path)
+
+
+def test_oversized_body_rejected(ball2, tmp_path):
+    path = tmp_path / "big.ckpt"
+    save_field(SpectralField.from_modes(ball2, {(1, 0, 0): (1.0, 0.0, 0.0)}), path)
+    path.write_bytes(path.read_bytes() + b"\x00" * 60)   # one record more than the count
+    with pytest.raises(CheckpointError, match="oversized body \\(120 bytes for 1 records\\)"):
+        load_field(path)
+
+
+def test_non_finite_field_not_saved(ball2, tmp_path):
+    # a nan site used to be dropped from the support and read back as 0
+    data = np.ones((len(ball2), 3), dtype=np.complex128)
+    data[5, 1] = complex(np.nan, 0.0)
+    path = tmp_path / "nan.ckpt"
+    with pytest.raises(CheckpointError, match="non-finite"):
+        save_field(SpectralField(ball2, data), path)
+    assert not path.exists()
+    assert list(tmp_path.iterdir()) == []

@@ -1,12 +1,13 @@
 import errno
 import math
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nstorus import RunConfig, SpectralField, save_field
+from nstorus import CheckpointError, RunConfig, SpectralField, save_field
 from nstorus.cli import main
 from nstorus.lattice import LatticeSpec, get_lattice
 from nstorus.runner import (
@@ -155,6 +156,16 @@ def test_run_fixed_point_failure_status(tmp_path):
     assert all(math.isfinite(float(x)) for r in rows for x in r)
 
 
+@pytest.mark.parametrize("delta, max_iter, how", [(0.3, 3, "did not converge within 3"),
+                                                  (3.0, 25, "diverged after 7")])
+def test_fixed_point_failure_names_the_last_ratio_once(delta, max_iter, how, tmp_path):
+    outcome = run(small_config(tmp_path, delta=delta, fp_max_iter=max_iter, horizon_m=2))
+    assert outcome.status == STATUS_FP_FAILURE
+    assert outcome.message.startswith(f"fixed-point failure at step m=0: fixed-point "
+                                      f"iteration {how}")
+    assert outcome.message.count("last ratio") == 1
+
+
 def test_fields_emit_and_check(tmp_path):
     cfg = small_config(tmp_path, emit=frozenset({"norm_series", "certificates", "fields"}),
                        horizon_m=3)
@@ -190,9 +201,9 @@ def test_check_rejects_mismatched_histories(tmp_path):
     run(cfg)
     fields_dir = Path(cfg.output_dir) / "fields"
     (fields_dir / "g_0002.ckpt").unlink()
-    outcome = check_run(cfg.output_dir)
-    assert outcome.status == STATUS_CONFIG_ERROR
-    assert "2 h_*.ckpt" in outcome.message and "1 g_*.ckpt" in outcome.message
+    with pytest.raises(CheckpointError, match=r"2 h_\*\.ckpt but 1 g_\*\.ckpt"):
+        check_run(cfg.output_dir)
+    assert main(["check", cfg.output_dir]) == STATUS_CONFIG_ERROR
     assert not (Path(cfg.output_dir) / "check_report.csv").exists()
 
 
@@ -206,7 +217,7 @@ def test_check_rejects_a_gap_in_the_ages(tmp_path, capsys):
     (fields_dir / "h_0002.ckpt").unlink()
     (fields_dir / "g_0002.ckpt").unlink()
     assert main(["check", cfg.output_dir]) == STATUS_CONFIG_ERROR
-    assert "h_0002.ckpt is missing" in capsys.readouterr().out
+    assert "h_0002.ckpt is missing" in capsys.readouterr().err
     assert not (Path(cfg.output_dir) / "check_report.csv").exists()
 
 
@@ -218,7 +229,27 @@ def test_check_rejects_a_missing_last_snapshot(tmp_path, capsys):
     run(cfg)
     (Path(cfg.output_dir) / "fields" / "v_0003.ckpt").unlink()
     assert main(["check", cfg.output_dir]) == STATUS_CONFIG_ERROR
-    assert "3 v_*.ckpt snapshots for 3 history ages" in capsys.readouterr().out
+    assert "3 v_*.ckpt snapshots for 3 history ages" in capsys.readouterr().err
+    assert not (Path(cfg.output_dir) / "check_report.csv").exists()
+
+
+def _poison_first_value(path):
+    """Overwrite the real part of the first record's first component with nan."""
+    blob = bytearray(path.read_bytes())
+    blob[44:52] = struct.pack("<d", math.nan)
+    path.write_bytes(bytes(blob))
+
+
+def test_check_rejects_a_non_finite_checkpoint(tmp_path, capsys):
+    cfg = small_config(tmp_path, emit=frozenset({"norm_series", "certificates", "fields"}),
+                       horizon_m=2)
+    run(cfg)
+    ckpt = Path(cfg.output_dir) / "fields" / "g_0001.ckpt"
+    _poison_first_value(ckpt)
+    assert main(["check", cfg.output_dir]) == STATUS_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {ckpt}: non-finite value in the records\n"
     assert not (Path(cfg.output_dir) / "check_report.csv").exists()
 
 
@@ -237,11 +268,16 @@ def test_check_flags_phi_envelope_excess(tmp_path):
     assert float(rows[1][4]) == pytest.approx(3 * cfg.delta, rel=1e-15)
 
 
-def test_check_requires_fields(tmp_path):
+def test_check_requires_fields(tmp_path, capsys):
     cfg = small_config(tmp_path)
     run(cfg)
-    outcome = check_run(cfg.output_dir)
-    assert outcome.status != STATUS_OK
+    with pytest.raises(CheckpointError, match="fields not found"):
+        check_run(cfg.output_dir)
+    with pytest.raises(CheckpointError, match="run_config.cfg not found"):
+        check_run(tmp_path)
+    assert main(["check", cfg.output_dir]) == STATUS_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (Path(cfg.output_dir) / "check_report.csv").exists()
 
 
 def test_oracle_run_writes_series(tmp_path):
@@ -263,6 +299,30 @@ def test_bisect_delta_brackets_threshold(tmp_path):
     assert 1e-4 <= outcome.delta_lo < outcome.delta_hi <= 1.0
     _, _, rows = read_csv(Path(cfg.output_dir) / "bisect_delta.csv")
     assert len(rows) >= 4
+
+
+BISECT_CASES = {
+    # delta_lo fails: only its trial is run and written
+    "delta_lo fails": ((0.5, 1.0, 5), (0.5, 1.0, STATUS_FP_FAILURE), [(0, 0.5, False)]),
+    # delta_hi converges: the threshold lies above the range
+    "delta_hi converges": ((1e-6, 1e-3, 25), (1e-3, 1e-3, STATUS_OK),
+                           [(0, 1e-6, True), (0, 1e-3, True)]),
+    # bracketed: log-scale midpoints, both verdicts among them
+    "bracketed": ((1e-4, 1.0, 10), (0.1778279410038923, 0.31622776601683794, STATUS_OK),
+                  [(0, 1e-4, True), (0, 1.0, False), (1, 0.01, True), (2, 0.1, True),
+                   (3, 0.31622776601683794, False), (4, 0.1778279410038923, True)]),
+}
+
+
+@pytest.mark.parametrize("case", BISECT_CASES)
+def test_bisect_delta_outcomes(case, tmp_path):
+    (lo, hi, max_iter), expected, rows = BISECT_CASES[case]
+    cfg = small_config(tmp_path, fp_max_iter=max_iter)
+    outcome = bisect_delta(cfg, delta_lo=lo, delta_hi=hi, bisect_steps=4, bisect_horizon=2)
+    assert (outcome.delta_lo, outcome.delta_hi, outcome.status) == expected
+    assert outcome.rows == rows
+    _, _, written = read_csv(Path(cfg.output_dir) / "bisect_delta.csv")
+    assert written == [[str(i), repr(d), str(ok).lower()] for i, d, ok in rows]
 
 
 # -- command-line surface -----------------------------------------------------------
@@ -312,8 +372,15 @@ def _truncated_checkpoint(path):
     path.write_bytes(path.read_bytes()[:-1])
 
 
-@pytest.mark.parametrize("make", [_foreign_checkpoint, _truncated_checkpoint, Path.mkdir],
-                         ids=["lattice mismatch", "truncated", "directory"])
+def _non_finite_checkpoint(path):
+    save_field(SpectralField.from_modes(get_lattice(LatticeSpec(3)),
+                                        {(1, 0, 0): (0.0, 1e-3, 0.0)}), path)
+    _poison_first_value(path)
+
+
+@pytest.mark.parametrize("make", [_foreign_checkpoint, _truncated_checkpoint, Path.mkdir,
+                                  _non_finite_checkpoint],
+                         ids=["lattice mismatch", "truncated", "directory", "non-finite"])
 def test_cli_bad_ic_checkpoint_exit_code(make, tmp_path, capsys):
     # exit 1 with one error line, and no output directory left behind
     ckpt = tmp_path / "c0.ckpt"

@@ -26,3 +26,20 @@ def test_script_runs(script, args, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_code_lines_counts_each_module_and_the_total(tmp_path):
+    (tmp_path / "sample.py").write_text(
+        '"""Module docstring,\nover two lines."""\n\n# a comment\n'
+        'def f(x):\n    """One line."""\n    return (x +  # trailing comment\n            1)\n')
+    (tmp_path / "empty.py").write_text("")
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "code_lines.py"),
+                           str(tmp_path)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["     0  empty.py", "     3  sample.py", "     3  total", ""]
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "code_lines.py")],
+                          capture_output=True, text=True, timeout=60)
+    lines = proc.stdout.splitlines()
+    assert [line.split()[1] for line in lines[:-1]] == sorted(
+        p.name for p in (ROOT / "src" / "nstorus").glob("*.py"))
+    assert int(lines[-1].split()[0]) == sum(int(line.split()[0]) for line in lines[:-1])
