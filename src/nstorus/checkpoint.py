@@ -115,21 +115,17 @@ def load_field(path, expected_spec: LatticeSpec | None = None) -> SpectralField:
             f"({len(body)} bytes for {count} records)"
         )
     lat = get_lattice(spec)
+    records = np.frombuffer(body, dtype=_RECORD_DTYPE)
+    if not np.isfinite(records["value"]).all():
+        raise CheckpointError(f"{path}: non-finite value in the records")
+    rows = lat.indices(records["site"])
+    if (rows < 0).any():
+        site = tuple(records["site"][np.argmax(rows < 0)].tolist())
+        raise CheckpointError(f"{path}: site {site} is outside the lattice")
+    distinct, counts = np.unique(rows, return_counts=True)
+    if (counts > 1).any():
+        site = tuple(lat.sites[distinct[np.argmax(counts > 1)]].tolist())
+        raise CheckpointError(f"{path}: duplicate site {site}")
     data = np.zeros((len(lat), 3), dtype=np.complex128)
-    if count:
-        records = np.frombuffer(body, dtype=_RECORD_DTYPE)
-        if not np.isfinite(records["value"]).all():
-            raise CheckpointError(f"{path}: non-finite value in the records")
-        sites = records["site"].astype(np.int64)
-        seen = set()
-        rows = []
-        for s in map(tuple, sites.tolist()):
-            if s not in lat.index:
-                raise CheckpointError(f"{path}: site {s} is outside the lattice")
-            if s in seen:
-                raise CheckpointError(f"{path}: duplicate site {s}")
-            seen.add(s)
-            rows.append(lat.index[s])
-        values = np.ascontiguousarray(records["value"]).view(np.complex128)
-        data[np.asarray(rows)] = values.reshape(int(count), 3)
+    data[rows] = np.ascontiguousarray(records["value"]).view(np.complex128)
     return SpectralField(lat, data)

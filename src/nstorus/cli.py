@@ -6,9 +6,9 @@ Subcommands:
     check         certificate-only re-analysis of a saved run directory
     bisect-delta  bracket the largest converging smallness scale
 
-Flags mirror the configuration keys; `--config PATH` loads a file first and
-later flags override it. The environment variable NSTORUS_OUTPUT_DIR, when
-set, overrides the output directory.
+Flags mirror the configuration keys; `--config PATH` loads a UTF-8 file
+first and later flags override it. The environment variable
+NSTORUS_OUTPUT_DIR, when set, overrides the output directory.
 
 Exit codes: 0 success, 1 configuration or checkpoint error (printed as
 "error: ..." on stderr), 2 usage error (argparse),
@@ -21,9 +21,8 @@ import argparse
 import os
 import sys
 from dataclasses import fields as dc_fields
-from pathlib import Path
 
-from .config import RunConfig, config_from_mapping, parse_config
+from .config import RunConfig, config_from_mapping, read_config
 from .errors import CheckpointError, ConfigError
 from .runner import STATUS_CONFIG_ERROR, bisect_delta, check_run, run, run_oracle
 
@@ -43,15 +42,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    mapping: dict = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        text = Path(config_path).read_text()
-        base = parse_config(text)  # validate the file on its own first
-        mapping.update({f.name: getattr(base, f.name) for f in dc_fields(RunConfig)})
-    for f in dc_fields(RunConfig):
-        if hasattr(args, f.name):
-            mapping[f.name] = getattr(args, f.name)
+    # the file is validated on its own before the flags override it
+    base = read_config(args.config) if args.config else RunConfig()
+    mapping = {f.name: getattr(args, f.name, getattr(base, f.name)) for f in dc_fields(RunConfig)}
     if os.environ.get(OUTPUT_DIR_ENV):
         mapping["output_dir"] = os.environ[OUTPUT_DIR_ENV]
     return config_from_mapping(mapping)

@@ -2,17 +2,19 @@
 initial-condition generation.
 
 The format is deliberately flat and diff-friendly: one `key = value` per
-line, '#' starts a comment, unknown keys are errors. Every run writes its
-resolved configuration next to its outputs.
+line, '#' starts a comment, unknown keys are errors. Files are UTF-8, and
+read_config and write_config are the only code that moves config text to or
+from disk. Every run writes its resolved configuration next to its outputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields as dc_fields
+from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_field
+from .checkpoint import load_field, write_atomic
 from .errors import ConfigError
 from .fields import SpectralField, phi_norm, site_magnitudes
 from .lattice import LatticeSpec, TruncationRule, get_lattice
@@ -24,6 +26,8 @@ __all__ = [
     "EMIT_KINDS",
     "parse_config",
     "serialize_config",
+    "read_config",
+    "write_config",
     "format_value",
     "config_from_mapping",
     "generate_ic",
@@ -37,8 +41,9 @@ EMIT_KINDS = ("norm_series", "certificates", "fields")
 class RunConfig(SolverParams):
     """The solver parameters (first, in SolverParams' order) and the run's
     lattice, initial condition and outputs. Text values may not carry '#',
-    a line break or surrounding whitespace, which run_config.cfg could not
-    read back."""
+    a line break, surrounding whitespace or a lone surrogate (how Python
+    decodes argv bytes that are not UTF-8), which run_config.cfg could not
+    write or read back."""
 
     # lattice
     k_max: int = 4
@@ -58,10 +63,10 @@ class RunConfig(SolverParams):
     def __post_init__(self):
         for f in dc_fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, str) and (value != value.strip()
-                                           or any(c in value for c in "#\n\r")):
-                raise ConfigError(f"{f.name} must not contain '#' or a line break, or "
-                                  f"begin or end with whitespace; got {value!r}")
+            if isinstance(value, str) and (value != value.strip() or any(
+                    c in "#\n\r" or "\ud800" <= c <= "\udfff" for c in value)):
+                raise ConfigError(f"{f.name} must be UTF-8 text without '#' or a line "
+                                  f"break, and not begin or end with whitespace; got {value!r}")
         try:
             super().__post_init__()
             self.lattice_spec()
@@ -168,6 +173,20 @@ def serialize_config(config: RunConfig) -> str:
     lines = [f"{f.name} = {format_value(getattr(config, f.name))}"
              for f in dc_fields(RunConfig)]
     return "\n".join(lines) + "\n"
+
+
+def read_config(path) -> RunConfig:
+    """Parse the UTF-8 config file at path; ConfigError names the file when
+    its bytes are not UTF-8."""
+    try:
+        return parse_config(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def write_config(config: RunConfig, path) -> None:
+    """Write the full configuration to path as UTF-8; read_config inverts it."""
+    write_atomic(path, serialize_config(config).encode("utf-8"))
 
 
 def _random_phi_ball(config: RunConfig) -> SpectralField:

@@ -154,11 +154,8 @@ class SpectralField(_ArrayField):
     def from_modes(lattice: Lattice, modes) -> "SpectralField":
         """Build a field from a {site: 3-vector} mapping; other sites are zero."""
         data = np.zeros((len(lattice), 3), dtype=np.complex128)
-        for key, vec in modes.items():
-            site = tuple(key)
-            if site not in lattice.index:
-                raise KeyError(f"site {site} is not on the lattice (k_max={lattice.spec.k_max})")
-            data[lattice.index[site]] = np.asarray(vec, dtype=np.complex128)
+        for site, vec in modes.items():
+            data[lattice.site_index(site)] = vec
         return SpectralField(lattice, data)
 
     def __getitem__(self, key) -> np.ndarray:

@@ -6,6 +6,12 @@ in lexicographic order, so site indices, and every array laid out by them,
 depend only on the lattice spec. Negation reverses that order on a set
 closed under it, so site N-1-i is -(site i): reversing an array's site axis
 pairs each site with its negative.
+
+The one map from points back to sites is the lattice's index cube: the
+(4 k_max + 1)^3 array over the integer points with every coordinate in
+[-2 k_max, 2 k_max], holding each site's index and -1 at every other point.
+The cube holds every difference of two sites, so the convolution table reads
+k - l off it as well; Lattice.indices looks up any array of points in it.
 """
 
 from __future__ import annotations
@@ -45,21 +51,6 @@ class LatticeSpec:
         object.__setattr__(self, "truncation_rule", TruncationRule(self.truncation_rule))
 
 
-def _enumerate_sites(spec: LatticeSpec) -> np.ndarray:
-    k = spec.k_max
-    rng = np.arange(-k, k + 1, dtype=np.int64)
-    kx, ky, kz = np.meshgrid(rng, rng, rng, indexing="ij")
-    sites = np.column_stack([kx.ravel(), ky.ravel(), kz.ravel()])
-    norm_sq = (sites * sites).sum(axis=1)
-    if spec.truncation_rule is TruncationRule.EUCLIDEAN_BALL:
-        keep = norm_sq <= k * k
-    else:
-        keep = np.abs(sites).max(axis=1) <= k
-    keep &= norm_sq > 0
-    # meshgrid with ij indexing already yields lexicographic order
-    return np.ascontiguousarray(sites[keep])
-
-
 # Bytes of one row block of the convolution's (rows, N) complex matrices:
 # small enough that a block of D = <k, u(m)> stays in cache while it is
 # gathered into a block of A and multiplied.
@@ -85,8 +76,13 @@ class _ConvTable:
 
 
 class Lattice:
-    """Built lattice: ordered site table plus cached convolution pairings
-    and work matrices.
+    """Built lattice: the ordered site table, the index cube it is read off,
+    and the cached convolution pairings and work matrices.
+
+    sites, norm_sq and cube come from one meshgrid of the cube's points,
+    whose C order is lexicographic. indices(points) maps an (..., 3) array
+    of points to site indices, -1 for a point that is not a site; site_index
+    does the same for one point and raises KeyError instead of returning -1.
 
     Two Lattice instances compare equal when their specs are equal; use
     get_lattice() to share one instance (and its caches) per spec.
@@ -94,12 +90,20 @@ class Lattice:
 
     def __init__(self, spec: LatticeSpec):
         self.spec = spec
-        sites = _enumerate_sites(spec)
-        self.sites = sites
-        self.sites_f = sites.astype(np.float64)
-        self.norm_sq = (sites * sites).sum(axis=1)
+        k = spec.k_max
+        # a cube of side 4 k_max + 1 holds every difference of two sites
+        axis = np.arange(-2 * k, 2 * k + 1, dtype=np.int64)
+        grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
+        norm_sq = (grid * grid).sum(axis=-1)
+        ball = spec.truncation_rule is TruncationRule.EUCLIDEAN_BALL
+        keep = (norm_sq > 0) & ((norm_sq <= k * k) if ball else (np.abs(grid).max(axis=-1) <= k))
+        # the grid's C order is lexicographic, so boolean indexing keeps it
+        self.cube = np.full(keep.shape, -1, dtype=np.intp)
+        self.cube[keep] = np.arange(np.count_nonzero(keep))
+        self.sites = grid[keep]
+        self.sites_f = self.sites.astype(np.float64)
+        self.norm_sq = norm_sq[keep]
         self.norm_sq_f = self.norm_sq.astype(np.float64)
-        self.index = {tuple(s): i for i, s in enumerate(sites.tolist())}
 
     def __len__(self) -> int:
         return len(self.sites)
@@ -113,8 +117,21 @@ class Lattice:
     def __repr__(self) -> str:
         return f"Lattice({self.spec.k_max}, {self.spec.truncation_rule.value}, sites={len(self)})"
 
+    def indices(self, points) -> np.ndarray:
+        """Site index of each point of an (..., 3) array, -1 where the point
+        is not a site: off the lattice, outside the cube or not integral."""
+        points = np.asarray(points)
+        shift = 2 * self.spec.k_max
+        on_cube = ((points >= -shift) & (points <= shift)
+                   & (points == np.floor(points))).all(axis=-1)
+        c = (np.where(on_cube[..., None], points, 0) + shift).astype(np.intp)
+        return np.where(on_cube, self.cube[c[..., 0], c[..., 1], c[..., 2]], -1)
+
     def site_index(self, site) -> int:
-        return self.index[tuple(site)]
+        i = int(self.indices(site))
+        if i < 0:
+            raise KeyError(f"site {tuple(site)} is not on the lattice (k_max={self.spec.k_max})")
+        return i
 
     @cached_property
     def conv_table(self) -> _ConvTable:
@@ -124,17 +141,12 @@ class Lattice:
         block = min(n, max(1, _BLOCK_BYTES // (16 * n)))
         # allocated first, then filled one row block at a time
         gather = np.empty(n * n, dtype=np.intp)
-        # a cube of side 4 k_max + 1 holds every difference of two sites
-        side = 4 * k_max + 1
-        lookup = np.full((side, side, side), -1, dtype=np.intp)
-        shifted = self.sites + 2 * k_max
-        lookup[shifted[:, 0], shifted[:, 1], shifted[:, 2]] = np.arange(n)
         row_start = np.arange(block)[:, None] * n
         blocks = []
         for r0 in range(0, n, block):
             r1 = min(n, r0 + block)
             d = self.sites[r0:r1, None, :] - self.sites[None, :, :] + 2 * k_max
-            mi = lookup[d[..., 0], d[..., 1], d[..., 2]]
+            mi = self.cube[d[..., 0], d[..., 1], d[..., 2]]
             g = gather[r0 * n: r1 * n].reshape(r1 - r0, n)
             np.add(mi, row_start[: r1 - r0], out=g)
             g[mi < 0] = block * n   # the zero slot

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import certificates
 from .checkpoint import load_field, save_field, write_atomic
-from .config import RunConfig, format_value, generate_ic, parse_config, serialize_config
+from .config import RunConfig, format_value, generate_ic, read_config, write_config
 from .errors import CheckpointError, ConfigError, ConvergenceError
 from .fields import SpectralField, fmc_norm, phi_norm
 from .induction import DecompositionState, induction_steps
@@ -85,7 +85,7 @@ def _start(config: RunConfig) -> tuple[Path, SolverParams, SpectralField]:
     v0 = generate_ic(config)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_atomic(out_dir / "run_config.cfg", serialize_config(config).encode("ascii"))
+    write_config(config, out_dir / "run_config.cfg")
     return out_dir, config.solver_params(), v0
 
 
@@ -188,7 +188,8 @@ def check_run(run_dir) -> RunOutcome:
     file names: a run writes one h_ and one g_ file per age 1..n and one v_
     file per time 0..n, so counts other than n, n and n + 1, a gap or a
     stray file raise CheckpointError, as do a missing run_config.cfg or
-    fields directory and an unreadable checkpoint; nothing is written then.
+    fields directory and an unreadable checkpoint, and a run_config.cfg that
+    read_config rejects raises ConfigError; nothing is written then.
     """
     run_dir = Path(run_dir)
     cfg_path = run_dir / "run_config.cfg"
@@ -197,7 +198,7 @@ def check_run(run_dir) -> RunOutcome:
         raise CheckpointError(f"{cfg_path} not found")
     if not fields_dir.is_dir():
         raise CheckpointError(f"{fields_dir} not found (run with emit including 'fields')")
-    config = parse_config(cfg_path.read_text(encoding="ascii"))
+    config = read_config(cfg_path)
     params = config.solver_params()
     spec = config.lattice_spec()
     gauss_hist = [load_field(p, spec) for p in _numbered(fields_dir, "h_", 1)]
@@ -246,6 +247,10 @@ def bisect_delta(config: RunConfig, delta_lo: float = 1e-6, delta_hi: float = 1.
     whatever the outcome."""
     if not 0 < delta_lo < delta_hi:
         raise ConfigError("need 0 < delta_lo < delta_hi")
+    if bisect_steps < 0:
+        raise ConfigError(f"bisect_steps must be >= 0, got {bisect_steps}")
+    if bisect_horizon < 1:
+        raise ConfigError(f"bisect_horizon must be >= 1, got {bisect_horizon}")
     rows = []
 
     def trial(iteration: int, delta: float) -> bool:

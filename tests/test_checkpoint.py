@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -89,11 +90,13 @@ def test_offsite_record_rejected(ball2, tmp_path):
     f = SpectralField.from_modes(ball2, {(1, 0, 0): (1.0, 0.0, 0.0)})
     save_field(f, path)
     blob = bytearray(path.read_bytes())
-    # corrupt the site triple to a point outside the k_max=2 ball
-    blob[32:44] = struct.pack("<3i", 2, 2, 2)
-    path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match="outside"):
-        load_field(path)
+    # corrupt the site triple to the origin, a point outside the k_max=2
+    # ball, and the int32 extremes, which lie outside any lattice's cube
+    for site in [(0, 0, 0), (2, 2, 2), (2**31 - 1, 0, 0), (-2**31, 0, 0)]:
+        blob[32:44] = struct.pack("<3i", *site)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=re.escape(f"site {site} is outside")):
+            load_field(path)
 
 
 def test_duplicate_record_rejected(ball2, tmp_path):

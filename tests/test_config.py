@@ -110,6 +110,7 @@ def test_round_trip_numpy_scalars():
     ("output_dir", "runs/a\nb"),   # a line break splits the line
     ("ic_checkpoint", "ic\r.ckpt"),
     ("truncation_rule", "sup_cube #"),
+    ("output_dir", "x\udcff"),    # how Python decodes argv byte 0xff; UTF-8 cannot write it
 ])
 def test_text_values_that_cannot_round_trip_rejected(key, value):
     with pytest.raises(ConfigError, match=key):
@@ -124,11 +125,15 @@ def test_round_trip_paths():
         assert parse_config(serialize_config(cfg)) == cfg
 
 
-def test_cli_rejects_unreadable_output_dir(tmp_path, monkeypatch):
+def test_cli_rejects_unreadable_output_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
-    target = tmp_path / "a#b"
-    assert main(["run", "--k-max", "2", "--horizon-m", "1", "--output-dir", str(target)]) == 1
-    assert not target.exists()
+    # `--output-dir $'x\xff'` reaches argv as a lone surrogate
+    for name in ("a#b", "x\udcff"):
+        target = tmp_path / name
+        assert main(["run", "--k-max", "2", "--horizon-m", "1", "--output-dir", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: output_dir must be UTF-8 text") and err.count("\n") == 1
+        assert not target.exists()
 
 
 def test_from_checkpoint_requires_path():

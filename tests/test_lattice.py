@@ -54,13 +54,30 @@ def test_sites_lexicographically_ordered(ball3):
 
 
 def test_zero_vector_never_appears(ball3):
-    assert (0, 0, 0) not in ball3.index
+    assert ball3.indices((0, 0, 0)) == -1
     assert (ball3.norm_sq > 0).all()
 
 
 def test_closed_under_negation(ball3):
     for s in ball3.sites.tolist():
-        assert (-s[0], -s[1], -s[2]) in ball3.index
+        assert ball3.indices([-s[0], -s[1], -s[2]]) >= 0
+
+
+@pytest.mark.parametrize("rule", list(TruncationRule))
+@pytest.mark.parametrize("k_max", range(1, 9))
+def test_indices_find_sites_and_only_sites(k_max, rule):
+    lat = get_lattice(LatticeSpec(k_max, rule))
+    n = len(lat)
+    assert np.array_equal(lat.indices(lat.sites), np.arange(n))
+    assert np.array_equal(lat.indices(-lat.sites), np.arange(n)[::-1])
+    # the origin, a point cut off by the truncation, one outside the index
+    # cube, and one off the integers (a bare integer cast reads it as (1, 0, 0))
+    cut = (k_max, k_max, 1) if rule is TruncationRule.EUCLIDEAN_BALL else (k_max + 1, 0, 0)
+    for point in [(0, 0, 0), cut, (2**31 - 1, 0, 0), (-2**31, 0, 0), (1.5, 0, 0)]:
+        assert lat.indices(point) == -1
+        with pytest.raises(KeyError, match="not on the lattice"):
+            lat.site_index(point)
+    assert lat.site_index((1, 0, 0)) == lat.indices([[1, 0, 0]])[0] >= 0
 
 
 @pytest.mark.parametrize("rule", list(TruncationRule))
@@ -182,5 +199,5 @@ def test_no_full_interaction_matrix_on_the_lattice():
 @given(st.integers(1, 3), st.sampled_from(list(TruncationRule)))
 def test_membership_is_negation_symmetric(k_max, rule):
     lat = get_lattice(LatticeSpec(k_max, rule))
-    for kx, ky, kz in lat.sites.tolist():
-        assert (-kx, -ky, -kz) in lat.index
+    for i, (kx, ky, kz) in enumerate(lat.sites.tolist()):
+        assert lat.site_index((-kx, -ky, -kz)) == len(lat) - 1 - i

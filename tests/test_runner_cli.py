@@ -253,6 +253,20 @@ def test_check_rejects_a_non_finite_checkpoint(tmp_path, capsys):
     assert not (Path(cfg.output_dir) / "check_report.csv").exists()
 
 
+def test_check_rejects_an_undecodable_run_config(tmp_path, capsys):
+    cfg = small_config(tmp_path, emit=frozenset({"norm_series", "certificates", "fields"}),
+                       horizon_m=1)
+    run(cfg)
+    cfg_path = Path(cfg.output_dir) / "run_config.cfg"
+    cfg_path.write_bytes(cfg_path.read_bytes() + b"# \xff\n")
+    assert main(["check", cfg.output_dir]) == STATUS_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {cfg_path}: not UTF-8")
+    assert captured.err.count("\n") == 1
+    assert not (Path(cfg.output_dir) / "check_report.csv").exists()
+
+
 def test_check_flags_phi_envelope_excess(tmp_path):
     cfg = small_config(tmp_path, emit=frozenset({"norm_series", "certificates", "fields"}),
                        horizon_m=2)
@@ -346,6 +360,26 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert len(rows) == 2  # the flag overrode the file
 
 
+def test_cli_rejects_an_undecodable_config_file(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_bytes(b"k_max = 2\n# \xff\n")
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(cfg_file), "--output-dir", str(out)])
+    assert code == STATUS_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg_file}: not UTF-8") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_run_and_check_a_non_ascii_output_dir(tmp_path, monkeypatch):
+    monkeypatch.delenv("NSTORUS_OUTPUT_DIR", raising=False)
+    out = tmp_path / "runé"
+    assert main(["run", "--k-max", "2", "--horizon-m", "2", "--emit",
+                 "norm_series,certificates,fields", "--output-dir", str(out)]) == 0
+    assert main(["check", str(out)]) == 0
+    assert (out / "check_report.csv").is_file()
+
+
 def test_cli_env_output_dir_override(tmp_path, monkeypatch):
     target = tmp_path / "env_out"
     monkeypatch.setenv("NSTORUS_OUTPUT_DIR", str(target))
@@ -430,3 +464,13 @@ def test_cli_bisect_writes_rows_when_delta_lo_fails(tmp_path):
     assert schema == "nstorus.bisect_delta.v1"
     assert cols == ["iteration", "delta", "converged"]
     assert rows == [["0", "0.5", "false"]]
+
+
+@pytest.mark.parametrize("flag, value", [("--bisect-steps", "-1"), ("--bisect-horizon", "0")])
+def test_cli_bisect_rejects_bad_arguments_by_name(flag, value, tmp_path, capsys):
+    out = tmp_path / "bs_bad"
+    code = main(["bisect-delta", "--k-max", "2", "--output-dir", str(out), flag, value])
+    assert code == STATUS_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err == f"error: {flag[2:].replace('-', '_')} must be >= {int(value) + 1}, got {value}\n"
+    assert not out.exists()
