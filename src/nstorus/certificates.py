@@ -48,7 +48,11 @@ class CertificateRecord:
     c1, c2, c3:      measured forcing norm, linear gain and quadratic gain
                      of the remainder fixed point (c3 is nan when the
                      iterates stayed at zero); contraction_ok is the
-                     sufficient local contraction condition c2 + 2 c3 |g| < 1
+                     sufficient local contraction condition c2 + 2 c3 |g| < 1.
+                     On long runs the quadratic term underflows to zero and
+                     c3 reads 0.0 (seed 0, delta 0.03: from m = 172 at k_max 2
+                     and from m = 182 at k_max 4); contraction_ok then
+                     tests c2 < 1 alone and says nothing about c3
     phi_sup:         sup over the step's grid times of the data-norm of v
     """
 

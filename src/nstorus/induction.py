@@ -54,8 +54,10 @@ to m-j+1 additions there, and exp(-x) of a rounded argument x carries a
 relative error of up to about 2^-52 x in either sum; the second line covers
 the terms the floor would have pruned by age, and the flushed subnormals.
 The certificate constants over ages are carried the same way: the state
-folds only the new age's fit into them (see DecompositionState.extended),
-so the cost of a step no longer grows with m.
+folds only the new age's fit into them (see DecompositionState.extended).
+So the state holds no per-age entry, and neither the cost nor the memory
+of a step grows with m; a caller that wants the entries takes them from
+the steps induction_steps yields.
 
 Every part is a TimeSlicedField over the interval's grid. induction_steps
 is the one loop over steps: runs, the smallness bisection and the scripts
@@ -104,22 +106,19 @@ class DecompositionState:
     """Induction record at integer time m, built by DecompositionState.initial
     and grown one interval at a time by extended.
 
-    initial_field is the t = 0 velocity; the histories hold one entry per
-    completed interval j = 1..m, frozen at that interval's end. Gaussian
-    history entries are stored with their |k|^(2 epsilon) factor multiplied
-    in; assembly divides it back out.
-
-    Every reduction of the histories that a step needs is carried along:
-    gaussian_sum and remainder_sum are their running sums R_m (see the
-    module docstring), and bounds = (gaussian_D, remainder_D,
-    remainder_decay) are the certificate constants over ages 1..m: the
-    maxima of the per-age minimal D and the minimum of the finite fitted
-    decay rates (nan while there is none).
+    initial_field is the t = 0 velocity. The two histories have one entry
+    per completed interval j = 1..m, frozen at that interval's end, but the
+    state holds no per-age entry: it holds what a step reads, the
+    histories' running sums R_m (gaussian_sum and remainder_sum, see the
+    module docstring) and bounds = (gaussian_D, remainder_D,
+    remainder_decay), the certificate constants over ages 1..m: the maxima
+    of the per-age minimal D and the minimum of the finite fitted decay
+    rates (nan while there is none). Gaussian entries carry their
+    |k|^(2 epsilon) factor multiplied in; assembly divides it back out.
     """
 
     initial_field: SpectralField
-    gaussian_history: tuple[SpectralField, ...]
-    remainder_history: tuple[SpectralField, ...]
+    m: int
     gaussian_sum: SpectralField = field(repr=False)
     remainder_sum: SpectralField = field(repr=False)
     bounds: tuple[float, float, float]
@@ -127,11 +126,7 @@ class DecompositionState:
     @classmethod
     def initial(cls, v0: SpectralField) -> "DecompositionState":
         zero = SpectralField.zero(v0.lattice)
-        return cls(v0, (), (), zero, zero, (0.0, 0.0, math.nan))
-
-    @property
-    def m(self) -> int:
-        return len(self.gaussian_history)
+        return cls(v0, 0, zero, zero, (0.0, 0.0, math.nan))
 
     @property
     def lattice(self):
@@ -150,14 +145,8 @@ class DecompositionState:
         (new_rem_d,), (new_rate,) = fit_remainder_bound((g,), params, age)
         bounds = (float(np.maximum(gauss_d, new_gauss_d)), float(np.maximum(rem_d, new_rem_d)),
                   float(np.fmin(rate, new_rate)))
-        return DecompositionState(
-            self.initial_field,
-            self.gaussian_history + (h,),
-            self.remainder_history + (g,),
-            _extend_sum(self.gaussian_sum, h),
-            _extend_sum(self.remainder_sum, g),
-            bounds,
-        )
+        return DecompositionState(self.initial_field, age, _extend_sum(self.gaussian_sum, h),
+                                  _extend_sum(self.remainder_sum, g), bounds)
 
 
 def _heat_weights(ages: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -318,7 +307,8 @@ def iterate_contraction(forcing, maps, norm_fn, tol: float, max_iter: int) -> Fi
         lin, quad = maps(x)
         x_norm = norm_fn(x)
         if x_norm > 0:
-            gains.append((norm_fn(lin) / x_norm, norm_fn(quad) / x_norm ** 2))
+            # x_norm ** 2 would underflow to 0.0 below x_norm ~ 1e-162
+            gains.append((norm_fn(lin) / x_norm, norm_fn(quad) / x_norm / x_norm))
         return x_norm, forcing + lin + quad
 
     solution, updates = fixed_point(forcing, lambda x: evaluate(x)[1], norm_fn, tol, max_iter)

@@ -11,6 +11,7 @@ Each CSV starts with a '# schema=' line.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager, nullcontext
 from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -79,38 +80,84 @@ class RunOutcome:
 
 
 def _start(config: RunConfig) -> tuple[Path, SolverParams, SpectralField]:
-    """Build the initial velocity, then create the output directory and
-    write run_config.cfg there, so a bad checkpoint leaves nothing behind;
-    returns the directory, the solver parameters and the initial velocity."""
+    """Build the initial velocity, then create the output directory, remove
+    the fields directory and the staging directory an earlier run left there
+    and write run_config.cfg, so a bad checkpoint leaves nothing behind and
+    no checkpoint outlives the config it was written under (a fields
+    directory holding a file no run writes raises OSError before the config
+    is written); returns the directory, the solver parameters and the
+    initial velocity."""
     v0 = generate_ic(config)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for name in ("fields", _STAGING):
+        _remove_checkpoints(out_dir / name)
     write_config(config, out_dir / "run_config.cfg")
     return out_dir, config.solver_params(), v0
+
+
+_STAGING = ".fields.tmp"   # fields/ while a run writes it
+
+
+def _remove_checkpoints(fields_dir: Path) -> None:
+    """Remove a directory of checkpoints that a run wrote: the files a run
+    names there and write_atomic's temporary files for them, then the
+    directory, whose rmdir raises OSError if it holds anything else, which
+    stays."""
+    for pattern in ("c0.ckpt", "[hgv]_*.ckpt", ".*.ckpt.*.tmp"):
+        for path in fields_dir.glob(pattern):
+            path.unlink()
+    if fields_dir.is_dir():
+        fields_dir.rmdir()
+
+
+@contextmanager
+def _staged_fields(out_dir: Path):
+    """A new staging directory in out_dir, renamed to out_dir/fields when
+    the block completes; removed when the block or the rename raises."""
+    staging = out_dir / _STAGING
+    staging.mkdir()
+    try:
+        yield staging
+        staging.rename(out_dir / "fields")
+    finally:
+        _remove_checkpoints(staging)  # nothing left there after the rename
 
 
 def run(config: RunConfig) -> RunOutcome:
     """Advance horizon_m unit intervals, writing norm series, certificates,
     optional field checkpoints, and (for short horizons) an oracle cross
-    check against the direct Picard solver."""
+    check against the direct Picard solver.
+
+    Checkpoints are written as each step is yielded, into a temporary
+    directory that becomes fields/ once every step has converged; a failed
+    or interrupted run removes it, so only a converged run leaves fields/.
+    """
     out_dir, params, v0 = _start(config)
     state = DecompositionState.initial(v0)
+    with_oracle = 0 < config.horizon_m <= config.oracle_horizon
+    velocities = [v0]  # integer-time velocities, kept for the oracle only
 
-    norm_rows = []
-    records = []
-    integer_velocities = [v0]
-    status = STATUS_OK
-    message = "ok"
-    failed_step = None
+    norm_rows, records = [], []
+    status, message, failed_step = STATUS_OK, "ok", None
     try:
-        for sol, state, record in induction_steps(state, params, config.horizon_m):
-            phis = phi_norm(sol.velocity, params.alpha, axis=-1)
-            fmcs = fmc_norm(sol.fixed_point.solution, state.m, params.decay_c, params.beta,
-                            axis=-1)
-            norm_rows.extend((state.m - 1, t, float(phi), float(fmc), record.fp_iterations)
-                             for t, phi, fmc in zip(sol.times, phis, fmcs))
-            records.append(record)
-            integer_velocities.append(sol.velocity.last_slice())
+        with _staged_fields(out_dir) if "fields" in config.emit else nullcontext() as ckpt:
+            if ckpt:
+                save_field(v0, ckpt / "c0.ckpt")
+                save_field(v0, ckpt / "v_0000.ckpt")
+            for sol, state, record in induction_steps(state, params, config.horizon_m):
+                phis = phi_norm(sol.velocity, params.alpha, axis=-1)
+                fmcs = fmc_norm(sol.fixed_point.solution, state.m, params.decay_c,
+                                params.beta, axis=-1)
+                norm_rows.extend((state.m - 1, t, float(phi), float(fmc), record.fp_iterations)
+                                 for t, phi, fmc in zip(sol.times, phis, fmcs))
+                records.append(record)
+                if with_oracle:
+                    velocities.append(sol.velocity.last_slice())
+                if ckpt:  # the interval-end slices that apply_interval folds in
+                    for prefix, part in (("h_", sol.correction), ("g_", sol.fixed_point.solution),
+                                         ("v_", sol.velocity)):
+                        save_field(part.last_slice(), ckpt / f"{prefix}{state.m:04d}.ckpt")
     except ConvergenceError as exc:
         status = STATUS_FP_FAILURE
         failed_step = state.m
@@ -122,26 +169,16 @@ def run(config: RunConfig) -> RunOutcome:
     if "certificates" in config.emit:
         _write_csv(out_dir / "certificates.csv", CERTIFICATES_SCHEMA,
                    CERTIFICATE_COLUMNS, [astuple(r) for r in records])
-    if status == STATUS_OK and "fields" in config.emit:
-        fields_dir = out_dir / "fields"
-        fields_dir.mkdir(exist_ok=True)
-        save_field(v0, fields_dir / "c0.ckpt")
-        for j, h in enumerate(state.gaussian_history, start=1):
-            save_field(h, fields_dir / f"h_{j:04d}.ckpt")
-        for j, g in enumerate(state.remainder_history, start=1):
-            save_field(g, fields_dir / f"g_{j:04d}.ckpt")
-        for m, v in enumerate(integer_velocities):
-            save_field(v, fields_dir / f"v_{m:04d}.ckpt")
 
     oracle_max_diff = None
-    if status == STATUS_OK and 0 < config.horizon_m <= config.oracle_horizon:
+    if status == STATUS_OK and with_oracle:
         try:
             trajectory = picard_solve(v0, float(config.horizon_m), params)
         except ConvergenceError as exc:
             return RunOutcome(STATUS_ORACLE_MISMATCH,
                               f"oracle solver failed to converge: {exc}", records)
         oracle_max_diff = float(integer_time_deviations(
-            trajectory, integer_velocities, params.substeps).max())
+            trajectory, velocities, params.substeps).max())
         if oracle_max_diff > config.oracle_tol:
             status = STATUS_ORACLE_MISMATCH
             message = (f"oracle mismatch: max mode-wise deviation "
@@ -166,16 +203,17 @@ def run_oracle(config: RunConfig) -> RunOutcome:
                                  f"update {trajectory.final_update_norm:.3e})")
 
 
-def _numbered(fields_dir: Path, prefix: str, first: int) -> list[Path]:
-    """The files a run names prefix + f"{j:04d}.ckpt" for j = first,
-    first + 1, ..., as many as there are prefix*.ckpt files; CheckpointError
-    names the first one missing when those files are not exactly these."""
+def _numbered(fields_dir: Path, prefix: str, first: int, count: int) -> list[Path]:
+    """The files prefix + f"{j:04d}.ckpt", j = first .. first + count - 1,
+    that a run writes; CheckpointError names the first one missing or, when
+    none is, the first other prefix*.ckpt file there."""
+    names = [f"{prefix}{j:04d}.ckpt" for j in range(first, first + count)]
     present = {p.name for p in fields_dir.glob(prefix + "*.ckpt")}
-    names = [f"{prefix}{j:04d}.ckpt" for j in range(first, first + len(present))]
     missing = [name for name in names if name not in present]
-    if missing:
-        stray = min(present.difference(names))
-        raise CheckpointError(f"{fields_dir / missing[0]} is missing ({stray} is stray)")
+    stray = sorted(present.difference(names))
+    if missing or stray:
+        what = "missing" if missing else f"stray (the run wrote {names[0]}..{names[-1]})"
+        raise CheckpointError(f"{fields_dir / (missing or stray)[0]} is {what}")
     return [fields_dir / name for name in names]
 
 
@@ -184,12 +222,12 @@ def check_run(run_dir) -> RunOutcome:
 
     Re-fits the per-age bound constants from the h_/g_ history files and
     recomputes the data-norm of each integer-time velocity checkpoint,
-    writing check_report.csv next to the originals. Ages are read from the
-    file names: a run writes one h_ and one g_ file per age 1..n and one v_
-    file per time 0..n, so counts other than n, n and n + 1, a gap or a
-    stray file raise CheckpointError, as do a missing run_config.cfg or
-    fields directory and an unreadable checkpoint, and a run_config.cfg that
-    read_config rejects raises ConfigError; nothing is written then.
+    writing check_report.csv next to the originals. A run of horizon_m = n
+    (read from its run_config.cfg) writes one h_ and one g_ file per age
+    1..n and one v_ file per time 0..n; a missing or stray file raises
+    CheckpointError, as do a missing run_config.cfg or fields directory and
+    an unreadable checkpoint, and a run_config.cfg that read_config rejects
+    raises ConfigError; nothing is written then.
     """
     run_dir = Path(run_dir)
     cfg_path = run_dir / "run_config.cfg"
@@ -201,17 +239,10 @@ def check_run(run_dir) -> RunOutcome:
     config = read_config(cfg_path)
     params = config.solver_params()
     spec = config.lattice_spec()
-    gauss_hist = [load_field(p, spec) for p in _numbered(fields_dir, "h_", 1)]
-    rem_hist = [load_field(p, spec) for p in _numbered(fields_dir, "g_", 1)]
-    velocities = [load_field(p, spec) for p in _numbered(fields_dir, "v_", 0)]
-    if len(gauss_hist) != len(rem_hist):
-        raise CheckpointError(f"{fields_dir} holds {len(gauss_hist)} h_*.ckpt but "
-                              f"{len(rem_hist)} g_*.ckpt history files; a run writes one "
-                              "of each per step")
-    if len(velocities) != len(gauss_hist) + 1:
-        raise CheckpointError(f"{fields_dir} holds {len(velocities)} v_*.ckpt snapshots for "
-                              f"{len(gauss_hist)} history ages; a run writes one per time "
-                              f"0..{len(gauss_hist)}")
+    n = config.horizon_m
+    gauss_hist = [load_field(p, spec) for p in _numbered(fields_dir, "h_", 1, n)]
+    rem_hist = [load_field(p, spec) for p in _numbered(fields_dir, "g_", 1, n)]
+    velocities = [load_field(p, spec) for p in _numbered(fields_dir, "v_", 0, n + 1)]
     gauss_d = certificates.fit_gaussian_bound(gauss_hist, params)
     rem_d, rem_rate = certificates.fit_remainder_bound(rem_hist, params)
     phis = [phi_norm(v, params.alpha) for v in velocities]

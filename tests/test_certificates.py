@@ -241,10 +241,13 @@ def test_ledger_records_equal_full_refits(ball2):
     params = SolverParams(delta=0.03)
     state = DecompositionState.initial(random_field(ball2, np.random.default_rng(2), 0.01))
     finite_rates = 0
-    for _, state, record in induction_steps(state, params, 32):
+    gaussian_history, remainder_history = [], []
+    for sol, state, record in induction_steps(state, params, 32):
+        gaussian_history.append(sol.correction.last_slice())
+        remainder_history.append(sol.fixed_point.solution.last_slice())
         gaussian_d, remainder_d, remainder_decay = state.bounds
-        gauss = fit_gaussian_bound(state.gaussian_history, params)
-        rem_d, rem_rate = fit_remainder_bound(state.remainder_history, params)
+        gauss = fit_gaussian_bound(gaussian_history, params)
+        rem_d, rem_rate = fit_remainder_bound(remainder_history, params)
         rates = rem_rate[np.isfinite(rem_rate)]
         assert gaussian_d == gauss.max()
         assert remainder_d == rem_d.max()

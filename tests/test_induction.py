@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -111,14 +112,14 @@ def test_remainder_part_matches_brute_force_sum(ball2):
         assert np.allclose(part.slices[n].data, expect, rtol=1e-13, atol=0)
 
 
-def history_part_bounds(state, correction, params):
+def history_part_bounds(gaussian_history, remainder_history, correction, params):
     """Per-site, per-component bounds on |running-sum part - looped part|
-    for the gaussian and remainder parts, as stated in the induction module
-    docstring: 2^-52 sum_j (3(m-j) + 4 + 2(m-j+t)|k|^2) w_j |h_j| +
-    UNDERFLOW_FLOOR (1 + sum_j |h_j|), w_j the looped clamped weight; the
-    gaussian part adds (m+2) 2^-52 |correction| and divides by |k|^(2 eps);
-    (S+1, N, 3) arrays."""
-    m, q = state.m, state.lattice.norm_sq_f
+    for the gaussian and remainder parts at m = len(history), as stated in
+    the induction module docstring: 2^-52 sum_j (3(m-j) + 4 + 2(m-j+t)|k|^2)
+    w_j |h_j| + UNDERFLOW_FLOOR (1 + sum_j |h_j|), w_j the looped clamped
+    weight; the gaussian part adds (m+2) 2^-52 |correction| and divides by
+    |k|^(2 eps); (S+1, N, 3) arrays."""
+    m, q = len(gaussian_history), correction.lattice.norm_sq_f
     qe = q ** params.epsilon
 
     def bound(history, extra):
@@ -132,8 +133,8 @@ def history_part_bounds(state, correction, params):
         total = sum((np.abs(h.data) for h in history), np.zeros(q.shape + (3,)))
         return 2.0 ** -52 * weighted + UNDERFLOW_FLOOR * (1 + total)
 
-    return (bound(state.gaussian_history, correction.data) / qe[:, None],
-            bound(state.remainder_history, np.zeros(correction.data.shape)))
+    return (bound(gaussian_history, correction.data) / qe[:, None],
+            bound(remainder_history, np.zeros(correction.data.shape)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -152,8 +153,8 @@ def test_history_assembly_matches_per_time_loop(m, k_max, rule, substeps, horizo
     state = state_from_histories(random_field(lat, rng), history[:m], history[m:], PARAMS)
     times = tuple(horizon * t for t in unit_times(substeps))
     correction = random_sliced(lat, times, rng, scale=1e-6, a=a)
-    gaussian, remainder = looped_history_parts(state, correction, PARAMS)
-    g_bound, r_bound = history_part_bounds(state, correction, PARAMS)
+    gaussian, remainder = looped_history_parts(history[:m], history[m:], correction, PARAMS)
+    g_bound, r_bound = history_part_bounds(history[:m], history[m:], correction, PARAMS)
     got_g = assemble_gaussian_part(state, correction, PARAMS).data
     got_r = assemble_remainder_part(state, times).data
     assert (np.abs(got_g - gaussian) <= g_bound).all()
@@ -349,14 +350,45 @@ def test_iterate_contraction_respects_budget(ball2):
                             norm_fn, tol=1e-16, max_iter=5)
 
 
+@pytest.mark.parametrize("size", [1e-162, 1e-300])
+def test_iterate_contraction_at_underflowing_norms(size, ball2):
+    # |x|^2 underflows to 0.0 here, and so does every entry of the
+    # quadratic term 0.25 |x| x: c2 is still measured, and c3 reads 0.0
+
+    def norm_fn(x):
+        return fmc_norm(x, 1, PARAMS.decay_c, PARAMS.beta)
+
+    forcing = random_sliced(ball2, unit_times(2), np.random.default_rng(3))
+    forcing = forcing * (size / norm_fn(forcing))
+    assert norm_fn(forcing) == pytest.approx(size) and norm_fn(forcing) ** 2 == 0.0
+    fp = iterate_contraction(forcing, lambda g: (g * 0.3, g * (0.25 * norm_fn(g))),
+                             norm_fn, tol=1e-3 * norm_fn(forcing), max_iter=80)
+    assert fp.linear_gain == pytest.approx(0.3, rel=1e-12)
+    assert fp.quadratic_gain == 0.0
+    assert fp.contracts and np.isfinite(fp.solution.data).all()
+    assert 0 < fp.residual <= 1e-3 * fp.forcing_norm
+
+
 # -- advancing intervals ---------------------------------------------------------------
+
+def test_state_holds_no_per_age_entries():
+    names = [f.name for f in dataclasses.fields(DecompositionState)]
+    assert names == ["initial_field", "m", "gaussian_sum", "remainder_sum", "bounds"]
+
+
+def history_entries(sol):
+    """The step's interval-end correction and remainder: the age-m history
+    entries that apply_interval folds into the state."""
+    return sol.correction.last_slice(), sol.fixed_point.solution.last_slice()
+
 
 def test_advance_zero_data_stays_zero(ball2):
     state = DecompositionState.initial(SpectralField.zero(ball2))
-    for _, state, record in induction_steps(state, PARAMS, 3):
-        pass
-    assert all(h.support_size == 0 for h in state.gaussian_history)
-    assert all(g.support_size == 0 for g in state.remainder_history)
+    entries = []
+    for sol, state, record in induction_steps(state, PARAMS, 3):
+        entries.extend(history_entries(sol))
+    assert len(entries) == 6 and state.m == 3
+    assert all(e.support_size == 0 for e in entries)
     assert record.phi_sup == 0.0
     assert record.fp_iterations == 1
 
@@ -395,10 +427,11 @@ def test_advance_single_mode_is_pure_heat_decay(ball2):
     delta = 1e-3
     f = SpectralField.from_modes(ball2, {(1, 0, 0): (0.0, delta, 0.0)})
     state = DecompositionState.initial(f)
+    entries = []
     for sol, state, _ in induction_steps(state, PARAMS, 5):
-        pass
-    assert all(h.support_size == 0 for h in state.gaussian_history)
-    assert all(g.support_size == 0 for g in state.remainder_history)
+        entries.extend(history_entries(sol))
+    assert len(entries) == 10 and state.m == 5
+    assert all(e.support_size == 0 for e in entries)
     v = sol.velocity.slices[-1]
     assert v[(1, 0, 0)][1].real == pytest.approx(delta * math.exp(-5.0), rel=1e-14)
     assert v.support_size == 1

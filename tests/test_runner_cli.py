@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nstorus import CheckpointError, RunConfig, SpectralField, save_field
+import nstorus.induction
+from nstorus import CheckpointError, ConvergenceError, RunConfig, SpectralField, save_field
 from nstorus.cli import main
 from nstorus.lattice import LatticeSpec, get_lattice
 from nstorus.runner import (
@@ -201,7 +202,7 @@ def test_check_rejects_mismatched_histories(tmp_path):
     run(cfg)
     fields_dir = Path(cfg.output_dir) / "fields"
     (fields_dir / "g_0002.ckpt").unlink()
-    with pytest.raises(CheckpointError, match=r"2 h_\*\.ckpt but 1 g_\*\.ckpt"):
+    with pytest.raises(CheckpointError, match=r"g_0002\.ckpt is missing"):
         check_run(cfg.output_dir)
     assert main(["check", cfg.output_dir]) == STATUS_CONFIG_ERROR
     assert not (Path(cfg.output_dir) / "check_report.csv").exists()
@@ -229,8 +230,117 @@ def test_check_rejects_a_missing_last_snapshot(tmp_path, capsys):
     run(cfg)
     (Path(cfg.output_dir) / "fields" / "v_0003.ckpt").unlink()
     assert main(["check", cfg.output_dir]) == STATUS_CONFIG_ERROR
-    assert "3 v_*.ckpt snapshots for 3 history ages" in capsys.readouterr().err
+    assert "v_0003.ckpt is missing" in capsys.readouterr().err
     assert not (Path(cfg.output_dir) / "check_report.csv").exists()
+
+
+def test_check_rejects_a_stray_age(tmp_path, capsys):
+    # the age count comes from run_config.cfg: a fourth age beside a
+    # three-step run is not fitted
+    cfg = small_config(tmp_path, emit=frozenset({"norm_series", "certificates", "fields"}),
+                       horizon_m=3)
+    run(cfg)
+    fields_dir = Path(cfg.output_dir) / "fields"
+    (fields_dir / "h_0004.ckpt").write_bytes((fields_dir / "h_0003.ckpt").read_bytes())
+    assert main(["check", cfg.output_dir]) == STATUS_CONFIG_ERROR
+    assert f"{fields_dir / 'h_0004.ckpt'} is stray" in capsys.readouterr().err
+    assert not (Path(cfg.output_dir) / "check_report.csv").exists()
+
+
+STALE_RUN = ["run", "--k-max", "2", "--delta", "0.01", "--emit",
+             "certificates,fields,norm_series", "--output-dir"]
+
+
+def test_rerun_replaces_an_earlier_runs_fields(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main([*STALE_RUN, out, "--horizon-m", "6"]) == STATUS_OK
+    assert main([*STALE_RUN, out, "--horizon-m", "3"]) == STATUS_OK
+    assert len(list((tmp_path / "out" / "fields").glob("h_*.ckpt"))) == 3
+    capsys.readouterr()
+    assert main(["check", out]) == STATUS_OK
+    assert capsys.readouterr().out.startswith("checked 3 history ages, 4 snapshots;")
+
+
+def test_failed_rerun_leaves_no_earlier_fields_to_check(tmp_path, capsys):
+    # the failed run's config says delta = 5: the earlier run's fields must
+    # not be fitted under it
+    out = str(tmp_path / "out")
+    assert main([*STALE_RUN, out, "--horizon-m", "3"]) == STATUS_OK
+    assert main([*STALE_RUN, out, "--horizon-m", "3", "--delta", "5"]) == STATUS_FP_FAILURE
+    capsys.readouterr()
+    assert main(["check", out]) == STATUS_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'out' / 'fields'} not found")
+    assert not (tmp_path / "out" / "check_report.csv").exists()
+
+
+def test_rerun_keeps_a_foreign_file_in_fields(tmp_path, capsys):
+    # a run removes only the checkpoints an earlier run wrote; any other
+    # entry of fields/ stays, and the run stops with an error
+    out = tmp_path / "out"
+    assert main([*STALE_RUN, str(out), "--horizon-m", "2"]) == STATUS_OK
+    (out / "fields" / "notes.txt").write_text("mine")
+    capsys.readouterr()
+    assert main([*STALE_RUN, str(out), "--horizon-m", "3"]) == STATUS_CONFIG_ERROR
+    assert "Directory not empty" in capsys.readouterr().err
+    assert [p.name for p in (out / "fields").iterdir()] == ["notes.txt"]
+    assert (out / "fields" / "notes.txt").read_text() == "mine"
+    assert "horizon_m = 2" in (out / "run_config.cfg").read_text()   # not rewritten
+
+
+def test_run_removes_the_staging_directory_of_a_killed_run(tmp_path, capsys):
+    # a run killed while it streams its checkpoints leaves .fields.tmp,
+    # possibly with a write_atomic temporary in it; the next run clears it
+    out = tmp_path / "out"
+    staging = out / ".fields.tmp"
+    staging.mkdir(parents=True)
+    (staging / "c0.ckpt").write_bytes(b"old")
+    (staging / ".h_0001.ckpt.0123abcd.tmp").write_bytes(b"part")
+    assert main([*STALE_RUN, str(out), "--horizon-m", "2", "--emit", "norm_series"]) == STATUS_OK
+    assert not staging.exists() and not (out / "fields").exists()
+
+
+@pytest.mark.parametrize("error", [ConvergenceError("injected"), KeyboardInterrupt()],
+                         ids=["convergence", "interrupt"])
+def test_a_run_failing_at_step_2_leaves_no_fields(error, tmp_path, monkeypatch):
+    # checkpoints are streamed into a temporary directory that only a
+    # converged run renames to fields/
+    cfg = small_config(tmp_path, emit=frozenset({"norm_series", "certificates", "fields"}),
+                       horizon_m=4)
+    out = Path(cfg.output_dir)
+    solve = nstorus.induction.solve_remainder
+    staged = []
+
+    def failing_at_step_2(forcing, total, params, m_next):
+        if m_next == 3:
+            staged.extend(p.name for p in out.glob(".fields.tmp/*.ckpt"))
+            raise error
+        return solve(forcing, total, params, m_next)
+
+    monkeypatch.setattr(nstorus.induction, "solve_remainder", failing_at_step_2)
+    if isinstance(error, ConvergenceError):
+        outcome = run(cfg)
+        assert (outcome.status, outcome.failed_step) == (STATUS_FP_FAILURE, 2)
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            run(cfg)
+    assert sorted(staged) == ["c0.ckpt", "g_0001.ckpt", "g_0002.ckpt", "h_0001.ckpt",
+                              "h_0002.ckpt", "v_0000.ckpt", "v_0001.ckpt", "v_0002.ckpt"]
+    assert not (out / "fields").exists()
+    assert not [p for p in out.iterdir() if p.name.startswith(".")]  # nor a temporary one
+
+
+def test_long_run_past_the_underflow_of_the_squared_norm(tmp_path):
+    # on the step from m = 187 the remainder iterate's squared norm
+    # underflows to 0.0; the run and its streamed checkpoints go on to 200
+    cfg = small_config(tmp_path, delta=0.03, horizon_m=200,
+                       emit=frozenset({"certificates", "fields"}))
+    assert run(cfg).status == STATUS_OK
+    _, _, rows = read_csv(Path(cfg.output_dir) / "certificates.csv")
+    assert [int(r[0]) for r in rows] == list(range(1, 201))
+    assert float(rows[-1][7]) == 0.0   # c3: the quadratic term underflowed
+    outcome = check_run(cfg.output_dir)
+    assert outcome.status == STATUS_OK
+    assert outcome.message.startswith("checked 200 history ages, 201 snapshots;")
 
 
 def _poison_first_value(path):

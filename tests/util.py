@@ -114,24 +114,25 @@ def star_majorant(pairs):
                      for n, t in enumerate(times)])
 
 
-def looped_history_parts(state, correction, params):
-    """The gaussian and remainder parts assembled one (grid time t, age j)
-    pair at a time, each slice from its own weights
-    exp(-(m - j + t)|k|^2) (pruned below the underflow floor), summed in
-    increasing j; (S+1, N, 3) arrays (gaussian, remainder)."""
-    q = state.lattice.norm_sq_f
+def looped_history_parts(gaussian_history, remainder_history, correction, params):
+    """The gaussian and remainder parts at m = len(history) assembled one
+    (grid time t, age j) pair at a time from the history entries, each slice
+    from its own weights exp(-(m - j + t)|k|^2) (pruned below the underflow
+    floor), summed in increasing j; (S+1, N, 3) arrays (gaussian,
+    remainder)."""
+    m, q = len(gaussian_history), correction.lattice.norm_sq_f
     qe = q ** params.epsilon
 
     def decayed(t, history, acc):
         for j, h in enumerate(history, start=1):
-            w = np.exp(-(state.m - j + t) * q)
+            w = np.exp(-(m - j + t) * q)
             w[w < UNDERFLOW_FLOOR] = 0.0
             acc += w[:, None] * h.data
         return acc
 
-    gaussian = [decayed(t, state.gaussian_history, c.data.copy()) / qe[:, None]
+    gaussian = [decayed(t, gaussian_history, c.data.copy()) / qe[:, None]
                 for t, c in zip(correction.times, correction.slices)]
-    remainder = [decayed(t, state.remainder_history, np.zeros_like(c.data))
+    remainder = [decayed(t, remainder_history, np.zeros_like(c.data))
                  for t, c in zip(correction.times, correction.slices)]
     return np.stack(gaussian), np.stack(remainder)
 
