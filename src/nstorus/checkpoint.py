@@ -32,7 +32,7 @@ from .errors import CheckpointError
 from .fields import SpectralField
 from .lattice import LatticeSpec, TruncationRule, get_lattice
 
-__all__ = ["save_field", "load_field", "write_atomic", "MAGIC", "FORMAT_VERSION"]
+__all__ = ["save_field", "load_field", "write_atomic", "temporary_name", "MAGIC", "FORMAT_VERSION"]
 
 MAGIC = b"NSTFLD01"
 FORMAT_VERSION = 1
@@ -40,6 +40,12 @@ _HEADER = struct.Struct("<8sIIiIQ")
 _RULE_CODES = {TruncationRule.EUCLIDEAN_BALL: 0, TruncationRule.SUP_CUBE: 1}
 _CODE_RULES = {v: k for k, v in _RULE_CODES.items()}
 _RECORD_DTYPE = np.dtype([("site", "<i4", (3,)), ("value", "<f8", (6,))])
+
+
+def temporary_name(name: str, tag: str = "*") -> str:
+    """The name of write_atomic's temporary file for the file name, with its
+    random tag; the default tag makes it a glob pattern for all of them."""
+    return f".{name}.{tag}.tmp"
 
 
 def write_atomic(path, data: bytes) -> None:
@@ -50,7 +56,7 @@ def write_atomic(path, data: bytes) -> None:
     loss: nothing is fsynced.)
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    tmp = path.with_name(temporary_name(path.name, secrets.token_hex(4)))
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         try:

@@ -9,6 +9,7 @@ from disk. Every run writes its resolved configuration next to its outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
@@ -76,14 +77,16 @@ class RunConfig(SolverParams):
             raise ConfigError(f"ic_kind must be one of {IC_KINDS}, got {self.ic_kind!r}")
         if self.ic_kind == "from_checkpoint" and not self.ic_checkpoint:
             raise ConfigError("ic_kind = from_checkpoint requires ic_checkpoint")
+        if self.reality_symmetry and self.ic_kind != "random_phi_ball":
+            raise ConfigError(f"reality_symmetry is only for random_phi_ball, not {self.ic_kind}")
         if self.rng_seed < 0 or self.rng_seed >= 2 ** 64:
             raise ConfigError(f"rng_seed must be a 64-bit unsigned integer, got {self.rng_seed}")
         if self.horizon_m < 1:
             raise ConfigError(f"horizon_m must be >= 1, got {self.horizon_m}")
         if self.oracle_horizon < 0:
             raise ConfigError(f"oracle_horizon must be >= 0, got {self.oracle_horizon}")
-        if not self.oracle_tol > 0:
-            raise ConfigError(f"oracle_tol must be positive, got {self.oracle_tol}")
+        if not 0 < self.oracle_tol < math.inf:
+            raise ConfigError(f"oracle_tol must be positive and finite, got {self.oracle_tol}")
         bad = set(self.emit) - set(EMIT_KINDS)
         if bad:
             raise ConfigError(f"unknown emit kinds {sorted(bad)}; choose from {EMIT_KINDS}")

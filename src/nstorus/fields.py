@@ -48,16 +48,17 @@ _SQUARES_EXACT = 2.0 ** -968
 
 def site_magnitudes(data: np.ndarray) -> np.ndarray:
     """Euclidean magnitude of the complex 3-vectors on data's last axis; by
-    nested hypot where the squares are too small, so no nonzero reads 0.
-    Exact zeros already read 0, so that path is skipped when they are all
-    it would see."""
-    sq = (data.real ** 2 + data.imag ** 2).sum(axis=-1)
+    nested hypot where the squares are too small or overflow, so no nonzero
+    reads 0 and no finite entry reads inf. Exact zeros already read 0, so
+    that path is skipped when they are all it would see."""
+    with np.errstate(over="ignore"):
+        sq = (data.real ** 2 + data.imag ** 2).sum(axis=-1)
     mags = np.sqrt(sq)
-    small = sq < _SQUARES_EXACT
-    tiny = data[small]
-    if np.count_nonzero(tiny):
-        mod = np.abs(tiny)
-        mags[small] = np.hypot(np.hypot(mod[:, 0], mod[:, 1]), mod[:, 2])
+    inexact = (sq < _SQUARES_EXACT) | (sq == np.inf)
+    entries = data[inexact]
+    if np.count_nonzero(entries):
+        mod = np.abs(entries)
+        mags[inexact] = np.hypot(np.hypot(mod[:, 0], mod[:, 1]), mod[:, 2])
     return mags
 
 

@@ -34,20 +34,15 @@ class SolverParams:
     def __post_init__(self):
         if not 0 < 3 * self.epsilon < 1:
             raise ValueError(f"3*epsilon must be in (0, 1), got epsilon={self.epsilon}")
-        if not self.beta > 3:
-            raise ValueError(f"beta must be > 3, got {self.beta}")
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if not self.decay_c > 0:
-            raise ValueError(f"decay_c must be positive, got {self.decay_c}")
-        if not self.fp_tol > 0:
-            raise ValueError(f"fp_tol must be positive, got {self.fp_tol}")
+        if not 3 < self.beta < math.inf:
+            raise ValueError(f"beta must be > 3 and finite, got {self.beta}")
+        for name in ("delta", "decay_c", "fp_tol", "eps_div"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.fp_max_iter < 1:
             raise ValueError(f"fp_max_iter must be >= 1, got {self.fp_max_iter}")
         if self.substeps < 1:
             raise ValueError(f"substeps must be >= 1, got {self.substeps}")
-        if not self.eps_div > 0:
-            raise ValueError(f"eps_div must be positive, got {self.eps_div}")
 
     @property
     def alpha(self) -> float:

@@ -5,7 +5,7 @@ All outputs are deterministic for a fixed configuration: the same config and
 seed give byte-identical CSVs on one machine with the same numpy and BLAS
 build and BLAS thread count. Numeric CSV cells use the shortest round-trip
 decimal representation, row order is fixed, and no timestamps are written.
-Each CSV starts with a '# schema=' line.
+Each CSV starts with a '# schema=' line; CSVS names them all.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import certificates
-from .checkpoint import load_field, save_field, write_atomic
+from .checkpoint import load_field, save_field, temporary_name, write_atomic
 from .config import RunConfig, format_value, generate_ic, read_config, write_config
 from .errors import CheckpointError, ConfigError, ConvergenceError
 from .fields import SpectralField, fmc_norm, phi_norm
@@ -34,8 +34,7 @@ __all__ = [
     "run_oracle",
     "check_run",
     "bisect_delta",
-    "NORM_SERIES_SCHEMA",
-    "CERTIFICATES_SCHEMA",
+    "CSVS",
 ]
 
 STATUS_OK = 0
@@ -43,20 +42,22 @@ STATUS_CONFIG_ERROR = 1
 STATUS_FP_FAILURE = 3
 STATUS_ORACLE_MISMATCH = 4
 
-NORM_SERIES_SCHEMA = "nstorus.norm_series.v1"
-CERTIFICATES_SCHEMA = "nstorus.certificates.v1"
-ORACLE_SERIES_SCHEMA = "nstorus.oracle_series.v1"
-CHECK_REPORT_SCHEMA = "nstorus.check_report.v1"
-BISECT_SCHEMA = "nstorus.bisect_delta.v1"
+# Every CSV a command writes, by name: the file name.csv, tagged with the
+# schema nstorus.name.v1, has these columns.
+CSVS = {
+    "norm_series": ("m", "t", "phi_norm", "fmc_norm_g", "fp_iterations"),
+    "certificates": tuple(f.name for f in fields(certificates.CertificateRecord)),
+    "oracle_series": ("t", "phi_norm"),
+    "check_report": ("j", "gaussian_D", "remainder_D", "remainder_decay", "phi_norm"),
+    "bisect_delta": ("iteration", "delta", "converged"),
+}
 
-NORM_SERIES_COLUMNS = ("m", "t", "phi_norm", "fmc_norm_g", "fp_iterations")
-CERTIFICATE_COLUMNS = tuple(f.name for f in fields(certificates.CertificateRecord))
 
-
-def _write_csv(path: Path, schema: str, columns, rows) -> None:
-    lines = [f"# schema={schema}", ",".join(columns)]
+def _write_csv(out_dir: Path, name: str, rows) -> None:
+    """Write out_dir/name.csv: its schema line, its CSVS columns, then rows."""
+    lines = [f"# schema=nstorus.{name}.v1", ",".join(CSVS[name])]
     lines.extend(",".join(format_value(v) for v in row) for row in rows)
-    write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
+    write_atomic(out_dir / f"{name}.csv", ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def read_csv(path) -> tuple[str, list[str], list[list[str]]]:
@@ -81,17 +82,19 @@ class RunOutcome:
 
 def _start(config: RunConfig) -> tuple[Path, SolverParams, SpectralField]:
     """Build the initial velocity, then create the output directory, remove
-    the fields directory and the staging directory an earlier run left there
-    and write run_config.cfg, so a bad checkpoint leaves nothing behind and
-    no checkpoint outlives the config it was written under (a fields
-    directory holding a file no run writes raises OSError before the config
-    is written); returns the directory, the solver parameters and the
-    initial velocity."""
+    the fields directory, the staging directory and the CSVs an earlier
+    command left there and write run_config.cfg, so a bad checkpoint leaves
+    nothing behind and no output outlives the config it was written under (a
+    fields directory holding a file no run writes raises OSError before the
+    CSVs are removed or the config is written); returns the directory, the
+    solver parameters and the initial velocity."""
     v0 = generate_ic(config)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in ("fields", _STAGING):
         _remove_checkpoints(out_dir / name)
+    for name in CSVS:
+        (out_dir / f"{name}.csv").unlink(missing_ok=True)
     write_config(config, out_dir / "run_config.cfg")
     return out_dir, config.solver_params(), v0
 
@@ -99,12 +102,17 @@ def _start(config: RunConfig) -> tuple[Path, SolverParams, SpectralField]:
 _STAGING = ".fields.tmp"   # fields/ while a run writes it
 
 
+def _ckpt_name(prefix: str, j: int) -> str:
+    """The name of a run's checkpoint with prefix h_, g_ or v_ for age or time j."""
+    return f"{prefix}{j:04d}.ckpt"
+
+
 def _remove_checkpoints(fields_dir: Path) -> None:
     """Remove a directory of checkpoints that a run wrote: the files a run
     names there and write_atomic's temporary files for them, then the
     directory, whose rmdir raises OSError if it holds anything else, which
     stays."""
-    for pattern in ("c0.ckpt", "[hgv]_*.ckpt", ".*.ckpt.*.tmp"):
+    for pattern in ("c0.ckpt", "[hgv]_*.ckpt", temporary_name("*.ckpt")):
         for path in fields_dir.glob(pattern):
             path.unlink()
     if fields_dir.is_dir():
@@ -144,7 +152,7 @@ def run(config: RunConfig) -> RunOutcome:
         with _staged_fields(out_dir) if "fields" in config.emit else nullcontext() as ckpt:
             if ckpt:
                 save_field(v0, ckpt / "c0.ckpt")
-                save_field(v0, ckpt / "v_0000.ckpt")
+                save_field(v0, ckpt / _ckpt_name("v_", 0))
             for sol, state, record in induction_steps(state, params, config.horizon_m):
                 phis = phi_norm(sol.velocity, params.alpha, axis=-1)
                 fmcs = fmc_norm(sol.fixed_point.solution, state.m, params.decay_c,
@@ -157,18 +165,16 @@ def run(config: RunConfig) -> RunOutcome:
                 if ckpt:  # the interval-end slices that apply_interval folds in
                     for prefix, part in (("h_", sol.correction), ("g_", sol.fixed_point.solution),
                                          ("v_", sol.velocity)):
-                        save_field(part.last_slice(), ckpt / f"{prefix}{state.m:04d}.ckpt")
+                        save_field(part.last_slice(), ckpt / _ckpt_name(prefix, state.m))
     except ConvergenceError as exc:
         status = STATUS_FP_FAILURE
         failed_step = state.m
         message = f"fixed-point failure at step m={state.m}: {exc}"
 
     if "norm_series" in config.emit:
-        _write_csv(out_dir / "norm_series.csv", NORM_SERIES_SCHEMA,
-                   NORM_SERIES_COLUMNS, norm_rows)
+        _write_csv(out_dir, "norm_series", norm_rows)
     if "certificates" in config.emit:
-        _write_csv(out_dir / "certificates.csv", CERTIFICATES_SCHEMA,
-                   CERTIFICATE_COLUMNS, [astuple(r) for r in records])
+        _write_csv(out_dir, "certificates", [astuple(r) for r in records])
 
     oracle_max_diff = None
     if status == STATUS_OK and with_oracle:
@@ -197,17 +203,17 @@ def run_oracle(config: RunConfig) -> RunOutcome:
         trajectory = picard_solve(v0, float(config.horizon_m), params)
     except ConvergenceError as exc:
         return RunOutcome(STATUS_FP_FAILURE, f"oracle failed: {exc}")
-    _write_csv(out_dir / "oracle_series.csv", ORACLE_SERIES_SCHEMA, ("t", "phi_norm"),
+    _write_csv(out_dir, "oracle_series",
                zip(trajectory.times, phi_norm(trajectory, params.alpha, axis=-1)))
     return RunOutcome(STATUS_OK, f"ok ({trajectory.iterations_used} iterations, final "
                                  f"update {trajectory.final_update_norm:.3e})")
 
 
 def _numbered(fields_dir: Path, prefix: str, first: int, count: int) -> list[Path]:
-    """The files prefix + f"{j:04d}.ckpt", j = first .. first + count - 1,
-    that a run writes; CheckpointError names the first one missing or, when
-    none is, the first other prefix*.ckpt file there."""
-    names = [f"{prefix}{j:04d}.ckpt" for j in range(first, first + count)]
+    """The files _ckpt_name(prefix, j), j = first .. first + count - 1, that
+    a run writes; CheckpointError names the first one missing or, when none
+    is, the first other prefix*.ckpt file there."""
+    names = [_ckpt_name(prefix, j) for j in range(first, first + count)]
     present = {p.name for p in fields_dir.glob(prefix + "*.ckpt")}
     missing = [name for name in names if name not in present]
     stray = sorted(present.difference(names))
@@ -249,9 +255,7 @@ def check_run(run_dir) -> RunOutcome:
     nan = [math.nan]  # time 0 has no history age
     rows = zip(range(len(velocities)), nan + list(gauss_d), nan + list(rem_d),
                nan + list(rem_rate), phis)
-    _write_csv(run_dir / "check_report.csv", CHECK_REPORT_SCHEMA,
-               ("j", "gaussian_D", "remainder_D", "remainder_decay", "phi_norm"),
-               rows)
+    _write_csv(run_dir, "check_report", rows)
     envelope_ok = all(p <= 2 * config.delta for p in phis)
     message = (
         f"checked {len(gauss_hist)} history ages, {len(velocities)} snapshots; "
@@ -316,6 +320,5 @@ def bisect_delta(config: RunConfig, delta_lo: float = 1e-6, delta_hi: float = 1.
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "bisect_delta.csv", BISECT_SCHEMA,
-               ("iteration", "delta", "converged"), rows)
+    _write_csv(out_dir, "bisect_delta", rows)
     return BisectOutcome(lo, hi, rows, message, status)

@@ -77,7 +77,8 @@ def test_round_trip_identity():
     texts = [
         "",
         "delta = 2.5e-4\nk_max = 3\ntruncation_rule = sup_cube",
-        "ic_kind = single_mode\nrng_seed = 123456789\nreality_symmetry = true",
+        "ic_kind = single_mode\nrng_seed = 123456789",
+        "reality_symmetry = true",
         "emit = certificates,fields,norm_series\noracle_horizon = 2",
     ]
     for text in texts:
@@ -146,6 +147,25 @@ def test_horizon_must_be_positive():
         parse_config("horizon_m = 0")
 
 
+@pytest.mark.parametrize("key", ["beta", "delta", "decay_c", "fp_tol", "eps_div", "oracle_tol"])
+def test_non_finite_parameters_rejected(key):
+    with pytest.raises(ConfigError, match=f"{key} must be .* finite, got inf"):
+        parse_config(f"{key} = inf")
+
+
+@pytest.mark.parametrize("ic_kind", ["single_mode", "two_mode", "from_checkpoint"])
+def test_reality_symmetry_needs_random_data(ic_kind, tmp_path, capsys):
+    # only random_phi_ball draws symmetric data; the other kinds would
+    # ignore the flag
+    with pytest.raises(ConfigError, match="reality_symmetry"):
+        parse_config(f"ic_kind = {ic_kind}\nic_checkpoint = v.ckpt\nreality_symmetry = true")
+    out = tmp_path / "out"
+    assert main(["run", "--ic-kind", ic_kind, "--ic-checkpoint", "v.ckpt",
+                 "--reality-symmetry", "true", "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: reality_symmetry")
+    assert not out.exists()
+
+
 # -- initial conditions -----------------------------------------------------------
 
 def test_single_mode_ic():
@@ -190,6 +210,13 @@ def test_random_ball_reality_symmetry():
     v0 = generate_ic(cfg)
     assert v0.reality_defect() == 0.0
     assert phi_norm(v0, cfg.solver_params().alpha) <= cfg.delta
+
+
+def test_random_ball_at_a_delta_whose_squares_overflow():
+    cfg = RunConfig(k_max=2, delta=1e155)
+    v0 = generate_ic(cfg)
+    assert v0.support_size == 32
+    assert 0 < phi_norm(v0, cfg.solver_params().alpha) <= cfg.delta
 
 
 def test_from_checkpoint_ic(tmp_path):

@@ -28,11 +28,14 @@ def test_readme_exit_codes_match_runner_statuses():
     assert sorted(named) == sorted([*statuses, 2])
 
 
-def test_readme_csv_columns_match_runner():
-    # items look like "* `name.csv` (`schema`), columns `a,b,...`"
+def test_readme_csv_columns_match_runner(tmp_path):
+    # items look like "* `name.csv` (`schema`), columns `a,b,...`"; each is
+    # compared with the schema line and header that the runner writes
     items = re.findall(r"^\* `(\w+)\.csv` \(`([\w.]+)`\), columns\s+`([\w,]+)`",
                        README, flags=re.MULTILINE)
-    assert {name: (schema, columns.split(",")) for name, schema, columns in items} == {
-        "norm_series": (runner.NORM_SERIES_SCHEMA, list(runner.NORM_SERIES_COLUMNS)),
-        "certificates": (runner.CERTIFICATES_SCHEMA, list(runner.CERTIFICATE_COLUMNS)),
-    }
+    written = {}
+    for name in runner.CSVS:
+        runner._write_csv(tmp_path, name, [])
+        schema, columns, _ = runner.read_csv(tmp_path / f"{name}.csv")
+        written[name] = (schema, columns)
+    assert {name: (schema, columns.split(",")) for name, schema, columns in items} == written

@@ -127,6 +127,16 @@ def test_magnitudes_of_tiny_entries(ball2, scale):
     assert g.support_size == len(ball2) - zero.sum()
 
 
+@pytest.mark.parametrize("scale", [1e155, 1e200])
+def test_magnitudes_of_huge_entries(ball2, scale):
+    # the squares of these entries overflow, so a plain sqrt of the sum of
+    # squares reads inf
+    f = random_field(ball2, np.random.default_rng(5), scale=scale)
+    expect = [math.hypot(*np.concatenate([v.real, v.imag])) for v in f.data]
+    assert f.magnitudes().tolist() == pytest.approx(expect, rel=1e-15, abs=0)
+    assert math.isfinite(phi_norm(f, 2.25))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_per_slice_norms_equal_per_slice_calls(seed):
     # norm_series.csv's columns: one masked reduction per slice, equal to

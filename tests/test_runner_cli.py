@@ -2,6 +2,8 @@ import errno
 import math
 import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +14,6 @@ from nstorus import CheckpointError, ConvergenceError, RunConfig, SpectralField,
 from nstorus.cli import main
 from nstorus.lattice import LatticeSpec, get_lattice
 from nstorus.runner import (
-    NORM_SERIES_COLUMNS,
-    NORM_SERIES_SCHEMA,
     STATUS_CONFIG_ERROR,
     STATUS_FP_FAILURE,
     STATUS_OK,
@@ -34,7 +34,7 @@ def small_config(tmp_path, **kw):
 
 ARTIFACT_WRITERS = {
     "csv": ("out/norm_series.csv", lambda path, tmp_path: _write_csv(
-        path, NORM_SERIES_SCHEMA, NORM_SERIES_COLUMNS, [(1, 0.5, 1.25, 0.0, 3)] * 50)),
+        path.parent, "norm_series", [(1, 0.5, 1.25, 0.0, 3)] * 50)),
     "checkpoint": ("out/v.ckpt", lambda path, tmp_path: save_field(
         SpectralField(get_lattice(LatticeSpec(2)), np.ones((32, 3))), path)),
     "run config": ("out/run_config.cfg", lambda path, tmp_path: run(small_config(tmp_path))),
@@ -299,6 +299,18 @@ def test_run_removes_the_staging_directory_of_a_killed_run(tmp_path, capsys):
     assert not staging.exists() and not (out / "fields").exists()
 
 
+def test_rerun_and_oracle_leave_only_their_own_outputs(tmp_path, capsys):
+    # run and oracle remove every CSV an earlier command left, so none sits
+    # beside a config it was not written under
+    out = tmp_path / "out"
+    assert main([*STALE_RUN, str(out), "--horizon-m", "4"]) == STATUS_OK
+    assert main(["check", str(out)]) == STATUS_OK
+    assert main([*STALE_RUN, str(out), "--horizon-m", "2", "--emit", "norm_series"]) == STATUS_OK
+    assert sorted(p.name for p in out.iterdir()) == ["norm_series.csv", "run_config.cfg"]
+    assert main(["oracle", "--k-max", "2", "--horizon-m", "1", "--output-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["oracle_series.csv", "run_config.cfg"]
+
+
 @pytest.mark.parametrize("error", [ConvergenceError("injected"), KeyboardInterrupt()],
                          ids=["convergence", "interrupt"])
 def test_a_run_failing_at_step_2_leaves_no_fields(error, tmp_path, monkeypatch):
@@ -542,6 +554,21 @@ def test_cli_fp_failure_exit_code(tmp_path):
     code = main(["run", "--k-max", "2", "--delta", "1.0", "--fp-max-iter", "25",
                  "--output-dir", str(tmp_path / "fail")])
     assert code == 3
+
+
+def test_cli_run_at_a_delta_whose_squares_overflow(tmp_path):
+    # the initial field is not zeroed by an inf norm: the solve starts from
+    # it and diverges (a subprocess, since the diverging iterates overflow
+    # and numpy warns)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "nstorus", "run", "--k-max", "2", "--horizon-m", "2",
+         "--delta", "1e155", "--output-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == STATUS_FP_FAILURE, proc.stderr
+    assert proc.stdout.startswith("fixed-point failure at step m=0:")
 
 
 def test_cli_check_and_oracle(tmp_path):

@@ -21,7 +21,8 @@ def test_script_runs(script, args, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), "--k-max", "2", *args],
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / script),
+         "--k-max", "2", *args],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
