@@ -106,7 +106,9 @@ def fit_remainder_bound(history, params: SolverParams, first_age: int = 1):
     rate_vals = np.full(len(history), np.nan)
     for idx, g in enumerate(history):
         j = first_age + idx
-        d_vals[idx] = fmc_norm(g, j, params.decay_c, params.beta) / params.delta ** 2
+        # a float product reads inf above delta ~ 1.34e154, where delta ** 2
+        # raises OverflowError
+        d_vals[idx] = fmc_norm(g, j, params.decay_c, params.beta) / (params.delta * params.delta)
         q = g.lattice.norm_sq_f
         mags = g.magnitudes()
         mask = mags > 0

@@ -366,14 +366,19 @@ class IntervalSolution:
 
 def solve_interval(state: DecompositionState, params: SolverParams) -> IntervalSolution:
     """Assemble the three parts on the substep grid and solve for the new
-    remainder; raises ConvergenceError outside the contraction regime."""
+    remainder; raises ConvergenceError outside the contraction regime.
+
+    The parts of data too large for the contraction regime may overflow; the
+    forcing is then non-finite and fixed_point raises at its norm, so numpy's
+    overflow and invalid-value warnings are silenced while they are built."""
     times = unit_times(params.substeps)
     heat_part = heat_flow(state.initial_field, state.m, times)
-    correction = compute_gaussian_correction(heat_part, params)
-    gaussian_part = assemble_gaussian_part(state, correction, params)
-    remainder_part = assemble_remainder_part(state, times)
-    forcing = assemble_forcing(heat_part, gaussian_part, remainder_part)
-    total = heat_part + gaussian_part + remainder_part
+    with np.errstate(over="ignore", invalid="ignore"):
+        correction = compute_gaussian_correction(heat_part, params)
+        gaussian_part = assemble_gaussian_part(state, correction, params)
+        remainder_part = assemble_remainder_part(state, times)
+        forcing = assemble_forcing(heat_part, gaussian_part, remainder_part)
+        total = heat_part + gaussian_part + remainder_part
     fixed_point = solve_remainder(forcing, total, params, state.m + 1)
     return IntervalSolution(correction, gaussian_part, fixed_point, total + fixed_point.solution)
 

@@ -10,8 +10,11 @@ pairs each site with its negative.
 The one map from points back to sites is the lattice's index cube: the
 (4 k_max + 1)^3 array over the integer points with every coordinate in
 [-2 k_max, 2 k_max], holding each site's index and -1 at every other point.
-The cube holds every difference of two sites, so the convolution table reads
-k - l off it as well; Lattice.indices looks up any array of points in it.
+Both readers of the cube, Lattice.indices for any array of points and the
+convolution table for every difference k - l of two sites (all of which lie
+in the cube), take a point's flat position in its C order from one helper,
+Lattice._position. Positions are linear in the point, so k - l sits at
+position(k) - position(l) + position(0).
 """
 
 from __future__ import annotations
@@ -66,9 +69,10 @@ class _ConvTable:
     buffer of Lattice.conv_work, whose first (r1-r0)*N entries hold
     D[k, m] = <k, u(m)> for those rows and whose entry rows*N, the zero
     slot, is always 0: entry (k-r0)*N + l of the block's gather is
-    (k-r0)*N + index(k-l) when k-l is a site, else rows*N. The blocks hold
-    (r0, r1, gather) with gather an (r1-r0, N) view of one flat N*N array,
-    so no (N, N) complex matrix is ever formed.
+    (k-r0)*N + index(k-l) when k-l is a site, else rows*N, where index(k-l)
+    is read from the flattened index cube at the flat position of k - l.
+    The blocks hold (r0, r1, gather) with gather an (r1-r0, N) view of one
+    flat N*N array, so no (N, N) complex matrix is ever formed.
     """
 
     rows: int
@@ -124,8 +128,15 @@ class Lattice:
         shift = 2 * self.spec.k_max
         on_cube = ((points >= -shift) & (points <= shift)
                    & (points == np.floor(points))).all(axis=-1)
-        c = (np.where(on_cube[..., None], points, 0) + shift).astype(np.intp)
-        return np.where(on_cube, self.cube[c[..., 0], c[..., 1], c[..., 2]], -1)
+        c = np.where(on_cube[..., None], points, 0).astype(np.intp)
+        return np.where(on_cube, self.cube.reshape(-1)[self._position(c)], -1)
+
+    def _position(self, points) -> np.ndarray:
+        """Flat position in the index cube of each point of an (..., 3)
+        integer array whose coordinates lie in [-2 k_max, 2 k_max]."""
+        shift, side = 2 * self.spec.k_max, self.cube.shape[0]
+        c = points + shift
+        return (c[..., 0] * side + c[..., 1]) * side + c[..., 2]
 
     def site_index(self, site) -> int:
         i = int(self.indices(site))
@@ -135,19 +146,24 @@ class Lattice:
 
     @cached_property
     def conv_table(self) -> _ConvTable:
-        """The convolution's gather table, built on first use."""
-        k_max = self.spec.k_max
+        """The convolution's gather table, built on first use: a block's
+        flat positions of k - l are one subtraction, written into its rows
+        of the gather array and read back by one take from the flat cube."""
         n = len(self.sites)
         block = min(n, max(1, _BLOCK_BYTES // (16 * n)))
+        cube = self.cube.reshape(-1)
+        pos = self._position(self.sites)
+        # position(k - l) = position(k) - (position(l) - position(0))
+        pos_l = pos - self._position(np.zeros(3, dtype=np.intp))
         # allocated first, then filled one row block at a time
         gather = np.empty(n * n, dtype=np.intp)
         row_start = np.arange(block)[:, None] * n
         blocks = []
         for r0 in range(0, n, block):
             r1 = min(n, r0 + block)
-            d = self.sites[r0:r1, None, :] - self.sites[None, :, :] + 2 * k_max
-            mi = self.cube[d[..., 0], d[..., 1], d[..., 2]]
             g = gather[r0 * n: r1 * n].reshape(r1 - r0, n)
+            np.subtract(pos[r0:r1, None], pos_l, out=g)
+            mi = cube.take(g)
             np.add(mi, row_start[: r1 - r0], out=g)
             g[mi < 0] = block * n   # the zero slot
             blocks.append((r0, r1, g))

@@ -130,7 +130,10 @@ def test_conv_table_triples_are_valid(ball2):
 
 
 def test_conv_table_sorted_by_output(ball2):
-    for lat in (ball2, get_lattice(LatticeSpec(2, TruncationRule.SUP_CUBE))):
+    # the k_max 6 ball's 27 row blocks put seams in the table, and the
+    # k_max 3 sup-cube's differences reach the index cube's corners
+    for lat in (ball2, get_lattice(LatticeSpec(2, TruncationRule.SUP_CUBE)),
+                get_lattice(LatticeSpec(6)), get_lattice(LatticeSpec(3, TruncationRule.SUP_CUBE))):
         tab = lat.conv_table
         n = len(lat)
         ki, li, mi = conv_triples(lat)

@@ -2,8 +2,6 @@ import errno
 import math
 import os
 import struct
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -556,19 +554,25 @@ def test_cli_fp_failure_exit_code(tmp_path):
     assert code == 3
 
 
-def test_cli_run_at_a_delta_whose_squares_overflow(tmp_path):
+def test_cli_run_at_a_delta_whose_squares_overflow(tmp_path, capsys):
     # the initial field is not zeroed by an inf norm: the solve starts from
-    # it and diverges (a subprocess, since the diverging iterates overflow
-    # and numpy warns)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "nstorus", "run", "--k-max", "2", "--horizon-m", "2",
-         "--delta", "1e155", "--output-dir", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == STATUS_FP_FAILURE, proc.stderr
-    assert proc.stdout.startswith("fixed-point failure at step m=0:")
+    # it and diverges, and the parts that overflow on the way exit 3 with no
+    # numpy warning
+    assert main(["run", "--k-max", "2", "--horizon-m", "2", "--delta", "1e155",
+                 "--output-dir", str(tmp_path / "out")]) == STATUS_FP_FAILURE
+    assert capsys.readouterr().out.startswith("fixed-point failure at step m=0:")
+
+
+def test_cli_run_a_converging_step_at_a_delta_whose_square_overflows(tmp_path):
+    # a single mode does not interact with itself, so its step converges at
+    # any delta; the remainder fit divides by delta^2 without forming it
+    out = tmp_path / "out"
+    assert main(["run", "--ic-kind", "single_mode", "--delta", "1e155", "--k-max", "2",
+                 "--horizon-m", "1", "--oracle-horizon", "0", "--emit", "certificates",
+                 "--output-dir", str(out)]) == STATUS_OK
+    _, columns, rows = read_csv(out / "certificates.csv")
+    assert len(rows) == 1
+    assert math.isfinite(float(rows[0][columns.index("remainder_D")]))
 
 
 def test_cli_check_and_oracle(tmp_path):
