@@ -26,7 +26,7 @@ def main():
     v0 = generate_ic(config)
 
     steps = induction_steps(DecompositionState.initial(v0), params, args.horizon)
-    velocities = [v0] + [sol.velocity.last_slice() for sol, _, _ in steps]
+    velocities = [v0] + [sol.v for sol, _, _ in steps]
 
     trajectory = picard_solve(v0, float(args.horizon), params)
     print(f"picard converged in {trajectory.iterations_used} iterations "

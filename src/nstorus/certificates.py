@@ -1,12 +1,15 @@
 """Numerical certificates: fit the minimal constants that make the solver's
 decay bounds hold and track their stability across induction steps.
 
-Nothing here assumes a value for any constant. Each fitter returns the
-smallest admissible constant on the truncated lattice (a sup over supported
-modes, evaluated in log space where Gaussian weights would overflow), and
-the per-step record collects them so that boundedness in m can be checked
-empirically. Checks use grid suprema only; restricting a pointwise-in-t
-bound to grid times weakens it but cannot falsify it.
+Nothing here assumes a value for any constant. Each fitter takes one
+history entry and its age, the unit a step adds, and returns the smallest
+admissible constant on the truncated lattice (a sup over supported modes,
+evaluated in log space where Gaussian weights would overflow).
+DecompositionState.extended folds each new age's constants into running
+extrema, which the per-step record collects so that boundedness in m can be
+checked empirically; `check` re-fits a run's saved entries one age at a
+time. Checks use grid suprema only; restricting a pointwise-in-t bound to
+grid times weakens it but cannot falsify it.
 
 Magnitudes come from fields.site_magnitudes, so no nonzero entry leaves
 the support. The fits keep subnormal magnitudes (below 2^-1022): each is
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import TimeSlicedField, fmc_norm, phi_norm
+from .fields import SpectralField, TimeSlicedField, fmc_norm, phi_norm
 from .params import SolverParams
 
 __all__ = [
@@ -75,53 +78,42 @@ def _log_magnitudes(mags: np.ndarray) -> np.ndarray:
     return np.log(mags, out=np.full_like(mags, -np.inf), where=mags > 0)
 
 
-def fit_gaussian_bound(history, params: SolverParams, first_age: int = 1) -> np.ndarray:
-    """Per-age minimal D with |h_j(k)| <= D delta^2 exp(-j|k|^2/2)/|k|^(2 eps),
-    for history[i] of age j = first_age + i, as one masked (ages, N)
-    expression; an all-zero entry gives 0.
+def fit_gaussian_bound(h: SpectralField, age: int, params: SolverParams) -> float:
+    """Minimal D with |h(k)| <= D delta^2 exp(-age|k|^2/2)/|k|^(2 eps) for
+    the gaussian history entry h of that age, as one masked expression over
+    the sites; an all-zero entry gives 0.
 
-    Evaluated in log space: the compensating weight exp(+j|k|^2/2) overflows
-    long before the products do.
+    Evaluated in log space: the compensating weight exp(+age|k|^2/2)
+    overflows long before the products do.
     """
-    if not history:
-        return np.zeros(0)
-    q = history[0].lattice.norm_sq_f
-    ages = np.arange(first_age, first_age + len(history))[:, None]
-    logs = (_log_magnitudes(np.stack([h.magnitudes() for h in history]))
-            + params.epsilon * np.log(q) + 0.5 * ages * q - 2.0 * math.log(params.delta))
-    return np.fromiter(map(math.exp, logs.max(axis=1, initial=-np.inf)), float)
+    q = h.lattice.norm_sq_f
+    logs = (_log_magnitudes(h.magnitudes()) + params.epsilon * np.log(q) + 0.5 * age * q
+            - 2.0 * math.log(params.delta))
+    return math.exp(float(logs.max(initial=-np.inf)))
 
 
-def fit_remainder_bound(history, params: SolverParams, first_age: int = 1):
-    """Per-age (minimal D at the configured decay rate, fitted decay rate),
-    for history[i] of age j = first_age + i.
+def fit_remainder_bound(g: SpectralField, age: int, params: SolverParams) -> tuple[float, float]:
+    """(minimal D at the configured decay rate, fitted decay rate) for the
+    remainder history entry g of that age.
 
-    The D column is the weighted remainder norm at index j divided by
-    delta^2. The decay rate is least-squares fitted from
-    log|g_j(k)| + beta log|k| against sqrt(j)|k| over supported modes; the
-    fit is skipped (nan) when fewer than 4 supported modes remain or all
-    supported modes share one |k| shell.
+    D is the weighted remainder norm at index age divided by delta^2
+    (SolverParams keeps delta^2 above zero). The decay rate is
+    least-squares fitted from log|g(k)| + beta log|k| against
+    sqrt(age)|k| over supported modes; the fit is skipped (nan) when fewer
+    than 4 supported modes remain or all supported modes share one |k|
+    shell.
     """
-    d_vals = np.zeros(len(history))
-    rate_vals = np.full(len(history), np.nan)
-    for idx, g in enumerate(history):
-        j = first_age + idx
-        # a float product reads inf above delta ~ 1.34e154, where delta ** 2
-        # raises OverflowError
-        d_vals[idx] = fmc_norm(g, j, params.decay_c, params.beta) / (params.delta * params.delta)
-        q = g.lattice.norm_sq_f
-        mags = g.magnitudes()
-        mask = mags > 0
-        if mask.sum() < 4:
-            continue
-        kabs = np.sqrt(q[mask])
-        if kabs.min() == kabs.max():   # one |k| shell; np.unique would import numpy.ma
-            continue
-        x = math.sqrt(j) * kabs
-        y = np.log(mags[mask]) + params.beta * np.log(kabs)
-        slope = np.polyfit(x, y, 1)[0]
-        rate_vals[idx] = -slope
-    return d_vals, rate_vals
+    # a float product reads inf above delta ~ 1.34e154, where delta ** 2
+    # raises OverflowError
+    d = fmc_norm(g, age, params.decay_c, params.beta) / (params.delta * params.delta)
+    mags = g.magnitudes()
+    mask = mags > 0
+    kabs = np.sqrt(g.lattice.norm_sq_f[mask])
+    # one |k| shell has no slope; np.unique would import numpy.ma
+    if kabs.size < 4 or kabs.min() == kabs.max():
+        return d, math.nan
+    y = np.log(mags[mask]) + params.beta * np.log(kabs)
+    return d, -float(np.polyfit(math.sqrt(age) * kabs, y, 1)[0])
 
 
 def check_gaussian_envelope(gaussian_part: TimeSlicedField, m: int,

@@ -12,8 +12,10 @@ Layout (all little-endian, fixed width, no serialization dependency):
     32      60*n  records: kx, ky, kz (int32 each) then re/im interleaved
                   float64 pairs for the three complex components
 
-Only supported (nonzero) sites are stored, and only finite values: saving
-and loading both refuse nan and inf. Loading validates the header, the byte
+Only sites with a nonzero bit are stored: a site whose six values are all
++0.0 is left out and loads as +0.0, while one holding a -0.0 is kept, so
+the round trip is bit-exact. Only finite values are stored: saving and
+loading both refuse nan and inf. Loading validates the header, the byte
 length, site membership and the values, and never returns a partial field.
 Every artifact, checkpoints included, is written through write_atomic, so a
 failed write leaves no partial file behind.
@@ -72,13 +74,14 @@ def write_atomic(path, data: bytes) -> None:
 
 
 def save_field(field: SpectralField, path) -> None:
-    """Write the supported (nonzero) sites of a field; load_field inverts
+    """Write every site of a field with a nonzero bit; load_field inverts
     bit-exactly. A non-finite entry raises CheckpointError and writes
     nothing."""
     if not np.isfinite(field.data).all():
         raise CheckpointError(f"{path}: refusing to save a field with non-finite values")
     lat = field.lattice
-    idx = np.flatnonzero(field.data.any(axis=-1))
+    # by bits, not values: a site of zeros holding a -0.0 is stored too
+    idx = np.flatnonzero(field.data.view(np.uint64).reshape(len(lat), 6).any(axis=-1))
     records = np.empty(len(idx), dtype=_RECORD_DTYPE)
     records["site"] = lat.sites[idx].astype("<i4")
     values = np.ascontiguousarray(field.data[idx])

@@ -57,7 +57,7 @@ The certificate constants over ages are carried the same way: the state
 folds only the new age's fit into them (see DecompositionState.extended).
 So the state holds no per-age entry, and neither the cost nor the memory
 of a step grows with m; a caller that wants the entries takes them from
-the steps induction_steps yields.
+the steps induction_steps yields, as IntervalSolution.h and .g.
 
 Every part is a TimeSlicedField over the interval's grid. induction_steps
 is the one loop over steps: runs, the smallness bisection and the scripts
@@ -141,10 +141,9 @@ class DecompositionState:
             raise ValueError("history fields must share the initial field's lattice")
         age = self.m + 1
         gauss_d, rem_d, rate = self.bounds
-        (new_gauss_d,) = fit_gaussian_bound((h,), params, age)
-        (new_rem_d,), (new_rate,) = fit_remainder_bound((g,), params, age)
-        bounds = (float(np.maximum(gauss_d, new_gauss_d)), float(np.maximum(rem_d, new_rem_d)),
-                  float(np.fmin(rate, new_rate)))
+        new_rem_d, new_rate = fit_remainder_bound(g, age, params)
+        bounds = (float(np.maximum(gauss_d, fit_gaussian_bound(h, age, params))),
+                  float(np.maximum(rem_d, new_rem_d)), float(np.fmin(rate, new_rate)))
         return DecompositionState(self.initial_field, age, _extend_sum(self.gaussian_sum, h),
                                   _extend_sum(self.remainder_sum, g), bounds)
 
@@ -350,14 +349,20 @@ def solve_remainder(forcing: TimeSlicedField, total: TimeSlicedField,
 
 @dataclass(frozen=True, eq=False)
 class IntervalSolution:
-    """The fields of one unit interval that its readers use: the new gaussian
-    correction, the assembled gaussian part, the remainder solve and the
-    velocity on the step's grid (the three parts plus the new remainder)."""
+    """The fields of one unit interval that its readers use: the assembled
+    gaussian part, the remainder solve and the velocity on the step's grid
+    (the three parts plus the new remainder), and the interval-end fields,
+    each a copy. h and g, the new gaussian correction and remainder at the
+    interval's end, are the histories' age-(m + 1) entries that
+    apply_interval folds into the state; v is the velocity at time m + 1.
+    A run checkpoints them as h_, g_ and v_."""
 
-    correction: TimeSlicedField
     gaussian_part: TimeSlicedField
     fixed_point: FixedPointResult
     velocity: TimeSlicedField
+    h: SpectralField
+    g: SpectralField
+    v: SpectralField
 
     @property
     def times(self) -> tuple[float, ...]:
@@ -380,14 +385,15 @@ def solve_interval(state: DecompositionState, params: SolverParams) -> IntervalS
         forcing = assemble_forcing(heat_part, gaussian_part, remainder_part)
         total = heat_part + gaussian_part + remainder_part
     fixed_point = solve_remainder(forcing, total, params, state.m + 1)
-    return IntervalSolution(correction, gaussian_part, fixed_point, total + fixed_point.solution)
+    velocity = total + fixed_point.solution
+    return IntervalSolution(gaussian_part, fixed_point, velocity, correction.last_slice(),
+                            fixed_point.solution.last_slice(), velocity.last_slice())
 
 
 def apply_interval(state: DecompositionState, sol: IntervalSolution, params: SolverParams):
-    """Extend state by the interval-end correction and remainder, and emit
+    """Extend state by the step's history entries sol.h and sol.g, and emit
     the step's certificate record."""
-    new_state = state.extended(sol.correction.last_slice(),
-                               sol.fixed_point.solution.last_slice(), params)
+    new_state = state.extended(sol.h, sol.g, params)
     return new_state, build_record(new_state, sol, params)
 
 

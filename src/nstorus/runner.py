@@ -161,11 +161,10 @@ def run(config: RunConfig) -> RunOutcome:
                                  for t, phi, fmc in zip(sol.times, phis, fmcs))
                 records.append(record)
                 if with_oracle:
-                    velocities.append(sol.velocity.last_slice())
-                if ckpt:  # the interval-end slices that apply_interval folds in
-                    for prefix, part in (("h_", sol.correction), ("g_", sol.fixed_point.solution),
-                                         ("v_", sol.velocity)):
-                        save_field(part.last_slice(), ckpt / _ckpt_name(prefix, state.m))
+                    velocities.append(sol.v)
+                if ckpt:
+                    for prefix, entry in (("h_", sol.h), ("g_", sol.g), ("v_", sol.v)):
+                        save_field(entry, ckpt / _ckpt_name(prefix, state.m))
     except ConvergenceError as exc:
         status = STATUS_FP_FAILURE
         failed_step = state.m
@@ -231,9 +230,11 @@ def check_run(run_dir) -> RunOutcome:
     writing check_report.csv next to the originals. A run of horizon_m = n
     (read from its run_config.cfg) writes one h_ and one g_ file per age
     1..n and one v_ file per time 0..n; a missing or stray file raises
-    CheckpointError, as do a missing run_config.cfg or fields directory and
-    an unreadable checkpoint, and a run_config.cfg that read_config rejects
-    raises ConfigError; nothing is written then.
+    CheckpointError before any file is read, as do a missing run_config.cfg
+    or fields directory and an unreadable checkpoint, and a run_config.cfg
+    that read_config rejects raises ConfigError; nothing is written then.
+    The files are read and fitted one age at a time, so no more than one
+    age's fields is held at once.
     """
     run_dir = Path(run_dir)
     cfg_path = run_dir / "run_config.cfg"
@@ -246,21 +247,23 @@ def check_run(run_dir) -> RunOutcome:
     params = config.solver_params()
     spec = config.lattice_spec()
     n = config.horizon_m
-    gauss_hist = [load_field(p, spec) for p in _numbered(fields_dir, "h_", 1, n)]
-    rem_hist = [load_field(p, spec) for p in _numbered(fields_dir, "g_", 1, n)]
-    velocities = [load_field(p, spec) for p in _numbered(fields_dir, "v_", 0, n + 1)]
-    gauss_d = certificates.fit_gaussian_bound(gauss_hist, params)
-    rem_d, rem_rate = certificates.fit_remainder_bound(rem_hist, params)
-    phis = [phi_norm(v, params.alpha) for v in velocities]
-    nan = [math.nan]  # time 0 has no history age
-    rows = zip(range(len(velocities)), nan + list(gauss_d), nan + list(rem_d),
-               nan + list(rem_rate), phis)
+    h_paths = _numbered(fields_dir, "h_", 1, n)
+    g_paths = _numbered(fields_dir, "g_", 1, n)
+    v_paths = _numbered(fields_dir, "v_", 0, n + 1)
+    # time 0 has no history age
+    rows = [(0, math.nan, math.nan, math.nan, phi_norm(load_field(v_paths[0], spec), params.alpha))]
+    for j, (h_path, g_path, v_path) in enumerate(zip(h_paths, g_paths, v_paths[1:]), start=1):
+        gauss_d = certificates.fit_gaussian_bound(load_field(h_path, spec), j, params)
+        rem_d, rem_rate = certificates.fit_remainder_bound(load_field(g_path, spec), j, params)
+        rows.append((j, gauss_d, rem_d, rem_rate,
+                     phi_norm(load_field(v_path, spec), params.alpha)))
     _write_csv(run_dir, "check_report", rows)
+    _, gauss_ds, rem_ds, _, phis = zip(*rows)
     envelope_ok = all(p <= 2 * config.delta for p in phis)
     message = (
-        f"checked {len(gauss_hist)} history ages, {len(velocities)} snapshots; "
-        f"max gaussian_D {gauss_d.max(initial=0.0):.6g}, "
-        f"max remainder_D {rem_d.max(initial=0.0):.6g}, "
+        f"checked {n} history ages, {n + 1} snapshots; "
+        f"max gaussian_D {max(gauss_ds[1:]):.6g}, "
+        f"max remainder_D {max(rem_ds[1:]):.6g}, "
         f"phi envelope {'<= 2 delta' if envelope_ok else 'EXCEEDED'}"
     )
     return RunOutcome(STATUS_OK, message)

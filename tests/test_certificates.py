@@ -54,55 +54,51 @@ def planted_remainder_entry(lat, j, params, constant=1.0, rate=None):
 # -- gaussian-family bound ------------------------------------------------------
 
 def test_gaussian_fit_zero_history(ball2):
-    out = fit_gaussian_bound([SpectralField.zero(ball2)] * 3, PARAMS)
-    assert np.array_equal(out, np.zeros(3))
-    assert fit_gaussian_bound([], PARAMS).shape == (0,)
+    for age in (1, 2, 3):
+        assert fit_gaussian_bound(SpectralField.zero(ball2), age, PARAMS) == 0.0
 
 
 def test_gaussian_fit_recovers_planted_constant(ball2):
-    hist = [planted_gaussian_entry(ball2, j, PARAMS) for j in (1, 2, 3)]
-    out = fit_gaussian_bound(hist, PARAMS)
-    assert np.allclose(out, 1.0, rtol=1e-12)
+    for age in (1, 2, 3):
+        h = planted_gaussian_entry(ball2, age, PARAMS)
+        assert fit_gaussian_bound(h, age, PARAMS) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_gaussian_fit_scale_covariant(ball2):
-    hist = [planted_gaussian_entry(ball2, 1, PARAMS)]
-    base = fit_gaussian_bound(hist, PARAMS)[0]
-    scaled = fit_gaussian_bound([hist[0] * 7.5], PARAMS)[0]
+    h = planted_gaussian_entry(ball2, 1, PARAMS)
+    base = fit_gaussian_bound(h, 1, PARAMS)
+    scaled = fit_gaussian_bound(h * 7.5, 1, PARAMS)
     assert scaled == pytest.approx(7.5 * base, rel=1e-12)
 
 
 def test_gaussian_fit_survives_extreme_ages(ball2):
     # weights exp(+j|k|^2/2) overflow in linear arithmetic long before age 400
     age = 400
-    hist = [SpectralField.zero(ball2)] * (age - 1)
-    hist.append(planted_gaussian_entry(ball2, age, PARAMS, constant=2.0))
-    out = fit_gaussian_bound(hist, PARAMS)
-    assert (out[:-1] == 0.0).all()
-    assert out[-1] == pytest.approx(2.0, rel=1e-9)
+    assert fit_gaussian_bound(SpectralField.zero(ball2), age - 1, PARAMS) == 0.0
+    h = planted_gaussian_entry(ball2, age, PARAMS, constant=2.0)
+    assert fit_gaussian_bound(h, age, PARAMS) == pytest.approx(2.0, rel=1e-9)
 
 
 # -- remainder-family bound -----------------------------------------------------
 
 def test_remainder_fit_zero_history(ball2):
-    d, rate = fit_remainder_bound([SpectralField.zero(ball2)] * 2, PARAMS)
-    assert (d == 0.0).all()
-    assert np.isnan(rate).all()
+    for age in (1, 2):
+        d, rate = fit_remainder_bound(SpectralField.zero(ball2), age, PARAMS)
+        assert d == 0.0
+        assert math.isnan(rate)
 
 
 def test_remainder_fit_recovers_planted_constant_and_rate(ball2):
-    hist = [planted_remainder_entry(ball2, j, PARAMS) for j in (1, 2)]
-    d, rate = fit_remainder_bound(hist, PARAMS)
-    assert np.allclose(d, 1.0, rtol=1e-12)
-    assert np.allclose(rate, PARAMS.decay_c, rtol=1e-6)
+    for age in (1, 2):
+        d, rate = fit_remainder_bound(planted_remainder_entry(ball2, age, PARAMS), age, PARAMS)
+        assert d == pytest.approx(1.0, rel=1e-12)
+        assert rate == pytest.approx(PARAMS.decay_c, rel=1e-6)
 
 
 def test_remainder_fit_recovers_other_rates(ball2):
-    hist = [SpectralField.zero(ball2), SpectralField.zero(ball2),
-            planted_remainder_entry(ball2, 3, PARAMS, constant=0.5, rate=0.9)]
-    d, rate = fit_remainder_bound(hist, PARAMS)
-    assert rate[2] == pytest.approx(0.9, rel=1e-6)
-    assert np.isnan(rate[:2]).all()
+    g = planted_remainder_entry(ball2, 3, PARAMS, constant=0.5, rate=0.9)
+    _, rate = fit_remainder_bound(g, 3, PARAMS)
+    assert rate == pytest.approx(0.9, rel=1e-6)
 
 
 def test_remainder_fit_reads_entries_below_the_squares_range(ball2):
@@ -112,19 +108,19 @@ def test_remainder_fit_reads_entries_below_the_squares_range(ball2):
     constant = 10.0 ** -160.9 / PARAMS.delta ** 2
     g = planted_remainder_entry(ball2, 1, PARAMS, constant=constant)
     assert g.magnitudes().max() < 1e-155
-    d, rate = fit_remainder_bound([g], PARAMS)
+    d, rate = fit_remainder_bound(g, 1, PARAMS)
     assert g.support_size == len(ball2)
-    assert rate[0] > 0
-    assert rate[0] == pytest.approx(PARAMS.decay_c, rel=1e-6)
-    assert d[0] == pytest.approx(constant, rel=1e-12, abs=0)
+    assert rate > 0
+    assert rate == pytest.approx(PARAMS.decay_c, rel=1e-6)
+    assert d == pytest.approx(constant, rel=1e-12, abs=0)
 
 
 def test_remainder_fit_skipped_for_sparse_support(ball2):
     f = SpectralField.from_modes(ball2, {(1, 0, 0): (0.0, 1e-9, 0.0),
                                          (0, 1, 0): (1e-9, 0.0, 0.0)})
-    d, rate = fit_remainder_bound([f], PARAMS)
-    assert d[0] > 0
-    assert np.isnan(rate[0])
+    d, rate = fit_remainder_bound(f, 1, PARAMS)
+    assert d > 0
+    assert math.isnan(rate)
 
 
 def test_remainder_fit_skipped_for_one_shell(ball2):
@@ -132,9 +128,9 @@ def test_remainder_fit_skipped_for_one_shell(ball2):
     f = SpectralField.from_modes(ball2, {s: (1e-9, 1e-9, 0.0) for s in
                                          [(1, 0, 0), (-1, 0, 0), (0, 1, 0),
                                           (0, -1, 0), (0, 0, 1), (0, 0, -1)]})
-    d, rate = fit_remainder_bound([f], PARAMS)
-    assert f.support_size == 6 and d[0] > 0
-    assert np.isnan(rate[0])
+    d, rate = fit_remainder_bound(f, 1, PARAMS)
+    assert f.support_size == 6 and d > 0
+    assert math.isnan(rate)
 
 
 def test_induction_step_imports_no_masked_arrays():
@@ -163,9 +159,9 @@ def test_induction_step_imports_no_masked_arrays():
 
 
 def test_remainder_fit_scale_covariant(ball2):
-    hist = [planted_remainder_entry(ball2, 2, PARAMS)]
-    base = fit_remainder_bound(hist, PARAMS)[0][0]
-    scaled = fit_remainder_bound([hist[0] * 3.0], PARAMS)[0][0]
+    g = planted_remainder_entry(ball2, 2, PARAMS)
+    base = fit_remainder_bound(g, 2, PARAMS)[0]
+    scaled = fit_remainder_bound(g * 3.0, 2, PARAMS)[0]
     assert scaled == pytest.approx(3.0 * base, rel=1e-12)
 
 
@@ -237,23 +233,23 @@ def test_contraction_measures_quadratic_gain(ball2):
 
 def test_ledger_records_equal_full_refits(ball2):
     # each step fits only its new age and folds it into the state's running
-    # extrema: the same values as fitting every age
+    # extrema: the same values as fitting every age again
     params = SolverParams(delta=0.03)
     state = DecompositionState.initial(random_field(ball2, np.random.default_rng(2), 0.01))
     finite_rates = 0
-    gaussian_history, remainder_history = [], []
+    entries = []
     for sol, state, record in induction_steps(state, params, 32):
-        gaussian_history.append(sol.correction.last_slice())
-        remainder_history.append(sol.fixed_point.solution.last_slice())
+        entries.append((sol.h, sol.g))
         gaussian_d, remainder_d, remainder_decay = state.bounds
-        gauss = fit_gaussian_bound(gaussian_history, params)
-        rem_d, rem_rate = fit_remainder_bound(remainder_history, params)
-        rates = rem_rate[np.isfinite(rem_rate)]
-        assert gaussian_d == gauss.max()
-        assert remainder_d == rem_d.max()
-        if rates.size:
+        gauss = [fit_gaussian_bound(h, age, params) for age, (h, _) in enumerate(entries, 1)]
+        rem_d, rem_rate = zip(*(fit_remainder_bound(g, age, params)
+                                for age, (_, g) in enumerate(entries, 1)))
+        rates = [rate for rate in rem_rate if math.isfinite(rate)]
+        assert gaussian_d == max(gauss)
+        assert remainder_d == max(rem_d)
+        if rates:
             finite_rates += 1
-            assert remainder_decay == rates.min()
+            assert remainder_decay == min(rates)
         else:
             assert math.isnan(remainder_decay)
         assert (record.gaussian_D, record.remainder_D) == (gaussian_d, remainder_d)
@@ -277,16 +273,6 @@ def test_apply_interval_loop_records_equal_induction_steps(ball2):
         for f in dataclasses.fields(CertificateRecord):
             x, y = getattr(a, f.name), getattr(b, f.name)
             assert x == y or (math.isnan(x) and math.isnan(y)), (a.m, f.name)
-
-
-def test_fit_first_age_offsets_ages(ball2):
-    hist = [planted_gaussian_entry(ball2, j, PARAMS, 2.0) for j in (1, 2, 3)]
-    rem = [planted_remainder_entry(ball2, j, PARAMS, 3.0) for j in (1, 2, 3)]
-    assert np.array_equal(fit_gaussian_bound(hist[2:], PARAMS, first_age=3),
-                          fit_gaussian_bound(hist, PARAMS)[2:])
-    d_last, rate_last = fit_remainder_bound(rem[2:], PARAMS, first_age=3)
-    d_all, rate_all = fit_remainder_bound(rem, PARAMS)
-    assert np.array_equal(d_last, d_all[2:]) and np.array_equal(rate_last, rate_all[2:])
 
 
 def looped_envelope(gaussian_part, m, params):

@@ -36,6 +36,22 @@ def test_random_field_bit_exact_round_trip(ball2, tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_signed_zero_sites_round_trip_bit_exactly(ball2, tmp_path):
+    # a site whose six values are all zero but one -0.0 compares equal to
+    # zero; it is kept by its bits, or it would load as +0.0
+    data = np.zeros((len(ball2), 3), dtype=np.complex128)
+    parts = data.view(np.float64)
+    parts[ball2.site_index((1, 0, 0)), 0] = -0.0
+    parts[ball2.site_index((0, 1, 0)), 5] = -0.0
+    parts[ball2.site_index((0, 0, 1)), 2] = 1e-3
+    f = SpectralField(ball2, data)
+    path = tmp_path / "f.ckpt"
+    save_field(f, path)
+    back = load_field(path)
+    assert np.array_equal(back.data.view(np.uint64), f.data.view(np.uint64))
+    assert struct.unpack_from("<Q", path.read_bytes(), 24)[0] == 3
+
+
 def test_sparse_field_round_trip(ball2, tmp_path):
     f = SpectralField.from_modes(ball2, {(1, 0, 0): (1e-300, 2.5j, -3.0)})
     path = tmp_path / "s.ckpt"

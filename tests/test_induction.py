@@ -30,7 +30,7 @@ from nstorus import (
     unit_times,
 )
 from nstorus.fields import UNDERFLOW_FLOOR
-from nstorus.induction import apply_interval, iterate_contraction, remainder_maps
+from nstorus.induction import IntervalSolution, apply_interval, iterate_contraction, remainder_maps
 from util import (ball, looped_history_parts, random_field, random_sliced, star_majorant,
                   state_from_histories)
 
@@ -376,17 +376,27 @@ def test_state_holds_no_per_age_entries():
     assert names == ["initial_field", "m", "gaussian_sum", "remainder_sum", "bounds"]
 
 
-def history_entries(sol):
-    """The step's interval-end correction and remainder: the age-m history
-    entries that apply_interval folds into the state."""
-    return sol.correction.last_slice(), sol.fixed_point.solution.last_slice()
+def test_interval_solution_holds_its_own_interval_end_fields(ball2):
+    # h, g and v are the last slices of the step's correction, remainder and
+    # velocity, copied so that keeping them keeps no whole grid alive
+    state = two_mode_state(ball2)
+    for _ in range(2):
+        sol = solve_interval(state, PARAMS)
+        heat = heat_flow(state.initial_field, state.m, sol.times)
+        correction = compute_gaussian_correction(heat, PARAMS)
+        for entry, grid in ((sol.h, correction), (sol.g, sol.fixed_point.solution),
+                            (sol.v, sol.velocity)):
+            assert np.array_equal(entry.data.view(np.uint64), grid.data[-1].view(np.uint64))
+            assert not np.shares_memory(entry.data, grid.data)
+        state, _ = apply_interval(state, sol, PARAMS)
+    assert "correction" not in [f.name for f in dataclasses.fields(IntervalSolution)]
 
 
 def test_advance_zero_data_stays_zero(ball2):
     state = DecompositionState.initial(SpectralField.zero(ball2))
     entries = []
     for sol, state, record in induction_steps(state, PARAMS, 3):
-        entries.extend(history_entries(sol))
+        entries.extend((sol.h, sol.g))
     assert len(entries) == 6 and state.m == 3
     assert all(e.support_size == 0 for e in entries)
     assert record.phi_sup == 0.0
@@ -429,7 +439,7 @@ def test_advance_single_mode_is_pure_heat_decay(ball2):
     state = DecompositionState.initial(f)
     entries = []
     for sol, state, _ in induction_steps(state, PARAMS, 5):
-        entries.extend(history_entries(sol))
+        entries.extend((sol.h, sol.g))
     assert len(entries) == 10 and state.m == 5
     assert all(e.support_size == 0 for e in entries)
     v = sol.velocity.slices[-1]

@@ -245,6 +245,39 @@ def test_check_rejects_a_stray_age(tmp_path, capsys):
     assert not (Path(cfg.output_dir) / "check_report.csv").exists()
 
 
+@pytest.mark.parametrize("removed, added, named", [
+    (("h_0003", "g_0001", "v_0000"), (), "h_0003.ckpt is missing"),
+    (("g_0002", "v_0000"), ("v_0009",), "g_0002.ckpt is missing"),
+    (("v_0000",), ("g_0009",), "g_0009.ckpt is stray"),
+    ((), ("v_0009", "h_0009"), "h_0009.ckpt is stray"),
+], ids=["h before g and v", "g before v", "stray g before missing v", "stray h before v"])
+def test_check_names_the_first_bad_file_in_prefix_order(removed, added, named, tmp_path,
+                                                        capsys):
+    # every name is checked before any file is read, h_ first, then g_ and v_
+    cfg = small_config(tmp_path, emit=frozenset({"fields"}), horizon_m=3)
+    run(cfg)
+    fields_dir = Path(cfg.output_dir) / "fields"
+    for name in removed:
+        (fields_dir / f"{name}.ckpt").unlink()
+    for name in added:
+        (fields_dir / f"{name}.ckpt").write_bytes((fields_dir / "c0.ckpt").read_bytes())
+    assert main(["check", cfg.output_dir]) == STATUS_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith(f"error: {fields_dir / named}")
+    assert not (Path(cfg.output_dir) / "check_report.csv").exists()
+
+
+def test_check_rejects_an_unreadable_late_age_and_writes_no_report(tmp_path):
+    # the ages are fitted one at a time: a bad file at age 17 of 20 still
+    # stops the check before it writes anything
+    cfg = small_config(tmp_path, emit=frozenset({"fields"}), horizon_m=20)
+    run(cfg)
+    ckpt = Path(cfg.output_dir) / "fields" / "g_0017.ckpt"
+    ckpt.write_bytes(ckpt.read_bytes()[:-1])
+    with pytest.raises(CheckpointError, match=r"g_0017\.ckpt: truncated"):
+        check_run(cfg.output_dir)
+    assert not (Path(cfg.output_dir) / "check_report.csv").exists()
+
+
 STALE_RUN = ["run", "--k-max", "2", "--delta", "0.01", "--emit",
              "certificates,fields,norm_series", "--output-dir"]
 
@@ -573,6 +606,28 @@ def test_cli_run_a_converging_step_at_a_delta_whose_square_overflows(tmp_path):
     _, columns, rows = read_csv(out / "certificates.csv")
     assert len(rows) == 1
     assert math.isfinite(float(rows[0][columns.index("remainder_D")]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--k-max", "2", "--horizon-m", "2", "--delta", "1e-170"],
+    ["bisect-delta", "--k-max", "2", "--delta-lo", "1e-170", "--bisect-steps", "1",
+     "--bisect-horizon", "1"],
+], ids=["run", "bisect-delta"])
+def test_cli_rejects_a_delta_whose_square_underflows(argv, tmp_path, capsys):
+    # the certificates divide by delta^2, which is 0.0 below about 1.57e-162
+    out = tmp_path / "out"
+    assert main([*argv, "--output-dir", str(out)]) == STATUS_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: delta must exceed") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_run_at_a_tiny_delta_whose_square_is_subnormal(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--k-max", "2", "--horizon-m", "2", "--delta", "1e-160",
+                 "--emit", "certificates", "--output-dir", str(out)]) == STATUS_OK
+    _, columns, rows = read_csv(out / "certificates.csv")
+    assert all(math.isfinite(float(row[columns.index("remainder_D")])) for row in rows)
 
 
 def test_cli_check_and_oracle(tmp_path):
