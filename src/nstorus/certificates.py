@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SpectralField, TimeSlicedField, fmc_norm, phi_norm
+from .fields import SpectralField, TimeSlicedField, fmc_weights, phi_norm, weighted_sup
 from .params import SolverParams
 
 __all__ = [
@@ -96,17 +96,18 @@ def fit_remainder_bound(g: SpectralField, age: int, params: SolverParams) -> tup
     """(minimal D at the configured decay rate, fitted decay rate) for the
     remainder history entry g of that age.
 
-    D is the weighted remainder norm at index age divided by delta^2
-    (SolverParams keeps delta^2 above zero). The decay rate is
-    least-squares fitted from log|g(k)| + beta log|k| against
-    sqrt(age)|k| over supported modes; the fit is skipped (nan) when fewer
-    than 4 supported modes remain or all supported modes share one |k|
-    shell.
+    D is the weighted remainder norm at index age (fields.fmc_norm, from
+    the same magnitudes as the fit) divided by delta^2 (SolverParams keeps
+    delta^2 above zero). The decay rate is least-squares fitted from
+    log|g(k)| + beta log|k| against sqrt(age)|k| over supported modes; the
+    fit is skipped (nan) when fewer than 4 supported modes remain or all
+    supported modes share one |k| shell.
     """
+    mags = g.magnitudes()   # once, for D and for the fit
+    fmc = weighted_sup(mags, fmc_weights(g.lattice, age, params.decay_c, params.beta))
     # a float product reads inf above delta ~ 1.34e154, where delta ** 2
     # raises OverflowError
-    d = fmc_norm(g, age, params.decay_c, params.beta) / (params.delta * params.delta)
-    mags = g.magnitudes()
+    d = fmc / (params.delta * params.delta)
     mask = mags > 0
     kabs = np.sqrt(g.lattice.norm_sq_f[mask])
     # one |k| shell has no slope; np.unique would import numpy.ma

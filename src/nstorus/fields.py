@@ -31,7 +31,9 @@ __all__ = [
     "TimeSlicedField",
     "grid_index",
     "site_magnitudes",
+    "weighted_sup",
     "phi_norm",
+    "fmc_weights",
     "fmc_norm",
     "UNDERFLOW_FLOOR",
 ]
@@ -229,24 +231,35 @@ def grid_index(times, t: float) -> int:
     raise ValueError(f"t={t!r} is not on the substep grid {times[0]}..{times[-1]}")
 
 
-def _weighted_sup(f, weights: np.ndarray, axis):
-    """sup over the supported sites of weights * |f| (0 for a zero field).
+def weighted_sup(mags: np.ndarray, weights: np.ndarray, axis=None):
+    """sup over the supported sites of weights * mags (0 when no site is
+    supported), for a field's magnitudes: (N,) or, for a sliced field,
+    (S+1, N), whose sup then also runs over every grid slice; with axis=-1
+    it is one sup per slice instead, an (S+1,) array.
 
     Unsupported sites count 0 whatever their weight, so an infinite weight
-    there makes no nan, while a nan magnitude makes the sup nan. f is a
-    SpectralField, or a TimeSlicedField, whose sup then also runs over
-    every grid slice; with axis=-1 it is one sup per slice instead, an
-    (S+1,) array."""
-    mags = f.magnitudes()
+    there makes no nan, while a nan magnitude makes the sup nan."""
     weighted = np.multiply(weights, mags, out=np.zeros_like(mags), where=mags != 0)
     sup = np.max(weighted, axis=axis, initial=0.0)
     return float(sup) if axis is None else sup
 
 
 def phi_norm(f, alpha: float, axis=None):
-    """sup over supported k of |k|^alpha * |f(k)|; f and axis as in
-    _weighted_sup."""
-    return _weighted_sup(f, f.lattice.norm_sq_f ** (alpha / 2.0), axis)
+    """sup over supported k of |k|^alpha * |f(k)|; f a field or a sliced
+    field, axis as in weighted_sup."""
+    return weighted_sup(f.magnitudes(), f.lattice.norm_sq_f ** (alpha / 2.0), axis)
+
+
+def fmc_weights(lattice: Lattice, m, c: float, beta: float) -> np.ndarray:
+    """The weights |k|^beta exp(c sqrt(m) |k|) of fmc_norm, one per site; inf
+    where they overflow. Requires beta > 3 and m, c > 0."""
+    if beta <= 3:
+        raise ValueError(f"beta must be > 3, got {beta}")
+    if m <= 0 or c <= 0:
+        raise ValueError("m and c must be positive")
+    q = lattice.norm_sq_f
+    with np.errstate(over="ignore"):
+        return q ** (beta / 2.0) * np.exp(c * np.sqrt(float(m)) * np.sqrt(q))
 
 
 def fmc_norm(f, m, c: float, beta: float, axis=None):
@@ -254,14 +267,7 @@ def fmc_norm(f, m, c: float, beta: float, axis=None):
 
     Computed as sup_k |k|^beta exp(c sqrt(m) |k|) |f(k)| over the supported
     sites only: at large m the weight overflows to inf at large |k|, where
-    the sites are empty. Requires beta > 3 and m, c > 0. f and axis as in
-    _weighted_sup.
+    the sites are empty. Requires beta > 3 and m, c > 0. f a field or a
+    sliced field, axis as in weighted_sup.
     """
-    if beta <= 3:
-        raise ValueError(f"beta must be > 3, got {beta}")
-    if m <= 0 or c <= 0:
-        raise ValueError("m and c must be positive")
-    q = f.lattice.norm_sq_f
-    with np.errstate(over="ignore"):
-        weights = q ** (beta / 2.0) * np.exp(c * np.sqrt(float(m)) * np.sqrt(q))
-    return _weighted_sup(f, weights, axis)
+    return weighted_sup(f.magnitudes(), fmc_weights(f.lattice, m, c, beta), axis)

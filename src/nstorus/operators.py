@@ -11,8 +11,9 @@ not depend on l, the projection is applied once to the accumulated sum per
 output mode, which also makes the output solenoidal by construction. The
 sum is one dense matrix product per left factor u, shared by every right
 factor v that u meets and built in cache-sized row blocks (see bilinear);
-every output mode is summed from its own pair products, so small modes keep
-their relative accuracy.
+each block's complex product is taken as one real matrix product over the
+(re, im) pairs (see _slice_products). Every output mode is summed from its
+own pair products, so small modes keep their relative accuracy.
 
 Determinism: the summation order is the BLAS library's, which may differ
 between BLAS builds and thread counts. The same config and seed give
@@ -78,15 +79,17 @@ def bilinear(u, *vs, out=None):
     """Truncated convection convolution of u with each of vs on a shared
     lattice: fields, or TimeSlicedFields on one grid convolved at every grid
     time. Returns one result of u's kind for one v, else a tuple with one
-    per v; with out, an (S+1, N, 3 len(vs)) complex array, the products are
-    written there side by side (one (N, 3) block per v) and out is returned.
+    per v; with out, an (S+1, N, 3 len(vs)) complex128 array (S+1 = 1 for
+    fields) whose last axis is contiguous, the products are written there
+    side by side (one (N, 3) block per v) and out is returned. Any other
+    out, a strided last axis included, raises ValueError before anything
+    is written.
 
     Per slice, the pairs are gathered into the interaction matrix
     A[k, l] = <k, u(k-l)> (zero where k-l is not a site), one cache-sized
-    row block at a time, and one matrix product per block,
-    A[rows] @ [v_1 ... v_n], sums them for every v at once, so one build
-    of A(u) serves all right factors that share u; the full (N, N) A is
-    never formed (see _slice_products).
+    row block at a time, and one real matrix product per block sums them
+    for every v at once (see _slice_products), so one build of A(u) serves
+    all right factors that share u; the full (N, N) A is never formed.
     Each output mode is the sum of the same pair products as the direct
     convolution; only the summation order is BLAS's, so every mode keeps
     its own relative accuracy however small it is. A slice where u or every
@@ -105,9 +108,16 @@ def bilinear(u, *vs, out=None):
     n = len(lat)
     u_st = u.data.reshape(-1, n, 3)   # a field is a one-slice stack
     v_st = [v.data.reshape(-1, n, 3) for v in vs]
-    res = np.empty((len(u_st), n, 3 * len(vs)), dtype=np.complex128) if out is None else out
+    shape = (len(u_st), n, 3 * len(vs))
+    res = np.empty(shape, dtype=np.complex128) if out is None else out
+    # the products are written through res's real view
+    if res.dtype != np.complex128 or res.shape != shape or res.strides[-1] != res.itemsize:
+        raise ValueError(f"out must be a complex128 array of shape {shape} "
+                         "with a contiguous last axis")
+    # the real right factor, refilled for each slice
+    rhs = np.empty((2 * n, 6 * len(vs)))
     for s, u_s in enumerate(u_st):
-        _slice_products(lat, u_s, [v[s] for v in v_st], res[s])
+        _slice_products(lat, u_s, [v[s] for v in v_st], rhs, res[s])
     kf = lat.sites_f[:, None, :]
     q = lat.norm_sq_f[:, None]
     per_v = res.reshape(len(u_st), n, len(vs), 3)
@@ -123,15 +133,24 @@ def bilinear(u, *vs, out=None):
     return parts[0] if len(vs) == 1 else parts
 
 
-def _slice_products(lat: Lattice, u: np.ndarray, vs: list, out: np.ndarray) -> None:
+def _slice_products(lat: Lattice, u: np.ndarray, vs: list, rhs: np.ndarray,
+                    out: np.ndarray) -> None:
     """Write A(u) @ [v_1 ... v_n] for one slice into the (N, 3n) array out,
-    before the projection; zeros when u or every v is all zero.
+    before the projection; zeros when u or every v is all zero. rhs is a
+    (2N, 6n) real work array that is overwritten.
 
     Per row block of the table: a cache-sized block of D[k, m] = <k, u(m)>
     is written to the D buffer, A's rows are gathered from it (the zero
     slot fills the entries whose k-l is not a site), and that block's rows
     of the product are taken while both are still in cache (the blocked
     layout of Goto & van de Geijn 2008). Neither D nor A is formed whole.
+
+    The complex product is one real one, which BLAS runs faster than a
+    complex product this narrow: A's rows, viewed as their (re, im) pairs
+    side by side, times rhs, whose rows 2l and 2l+1 hold each v(l)'s
+    (re, im) and (-im, re) pairs, give out's (re, im) pairs, written
+    through its real view. Each output mode is still the sum of the pair
+    products a(l) v(l), each split into its real terms.
     """
     # built before the zero check, so any first call prepares the lattice
     tab = lat.conv_table
@@ -141,16 +160,23 @@ def _slice_products(lat: Lattice, u: np.ndarray, vs: list, out: np.ndarray) -> N
         return
     n = len(lat)
     kf = lat.sites_f
-    rhs = vs[0] if len(vs) == 1 else np.concatenate(vs, axis=1)
+    pairs = rhs.reshape(n, 2, len(vs), 3, 2)
+    for i, v in enumerate(vs):
+        v_ri = v.view(np.float64).reshape(n, 3, 2)
+        pairs[:, 0, i] = v_ri
+        np.negative(v_ri[..., 1], out=pairs[:, 1, i, :, 0])
+        pairs[:, 1, i, :, 1] = v_ri[..., 0]
     # <k, u(m)> as one real product: u's (re, im) pairs side by side
     u_ri = u.view(np.float64).reshape(n, 3, 2).transpose(1, 0, 2).reshape(3, 2 * n)
     # the buffer's rows, without the zero slot
     dots_ri = dots[:-1].view(np.float64).reshape(tab.rows, 2 * n)
+    inter_ri = inter.view(np.float64)
+    out_ri = out.view(np.float64)
     for r0, r1, gather in tab.blocks:
         np.matmul(kf[r0:r1], u_ri, out=dots_ri[: r1 - r0])   # D[k-r0, m] = <k, u(m)>
         # every index is in range; "wrap" only skips numpy's bounds check
         np.take(dots, gather, out=inter[: r1 - r0], mode="wrap")
-        np.matmul(inter[: r1 - r0], rhs, out=out[r0:r1])
+        np.matmul(inter_ri[: r1 - r0], rhs, out=out_ri[r0:r1])
 
 
 def unit_times(substeps: int) -> tuple[float, ...]:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nstorus.fields
 from nstorus import (
     CertificateRecord,
     SolverParams,
@@ -93,6 +94,25 @@ def test_remainder_fit_recovers_planted_constant_and_rate(ball2):
         d, rate = fit_remainder_bound(planted_remainder_entry(ball2, age, PARAMS), age, PARAMS)
         assert d == pytest.approx(1.0, rel=1e-12)
         assert rate == pytest.approx(PARAMS.decay_c, rel=1e-6)
+
+
+def test_remainder_fit_reads_the_magnitudes_once(ball2, monkeypatch):
+    # D and the rate fit share one magnitude pass, and D is still the
+    # fmc norm over delta^2, bit for bit
+    g = planted_remainder_entry(ball2, 2, PARAMS, constant=0.5, rate=0.9)
+    want = fmc_norm(g, 2, PARAMS.decay_c, PARAMS.beta) / (PARAMS.delta * PARAMS.delta)
+    calls = []
+    site_magnitudes = nstorus.fields.site_magnitudes
+
+    def counting(data):
+        calls.append(1)
+        return site_magnitudes(data)
+
+    monkeypatch.setattr(nstorus.fields, "site_magnitudes", counting)
+    d, rate = fit_remainder_bound(g, 2, PARAMS)
+    assert len(calls) == 1
+    assert d == want
+    assert rate == pytest.approx(0.9, rel=1e-6)
 
 
 def test_remainder_fit_recovers_other_rates(ball2):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -130,9 +131,12 @@ def test_bilinear_matches_direct_sum_per_site(k_max, rule, a, seed):
 
 
 def assert_matches_direct_per_site(u, vs, got):
-    assert len(got) == len(vs)
-    for v, out in zip(vs, got):
-        want = direct_bilinear(u, v)
+    assert_per_site([direct_bilinear(u, v) for v in vs], got)
+
+
+def assert_per_site(wants, got):
+    assert len(got) == len(wants)
+    for want, out in zip(wants, got):
         err = np.linalg.norm(out.data - want, axis=1)
         assert (err <= 1e-13 * np.linalg.norm(want, axis=1)).all()
 
@@ -147,6 +151,83 @@ def test_bilinear_matches_direct_sum_per_site_many_blocks():
     u, v1, v2 = (SpectralField(lat, random_field(lat, rng).data * decay[:, None])
                  for _ in range(3))
     assert_matches_direct_per_site(u, (v1, v2), bilinear(u, v1, v2))
+
+
+def structured_factor(kind, data, rng):
+    """data made purely real, purely imaginary, or with exact zeros: a
+    whole component, half the sites, and some real and imaginary parts."""
+    if kind == "real":
+        return data.real + 0j
+    if kind == "imaginary":
+        return 1j * data.imag
+    data = data.copy()
+    data[:, 1] = 0.0
+    data[rng.uniform(size=len(data)) < 0.5] = 0.0
+    data[rng.uniform(size=data.shape) < 0.3] *= 1j   # real parts move to imaginary
+    real = rng.uniform(size=data.shape) < 0.3
+    data[real] = data.real[real]   # and imaginary parts drop
+    return data
+
+
+@pytest.mark.parametrize("kinds", [("real", "imaginary"), ("imaginary", "zeros"),
+                                   ("zeros", "real")])
+def test_bilinear_matches_direct_sum_per_site_on_structured_right_factors(kinds):
+    # The real product multiplies each v(l)'s (re, im) row and its
+    # (-im, re) row; purely real and purely imaginary right factors, and
+    # ones with exact zero components, use each row alone. k_max 6 covers
+    # the block seams; one right factor and two.
+    lat = ball(6)
+    rng = np.random.default_rng(11)
+    decay = np.exp(-0.5 * lat.norm_sq_f)
+    u, v1, v2 = (random_field(lat, rng).data * decay[:, None] for _ in range(3))
+    u = SpectralField(lat, u)
+    v1 = SpectralField(lat, structured_factor(kinds[0], v1, rng))
+    v2 = SpectralField(lat, structured_factor(kinds[1], v2, rng))
+    want1, want2 = direct_bilinear(u, v1), direct_bilinear(u, v2)
+    assert_per_site((want1,), (bilinear(u, v1),))
+    assert_per_site((want1, want2), bilinear(u, v1, v2))
+
+
+def test_bilinear_with_an_infinite_right_factor_is_not_finite():
+    # a diverging solve must see its forcing go non-finite, whether or not
+    # the infinite factor shares its left factor with a finite one
+    lat = ball(6)
+    rng = np.random.default_rng(7)
+    u, v, w = (random_field(lat, rng) for _ in range(3))
+    data = v.data.copy()
+    data[len(lat) // 3, 2] = complex(np.inf, 0.0)
+    v = SpectralField(lat, data)
+    with np.errstate(invalid="ignore", over="ignore"):
+        alone = bilinear(u, v)
+        finite, shared = bilinear(u, w, v)
+    assert not np.isfinite(alone.data).all()
+    assert not np.isfinite(shared.data).all()
+    assert np.isfinite(finite.data).all()
+
+
+def test_bilinear_rejects_an_out_it_cannot_write_through(ball2):
+    # the products are written through out's real view, so out must be
+    # complex128 of the exact shape with a contiguous last axis; a bad out
+    # is rejected before anything is written to it
+    times = unit_times(2)
+    rng = np.random.default_rng(4)
+    u, v = random_sliced(ball2, times, rng), random_sliced(ball2, times, rng)
+    shape = (len(times), len(ball2), 3)
+    for bad in (np.full(shape[::-1], np.nan, dtype=np.complex128).T,
+                np.full(shape, np.nan),
+                np.full((len(times), len(ball2), 2), np.nan, dtype=np.complex128)):
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+            bilinear(u, v, out=bad)
+        assert np.isnan(bad).all()
+    # a fresh array like star_product's own buffer passes, and so does a
+    # slice whose last axis is contiguous
+    own = np.empty(shape, dtype=np.complex128)
+    assert bilinear(u, v, out=own) is own
+    wide = np.zeros((len(times), len(ball2), 6), dtype=np.complex128)
+    bilinear(u, v, out=wide[:, :, 3:])
+    assert np.array_equal(wide[:, :, 3:], own) and not wide[:, :, :3].any()
+    assert star_product(u, v).data.shape == shape
+    assert len(star_product(u, v, v)) == 2
 
 
 def test_bilinear_skips_zero_products(ball2):
