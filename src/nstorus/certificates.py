@@ -97,17 +97,17 @@ def fit_remainder_bound(g: SpectralField, age: int, params: SolverParams) -> tup
     remainder history entry g of that age.
 
     D is the weighted remainder norm at index age (fields.fmc_norm, from
-    the same magnitudes as the fit) divided by delta^2 (SolverParams keeps
-    delta^2 above zero). The decay rate is least-squares fitted from
-    log|g(k)| + beta log|k| against sqrt(age)|k| over supported modes; the
-    fit is skipped (nan) when fewer than 4 supported modes remain or all
-    supported modes share one |k| shell.
+    the same magnitudes as the fit) divided by delta twice. The decay rate
+    is least-squares fitted from log|g(k)| + beta log|k| against
+    sqrt(age)|k| over supported modes; the fit is skipped (nan) when fewer
+    than 4 supported modes remain or all supported modes share one |k|
+    shell.
     """
     mags = g.magnitudes()   # once, for D and for the fit
     fmc = weighted_sup(mags, fmc_weights(g.lattice, age, params.decay_c, params.beta))
-    # a float product reads inf above delta ~ 1.34e154, where delta ** 2
-    # raises OverflowError
-    d = fmc / (params.delta * params.delta)
+    # delta^2 is never formed: it overflows above delta ~ 1.34e154 and
+    # underflows to 0.0 below delta ~ 1.57e-162
+    d = fmc / params.delta / params.delta
     mask = mags > 0
     kabs = np.sqrt(g.lattice.norm_sq_f[mask])
     # one |k| shell has no slope; np.unique would import numpy.ma

@@ -8,7 +8,7 @@ the backing array is non-writeable and all operations return new instances.
 A SpectralField is one (N, 3) array. A function of time on a substep grid is
 a TimeSlicedField: one read-only (S+1, N, 3) array, so its sums, norms and
 star products are whole-array expressions (a star product is one bilinear
-call over the grid, whose samples the Duhamel pass then overwrites in
+call over the grid, whose samples duhamel_integrate then overwrites in
 place). Its .slices are SpectralField views of the rows, for readers that
 want one time at a time. The two kinds share one implementation of the
 storage, the algebra and the invariant checks, written over the array's
@@ -29,7 +29,6 @@ from .lattice import Lattice
 __all__ = [
     "SpectralField",
     "TimeSlicedField",
-    "grid_index",
     "site_magnitudes",
     "weighted_sup",
     "phi_norm",
@@ -41,8 +40,6 @@ __all__ = [
 # Multiplier factors below this are clamped to exact zero and the entry
 # leaves the support, so supports stay sparse at large times.
 UNDERFLOW_FLOOR = 1e-300
-# Relative distance within which grid_index takes a time to be a grid time.
-_GRID_TOL = 1e-12
 # Squares below the normal range cost a sum of at least 2^-968 = 2^54 * 2^-1022
 # under 2^-104 of itself; below it they may have lost bits or underflowed to 0.
 _SQUARES_EXACT = 2.0 ** -968
@@ -107,10 +104,6 @@ class _ArrayField:
         return self._like(self.data * complex(scalar))
 
     __rmul__ = __mul__
-
-    def allclose(self, other, rtol=1e-12, atol=0.0) -> bool:
-        self._check_operand(other)
-        return bool(np.allclose(self.data, other.data, rtol=rtol, atol=atol))
 
     # -- invariant checks ----------------------------------------------------
 
@@ -218,17 +211,6 @@ class TimeSlicedField(_ArrayField):
         """The last sample as a field with its own copy of the data, for
         keeping beyond this object without keeping the whole array alive."""
         return SpectralField(self.lattice, self.data[-1].copy())
-
-    def at_time(self, t: float) -> SpectralField:
-        return self.slices[grid_index(self.times, t)]
-
-
-def grid_index(times, t: float) -> int:
-    """Index of t on the grid; evaluation off the grid is out of contract."""
-    for i, s in enumerate(times):
-        if abs(s - t) <= _GRID_TOL * max(1.0, abs(t)):
-            return i
-    raise ValueError(f"t={t!r} is not on the substep grid {times[0]}..{times[-1]}")
 
 
 def weighted_sup(mags: np.ndarray, weights: np.ndarray, axis=None):

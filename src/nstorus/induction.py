@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import pairwise
 
 import numpy as np
 
@@ -244,11 +243,6 @@ class FixedPointResult:
     def forcing_norm(self) -> float:
         """c1: the first update is the forcing itself."""
         return self.update_norms[0]
-
-    @property
-    def ratios(self) -> tuple[float, ...]:
-        """d_i / d_(i-1) for each update norm d_(i-1) > 0."""
-        return tuple(b / a for a, b in pairwise(self.update_norms) if a > 0)
 
     @property
     def contracts(self) -> bool:

@@ -19,8 +19,8 @@ class SolverParams:
 
     epsilon sets the data-space weight alpha = 2 + epsilon and must satisfy
     0 < 3 epsilon < 1; beta > 3 is the polynomial weight of the remainder
-    norm; delta is the smallness scale of the initial data, finite and above
-    2^-537.5 (about 1.57e-162), so that delta^2 is not 0.0.
+    norm; delta is the smallness scale of the initial data, positive and
+    finite.
     """
 
     epsilon: float = 0.25
@@ -40,9 +40,6 @@ class SolverParams:
         for name in ("delta", "decay_c", "fp_tol", "eps_div"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if self.delta * self.delta == 0.0:  # the certificates divide by delta^2
-            raise ValueError(f"delta must exceed about 1.57e-162 (2^-537.5), where its square "
-                             f"underflows to 0.0, got {self.delta}")
         if self.fp_max_iter < 1:
             raise ValueError(f"fp_max_iter must be >= 1, got {self.fp_max_iter}")
         if self.substeps < 1:

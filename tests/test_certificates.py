@@ -98,9 +98,9 @@ def test_remainder_fit_recovers_planted_constant_and_rate(ball2):
 
 def test_remainder_fit_reads_the_magnitudes_once(ball2, monkeypatch):
     # D and the rate fit share one magnitude pass, and D is still the
-    # fmc norm over delta^2, bit for bit
+    # fmc norm divided by delta twice, bit for bit
     g = planted_remainder_entry(ball2, 2, PARAMS, constant=0.5, rate=0.9)
-    want = fmc_norm(g, 2, PARAMS.decay_c, PARAMS.beta) / (PARAMS.delta * PARAMS.delta)
+    want = fmc_norm(g, 2, PARAMS.decay_c, PARAMS.beta) / PARAMS.delta / PARAMS.delta
     calls = []
     site_magnitudes = nstorus.fields.site_magnitudes
 

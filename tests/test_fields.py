@@ -167,7 +167,7 @@ def test_heat_identity_at_t0(ball2):
 def test_heat_single_mode(ball2):
     f = SpectralField.from_modes(ball2, {(1, 0, 0): (0.0, 1.0, 0.0)})
     part = heat_flow(f, 0, (0.0, 1.0))
-    assert part.at_time(1.0)[(1, 0, 0)][1] == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert part.slices[1][(1, 0, 0)][1] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
 def test_heat_factor_eval(ball2):
@@ -185,7 +185,7 @@ def test_heat_rejects_negative_t(ball2):
 def test_heat_underflow_prunes_support(ball2):
     f = SpectralField.from_modes(ball2, {(2, 0, 0): (0.0, 1.0, 0.0)})
     part = heat_flow(f, 0, (0.0, 200.0))
-    assert part.at_time(200.0).support_size == 0  # exp(-800) is below the clamp
+    assert part.slices[1].support_size == 0  # exp(-800) is below the clamp
     assert _heat_weights(np.array([200.0]), ball2.norm_sq_f)[0][ball2.site_index((2, 0, 0))] == 0
 
 
@@ -323,17 +323,13 @@ def test_field_core_algebra_and_invariants(make, ball1, ball2):
         assert type(result) is kind  # a trajectory's sums are plain sliced fields
         assert getattr(result, "times", None) == getattr(x, "times", None)
         assert np.array_equal(result.data, expect)
-    near = x + y * 1e-14
-    for a, b in ((x, y), (x, near)):
-        assert a.allclose(b) == np.allclose(a.data, b.data, rtol=1e-12, atol=0.0)
-    assert x.allclose(near) and not x.allclose(y)
 
     other_kind = any_sliced(ball2, rng) if kind is SpectralField else any_field(ball2, rng)
     mismatched = [other_kind, make(ball1, rng)]
     if kind is TimeSlicedField:
         mismatched.append(make(ball2, rng, unit_times(4)))
     for z in mismatched:
-        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a.allclose(b)):
+        for op in (lambda a, b: a + b, lambda a, b: a - b):
             with pytest.raises(ValueError):
                 op(x, z)
             with pytest.raises(ValueError):

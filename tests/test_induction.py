@@ -49,13 +49,13 @@ def two_mode_state(lat, delta=1e-3):
 def test_heat_part_at_origin_time(ball2):
     state = two_mode_state(ball2)
     part = heat_flow(state.initial_field, state.m, unit_times(4))
-    assert part.slices[0].allclose(state.initial_field, rtol=0, atol=0)
+    assert np.array_equal(part.slices[0].data, state.initial_field.data)
 
 
 def test_heat_part_decay_factor(ball2):
     f = SpectralField.from_modes(ball2, {(1, 0, 0): (0.0, 1.0, 0.0)})
     part = heat_flow(f, 2, unit_times(2))
-    assert part.at_time(0.5)[(1, 0, 0)][1].real == pytest.approx(math.exp(-2.5), rel=1e-14)
+    assert part.slices[1][(1, 0, 0)][1].real == pytest.approx(math.exp(-2.5), rel=1e-14)   # t = 0.5
 
 
 def test_heat_part_zero_initial_field(ball2):
@@ -320,12 +320,11 @@ def test_fixed_point_residual_small(ball2):
     state = DecompositionState.initial(random_field(ball2, np.random.default_rng(5), 1e-3))
     fp = solve_interval(state, PARAMS).fixed_point
     assert fp.residual <= 10 * PARAMS.fp_tol
-    # c1 and the ratios are read off the update norms, not stored apart
+    # c1 is read off the update norms, not stored apart; they contract
     d = fp.update_norms
     assert fp.iterations == len(d) > 2
     assert fp.forcing_norm == d[0] > 0
-    assert fp.ratios == tuple(d[i] / d[i - 1] for i in range(1, len(d)))
-    assert all(r < 1 for r in fp.ratios)
+    assert all(b < a for a, b in zip(d, d[1:]))
 
 
 def test_fixed_point_nonconvergence_raises_with_ratio(ball2):

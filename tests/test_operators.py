@@ -21,6 +21,7 @@ from nstorus import (
     star_product,
     unit_times,
 )
+from nstorus import operators
 from util import (ball, direct_bilinear, duhamel_terms, random_field, random_sliced,
                   star_majorant)
 
@@ -43,6 +44,9 @@ def test_leray_worked_example():
 def test_leray_rejects_zero_k():
     with pytest.raises(ValueError):
         leray_project((0, 0, 0), (1.0, 0.0, 0.0))
+    # one zero k in a batch
+    with pytest.raises(ValueError):
+        leray_project([(1, 0, 0), (0, 0, 0), (0, 2, 1)], np.ones((3, 3)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -61,6 +65,15 @@ def test_leray_projector_algebra(seed):
     a, b = 0.7, -1.3 + 0.4j
     lin = leray_project(k, a * x + b * y) - a * px - b * leray_project(k, y)
     assert np.abs(lin).max() < 1e-14
+    # bilinear's call: (N, 1, 3) sites against an (S+1, N, v, 3) block is
+    # bit-equal to projecting each vector on its own
+    lat = ball(2)
+    block = (rng.standard_normal((3, len(lat), 2, 3))
+             + 1j * rng.standard_normal((3, len(lat), 2, 3)))
+    each = np.array([[[leray_project(k, x) for x in row] for k, row in zip(lat.sites_f, sl)]
+                     for sl in block])
+    assert np.array_equal(leray_project(lat.sites_f[:, None, :], block).view(np.uint64),
+                          each.view(np.uint64))
 
 
 # -- bilinear convolution --------------------------------------------------------
@@ -353,21 +366,28 @@ def test_exact_linear_duhamel_self_check():
     assert exact_linear_duhamel(q, a, b) == pytest.approx(ref, rel=1e-10)
 
 
+def duhamel_rows(source):
+    """The Duhamel rule at every grid time of the sliced field source: one
+    duhamel_integrate pass over a copy of its samples, (S+1, N, 3)."""
+    data = source.data.copy()
+    duhamel_integrate(source.lattice, source.times, data)
+    return data
+
+
 def test_duhamel_zero_source(ball2):
-    src = TimeSlicedField.zero(ball2, unit_times(4))
-    assert duhamel_integrate(src, 1.0).support_size == 0
+    assert not duhamel_rows(TimeSlicedField.zero(ball2, unit_times(4))).any()
 
 
 def test_duhamel_constant_source_closed_form(ball2):
     f = SpectralField.from_modes(ball2, {(1, 0, 0): (0.0, 1.0, 0.0)})
     src = TimeSlicedField.from_slices(unit_times(8), tuple(f for _ in range(9)))
-    out = duhamel_integrate(src, 1.0)
-    assert out[(1, 0, 0)][1].real == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14)
+    out = duhamel_rows(src)[8, ball2.site_index((1, 0, 0))]   # t = 1
+    assert out[1].real == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14)
     # exact on constants at every grid time and every |k|
     g = SpectralField.from_modes(ball2, {(2, 0, 0): (0.0, 0.0, 1.0)})
     src2 = TimeSlicedField.from_slices(unit_times(8), tuple(g for _ in range(9)))
-    out2 = duhamel_integrate(src2, 0.5)
-    assert out2[(2, 0, 0)][2].real == pytest.approx((1 - math.exp(-2.0)) / 4.0, rel=1e-14)
+    out2 = duhamel_rows(src2)[4, ball2.site_index((2, 0, 0))]   # t = 0.5
+    assert out2[2].real == pytest.approx((1 - math.exp(-2.0)) / 4.0, rel=1e-14)
 
 
 def quadrature_error_on_linear_source(substeps, q_site, a, b):
@@ -377,9 +397,9 @@ def quadrature_error_on_linear_source(substeps, q_site, a, b):
     slices = tuple(
         SpectralField.from_modes(lat, {site: (0.0, a + b * t, 0.0)}) for t in times
     )
-    out = duhamel_integrate(TimeSlicedField.from_slices(times, slices), 1.0)
+    out = duhamel_rows(TimeSlicedField.from_slices(times, slices))[-1, lat.site_index(site)]
     q = float(sum(c * c for c in site))
-    return abs(out[site][1].real - exact_linear_duhamel(q, a, b))
+    return abs(out[1].real - exact_linear_duhamel(q, a, b))
 
 
 def test_duhamel_linear_source_second_order():
@@ -389,16 +409,6 @@ def test_duhamel_linear_source_second_order():
     assert 3.5 <= e8 / e16 <= 4.5
 
 
-def test_duhamel_rejects_offgrid_t(ball2):
-    src = TimeSlicedField.zero(ball2, unit_times(4))
-    with pytest.raises(ValueError):
-        duhamel_integrate(src, 0.3)
-    with pytest.raises(ValueError):
-        duhamel_integrate(src, 1.5)
-    with pytest.raises(ValueError):
-        duhamel_integrate(src, -0.25)
-
-
 def test_duhamel_monotone_for_nondecreasing_source(ball2):
     times = unit_times(8)
     src = TimeSlicedField.from_slices(
@@ -406,7 +416,7 @@ def test_duhamel_monotone_for_nondecreasing_source(ball2):
         tuple(SpectralField.from_modes(ball2, {(1, 0, 0): (0.0, 1.0 + t, 0.0)})
               for t in times),
     )
-    values = [duhamel_integrate(src, t)[(1, 0, 0)][1].real for t in times]
+    values = duhamel_rows(src)[:, ball2.site_index((1, 0, 0)), 1].real
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
@@ -442,9 +452,34 @@ def test_star_product_matches_direct_duhamel_per_site(k_max, rule, substeps, uni
         terms = duhamel_terms(samples, t)
         err = np.abs(got.data - terms.sum(axis=0))
         assert (err <= 1e-13 * np.abs(terms).sum(axis=0)).all()
-    # duhamel_integrate reads the same pass
-    n = int(rng.integers(len(times)))
-    assert np.array_equal(duhamel_integrate(samples, times[n]).data, prod.slices[n].data)
+    # the star product is one duhamel_integrate pass over the samples
+    assert np.array_equal(duhamel_rows(samples), prod.data)
+
+
+def test_bilinear_and_star_product_run_the_criteria_operators(ball2, monkeypatch):
+    # criteria 2 and 8 test leray_project and duhamel_integrate: the
+    # convolution and the star product must run those very functions
+    rng = np.random.default_rng(3)
+    u, v, w = (random_sliced(ball2, unit_times(4), rng) for _ in range(3))
+    plain = (*bilinear(u, v, w), *star_product(u, v, w))
+    calls = {"leray_project": 0, "duhamel_integrate": 0}
+
+    def counting(name):
+        inner = getattr(operators, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(operators, name, counting(name))
+    conv = bilinear(u, v, w)
+    assert calls == {"leray_project": 1, "duhamel_integrate": 0}   # one block
+    star = star_product(u, v, w)
+    assert calls == {"leray_project": 2, "duhamel_integrate": 1}
+    for got, want in zip((*conv, *star), plain, strict=True):
+        assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
 
 
 def test_star_product_zero_left(ball2):

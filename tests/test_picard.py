@@ -67,7 +67,7 @@ def test_slices_divergence_free(ball2):
     traj = picard_solve(v0, 1.0, PARAMS)
     for s in traj.slices:
         assert s.max_divergence_ratio() <= PARAMS.eps_div
-    assert traj.slices[0].allclose(v0, rtol=0, atol=0)
+    assert np.array_equal(traj.slices[0].data, v0.data)
 
 
 def test_trajectory_respects_initial_norm_envelope(ball2):

@@ -608,26 +608,27 @@ def test_cli_run_a_converging_step_at_a_delta_whose_square_overflows(tmp_path):
     assert math.isfinite(float(rows[0][columns.index("remainder_D")]))
 
 
-@pytest.mark.parametrize("argv", [
-    ["run", "--k-max", "2", "--horizon-m", "2", "--delta", "1e-170"],
-    ["bisect-delta", "--k-max", "2", "--delta-lo", "1e-170", "--bisect-steps", "1",
-     "--bisect-horizon", "1"],
-], ids=["run", "bisect-delta"])
-def test_cli_rejects_a_delta_whose_square_underflows(argv, tmp_path, capsys):
-    # the certificates divide by delta^2, which is 0.0 below about 1.57e-162
+@pytest.mark.parametrize("command, delta", [
+    ("run", "1e-160"), ("run", "1e-170"), ("run", "1e-300"), ("bisect-delta", "1e-170"),
+], ids=["1e-160", "1e-170", "1e-300", "bisect-delta"])
+def test_cli_run_at_a_tiny_delta_whose_square_is_subnormal(command, delta, tmp_path):
+    # the remainder fit divides by delta twice: delta^2 is subnormal at
+    # 1e-160 and 0.0 below about 1.57e-162
     out = tmp_path / "out"
-    assert main([*argv, "--output-dir", str(out)]) == STATUS_CONFIG_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("error: delta must exceed") and err.count("\n") == 1
-    assert not out.exists()
-
-
-def test_cli_run_at_a_tiny_delta_whose_square_is_subnormal(tmp_path):
-    out = tmp_path / "out"
-    assert main(["run", "--k-max", "2", "--horizon-m", "2", "--delta", "1e-160",
-                 "--emit", "certificates", "--output-dir", str(out)]) == STATUS_OK
+    if command == "bisect-delta":
+        argv = ["--delta-lo", delta, "--bisect-steps", "1", "--bisect-horizon", "1"]
+    else:
+        argv = ["--delta", delta, "--horizon-m", "2", "--emit", "certificates"]
+    assert main([command, "--k-max", "2", *argv, "--output-dir", str(out)]) == STATUS_OK
+    if command == "bisect-delta":
+        _, _, rows = read_csv(out / "bisect_delta.csv")
+        assert rows[0][1:] == [delta, "true"]
+        return
     _, columns, rows = read_csv(out / "certificates.csv")
-    assert all(math.isfinite(float(row[columns.index("remainder_D")])) for row in rows)
+    ds = [float(row[columns.index("remainder_D")]) for row in rows]
+    assert len(ds) == 2 and all(math.isfinite(d) for d in ds)
+    if delta == "1e-170":
+        assert ds == [0.0, 0.0]   # the remainder underflows to zero
 
 
 def test_cli_check_and_oracle(tmp_path):
