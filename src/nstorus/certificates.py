@@ -55,7 +55,13 @@ class CertificateRecord:
                      On long runs the quadratic term underflows to zero and
                      c3 reads 0.0 (seed 0, delta 0.03: from m = 172 at k_max 2
                      and from m = 182 at k_max 4); contraction_ok then
-                     tests c2 < 1 alone and says nothing about c3
+                     tests c2 < 1 alone and says nothing about c3. Tiny
+                     delta underflows the same way from the first step:
+                     below delta ~ 1.57e-162 every product in a step
+                     underflows, the run still exits 0, and every record
+                     reads gaussian_D, remainder_D, envelope_D, c1 and
+                     c2 = 0.0, c3 = nan and contraction_ok = true, a
+                     certificate that says nothing
     phi_sup:         sup over the step's grid times of the data-norm of v
     """
 

@@ -15,6 +15,11 @@ convolution table for every difference k - l of two sites (all of which lie
 in the cube), take a point's flat position in its C order from one helper,
 Lattice._position. Positions are linear in the point, so k - l sits at
 position(k) - position(l) + position(0).
+
+The convolution table pairs each output row i < N/2 with its mirror row
+N-1-i in one block: D[k, m] = <k, u(m)> is linear in k, so D's row N-1-i
+is -D[i], and the mirror row is gathered, negated, from the D rows the
+block forms for the rows i. The blocks end at N/2 by construction.
 """
 
 from __future__ import annotations
@@ -54,25 +59,32 @@ class LatticeSpec:
         object.__setattr__(self, "truncation_rule", TruncationRule(self.truncation_rule))
 
 
-# Bytes of one row block of the convolution's (rows, N) complex matrices:
-# small enough that a block of D = <k, u(m)> stays in cache while it is
-# gathered into a block of A and multiplied.
+# Bytes of one block of the convolution's interaction matrix A, (2 rows, N)
+# complex for `rows` row pairs: small enough that a block of D = <k, u(m)>
+# stays in cache while it is gathered into a block of A and multiplied.
 _BLOCK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True, eq=False)
 class _ConvTable:
     """Gather indices that build the lattice convolution's interaction
-    matrix A[k, l] = <k, u(k-l)> one block of `rows` output sites at a time.
+    matrix A[k, l] = <k, u(k-l)> one block of `rows` pairs of output sites
+    at a time.
 
-    For N sites, a block's rows r0 <= k < r1 are gathered from the flat D
-    buffer of Lattice.conv_work, whose first (r1-r0)*N entries hold
-    D[k, m] = <k, u(m)> for those rows and whose entry rows*N, the zero
-    slot, is always 0: entry (k-r0)*N + l of the block's gather is
-    (k-r0)*N + index(k-l) when k-l is a site, else rows*N, where index(k-l)
-    is read from the flattened index cube at the flat position of k - l.
-    The blocks hold (r0, r1, gather) with gather an (r1-r0, N) view of one
-    flat N*N array, so no (N, N) complex matrix is ever formed.
+    For N sites, a block pairs the rows r0 <= i < r1 <= N/2 with their
+    mirror rows N-r1 <= j < N-r0. Site N-1-i is -(site i) and
+    D[k, m] = <k, u(m)> is linear in k, so D[N-1-i] = -D[i] exactly, and
+    both halves are gathered from D's rows r0..r1-1 alone: the flat D
+    buffer of Lattice.conv_work holds them in its first (r1-r0)*N entries,
+    and its entry rows*N, the zero slot, is always 0. A block's gather is a
+    (2 (r1-r0), N) view of one flat N*N array. Its first half gathers the
+    rows i from D row i-r0; its second half gathers the mirror rows j, in
+    order, from D row N-1-j-r0, that is -A[j, :]. Entry l of a row for site
+    p is (D row)*N + index(p - sites[l]), with index read from the
+    flattened index cube at the flat position of p - sites[l], or rows*N
+    when p - sites[l] is not a site. The blocks hold (r0, r1, gather) and
+    end at N/2; together they cover all N*N pairs once, and no (N, N)
+    complex matrix is ever formed.
     """
 
     rows: int
@@ -150,21 +162,25 @@ class Lattice:
         flat positions of k - l are one subtraction, written into its rows
         of the gather array and read back by one take from the flat cube."""
         n = len(self.sites)
-        block = min(n, max(1, _BLOCK_BYTES // (16 * n)))
+        half = n // 2   # sites come in pairs (k, -k), so n is even
+        block = min(half, max(1, _BLOCK_BYTES // (32 * n)))
         cube = self.cube.reshape(-1)
         pos = self._position(self.sites)
         # position(k - l) = position(k) - (position(l) - position(0))
         pos_l = pos - self._position(np.zeros(3, dtype=np.intp))
-        # allocated first, then filled one row block at a time
+        # allocated first, then filled one block of row pairs at a time
         gather = np.empty(n * n, dtype=np.intp)
-        row_start = np.arange(block)[:, None] * n
         blocks = []
-        for r0 in range(0, n, block):
-            r1 = min(n, r0 + block)
-            g = gather[r0 * n: r1 * n].reshape(r1 - r0, n)
-            np.subtract(pos[r0:r1, None], pos_l, out=g)
+        for r0 in range(0, half, block):
+            r1 = min(half, r0 + block)
+            b = r1 - r0
+            g = gather[2 * r0 * n: 2 * r1 * n].reshape(2 * b, n)
+            # rows r0..r1-1, then their mirror rows n-r1..n-r0-1
+            np.subtract(np.r_[pos[r0:r1], pos[n - r1:n - r0]][:, None], pos_l, out=g)
             mi = cube.take(g)
-            np.add(mi, row_start[: r1 - r0], out=g)
+            # the D row each reads: i - r0, then n-1-j-r0 for mirror row j
+            d_row = np.r_[np.arange(b), np.arange(b - 1, -1, -1)]
+            np.add(mi, (d_row * n)[:, None], out=g)
             g[mi < 0] = block * n   # the zero slot
             blocks.append((r0, r1, g))
         return _ConvTable(rows=block, blocks=tuple(blocks))
@@ -173,8 +189,8 @@ class Lattice:
     def conv_work(self) -> tuple[np.ndarray, np.ndarray]:
         """Work arrays reused by every convolution call: the flat D buffer of
         rows*N + 1 complex entries, whose last entry (the zero slot) stays
-        0, and a (rows, N) block of the interaction matrix A, with
-        rows = conv_table.rows.
+        0, and a (2 rows, N) block of the interaction matrix A (a block's
+        rows and their mirror rows), with rows = conv_table.rows.
 
         Reuse keeps each call free of fresh allocations, whose page faults
         would otherwise cost as much as the arithmetic. Only the first
@@ -183,7 +199,7 @@ class Lattice:
         """
         n, rows = len(self.sites), self.conv_table.rows
         return (np.zeros(rows * n + 1, dtype=np.complex128),
-                np.empty((rows, n), dtype=np.complex128))
+                np.empty((2 * rows, n), dtype=np.complex128))
 
 
 @lru_cache(maxsize=None)

@@ -14,10 +14,13 @@ truncation: interactions leaving the lattice are dropped). Because P_k does
 not depend on l, the projection is applied once to the accumulated sum per
 output mode, which also makes the output solenoidal by construction. The
 sum is one dense matrix product per left factor u, shared by every right
-factor v that u meets and built in cache-sized row blocks (see bilinear);
-each block's complex product is taken as one real matrix product over the
-(re, im) pairs (see _slice_products). Every output mode is summed from its
-own pair products, so small modes keep their relative accuracy.
+factor v that u meets and built in cache-sized blocks of row pairs (see
+bilinear). A block pairs rows i < N/2 with their mirror rows N-1-i, whose
+sites are the negated ones, so <k, u(m)> is formed for the first half of
+the rows only and read negated by the second; each block's complex product
+is taken as one real matrix product over the (re, im) pairs (see
+_slice_products). Every output mode is summed from its own pair products,
+so small modes keep their relative accuracy.
 
 Determinism: the summation order is the BLAS library's, which may differ
 between BLAS builds and thread counts. The same config and seed give
@@ -96,9 +99,11 @@ def bilinear(u, *vs, out=None):
 
     Per slice, the pairs are gathered into the interaction matrix
     A[k, l] = <k, u(k-l)> (zero where k-l is not a site), one cache-sized
-    row block at a time, and one real matrix product per block sums them
-    for every v at once (see _slice_products), so one build of A(u) serves
-    all right factors that share u; the full (N, N) A is never formed.
+    block of rows i < N/2 and their mirror rows N-1-i at a time, and one
+    real matrix product per block sums them for every v at once (see
+    _slice_products), so one build of A(u) serves all right factors that
+    share u; the full (N, N) A is never formed, and <k, u(m)> is formed
+    for half of the rows only, since site N-1-i is -(site i).
     Each output mode is the sum of the same pair products as the direct
     convolution; only the summation order is BLAS's, so every mode keeps
     its own relative accuracy however small it is. A slice where u or every
@@ -123,10 +128,11 @@ def bilinear(u, *vs, out=None):
     if res.dtype != np.complex128 or res.shape != shape or res.strides[-1] != res.itemsize:
         raise ValueError(f"out must be a complex128 array of shape {shape} "
                          "with a contiguous last axis")
-    # the real right factor, refilled for each slice
+    # the real right factor, refilled for each slice, and a block's product
     rhs = np.empty((2 * n, 6 * len(vs)))
+    prod = np.empty((2 * lat.conv_table.rows, 6 * len(vs)))
     for s, u_s in enumerate(u_st):
-        _slice_products(lat, u_s, [v[s] for v in v_st], rhs, res[s])
+        _slice_products(lat, u_s, [v[s] for v in v_st], rhs, prod, res[s])
     kf = lat.sites_f[:, None, :]
     per_v = res.reshape(len(u_st), n, len(vs), 3)
     step = max(1, _PROJECTION_BYTES // per_v[0].nbytes)
@@ -141,16 +147,24 @@ def bilinear(u, *vs, out=None):
 
 
 def _slice_products(lat: Lattice, u: np.ndarray, vs: list, rhs: np.ndarray,
-                    out: np.ndarray) -> None:
+                    prod: np.ndarray, out: np.ndarray) -> None:
     """Write A(u) @ [v_1 ... v_n] for one slice into the (N, 3n) array out,
     before the projection; zeros when u or every v is all zero. rhs is a
-    (2N, 6n) real work array that is overwritten.
+    (2N, 6n) real work array and prod a (2 rows, 6n) one, rows =
+    lat.conv_table.rows; both are overwritten.
 
-    Per row block of the table: a cache-sized block of D[k, m] = <k, u(m)>
-    is written to the D buffer, A's rows are gathered from it (the zero
-    slot fills the entries whose k-l is not a site), and that block's rows
-    of the product are taken while both are still in cache (the blocked
-    layout of Goto & van de Geijn 2008). Neither D nor A is formed whole.
+    Per block of row pairs of the table: a cache-sized block of
+    D[i, m] = <i, u(m)> for the block's rows i < N/2 is written to the D
+    buffer, A's rows i and their mirror rows N-1-i are gathered from it
+    (the zero slot fills the entries whose k-l is not a site), and that
+    block's rows of the product are taken while both are still in cache
+    (the blocked layout of Goto & van de Geijn 2008). Neither D nor A is
+    formed whole. Site N-1-i is -(site i), so D's row N-1-i is -D[i] and is
+    never formed: a mirror row is gathered from D[i] as -A[N-1-i, :], and
+    its product is written out negated, as 0 - x so that an exact zero
+    stays +0. Negation is exact, and so is a dot product of negated
+    operands, so each output is bit for bit the one a gather from the
+    mirror row's own D row gives.
 
     The complex product is one real one, which BLAS runs faster than a
     complex product this narrow: A's rows, viewed as their (re, im) pairs
@@ -180,10 +194,14 @@ def _slice_products(lat: Lattice, u: np.ndarray, vs: list, rhs: np.ndarray,
     inter_ri = inter.view(np.float64)
     out_ri = out.view(np.float64)
     for r0, r1, gather in tab.blocks:
-        np.matmul(kf[r0:r1], u_ri, out=dots_ri[: r1 - r0])   # D[k-r0, m] = <k, u(m)>
+        b = r1 - r0
+        np.matmul(kf[r0:r1], u_ri, out=dots_ri[:b])   # D[i-r0, m] = <i, u(m)>
         # every index is in range; "wrap" only skips numpy's bounds check
-        np.take(dots, gather, out=inter[: r1 - r0], mode="wrap")
-        np.matmul(inter_ri[: r1 - r0], rhs, out=out_ri[r0:r1])
+        np.take(dots, gather, out=inter[: 2 * b], mode="wrap")
+        np.matmul(inter_ri[: 2 * b], rhs, out=prod[: 2 * b])
+        out_ri[r0:r1] = prod[:b]
+        # 0 - x, not -x: an exact zero stays +0, as BLAS sums it
+        np.subtract(0.0, prod[b: 2 * b], out=out_ri[n - r1:n - r0])
 
 
 def unit_times(substeps: int) -> tuple[float, ...]:

@@ -103,24 +103,34 @@ def test_lattice_equality_by_spec():
 
 
 def gathered_pairs(lat):
-    """The table's gather indices as (ki, li, entry) over all N*N pairs, with
-    entry the D-buffer index that pair (ki, li) reads."""
-    tab = lat.conv_table
+    """The table's gather as (ki, li, d_row, entry) over all N*N pairs,
+    sorted by output row ki then li: entry is the D-buffer index that pair
+    (ki, li) reads, and d_row the buffer row its output row is meant to
+    read, ki - r0 for a block's own rows r0 <= ki < r1 and N-1-ki-r0 for
+    its mirror rows N-r1 <= ki < N-r0."""
     n = len(lat)
+    rows, d_rows, entries = [], [], []
+    for r0, r1, g in lat.conv_table.blocks:
+        own, mirror = np.arange(r0, r1), np.arange(n - r1, n - r0)
+        rows.append(np.r_[own, mirror])
+        d_rows.append(np.r_[own - r0, n - 1 - mirror - r0])
+        entries.append(g)
+    order = np.argsort(np.concatenate(rows), kind="stable")
     ki, li = np.divmod(np.arange(n * n), n)
-    entry = np.concatenate([g.ravel() for _, _, g in tab.blocks])
-    return ki, li, entry
+    d_row = np.concatenate(d_rows)[order]
+    return ki, li, np.repeat(d_row, n), np.concatenate(entries)[order].ravel()
 
 
 def test_conv_table_triples_are_valid(ball2):
     tab = ball2.conv_table
     n = len(ball2)
     zero_slot = tab.rows * n
-    ki, li, entry = gathered_pairs(ball2)
+    ki, li, d_row, entry = gathered_pairs(ball2)
     pair = entry != zero_slot
-    # a pair (k, l) reads D[k, m] in its block's rows, with sites[m] = k - l
+    # a pair (k, l) reads D[d_row, m], with sites[m] = k - l: for a mirror
+    # row k = -(site N-1-k), D row N-1-k holds -<k, u(m)>
     row_in_block, mi = np.divmod(entry[pair], n)
-    assert (row_in_block == ki[pair] % tab.rows).all()
+    assert (row_in_block == d_row[pair]).all()
     sites = ball2.sites
     diff = sites[ki[pair]] - sites[li[pair]]
     assert (diff == sites[mi]).all()
@@ -130,18 +140,20 @@ def test_conv_table_triples_are_valid(ball2):
 
 
 def test_conv_table_sorted_by_output(ball2):
-    # the k_max 6 ball's 27 row blocks put seams in the table, and the
-    # k_max 3 sup-cube's differences reach the index cube's corners
+    # the k_max 6 ball's 28 blocks of row pairs put seams in the table, the
+    # k_max 3 sup-cube ends on a short block (171 = 3 * 47 + 30 row pairs),
+    # and its differences reach the index cube's corners
     for lat in (ball2, get_lattice(LatticeSpec(2, TruncationRule.SUP_CUBE)),
                 get_lattice(LatticeSpec(6)), get_lattice(LatticeSpec(3, TruncationRule.SUP_CUBE))):
         tab = lat.conv_table
         n = len(lat)
-        ki, li, mi = conv_triples(lat)
+        ki, li, d_row, entry = gathered_pairs(lat)
+        tk, tl, tm = conv_triples(lat)
         want = np.full(n * n, tab.rows * n)
-        want[ki * n + li] = ki % tab.rows * n + mi
+        want[tk * n + tl] = d_row[tk * n + tl] * n + tm
         # exactly the pairs of an independent enumeration read D, each at
-        # its own row of the block; every other entry reads the zero slot
-        _, _, entry = gathered_pairs(lat)
+        # its own or its mirror's row of the block; every other entry
+        # reads the zero slot
         assert np.array_equal(entry, want)
 
 
@@ -149,24 +161,27 @@ def test_conv_table_sorted_by_output(ball2):
 def test_conv_table_blocks_partition_the_pairs(k_max):
     lat = get_lattice(LatticeSpec(k_max))
     n = len(lat)
+    half = n // 2
     tab = lat.conv_table
-    assert tab.rows == min(n, max(1, 512 * 1024 // (16 * n)))
-    assert [b[0] for b in tab.blocks] == list(range(0, n, tab.rows))
+    assert n % 2 == 0
+    assert tab.rows == min(half, max(1, 512 * 1024 // (32 * n)))
+    # the blocks cover the rows below N/2 once, and none crosses N/2
+    assert [b[0] for b in tab.blocks] == list(range(0, half, tab.rows))
     assert all(a[1] == b[0] for a, b in zip(tab.blocks, tab.blocks[1:]))
-    assert tab.blocks[-1][1] == n
+    assert tab.blocks[-1][1] == half
     for r0, r1, gather in tab.blocks:
-        assert r0 < r1 <= r0 + tab.rows
-        assert gather.shape == (r1 - r0, n)
+        assert r0 < r1 <= min(half, r0 + tab.rows)
+        assert gather.shape == (2 * (r1 - r0), n)
         # every index lies in the block's own rows of D or is the zero slot
         assert ((gather < (r1 - r0) * n) | (gather == tab.rows * n)).all()
-    # and the blocks are views of one flat N*N array
+    # and the blocks are views of one flat N*N intp array
     base = tab.blocks[0][2].base
-    assert base is not None and base.size == n * n
+    assert base is not None and base.shape == (n * n,) and base.dtype == np.intp
     assert all(g.base is base for _, _, g in tab.blocks)
     ki, li, _ = conv_triples(lat)
     assert ki.size == int(sum((g != tab.rows * n).sum() for _, _, g in tab.blocks))
     dots, inter = lat.conv_work
-    assert dots.shape == (tab.rows * n + 1,) and inter.shape == (tab.rows, n)
+    assert dots.shape == (tab.rows * n + 1,) and inter.shape == (2 * tab.rows, n)
 
 
 def test_conv_zero_slot_stays_zero_after_bilinear():

@@ -155,15 +155,20 @@ def assert_per_site(wants, got):
 
 
 def test_bilinear_matches_direct_sum_per_site_many_blocks():
-    # At k_max 6 the interaction matrix is built in ~27 row blocks (at
-    # most 2 at k_max <= 4), so only this case covers the block seams.
-    lat = ball(6)
-    assert len(lat.conv_table.blocks) > 20
-    rng = np.random.default_rng(6)
-    decay = np.exp(-0.5 * lat.norm_sq_f)
-    u, v1, v2 = (SpectralField(lat, random_field(lat, rng).data * decay[:, None])
-                 for _ in range(3))
-    assert_matches_direct_per_site(u, (v1, v2), bilinear(u, v1, v2))
+    # At k_max 6 the interaction matrix is built in 28 blocks of row pairs
+    # (at most 2 on a k_max <= 4 ball), so it covers the block seams. The
+    # k_max 3 sup-cube's last block holds 30 of rows = 47 pairs, so a wrong
+    # sign or row offset on a short block's mirror rows fails here too.
+    for lat, blocks in ((ball(6), 28),
+                        (get_lattice(LatticeSpec(3, TruncationRule.SUP_CUBE)), 4)):
+        tab = lat.conv_table
+        r0, r1, _ = tab.blocks[-1]
+        assert len(tab.blocks) == blocks and r1 - r0 < tab.rows
+        rng = np.random.default_rng(6)
+        decay = np.exp(-0.5 * lat.norm_sq_f)
+        u, v1, v2 = (SpectralField(lat, random_field(lat, rng).data * decay[:, None])
+                     for _ in range(3))
+        assert_matches_direct_per_site(u, (v1, v2), bilinear(u, v1, v2))
 
 
 def structured_factor(kind, data, rng):
@@ -253,6 +258,16 @@ def test_bilinear_skips_zero_products(ball2):
     out_zero, out_v = bilinear(u, zero, v)
     assert not out_zero.data.any()
     assert out_v.data.any()
+
+
+def test_bilinear_unreached_outputs_are_positive_zeros():
+    # An output no pair reaches sums to +0 in BLAS; a mirror row's copy is
+    # negated, and must keep it +0, since checkpoints keep the sign of a
+    # zero. On the k_max 1 ball no k - l is a site, so every output is one.
+    lat = ball(1)
+    rng = np.random.default_rng(12)
+    u, v = random_field(lat, rng), random_field(lat, rng)
+    assert bilinear(u, v).data.tobytes() == bytes(u.data.nbytes)
 
 
 def test_bilinear_zero_call_prepares_lattice():
