@@ -56,9 +56,12 @@ class CertificateRecord:
                      c3 reads 0.0 (seed 0, delta 0.03: from m = 172 at k_max 2
                      and from m = 182 at k_max 4); contraction_ok then
                      tests c2 < 1 alone and says nothing about c3. Tiny
-                     delta underflows the same way from the first step:
-                     below delta ~ 1.57e-162 every product in a step
-                     underflows, the run still exits 0, and every record
+                     delta underflows the same way from the first step
+                     (k_max 2, seed 0): c3 reads 0.0 at delta = 1e-60
+                     (0.194 at 1e-50), c2 at 1e-90, and c1 and
+                     remainder_D at 1e-110, each run exiting 0 with
+                     contraction_ok true; below delta ~ 1.57e-162 every
+                     product in a step underflows, and every record
                      reads gaussian_D, remainder_D, envelope_D, c1 and
                      c2 = 0.0, c3 = nan and contraction_ok = true, a
                      certificate that says nothing

@@ -222,8 +222,9 @@ def _random_phi_ball(config: RunConfig) -> SpectralField:
 
 
 def generate_ic(config: RunConfig) -> SpectralField:
-    """Initial velocity with data-norm at most delta (exactly delta for the
-    deterministic kinds).
+    """Initial velocity. The generated kinds have data-norm at most delta
+    (exactly delta for the deterministic ones); from_checkpoint data is used
+    as saved, whatever delta is, so the bound need not hold for it.
 
     single_mode: site (1,0,0) with amplitude (0, delta, 0).
     two_mode:    site (1,0,0) with amplitude (0, 0, delta) and site (0,1,0)
@@ -231,6 +232,7 @@ def generate_ic(config: RunConfig) -> SpectralField:
                  (1,1,0) so the nonlinearity is exercised.
     random_phi_ball: per-site isotropic complex draws, projected solenoidal,
                  scaled so the weighted amplitude is uniform in [0, delta].
+    from_checkpoint: the field saved at ic_checkpoint, on this lattice.
     """
     lat = get_lattice(config.lattice_spec())
     delta = config.delta

@@ -22,6 +22,13 @@ is taken as one real matrix product over the (re, im) pairs (see
 _slice_products). Every output mode is summed from its own pair products,
 so small modes keep their relative accuracy.
 
+The kernel's layout is decided here alone: the block size, the gather
+table that builds each block of the interaction matrix, the D buffer it
+reads with its zero slot, and the work arrays it fills are one record per
+lattice (_ConvKernel), built on first use by conv_kernel and reused by
+every later call on that lattice. The lattice supplies only geometry: its
+sites and the flat index-cube positions of points (Lattice.position).
+
 Determinism: the summation order is the BLAS library's, which may differ
 between BLAS builds and thread counts. The same config and seed give
 byte-identical CSVs from run to run on one machine with the same numpy and
@@ -47,6 +54,9 @@ own relative accuracy.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import lru_cache
+
 import numpy as np
 
 from .fields import TimeSlicedField
@@ -55,6 +65,7 @@ from .lattice import Lattice
 __all__ = [
     "leray_project",
     "bilinear",
+    "conv_kernel",
     "unit_times",
     "duhamel_integrate",
     "star_product",
@@ -65,6 +76,10 @@ _TWO_PI_I = 2j * np.pi
 # Bytes of output projected at once: keeps the projection's temporaries
 # small next to a long grid's (S+1, N, 3) arrays.
 _PROJECTION_BYTES = 256 * 1024
+# Bytes of one block of the convolution's interaction matrix A, (2 rows, N)
+# complex for `rows` row pairs: small enough that a block of D = <k, u(m)>
+# stays in cache while it is gathered into a block of A and multiplied.
+_BLOCK_BYTES = 512 * 1024
 
 
 def leray_project(k, x) -> np.ndarray:
@@ -85,6 +100,73 @@ def leray_project(k, x) -> np.ndarray:
     # x - factor k, written over kx
     np.multiply(factor[..., None], k, out=kx)
     return np.subtract(x, kx, out=kx)
+
+
+@dataclass(frozen=True, eq=False)
+class _ConvKernel:
+    """The lattice convolution's gather table and work arrays, which build
+    the interaction matrix A[k, l] = <k, u(k-l)> one block of `rows` pairs
+    of output sites at a time.
+
+    For N sites, a block pairs the rows r0 <= i < r1 <= N/2 with their
+    mirror rows N-r1 <= j < N-r0. Site N-1-i is -(site i) and
+    D[k, m] = <k, u(m)> is linear in k, so D[N-1-i] = -D[i] exactly, and
+    both halves are gathered from D's rows r0..r1-1 alone: dots, the flat D
+    buffer of rows*N + 1 complex entries, holds them in its first
+    (r1-r0)*N entries, and its entry rows*N, the zero slot, is never
+    written and stays 0. A block's gather is a (2 (r1-r0), N) view of one
+    flat N*N intp array. Its first half gathers the rows i from D row i-r0;
+    its second half gathers the mirror rows j, in order, from D row
+    N-1-j-r0, that is -A[j, :]. Entry l of a row for site p is
+    (D row)*N + index(p - sites[l]), with index read from the flattened
+    index cube at the flat position of p - sites[l], or rows*N when
+    p - sites[l] is not a site. The blocks hold (r0, r1, gather) and end at
+    N/2; together they cover all N*N pairs once. inter is the (2 rows, N)
+    block of A that a block's rows and mirror rows are gathered into, so no
+    (N, N) complex matrix is ever formed.
+
+    dots and inter are reused by every call on the lattice, which keeps
+    each call free of fresh allocations, whose page faults would otherwise
+    cost as much as the arithmetic; calls on one lattice, or on lattices
+    equal to it, must not overlap.
+    """
+
+    rows: int
+    blocks: tuple[tuple[int, int, np.ndarray], ...]
+    dots: np.ndarray
+    inter: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def conv_kernel(lat: Lattice) -> _ConvKernel:
+    """The convolution kernel of lat, built on first use and then shared by
+    every lattice equal to it (equal specs): a block's flat positions of
+    k - l are one subtraction, written into its rows of the gather array
+    and read back by one take from the flat index cube."""
+    n = len(lat)
+    half = n // 2   # sites come in pairs (k, -k), so n is even
+    rows = min(half, max(1, _BLOCK_BYTES // (32 * n)))
+    cube = lat.cube.reshape(-1)
+    pos = lat.position(lat.sites)
+    # position(k - l) = position(k) - (position(l) - position(0))
+    pos_l = pos - lat.position(np.zeros(3, dtype=np.intp))
+    # allocated first, then filled one block of row pairs at a time
+    gather = np.empty(n * n, dtype=np.intp)
+    blocks = []
+    for r0 in range(0, half, rows):
+        r1 = min(half, r0 + rows)
+        b = r1 - r0
+        g = gather[2 * r0 * n: 2 * r1 * n].reshape(2 * b, n)
+        # rows r0..r1-1, then their mirror rows n-r1..n-r0-1
+        np.subtract(np.r_[pos[r0:r1], pos[n - r1:n - r0]][:, None], pos_l, out=g)
+        mi = cube.take(g)
+        # the D row each reads: i - r0, then n-1-j-r0 for mirror row j
+        d_row = np.r_[np.arange(b), np.arange(b - 1, -1, -1)]
+        np.add(mi, (d_row * n)[:, None], out=g)
+        g[mi < 0] = rows * n   # the zero slot
+        blocks.append((r0, r1, g))
+    return _ConvKernel(rows, tuple(blocks), np.zeros(rows * n + 1, dtype=np.complex128),
+                       np.empty((2 * rows, n), dtype=np.complex128))
 
 
 def bilinear(u, *vs, out=None):
@@ -110,9 +192,9 @@ def bilinear(u, *vs, out=None):
     v is all zero has exact zero products, which are not computed. The
     projection (leray_project) and the factor 2 pi i are applied to the
     whole output at the end, a few slices at a time. The D buffer, with its
-    zero slot, and the block of A are the lattice's reused work arrays
-    (Lattice.conv_work), so bilinear is not thread-safe: calls on one
-    lattice must not run concurrently.
+    zero slot, and the block of A are work arrays reused by every call on
+    the lattice (conv_kernel), so bilinear is not thread-safe: calls on one
+    lattice, or on equal ones, must not run concurrently.
     """
     if not vs:
         raise TypeError("bilinear needs at least one right factor")
@@ -128,11 +210,13 @@ def bilinear(u, *vs, out=None):
     if res.dtype != np.complex128 or res.shape != shape or res.strides[-1] != res.itemsize:
         raise ValueError(f"out must be a complex128 array of shape {shape} "
                          "with a contiguous last axis")
+    # fetched before any zero check, so a first call on zeros builds it
+    kern = conv_kernel(lat)
     # the real right factor, refilled for each slice, and a block's product
     rhs = np.empty((2 * n, 6 * len(vs)))
-    prod = np.empty((2 * lat.conv_table.rows, 6 * len(vs)))
+    prod = np.empty((2 * kern.rows, 6 * len(vs)))
     for s, u_s in enumerate(u_st):
-        _slice_products(lat, u_s, [v[s] for v in v_st], rhs, prod, res[s])
+        _slice_products(lat, kern, u_s, [v[s] for v in v_st], rhs, prod, res[s])
     kf = lat.sites_f[:, None, :]
     per_v = res.reshape(len(u_st), n, len(vs), 3)
     step = max(1, _PROJECTION_BYTES // per_v[0].nbytes)
@@ -146,14 +230,14 @@ def bilinear(u, *vs, out=None):
     return parts[0] if len(vs) == 1 else parts
 
 
-def _slice_products(lat: Lattice, u: np.ndarray, vs: list, rhs: np.ndarray,
-                    prod: np.ndarray, out: np.ndarray) -> None:
+def _slice_products(lat: Lattice, kern: _ConvKernel, u: np.ndarray, vs: list,
+                    rhs: np.ndarray, prod: np.ndarray, out: np.ndarray) -> None:
     """Write A(u) @ [v_1 ... v_n] for one slice into the (N, 3n) array out,
-    before the projection; zeros when u or every v is all zero. rhs is a
-    (2N, 6n) real work array and prod a (2 rows, 6n) one, rows =
-    lat.conv_table.rows; both are overwritten.
+    before the projection; zeros when u or every v is all zero. kern is
+    conv_kernel(lat); rhs is a (2N, 6n) real work array and prod a
+    (2 rows, 6n) one, rows = kern.rows; both are overwritten.
 
-    Per block of row pairs of the table: a cache-sized block of
+    Per block of row pairs of the kernel: a cache-sized block of
     D[i, m] = <i, u(m)> for the block's rows i < N/2 is written to the D
     buffer, A's rows i and their mirror rows N-1-i are gathered from it
     (the zero slot fills the entries whose k-l is not a site), and that
@@ -173,9 +257,6 @@ def _slice_products(lat: Lattice, u: np.ndarray, vs: list, rhs: np.ndarray,
     through its real view. Each output mode is still the sum of the pair
     products a(l) v(l), each split into its real terms.
     """
-    # built before the zero check, so any first call prepares the lattice
-    tab = lat.conv_table
-    dots, inter = lat.conv_work
     if not (u.any() and any(v.any() for v in vs)):
         out[...] = 0.0
         return
@@ -190,14 +271,14 @@ def _slice_products(lat: Lattice, u: np.ndarray, vs: list, rhs: np.ndarray,
     # <k, u(m)> as one real product: u's (re, im) pairs side by side
     u_ri = u.view(np.float64).reshape(n, 3, 2).transpose(1, 0, 2).reshape(3, 2 * n)
     # the buffer's rows, without the zero slot
-    dots_ri = dots[:-1].view(np.float64).reshape(tab.rows, 2 * n)
-    inter_ri = inter.view(np.float64)
+    dots_ri = kern.dots[:-1].view(np.float64).reshape(kern.rows, 2 * n)
+    inter_ri = kern.inter.view(np.float64)
     out_ri = out.view(np.float64)
-    for r0, r1, gather in tab.blocks:
+    for r0, r1, gather in kern.blocks:
         b = r1 - r0
         np.matmul(kf[r0:r1], u_ri, out=dots_ri[:b])   # D[i-r0, m] = <i, u(m)>
         # every index is in range; "wrap" only skips numpy's bounds check
-        np.take(dots, gather, out=inter[: 2 * b], mode="wrap")
+        np.take(kern.dots, gather, out=kern.inter[: 2 * b], mode="wrap")
         np.matmul(inter_ri[: 2 * b], rhs, out=prod[: 2 * b])
         out_ri[r0:r1] = prod[:b]
         # 0 - x, not -x: an exact zero stays +0, as BLAS sums it

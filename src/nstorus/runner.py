@@ -282,7 +282,12 @@ def bisect_delta(config: RunConfig, delta_lo: float = 1e-6, delta_hi: float = 1.
                  bisect_steps: int = 20, bisect_horizon: int = 50) -> BisectOutcome:
     """Bracket the largest smallness scale for which bisect_horizon steps
     converge; writes bisect_delta.csv rows (iteration, delta, converged)
-    whatever the outcome."""
+    whatever the outcome. Each trial generates its initial data at its own
+    delta, so ic_kind = from_checkpoint, whose data is loaded as saved and
+    does not scale with delta, is a ConfigError before any trial or CSV."""
+    if config.ic_kind == "from_checkpoint":
+        raise ConfigError("bisect-delta needs data generated at each trial's delta; "
+                          "ic_kind = from_checkpoint loads the same data for every delta")
     if not 0 < delta_lo < delta_hi:
         raise ConfigError("need 0 < delta_lo < delta_hi")
     if bisect_steps < 0:

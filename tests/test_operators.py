@@ -22,8 +22,9 @@ from nstorus import (
     unit_times,
 )
 from nstorus import operators
-from util import (ball, direct_bilinear, duhamel_terms, random_field, random_sliced,
-                  star_majorant)
+from nstorus.operators import conv_kernel
+from util import (ball, conv_triples, direct_bilinear, duhamel_terms, random_field,
+                  random_sliced, star_majorant)
 
 
 # -- Leray projection ----------------------------------------------------------
@@ -74,6 +75,120 @@ def test_leray_projector_algebra(seed):
                      for sl in block])
     assert np.array_equal(leray_project(lat.sites_f[:, None, :], block).view(np.uint64),
                           each.view(np.uint64))
+
+
+# -- convolution kernel ----------------------------------------------------------
+
+def gathered_pairs(lat):
+    """The kernel's gather as (ki, li, d_row, entry) over all N*N pairs,
+    sorted by output row ki then li: entry is the D-buffer index that pair
+    (ki, li) reads, and d_row the buffer row its output row is meant to
+    read, ki - r0 for a block's own rows r0 <= ki < r1 and N-1-ki-r0 for
+    its mirror rows N-r1 <= ki < N-r0."""
+    n = len(lat)
+    rows, d_rows, entries = [], [], []
+    for r0, r1, g in conv_kernel(lat).blocks:
+        own, mirror = np.arange(r0, r1), np.arange(n - r1, n - r0)
+        rows.append(np.r_[own, mirror])
+        d_rows.append(np.r_[own - r0, n - 1 - mirror - r0])
+        entries.append(g)
+    order = np.argsort(np.concatenate(rows), kind="stable")
+    ki, li = np.divmod(np.arange(n * n), n)
+    d_row = np.concatenate(d_rows)[order]
+    return ki, li, np.repeat(d_row, n), np.concatenate(entries)[order].ravel()
+
+
+def test_conv_table_triples_are_valid(ball2):
+    kern = conv_kernel(ball2)
+    n = len(ball2)
+    zero_slot = kern.rows * n
+    ki, li, d_row, entry = gathered_pairs(ball2)
+    pair = entry != zero_slot
+    # a pair (k, l) reads D[d_row, m], with sites[m] = k - l: for a mirror
+    # row k = -(site N-1-k), D row N-1-k holds -<k, u(m)>
+    row_in_block, mi = np.divmod(entry[pair], n)
+    assert (row_in_block == d_row[pair]).all()
+    sites = ball2.sites
+    diff = sites[ki[pair]] - sites[li[pair]]
+    assert (diff == sites[mi]).all()
+    # no zero vector slips in as l or k-l
+    assert (np.abs(sites[li[pair]]).sum(axis=1) > 0).all()
+    assert (np.abs(diff).sum(axis=1) > 0).all()
+
+
+def test_conv_table_sorted_by_output(ball2):
+    # the k_max 6 ball's 28 blocks of row pairs put seams in the table, the
+    # k_max 3 sup-cube ends on a short block (171 = 3 * 47 + 30 row pairs),
+    # and its differences reach the index cube's corners
+    for lat in (ball2, get_lattice(LatticeSpec(2, TruncationRule.SUP_CUBE)),
+                get_lattice(LatticeSpec(6)), get_lattice(LatticeSpec(3, TruncationRule.SUP_CUBE))):
+        kern = conv_kernel(lat)
+        n = len(lat)
+        ki, li, d_row, entry = gathered_pairs(lat)
+        tk, tl, tm = conv_triples(lat)
+        want = np.full(n * n, kern.rows * n)
+        want[tk * n + tl] = d_row[tk * n + tl] * n + tm
+        # exactly the pairs of an independent enumeration read D, each at
+        # its own or its mirror's row of the block; every other entry
+        # reads the zero slot
+        assert np.array_equal(entry, want)
+
+
+@pytest.mark.parametrize("k_max", [1, 4, 6])
+def test_conv_table_blocks_partition_the_pairs(k_max):
+    lat = get_lattice(LatticeSpec(k_max))
+    n = len(lat)
+    half = n // 2
+    kern = conv_kernel(lat)
+    assert n % 2 == 0
+    assert kern.rows == min(half, max(1, 512 * 1024 // (32 * n)))
+    # the blocks cover the rows below N/2 once, and none crosses N/2
+    assert [b[0] for b in kern.blocks] == list(range(0, half, kern.rows))
+    assert all(a[1] == b[0] for a, b in zip(kern.blocks, kern.blocks[1:]))
+    assert kern.blocks[-1][1] == half
+    for r0, r1, gather in kern.blocks:
+        assert r0 < r1 <= min(half, r0 + kern.rows)
+        assert gather.shape == (2 * (r1 - r0), n)
+        # every index lies in the block's own rows of D or is the zero slot
+        assert ((gather < (r1 - r0) * n) | (gather == kern.rows * n)).all()
+    # and the blocks are views of one flat N*N intp array
+    base = kern.blocks[0][2].base
+    assert base is not None and base.shape == (n * n,) and base.dtype == np.intp
+    assert all(g.base is base for _, _, g in kern.blocks)
+    ki, li, _ = conv_triples(lat)
+    assert ki.size == int(sum((g != kern.rows * n).sum() for _, _, g in kern.blocks))
+    assert kern.dots.shape == (kern.rows * n + 1,) and kern.inter.shape == (2 * kern.rows, n)
+
+
+def test_conv_zero_slot_stays_zero_after_bilinear():
+    lat = get_lattice(LatticeSpec(6))
+    rng = np.random.default_rng(61)
+    u, v = random_field(lat, rng), random_field(lat, rng)
+    bilinear(u, v)
+    assert conv_kernel(lat).dots[-1].tobytes() == bytes(16)   # +0.0 + 0.0j exactly
+
+
+def test_no_full_interaction_matrix_on_the_lattice():
+    # neither the lattice nor its convolution kernel holds an (N, N)
+    # complex matrix
+    lat = get_lattice(LatticeSpec(6))
+    n = len(lat)
+    rng = np.random.default_rng(62)
+    bilinear(random_field(lat, rng), random_field(lat, rng))
+
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                yield from arrays(item)
+        elif isinstance(obj, operators._ConvKernel):
+            yield from arrays(list(vars(obj).values()))
+
+    kernel = list(arrays(conv_kernel(lat)))
+    assert kernel, "the kernel should hold its table and work arrays"
+    held = kernel + list(arrays(list(vars(lat).values())))
+    assert not [a.shape for a in held if np.iscomplexobj(a) and a.size >= n * n]
 
 
 # -- bilinear convolution --------------------------------------------------------
@@ -161,9 +276,9 @@ def test_bilinear_matches_direct_sum_per_site_many_blocks():
     # sign or row offset on a short block's mirror rows fails here too.
     for lat, blocks in ((ball(6), 28),
                         (get_lattice(LatticeSpec(3, TruncationRule.SUP_CUBE)), 4)):
-        tab = lat.conv_table
-        r0, r1, _ = tab.blocks[-1]
-        assert len(tab.blocks) == blocks and r1 - r0 < tab.rows
+        kern = conv_kernel(lat)
+        r0, r1, _ = kern.blocks[-1]
+        assert len(kern.blocks) == blocks and r1 - r0 < kern.rows
         rng = np.random.default_rng(6)
         decay = np.exp(-0.5 * lat.norm_sq_f)
         u, v1, v2 = (SpectralField(lat, random_field(lat, rng).data * decay[:, None])
@@ -271,12 +386,18 @@ def test_bilinear_unreached_outputs_are_positive_zeros():
 
 
 def test_bilinear_zero_call_prepares_lattice():
-    # a warm-up call on zeros still builds the pair table and work arrays,
-    # so their one-off cost is paid at set-up, not in the first solve
+    # a warm-up call on zeros still builds the convolution kernel (the pair
+    # table and work arrays), so its one-off cost is paid at set-up, not in
+    # the first solve: the solve's first fetch of it is a cache hit
     lat = Lattice(LatticeSpec(2))
     zero = SpectralField.zero(lat)
+    conv_kernel.cache_clear()
     bilinear(zero, zero)
-    assert {"conv_table", "conv_work"} <= vars(lat).keys()
+    built = conv_kernel.cache_info()
+    assert (built.misses, built.currsize) == (1, 1)
+    conv_kernel(lat)
+    again = conv_kernel.cache_info()
+    assert (again.hits, again.misses) == (built.hits + 1, 1)
 
 
 def test_bilinear_on_sliced_fields_is_per_slice(ball2):

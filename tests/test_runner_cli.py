@@ -663,6 +663,21 @@ def test_cli_bisect_writes_rows_when_delta_lo_fails(tmp_path):
     assert rows == [["0", "0.5", "false"]]
 
 
+def test_cli_bisect_rejects_checkpoint_data(tmp_path, capsys):
+    # a checkpoint's data does not scale with delta, so every trial would
+    # solve the same problem and the bracket would measure nothing
+    ckpt = tmp_path / "v.ckpt"
+    save_field(SpectralField(get_lattice(LatticeSpec(2)), np.full((32, 3), 1e-3)), ckpt)
+    out = tmp_path / "bs_ckpt"
+    code = main(["bisect-delta", "--k-max", "2", "--ic-kind", "from_checkpoint",
+                 "--ic-checkpoint", str(ckpt), "--output-dir", str(out),
+                 "--bisect-steps", "3", "--bisect-horizon", "2"])
+    assert code == STATUS_CONFIG_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "ic_kind" in err[0]
+    assert not (out / "bisect_delta.csv").exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--bisect-steps", "-1"), ("--bisect-horizon", "0")])
 def test_cli_bisect_rejects_bad_arguments_by_name(flag, value, tmp_path, capsys):
     out = tmp_path / "bs_bad"
