@@ -18,14 +18,13 @@ def main():
     args = ap.parse_args()
 
     config = RunConfig(delta=args.delta, k_max=args.k_max, rng_seed=args.seed)
-    params = config.solver_params()
     state = DecompositionState.initial(generate_ic(config))
 
     print(f"delta={args.delta}  k_max={args.k_max}  horizon={args.horizon}  seed={args.seed}")
     print(f"{'m':>3} {'iters':>5} {'c1':>10} {'c2':>10} {'gauss_D':>10} "
           f"{'rem_D':>10} {'decay':>7} {'phi_sup':>10}")
     start = time.perf_counter()
-    for _, _, r in induction_steps(state, params, args.horizon):
+    for _, _, r in induction_steps(state, config, args.horizon):
         print(f"{r.m:>3} {r.fp_iterations:>5} {r.c1:>10.3e} {r.c2:>10.3e} "
               f"{r.gaussian_D:>10.3e} {r.remainder_D:>10.3e} "
               f"{r.remainder_decay:>7.3f} {r.phi_sup:>10.3e}")

@@ -22,16 +22,15 @@ def main():
 
     config = RunConfig(delta=args.delta, k_max=args.k_max, ic_kind=args.ic_kind,
                        rng_seed=args.seed)
-    params = config.solver_params()
     v0 = generate_ic(config)
 
-    steps = induction_steps(DecompositionState.initial(v0), params, args.horizon)
+    steps = induction_steps(DecompositionState.initial(v0), config, args.horizon)
     velocities = [v0] + [sol.v for sol, _, _ in steps]
 
-    trajectory = picard_solve(v0, float(args.horizon), params)
+    trajectory = picard_solve(v0, float(args.horizon), config)
     print(f"picard converged in {trajectory.iterations_used} iterations "
           f"(final update {trajectory.final_update_norm:.3e})")
-    diffs = integer_time_deviations(trajectory, velocities, params.substeps)
+    diffs = integer_time_deviations(trajectory, velocities, config.substeps)
     for m, diff in enumerate(diffs):
         print(f"m={m}: max mode-wise |v_induction - v_picard| = {diff:.3e}")
     print(f"worst deviation {diffs.max():.3e}")

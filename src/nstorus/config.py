@@ -41,10 +41,11 @@ EMIT_KINDS = ("norm_series", "certificates", "fields")
 @dataclass(frozen=True)
 class RunConfig(SolverParams):
     """The solver parameters (first, in SolverParams' order) and the run's
-    lattice, initial condition and outputs. Text values may not carry '#',
-    a line break, surrounding whitespace or a lone surrogate (how Python
-    decodes argv bytes that are not UTF-8), which run_config.cfg could not
-    write or read back."""
+    lattice, initial condition and outputs. A RunConfig is a SolverParams,
+    so the solvers take a config itself as their parameters. Text values may
+    not carry '#', a line break, surrounding whitespace or a lone surrogate
+    (how Python decodes argv bytes that are not UTF-8), which run_config.cfg
+    could not write or read back."""
 
     # lattice
     k_max: int = 4
@@ -91,9 +92,6 @@ class RunConfig(SolverParams):
         if bad:
             raise ConfigError(f"unknown emit kinds {sorted(bad)}; choose from {EMIT_KINDS}")
         object.__setattr__(self, "emit", frozenset(self.emit))
-
-    def solver_params(self) -> SolverParams:
-        return SolverParams(**{f.name: getattr(self, f.name) for f in dc_fields(SolverParams)})
 
     def lattice_spec(self) -> LatticeSpec:
         return LatticeSpec(self.k_max, TruncationRule(self.truncation_rule))
@@ -194,7 +192,7 @@ def write_config(config: RunConfig, path) -> None:
 
 def _random_phi_ball(config: RunConfig) -> SpectralField:
     lat = get_lattice(config.lattice_spec())
-    alpha = config.solver_params().alpha
+    alpha = config.alpha
     rng = np.random.default_rng(config.rng_seed)
     n = len(lat)
     raw = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))

@@ -147,16 +147,6 @@ class DecompositionState:
                                   _extend_sum(self.remainder_sum, g), bounds)
 
 
-def _heat_weights(ages: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Heat weights exp(-a|k|^2), one row per age a >= 0, with underflow
-    pruning."""
-    if (ages < 0).any():
-        raise ValueError("heat weights need non-negative ages")
-    w = np.exp(-ages[:, None] * q)
-    w[w < UNDERFLOW_FLOOR] = 0.0
-    return w
-
-
 _SMALLEST_NORMAL = np.finfo(np.float64).tiny
 
 
@@ -173,9 +163,15 @@ def _extend_sum(total: SpectralField, entry: SpectralField) -> SpectralField:
 def heat_flow(f: SpectralField, m, times) -> TimeSlicedField:
     """exp(-(m+t)|k|^2) f at each grid time t: with f the initial data, the
     heat part of the step from integer time m (with m = 0 also the Picard
-    oracle's first iterate); with f a running sum, that history's part."""
+    oracle's first iterate); with f a running sum, that history's part.
+    Weights below UNDERFLOW_FLOOR are zero, and a negative age m + t raises
+    ValueError."""
     times = tuple(times)
-    w = _heat_weights(m + np.asarray(times, dtype=np.float64), f.lattice.norm_sq_f)
+    ages = m + np.asarray(times, dtype=np.float64)
+    if (ages < 0).any():
+        raise ValueError("heat weights need non-negative ages")
+    w = np.exp(-ages[:, None] * f.lattice.norm_sq_f)
+    w[w < UNDERFLOW_FLOOR] = 0.0
     return TimeSlicedField(times, f.lattice, f.data * w[:, :, None])
 
 

@@ -60,10 +60,11 @@ class Lattice:
     off. A Lattice holds geometry only; the convolution's gather table and
     work arrays are built and kept by operators.conv_kernel.
 
-    sites, norm_sq and cube come from one meshgrid of the cube's points,
-    whose C order is lexicographic. indices(points) maps an (..., 3) array
-    of points to site indices, -1 for a point that is not a site; site_index
-    does the same for one point and raises KeyError instead of returning -1.
+    sites (with sites_f, their float copy), norm_sq_f (|k|^2 as floats) and
+    cube come from one meshgrid of the cube's points, whose C order is
+    lexicographic. indices(points) maps an (..., 3) array of points to site
+    indices, -1 for a point that is not a site; site_index does the same for
+    one point and raises KeyError instead of returning -1.
 
     Two Lattice instances compare equal when their specs are equal; use
     get_lattice() to share one instance per spec.
@@ -83,8 +84,7 @@ class Lattice:
         self.cube[keep] = np.arange(np.count_nonzero(keep))
         self.sites = grid[keep]
         self.sites_f = self.sites.astype(np.float64)
-        self.norm_sq = norm_sq[keep]
-        self.norm_sq_f = self.norm_sq.astype(np.float64)
+        self.norm_sq_f = norm_sq[keep].astype(np.float64)
 
     def __len__(self) -> int:
         return len(self.sites)

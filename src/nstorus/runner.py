@@ -21,7 +21,6 @@ from .config import RunConfig, format_value, generate_ic, read_config, write_con
 from .errors import CheckpointError, ConfigError, ConvergenceError
 from .fields import SpectralField, fmc_norm, phi_norm
 from .induction import DecompositionState, induction_steps
-from .params import SolverParams
 from .picard import integer_time_deviations, picard_solve
 
 __all__ = [
@@ -80,14 +79,15 @@ class RunOutcome:
     failed_step: int | None = None
 
 
-def _start(config: RunConfig) -> tuple[Path, SolverParams, SpectralField]:
-    """Build the initial velocity, then create the output directory, remove
-    the fields directory, the staging directory and the CSVs an earlier
-    command left there and write run_config.cfg, so a bad checkpoint leaves
-    nothing behind and no output outlives the config it was written under (a
-    fields directory holding a file no run writes raises OSError before the
-    CSVs are removed or the config is written); returns the directory, the
-    solver parameters and the initial velocity."""
+def _start(config: RunConfig) -> tuple[Path, SpectralField]:
+    """Claim config's output directory for run, oracle or bisect-delta:
+    build the initial velocity, then create the directory, remove the fields
+    directory, the staging directory and the CSVs an earlier command left
+    there and write run_config.cfg, so a bad checkpoint leaves nothing
+    behind and no output outlives the config it was written under (a fields
+    or staging directory that is a symlink, is not a directory or holds a
+    file no run writes raises OSError before the CSVs are removed or the
+    config is written); returns the directory and the initial velocity."""
     v0 = generate_ic(config)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -96,7 +96,7 @@ def _start(config: RunConfig) -> tuple[Path, SolverParams, SpectralField]:
     for name in CSVS:
         (out_dir / f"{name}.csv").unlink(missing_ok=True)
     write_config(config, out_dir / "run_config.cfg")
-    return out_dir, config.solver_params(), v0
+    return out_dir, v0
 
 
 _STAGING = ".fields.tmp"   # fields/ while a run writes it
@@ -111,7 +111,11 @@ def _remove_checkpoints(fields_dir: Path) -> None:
     """Remove a directory of checkpoints that a run wrote: the files a run
     names there and write_atomic's temporary files for them, then the
     directory, whose rmdir raises OSError if it holds anything else, which
-    stays."""
+    stays. A symlink, or a path that exists and is not a directory, raises
+    OSError before anything is removed, so no file outside it is touched."""
+    if fields_dir.is_symlink() or fields_dir.exists() and not fields_dir.is_dir():
+        raise OSError(f"{fields_dir} is a symlink or not a directory; a run keeps "
+                      f"its checkpoints in a directory of its own")
     for pattern in ("c0.ckpt", "[hgv]_*.ckpt", temporary_name("*.ckpt")):
         for path in fields_dir.glob(pattern):
             path.unlink()
@@ -141,7 +145,7 @@ def run(config: RunConfig) -> RunOutcome:
     directory that becomes fields/ once every step has converged; a failed
     or interrupted run removes it, so only a converged run leaves fields/.
     """
-    out_dir, params, v0 = _start(config)
+    out_dir, v0 = _start(config)
     state = DecompositionState.initial(v0)
     with_oracle = 0 < config.horizon_m <= config.oracle_horizon
     velocities = [v0]  # integer-time velocities, kept for the oracle only
@@ -153,10 +157,10 @@ def run(config: RunConfig) -> RunOutcome:
             if ckpt:
                 save_field(v0, ckpt / "c0.ckpt")
                 save_field(v0, ckpt / _ckpt_name("v_", 0))
-            for sol, state, record in induction_steps(state, params, config.horizon_m):
-                phis = phi_norm(sol.velocity, params.alpha, axis=-1)
-                fmcs = fmc_norm(sol.fixed_point.solution, state.m, params.decay_c,
-                                params.beta, axis=-1)
+            for sol, state, record in induction_steps(state, config, config.horizon_m):
+                phis = phi_norm(sol.velocity, config.alpha, axis=-1)
+                fmcs = fmc_norm(sol.fixed_point.solution, state.m, config.decay_c,
+                                config.beta, axis=-1)
                 norm_rows.extend((state.m - 1, t, float(phi), float(fmc), record.fp_iterations)
                                  for t, phi, fmc in zip(sol.times, phis, fmcs))
                 records.append(record)
@@ -178,12 +182,12 @@ def run(config: RunConfig) -> RunOutcome:
     oracle_max_diff = None
     if status == STATUS_OK and with_oracle:
         try:
-            trajectory = picard_solve(v0, float(config.horizon_m), params)
+            trajectory = picard_solve(v0, float(config.horizon_m), config)
         except ConvergenceError as exc:
             return RunOutcome(STATUS_ORACLE_MISMATCH,
                               f"oracle solver failed to converge: {exc}", records)
         oracle_max_diff = float(integer_time_deviations(
-            trajectory, velocities, params.substeps).max())
+            trajectory, velocities, config.substeps).max())
         if oracle_max_diff > config.oracle_tol:
             status = STATUS_ORACLE_MISMATCH
             message = (f"oracle mismatch: max mode-wise deviation "
@@ -197,13 +201,13 @@ def run(config: RunConfig) -> RunOutcome:
 
 def run_oracle(config: RunConfig) -> RunOutcome:
     """Picard-only run over horizon_m; writes oracle_series.csv."""
-    out_dir, params, v0 = _start(config)
+    out_dir, v0 = _start(config)
     try:
-        trajectory = picard_solve(v0, float(config.horizon_m), params)
+        trajectory = picard_solve(v0, float(config.horizon_m), config)
     except ConvergenceError as exc:
         return RunOutcome(STATUS_FP_FAILURE, f"oracle failed: {exc}")
     _write_csv(out_dir, "oracle_series",
-               zip(trajectory.times, phi_norm(trajectory, params.alpha, axis=-1)))
+               zip(trajectory.times, phi_norm(trajectory, config.alpha, axis=-1)))
     return RunOutcome(STATUS_OK, f"ok ({trajectory.iterations_used} iterations, final "
                                  f"update {trajectory.final_update_norm:.3e})")
 
@@ -244,19 +248,18 @@ def check_run(run_dir) -> RunOutcome:
     if not fields_dir.is_dir():
         raise CheckpointError(f"{fields_dir} not found (run with emit including 'fields')")
     config = read_config(cfg_path)
-    params = config.solver_params()
     spec = config.lattice_spec()
     n = config.horizon_m
     h_paths = _numbered(fields_dir, "h_", 1, n)
     g_paths = _numbered(fields_dir, "g_", 1, n)
     v_paths = _numbered(fields_dir, "v_", 0, n + 1)
     # time 0 has no history age
-    rows = [(0, math.nan, math.nan, math.nan, phi_norm(load_field(v_paths[0], spec), params.alpha))]
+    rows = [(0, math.nan, math.nan, math.nan, phi_norm(load_field(v_paths[0], spec), config.alpha))]
     for j, (h_path, g_path, v_path) in enumerate(zip(h_paths, g_paths, v_paths[1:]), start=1):
-        gauss_d = certificates.fit_gaussian_bound(load_field(h_path, spec), j, params)
-        rem_d, rem_rate = certificates.fit_remainder_bound(load_field(g_path, spec), j, params)
+        gauss_d = certificates.fit_gaussian_bound(load_field(h_path, spec), j, config)
+        rem_d, rem_rate = certificates.fit_remainder_bound(load_field(g_path, spec), j, config)
         rows.append((j, gauss_d, rem_d, rem_rate,
-                     phi_norm(load_field(v_path, spec), params.alpha)))
+                     phi_norm(load_field(v_path, spec), config.alpha)))
     _write_csv(run_dir, "check_report", rows)
     _, gauss_ds, rem_ds, _, phis = zip(*rows)
     envelope_ok = all(p <= 2 * config.delta for p in phis)
@@ -281,27 +284,34 @@ class BisectOutcome:
 def bisect_delta(config: RunConfig, delta_lo: float = 1e-6, delta_hi: float = 1.0,
                  bisect_steps: int = 20, bisect_horizon: int = 50) -> BisectOutcome:
     """Bracket the largest smallness scale for which bisect_horizon steps
-    converge; writes bisect_delta.csv rows (iteration, delta, converged)
-    whatever the outcome. Each trial generates its initial data at its own
-    delta, so ic_kind = from_checkpoint, whose data is loaded as saved and
-    does not scale with delta, is a ConfigError before any trial or CSV."""
+    converge. The arguments are checked first; then _start claims the
+    output directory under config with horizon_m = bisect_horizon, the
+    config every trial runs under but for its delta, and bisect_delta.csv
+    rows (iteration, delta, converged), one per trial at its delta, are
+    written whatever the outcome. Each trial generates its initial data at
+    its own delta, so ic_kind = from_checkpoint, whose data is loaded as
+    saved and does not scale with delta, is a ConfigError before any trial
+    or output."""
     if config.ic_kind == "from_checkpoint":
         raise ConfigError("bisect-delta needs data generated at each trial's delta; "
                           "ic_kind = from_checkpoint loads the same data for every delta")
-    if not 0 < delta_lo < delta_hi:
-        raise ConfigError("need 0 < delta_lo < delta_hi")
+    if not 0 < delta_lo < delta_hi < math.inf:
+        raise ConfigError(f"need 0 < delta_lo < delta_hi < inf, "
+                          f"got delta_lo={delta_lo!r}, delta_hi={delta_hi!r}")
     if bisect_steps < 0:
         raise ConfigError(f"bisect_steps must be >= 0, got {bisect_steps}")
     if bisect_horizon < 1:
         raise ConfigError(f"bisect_horizon must be >= 1, got {bisect_horizon}")
+    config = replace(config, horizon_m=bisect_horizon)
+    out_dir, _ = _start(config)
     rows = []
 
     def trial(iteration: int, delta: float) -> bool:
         """Run bisect_horizon steps at delta and record the verdict."""
-        trial_config = replace(config, delta=delta, horizon_m=bisect_horizon)
+        trial_config = replace(config, delta=delta)
         state = DecompositionState.initial(generate_ic(trial_config))
         try:
-            for _ in induction_steps(state, trial_config.solver_params(), bisect_horizon):
+            for _ in induction_steps(state, trial_config, bisect_horizon):
                 pass
             converged = True
         except ConvergenceError:
@@ -326,7 +336,5 @@ def bisect_delta(config: RunConfig, delta_lo: float = 1e-6, delta_hi: float = 1.
         message = (f"contraction threshold bracketed in [{lo!r}, {hi!r}] "
                    f"after {bisect_steps} bisection steps")
 
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir, "bisect_delta", rows)
     return BisectOutcome(lo, hi, rows, message, status)

@@ -143,15 +143,14 @@ def test_criterion_04_oracle_equivalence():
 @pytest.fixture(scope="module")
 def contraction_run():
     config = RunConfig()  # delta 1e-3, k_max 4, substeps 8, random ball, seed 0
-    params = config.solver_params()
     state = DecompositionState.initial(generate_ic(config))
     records = []
     ratios = []
     remainder_history = []
     start = time.perf_counter()
     for _ in range(20):
-        sol = solve_interval(state, params)
-        state, record = apply_interval(state, sol, params)
+        sol = solve_interval(state, config)
+        state, record = apply_interval(state, sol, config)
         records.append(record)
         ratios.append([b / a for a, b in pairwise(sol.fixed_point.update_norms) if a > 0])
         remainder_history.append(sol.g)
@@ -180,13 +179,12 @@ def test_criterion_05_contraction_regime(contraction_run):
 
 def test_criterion_06_inductive_bound_stability(contraction_run):
     config, remainder_history, records, _, _ = contraction_run
-    params = config.solver_params()
     window = [r for r in records if 5 <= r.m <= 20]
     dh = [r.gaussian_D for r in window]
     dg = [r.remainder_D for r in window]
     dh_ok = max(dh) < 2.0 * min(dh)
     dg_ok = max(dg) < 2.0 * min(dg)
-    rates = np.array([fit_remainder_bound(g, age, params)[1]
+    rates = np.array([fit_remainder_bound(g, age, config)[1]
                       for age, g in enumerate(remainder_history, 1)])
     rates_ok = bool(np.isfinite(rates).all() and (rates > 0).all())
     report("criterion 6: fitted bound constants stable, decay rates positive",

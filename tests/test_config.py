@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,10 @@ def test_empty_text_gives_defaults():
     assert cfg.delta == 1e-3
     assert cfg.substeps == 8
     assert cfg.rng_seed == 0
-    assert RunConfig().solver_params() == SolverParams()
+    # a RunConfig is the solver's parameters, with SolverParams' defaults
+    assert isinstance(RunConfig(), SolverParams)
+    for f in dataclasses.fields(SolverParams):
+        assert getattr(RunConfig(), f.name) == getattr(SolverParams(), f.name)
 
 
 def test_epsilon_constraint_reported():
@@ -173,14 +178,14 @@ def test_single_mode_ic():
     v0 = generate_ic(cfg)
     assert v0.support_size == 1
     assert np.allclose(v0[(1, 0, 0)], (0.0, cfg.delta, 0.0))
-    assert phi_norm(v0, cfg.solver_params().alpha) == cfg.delta
+    assert phi_norm(v0, cfg.alpha) == cfg.delta
 
 
 def test_two_mode_ic_interacts():
     cfg = RunConfig(ic_kind="two_mode", k_max=2)
     v0 = generate_ic(cfg)
     assert v0.support_size == 2
-    assert phi_norm(v0, cfg.solver_params().alpha) == cfg.delta
+    assert phi_norm(v0, cfg.alpha) == cfg.delta
     assert v0.max_divergence_ratio() == 0.0
     from nstorus import bilinear
 
@@ -188,7 +193,7 @@ def test_two_mode_ic_interacts():
 
 
 def test_random_ball_norm_bound_many_seeds():
-    alpha = RunConfig().solver_params().alpha
+    alpha = RunConfig().alpha
     for seed in range(25):
         cfg = RunConfig(k_max=2, rng_seed=seed)
         v0 = generate_ic(cfg)
@@ -209,14 +214,14 @@ def test_random_ball_reality_symmetry():
     cfg = RunConfig(k_max=2, reality_symmetry=True, rng_seed=5)
     v0 = generate_ic(cfg)
     assert v0.reality_defect() == 0.0
-    assert phi_norm(v0, cfg.solver_params().alpha) <= cfg.delta
+    assert phi_norm(v0, cfg.alpha) <= cfg.delta
 
 
 def test_random_ball_at_a_delta_whose_squares_overflow():
     cfg = RunConfig(k_max=2, delta=1e155)
     v0 = generate_ic(cfg)
     assert v0.support_size == 32
-    assert 0 < phi_norm(v0, cfg.solver_params().alpha) <= cfg.delta
+    assert 0 < phi_norm(v0, cfg.alpha) <= cfg.delta
 
 
 def test_from_checkpoint_ic(tmp_path):

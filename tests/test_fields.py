@@ -14,7 +14,6 @@ from nstorus import (
     phi_norm,
     unit_times,
 )
-from nstorus.induction import _heat_weights
 from util import ball, random_field
 
 
@@ -156,8 +155,13 @@ def test_per_slice_norms_equal_per_slice_calls(seed):
 
 # -- heat weights: the clamped factors exp(-t|k|^2) of the heat part -----------
 
+def heat_weights(lat, ages):
+    """heat_flow's weight at each age and site: its flow of an all-ones field."""
+    return heat_flow(SpectralField(lat, np.ones((len(lat), 3))), 0, ages).data[:, :, 0].real
+
+
 def test_heat_identity_at_t0(ball2):
-    assert np.array_equal(_heat_weights(np.zeros(1), ball2.norm_sq_f), np.ones((1, len(ball2))))
+    assert np.array_equal(heat_weights(ball2, np.zeros(1)), np.ones((1, len(ball2))))
     rng = np.random.default_rng(7)
     f = random_field(ball2, rng)
     part = heat_flow(f, 0, (0.0,))
@@ -171,14 +175,14 @@ def test_heat_single_mode(ball2):
 
 
 def test_heat_factor_eval(ball2):
-    w = _heat_weights(np.array([0.5]), ball2.norm_sq_f)[0]
+    w = heat_weights(ball2, [0.5])[0]
     assert w[ball2.site_index((1, 1, 1))] == pytest.approx(math.exp(-1.5), rel=1e-15)
 
 
 def test_heat_rejects_negative_t(ball2):
-    with pytest.raises(ValueError):
-        _heat_weights(np.array([0.5, -0.1]), ball2.norm_sq_f)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-negative ages"):
+        heat_weights(ball2, [0.5, -0.1])
+    with pytest.raises(ValueError, match="non-negative ages"):
         heat_flow(SpectralField.zero(ball2), 0, (-0.1, 0.0))
 
 
@@ -186,7 +190,7 @@ def test_heat_underflow_prunes_support(ball2):
     f = SpectralField.from_modes(ball2, {(2, 0, 0): (0.0, 1.0, 0.0)})
     part = heat_flow(f, 0, (0.0, 200.0))
     assert part.slices[1].support_size == 0  # exp(-800) is below the clamp
-    assert _heat_weights(np.array([200.0]), ball2.norm_sq_f)[0][ball2.site_index((2, 0, 0))] == 0
+    assert heat_weights(ball2, [200.0])[0][ball2.site_index((2, 0, 0))] == 0
 
 
 @settings(max_examples=50, deadline=None)
@@ -194,7 +198,7 @@ def test_heat_underflow_prunes_support(ball2):
 def test_heat_semigroup(s, t, seed):
     lat = ball(2)
     f = random_field(lat, np.random.default_rng(seed))
-    w = _heat_weights(np.array([s, t, s + t]), lat.norm_sq_f)
+    w = [heat_weights(lat, [age])[0] for age in (s, t, s + t)]
     assert np.allclose(w[0] * w[1], w[2], rtol=1e-13, atol=0)
     two_steps = heat_flow(f, 0, (s,)).data[0] * w[1][:, None]
     one_step = heat_flow(f, 0, (s + t,)).data[0]

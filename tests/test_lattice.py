@@ -25,7 +25,7 @@ def assert_matches_brute_force(k_max):
     lat = get_lattice(LatticeSpec(k_max))
     expected = sorted(brute_force_ball(k_max))
     assert [tuple(s) for s in lat.sites.tolist()] == expected
-    assert lat.norm_sq.tolist() == [kx * kx + ky * ky + kz * kz for kx, ky, kz in expected]
+    assert lat.norm_sq_f.tolist() == [kx * kx + ky * ky + kz * kz for kx, ky, kz in expected]
 
 
 def test_sup_cube_kmax1_has_26_sites():
@@ -36,7 +36,7 @@ def test_sup_cube_kmax1_has_26_sites():
 def test_ball_kmax1_has_6_sites():
     lat = get_lattice(LatticeSpec(1))
     assert len(lat.sites) == 6
-    assert (lat.norm_sq == 1).all()
+    assert (lat.norm_sq_f == 1).all()
 
 
 def test_ball_kmax2_matches_brute_force():
@@ -54,7 +54,7 @@ def test_sites_lexicographically_ordered(ball3):
 
 def test_zero_vector_never_appears(ball3):
     assert ball3.indices((0, 0, 0)) == -1
-    assert (ball3.norm_sq > 0).all()
+    assert (ball3.norm_sq_f > 0).all()
 
 
 def test_closed_under_negation(ball3):
@@ -107,7 +107,7 @@ def test_lattice_holds_geometry_only():
     lat = Lattice(LatticeSpec(3))
     rng = np.random.default_rng(63)
     bilinear(random_field(lat, rng), random_field(lat, rng))
-    assert vars(lat).keys() == {"spec", "cube", "sites", "sites_f", "norm_sq", "norm_sq_f"}
+    assert vars(lat).keys() == {"spec", "cube", "sites", "sites_f", "norm_sq_f"}
 
 
 @settings(max_examples=40, deadline=None)

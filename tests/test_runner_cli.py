@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import nstorus.induction
+import nstorus.runner
 from nstorus import CheckpointError, ConvergenceError, RunConfig, SpectralField, save_field
 from nstorus.cli import main
+from nstorus.config import read_config
 from nstorus.lattice import LatticeSpec, get_lattice
 from nstorus.runner import (
     STATUS_CONFIG_ERROR,
@@ -331,8 +333,9 @@ def test_run_removes_the_staging_directory_of_a_killed_run(tmp_path, capsys):
 
 
 def test_rerun_and_oracle_leave_only_their_own_outputs(tmp_path, capsys):
-    # run and oracle remove every CSV an earlier command left, so none sits
-    # beside a config it was not written under
+    # run, oracle and bisect-delta remove every CSV and checkpoint an
+    # earlier command left, so none sits beside a config it was not
+    # written under
     out = tmp_path / "out"
     assert main([*STALE_RUN, str(out), "--horizon-m", "4"]) == STATUS_OK
     assert main(["check", str(out)]) == STATUS_OK
@@ -340,6 +343,45 @@ def test_rerun_and_oracle_leave_only_their_own_outputs(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["norm_series.csv", "run_config.cfg"]
     assert main(["oracle", "--k-max", "2", "--horizon-m", "1", "--output-dir", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == ["oracle_series.csv", "run_config.cfg"]
+    assert main([*STALE_RUN, str(out), "--horizon-m", "2"]) == STATUS_OK
+    assert main(["bisect-delta", "--k-max", "3", "--rng-seed", "5", "--output-dir", str(out),
+                 "--bisect-steps", "1", "--bisect-horizon", "2"]) == STATUS_OK
+    assert sorted(p.name for p in out.iterdir()) == ["bisect_delta.csv", "run_config.cfg"]
+    cfg = read_config(out / "run_config.cfg")
+    assert (cfg.k_max, cfg.rng_seed, cfg.horizon_m) == (3, 5, 2)
+
+
+def test_run_refuses_a_fields_symlink_and_removes_nothing(tmp_path, capsys):
+    # the checkpoints a symlinked fields/ points at are not this directory's
+    target = tmp_path / "elsewhere" / "fields"
+    assert main([*STALE_RUN, str(target.parent), "--horizon-m", "1"]) == STATUS_OK
+    files = {p.name: p.read_bytes() for p in target.iterdir()}
+    assert sorted(files) == ["c0.ckpt", "g_0001.ckpt", "h_0001.ckpt",
+                             "v_0000.ckpt", "v_0001.ckpt"]
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "fields").symlink_to(target, target_is_directory=True)
+    capsys.readouterr()
+    code = main(["run", "--k-max", "2", "--horizon-m", "1", "--output-dir", str(out),
+                 "--emit", "certificates"])
+    assert code == STATUS_CONFIG_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {out / 'fields'} ")
+    assert {p.name: p.read_bytes() for p in target.iterdir()} == files
+    assert not (out / "run_config.cfg").exists()
+
+
+def test_run_refuses_a_fields_file_before_any_step(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "fields").write_text("mine")
+    monkeypatch.setattr(nstorus.runner, "induction_steps", None)   # no step may run
+    code = main(["run", "--k-max", "2", "--horizon-m", "1", "--output-dir", str(out),
+                 "--emit", "fields,certificates"])
+    assert code == STATUS_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith(f"error: {out / 'fields'} ")
+    assert (out / "fields").read_text() == "mine"
+    assert sorted(p.name for p in out.iterdir()) == ["fields"]
 
 
 @pytest.mark.parametrize("error", [ConvergenceError("injected"), KeyboardInterrupt()],
@@ -676,6 +718,18 @@ def test_cli_bisect_rejects_checkpoint_data(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "ic_kind" in err[0]
     assert not (out / "bisect_delta.csv").exists()
+
+
+def test_cli_bisect_rejects_an_infinite_delta_hi_before_any_trial(tmp_path, capsys,
+                                                                   monkeypatch):
+    out = tmp_path / "bs_inf"
+    monkeypatch.setattr(nstorus.runner, "induction_steps", None)   # no trial may run
+    code = main(["bisect-delta", "--k-max", "2", "--bisect-steps", "2", "--bisect-horizon", "3",
+                 "--delta-hi", "inf", "--output-dir", str(out)])
+    assert code == STATUS_CONFIG_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "delta_hi" in err[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--bisect-steps", "-1"), ("--bisect-horizon", "0")])
