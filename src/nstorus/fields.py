@@ -19,7 +19,7 @@ kinds, lattices or grids are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import pairwise
 
 import numpy as np
@@ -49,11 +49,25 @@ def site_magnitudes(data: np.ndarray) -> np.ndarray:
     """Euclidean magnitude of the complex 3-vectors on data's last axis; by
     nested hypot where the squares are too small or overflow, so no nonzero
     reads 0 and no finite entry reads inf. Exact zeros already read 0, so
-    that path is skipped when they are all it would see."""
+    that path is skipped when they are all it would see.
+
+    The squares are summed as re*re + im*im per component, the three
+    components left to right, as (real**2 + imag**2).sum(axis=-1) adds
+    them, in arrays one component wide."""
+    re, im = data.real, data.imag
+    sq, comp, term = (np.empty(data.shape[:-1]) for _ in range(3))
+
+    def square(j, out):
+        np.multiply(re[..., j], re[..., j], out=out)
+        np.multiply(im[..., j], im[..., j], out=term)
+        return np.add(out, term, out=out)
+
     with np.errstate(over="ignore"):
-        sq = (data.real ** 2 + data.imag ** 2).sum(axis=-1)
-    mags = np.sqrt(sq)
+        square(0, sq)
+        np.add(sq, square(1, comp), out=sq)
+        np.add(sq, square(2, comp), out=sq)
     inexact = (sq < _SQUARES_EXACT) | (sq == np.inf)
+    mags = np.sqrt(sq, out=sq)
     entries = data[inexact]
     if np.count_nonzero(entries):
         mod = np.abs(entries)
@@ -232,16 +246,21 @@ def phi_norm(f, alpha: float, axis=None):
     return weighted_sup(f.magnitudes(), f.lattice.norm_sq_f ** (alpha / 2.0), axis)
 
 
+@lru_cache(maxsize=8)
 def fmc_weights(lattice: Lattice, m, c: float, beta: float) -> np.ndarray:
     """The weights |k|^beta exp(c sqrt(m) |k|) of fmc_norm, one per site; inf
-    where they overflow. Requires beta > 3 and m, c > 0."""
+    where they overflow. Requires beta > 3 and m, c > 0. A read-only array,
+    built once per lattice and parameters (a step measures at one index m)
+    and kept for the few most recent ones."""
     if beta <= 3:
         raise ValueError(f"beta must be > 3, got {beta}")
     if m <= 0 or c <= 0:
         raise ValueError("m and c must be positive")
     q = lattice.norm_sq_f
     with np.errstate(over="ignore"):
-        return q ** (beta / 2.0) * np.exp(c * np.sqrt(float(m)) * np.sqrt(q))
+        weights = q ** (beta / 2.0) * np.exp(c * np.sqrt(float(m)) * np.sqrt(q))
+    weights.setflags(write=False)
+    return weights
 
 
 def fmc_norm(f, m, c: float, beta: float, axis=None):

@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -82,6 +83,7 @@ __all__ = [
     "IntervalSolution",
     "FixedPointResult",
     "heat_flow",
+    "heat_weights",
     "compute_gaussian_correction",
     "assemble_gaussian_part",
     "assemble_remainder_part",
@@ -167,12 +169,23 @@ def heat_flow(f: SpectralField, m, times) -> TimeSlicedField:
     Weights below UNDERFLOW_FLOOR are zero, and a negative age m + t raises
     ValueError."""
     times = tuple(times)
+    return TimeSlicedField(times, f.lattice, f.data * heat_weights(f.lattice, m, times))
+
+
+@lru_cache(maxsize=8)
+def heat_weights(lattice, m, times: tuple) -> np.ndarray:
+    """heat_flow's weights exp(-(m+t)|k|^2), zero below UNDERFLOW_FLOOR, as a
+    read-only (S+1, N, 1) array over the grid times t and the sites. Built
+    once per lattice, m and grid and kept for the few most recent ones:
+    the history parts, (0, times), and the running sums' decay, (1, (0.0,)),
+    are the same on every step. A negative age raises ValueError."""
     ages = m + np.asarray(times, dtype=np.float64)
     if (ages < 0).any():
         raise ValueError("heat weights need non-negative ages")
-    w = np.exp(-ages[:, None] * f.lattice.norm_sq_f)
+    w = np.exp(-ages[:, None, None] * lattice.norm_sq_f[:, None])
     w[w < UNDERFLOW_FLOOR] = 0.0
-    return TimeSlicedField(times, f.lattice, f.data * w[:, :, None])
+    w.setflags(write=False)
+    return w
 
 
 def compute_gaussian_correction(heat_part: TimeSlicedField, params: SolverParams) -> TimeSlicedField:

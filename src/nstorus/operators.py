@@ -68,6 +68,7 @@ __all__ = [
     "conv_kernel",
     "unit_times",
     "duhamel_integrate",
+    "duhamel_rules",
     "star_product",
     "identity_split",
 ]
@@ -82,24 +83,36 @@ _PROJECTION_BYTES = 256 * 1024
 _BLOCK_BYTES = 512 * 1024
 
 
-def leray_project(k, x) -> np.ndarray:
+def leray_project(k, x, out=None) -> np.ndarray:
     """The Leray projection x - (<k,x>/|k|^2) k of x onto the plane
     orthogonal to k, over the last axis of broadcastable arrays (one vector
-    or a whole grid of them); a new array. Raises ValueError if any k is 0.
+    or a whole grid of them); written to out when given (x itself may be
+    out), else to a new array. Raises ValueError if any k is 0.
 
     The sums over the length-3 axis are written out left to right, which
     is how .sum(axis=-1) adds them, at a fraction of the cost of numpy's
-    reduction over so short an axis."""
+    reduction over so short an axis; every step takes one component, so
+    no temporary is as large as x."""
     k = np.asarray(k, dtype=np.float64)
+    x = np.asarray(x)
     sq = k * k
     ksq = sq[..., 0] + sq[..., 1] + sq[..., 2]
     if not ksq.all():
         raise ValueError("Leray projector is undefined at k = 0")
-    kx = k * x
-    factor = (kx[..., 0] + kx[..., 1] + kx[..., 2]) / ksq
-    # x - factor k, written over kx
-    np.multiply(factor[..., None], k, out=kx)
-    return np.subtract(x, kx, out=kx)
+    dtype = np.result_type(k, x)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(k.shape, x.shape), dtype=dtype)
+    factor = np.empty(np.broadcast_shapes(k.shape[:-1], x.shape[:-1]), dtype=dtype)
+    term = np.empty_like(factor)
+    np.multiply(k[..., 0], x[..., 0], out=factor)
+    for j in (1, 2):
+        np.multiply(k[..., j], x[..., j], out=term)
+        np.add(factor, term, out=factor)
+    np.divide(factor, ksq, out=factor)   # <k,x>/|k|^2
+    for j in range(3):
+        np.multiply(factor, k[..., j], out=term)
+        np.subtract(x[..., j], term, out=out[..., j])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,10 +204,11 @@ def bilinear(u, *vs, out=None):
     its own relative accuracy however small it is. A slice where u or every
     v is all zero has exact zero products, which are not computed. The
     projection (leray_project) and the factor 2 pi i are applied to the
-    whole output at the end, a few slices at a time. The D buffer, with its
-    zero slot, and the block of A are work arrays reused by every call on
-    the lattice (conv_kernel), so bilinear is not thread-safe: calls on one
-    lattice, or on equal ones, must not run concurrently.
+    whole output at the end, in place, a few slices at a time. The D
+    buffer, with its zero slot, and the block of A are work arrays reused
+    by every call on the lattice (conv_kernel), so bilinear is not
+    thread-safe: calls on one lattice, or on equal ones, must not run
+    concurrently.
     """
     if not vs:
         raise TypeError("bilinear needs at least one right factor")
@@ -222,7 +236,7 @@ def bilinear(u, *vs, out=None):
     step = max(1, _PROJECTION_BYTES // per_v[0].nbytes)
     for s0 in range(0, len(per_v), step):
         block = per_v[s0:s0 + step]
-        np.multiply(leray_project(kf, block), _TWO_PI_I, out=block)
+        np.multiply(leray_project(kf, block, block), _TWO_PI_I, out=block)
     if out is not None:
         return out
     parts = tuple(u._like(res[:, :, 3 * i: 3 * i + 3].reshape(u.data.shape))
@@ -301,18 +315,38 @@ def duhamel_integrate(lattice: Lattice, times, data: np.ndarray) -> None:
     On each substep the source is replaced by the average of its endpoint
     samples and the exponential factor is integrated exactly (see the
     module docstring for the recurrence). Exact when source(., k) is
-    constant in s; the t = 0 row becomes zero (empty integral).
+    constant in s; the t = 0 row becomes zero (empty integral). The
+    recurrence runs in two work rows, with the same operations in the same
+    order as decay * I(s_n) + gain * (0.5 * (f(s_n) + f(s_{n+1}))).
     """
+    rules = duhamel_rules(lattice, tuple(times))
+    prev = data[0].copy()
+    avg = np.empty_like(prev)
+    data[0] = 0.0
+    for n, (decay, gain) in enumerate(rules):
+        cur = data[n + 1]
+        np.add(prev, cur, out=avg)
+        np.multiply(0.5, avg, out=avg)
+        prev[...] = cur
+        np.multiply(decay, data[n], out=cur)
+        np.multiply(gain, avg, out=avg)
+        np.add(cur, avg, out=cur)
+
+
+@lru_cache(maxsize=8)
+def duhamel_rules(lattice: Lattice, times: tuple) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The Duhamel rule's factors on each substep of the grid times, one
+    (decay, gain) pair per substep: exp(-D|k|^2) and
+    (1 - exp(-D|k|^2))/|k|^2 for its step D, as read-only (N, 1) arrays
+    that substeps of equal step share. Built once per lattice and grid (a
+    run integrates on one grid) and kept for the few most recent ones."""
     q = lattice.norm_sq_f[:, None]
     steps, which = np.unique(np.diff(times), return_inverse=True)
     rules = [(np.exp(-d * q), -np.expm1(-d * q) / q) for d in steps]
-    prev = data[0].copy()
-    data[0] = 0.0
-    for n, j in enumerate(which):
-        decay, gain = rules[j]
-        avg = 0.5 * (prev + data[n + 1])
-        prev[...] = data[n + 1]
-        data[n + 1] = decay * data[n] + gain * avg
+    for pair in rules:
+        for table in pair:
+            table.setflags(write=False)
+    return tuple(rules[j] for j in which)
 
 
 def star_product(u: TimeSlicedField, *vs: TimeSlicedField):

@@ -14,6 +14,8 @@ from nstorus import (
     phi_norm,
     unit_times,
 )
+from nstorus import induction
+from nstorus.fields import UNDERFLOW_FLOOR, fmc_weights, site_magnitudes
 from util import ball, random_field
 
 
@@ -136,6 +138,34 @@ def test_magnitudes_of_huge_entries(ball2, scale):
     assert math.isfinite(phi_norm(f, 2.25))
 
 
+@pytest.mark.parametrize("lead", [(), (9,)])
+def test_magnitudes_sum_the_squares_in_reduction_order(ball2, lead):
+    # sites of many magnitudes, whose squares stay in the normal range;
+    # a site's components are of one size, so the order of the sum shows
+    # in the last bits
+    rng = np.random.default_rng(8)
+    shape = (*lead, len(ball2), 3)
+    data = ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            * 10.0 ** rng.uniform(-140, 140, (*lead, len(ball2), 1)))
+    want = np.sqrt((data.real ** 2 + data.imag ** 2).sum(axis=-1))
+    assert np.array_equal(site_magnitudes(data).view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("m, c, beta", [(1, 0.5, 3.5), (4, 1 / 3, 4.0),
+                                        (1e6, 1 / math.sqrt(3), 3.5)])
+def test_fmc_weights_are_a_read_only_cached_fresh_evaluation(m, c, beta):
+    lat = ball(8)
+    q = lat.norm_sq_f
+    with np.errstate(over="ignore"):
+        fresh = q ** (beta / 2.0) * np.exp(c * np.sqrt(float(m)) * np.sqrt(q))
+    assert np.isinf(fresh).any() == (m == 1e6)   # the last ones overflow
+    w = fmc_weights(lat, m, c, beta)
+    assert fmc_weights(lat, m, c, beta) is w
+    assert np.array_equal(w.view(np.uint64), fresh.view(np.uint64))
+    with pytest.raises(ValueError, match="read-only"):
+        w[0] = 0.0
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_per_slice_norms_equal_per_slice_calls(seed):
     # norm_series.csv's columns: one masked reduction per slice, equal to
@@ -184,6 +214,27 @@ def test_heat_rejects_negative_t(ball2):
         heat_weights(ball2, [0.5, -0.1])
     with pytest.raises(ValueError, match="non-negative ages"):
         heat_flow(SpectralField.zero(ball2), 0, (-0.1, 0.0))
+
+
+@pytest.mark.parametrize("m, times", [(0, unit_times(8)), (1, (0.0,)), (3, (0.0, 0.5, 200.0))])
+def test_heat_weights_are_a_read_only_cached_fresh_evaluation(ball2, m, times):
+    fresh = np.exp(-(m + np.asarray(times))[:, None] * ball2.norm_sq_f)
+    fresh[fresh < UNDERFLOW_FLOOR] = 0.0
+    w = induction.heat_weights(ball2, m, times)
+    assert induction.heat_weights(ball2, m, times) is w
+    assert w.shape == (len(times), len(ball2), 1)
+    assert np.array_equal(w[:, :, 0].view(np.uint64), fresh.view(np.uint64))
+    with pytest.raises(ValueError, match="read-only"):
+        w[0, 0, 0] = 0.0
+
+
+def test_negative_heat_ages_are_not_cached(ball2):
+    induction.heat_weights.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="non-negative ages"):
+            induction.heat_weights(ball2, 0, (-0.1, 0.0))
+    info = induction.heat_weights.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 0, 0)
 
 
 def test_heat_underflow_prunes_support(ball2):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nstorus.fields
+import nstorus.induction
 import nstorus.operators
 from nstorus import (
     ConvergenceError,
@@ -430,6 +432,25 @@ def test_bilinear_calls_per_step(ball2, monkeypatch):
         assert len(calls) == len(builds) // 9
         builds.clear()
         calls.clear()
+
+
+def test_lattice_tables_are_built_once_per_key(ball2):
+    # over two steps the Duhamel rules have one key (the grid), the fmc
+    # weights two (the norm's index m + 1) and the heat weights three:
+    # (0, times) for the first heat part and the history parts, (1, times)
+    # for the second heat part and (1, (0.0,)) for the running sums' decay
+    tables = {"duhamel_rules": (nstorus.operators.duhamel_rules, 1),
+              "fmc_weights": (nstorus.fields.fmc_weights, 2),
+              "heat_weights": (nstorus.induction.heat_weights, 3)}
+    for cached, _ in tables.values():
+        cached.cache_clear()
+    v0 = random_field(ball2, np.random.default_rng(0), scale=1e-3)
+    for _ in induction_steps(DecompositionState.initial(v0), PARAMS, 2):
+        pass
+    for name, (cached, keys) in tables.items():
+        info = cached.cache_info()
+        assert (name, info.misses, info.currsize) == (name, keys, keys)
+        assert info.hits > 0, name
 
 
 def test_advance_single_mode_is_pure_heat_decay(ball2):

@@ -22,7 +22,7 @@ from nstorus import (
     unit_times,
 )
 from nstorus import operators
-from nstorus.operators import conv_kernel
+from nstorus.operators import conv_kernel, duhamel_rules
 from util import (ball, conv_triples, direct_bilinear, duhamel_terms, random_field,
                   random_sliced, star_majorant)
 
@@ -75,6 +75,9 @@ def test_leray_projector_algebra(seed):
                      for sl in block])
     assert np.array_equal(leray_project(lat.sites_f[:, None, :], block).view(np.uint64),
                           each.view(np.uint64))
+    # and so is its projection in place
+    assert leray_project(lat.sites_f[:, None, :], block, block) is block
+    assert np.array_equal(block.view(np.uint64), each.view(np.uint64))
 
 
 # -- convolution kernel ----------------------------------------------------------
@@ -554,6 +557,34 @@ def test_duhamel_monotone_for_nondecreasing_source(ball2):
     )
     values = duhamel_rows(src)[:, ball2.site_index((1, 0, 0)), 1].real
     assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+def test_duhamel_rules_are_read_only_cached_fresh_evaluations(uniform):
+    lat = ball(3)
+    rng = np.random.default_rng(11)
+    times = random_grid(rng, 24.0, 192, uniform)
+    q = lat.norm_sq_f[:, None]
+    rules = duhamel_rules(lat, times)
+    assert duhamel_rules(lat, times) is rules
+    assert len(rules) == len(times) - 1
+    for (decay, gain), d in zip(rules, np.diff(times), strict=True):
+        assert np.array_equal(decay.view(np.uint64), np.exp(-d * q).view(np.uint64))
+        assert np.array_equal(gain.view(np.uint64), (-np.expm1(-d * q) / q).view(np.uint64))
+        for table in (decay, gain):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+    # substeps of equal step share one pair
+    assert len({id(decay) for decay, _ in rules}) == len(np.unique(np.diff(times)))
+    # the recurrence in place is the textbook one, bit for bit
+    shape = (len(times), len(lat), 3)
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want, prev = np.zeros_like(data), data[0]
+    for n, (decay, gain) in enumerate(rules):
+        want[n + 1] = decay * want[n] + gain * (0.5 * (prev + data[n + 1]))
+        prev = data[n + 1]
+    duhamel_integrate(lat, times, data)
+    assert np.array_equal(data.view(np.uint64), want.view(np.uint64))
 
 
 # -- star product -----------------------------------------------------------------
