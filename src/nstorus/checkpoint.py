@@ -24,7 +24,6 @@ failed write leaves no partial file behind.
 from __future__ import annotations
 
 import os
-import secrets
 import struct
 from pathlib import Path
 
@@ -58,7 +57,7 @@ def write_atomic(path, data: bytes) -> None:
     loss: nothing is fsynced.)
     """
     path = Path(path)
-    tmp = path.with_name(temporary_name(path.name, secrets.token_hex(4)))
+    tmp = path.with_name(temporary_name(path.name, os.urandom(4).hex()))
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         try:

@@ -12,7 +12,8 @@ NSTORUS_OUTPUT_DIR, when set, overrides the output directory.
 
 Exit codes: 0 success, 1 configuration or checkpoint error (printed as
 "error: ..." on stderr), 2 usage error (argparse),
-3 fixed-point non-convergence, 4 oracle mismatch.
+3 fixed-point non-convergence, 4 oracle mismatch, 5 check found a phi norm
+above the envelope 2 delta.
 """
 
 from __future__ import annotations

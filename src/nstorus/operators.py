@@ -24,10 +24,15 @@ so small modes keep their relative accuracy.
 
 The kernel's layout is decided here alone: the block size, the gather
 table that builds each block of the interaction matrix, the D buffer it
-reads with its zero slot, and the work arrays it fills are one record per
-lattice (_ConvKernel), built on first use by conv_kernel and reused by
-every later call on that lattice. The lattice supplies only geometry: its
-sites and the flat index-cube positions of points (Lattice.position).
+reads with its zero slot, the work arrays it fills (the block of A, the
+chunk buffer of real right and transposed left factors, the block
+product) and each block's views of them are one record per lattice
+(_ConvKernel), built on first use by conv_kernel (a warm-up call on zero
+fields builds it at set-up) and reused by every later call on that
+lattice. A call sets itself up once: one zero test over the whole stack,
+one fill of the factors per chunk of slices; per live slice only the
+block loop runs (_slice_products). The lattice supplies only geometry:
+its sites and the flat index-cube positions of points (Lattice.position).
 
 Determinism: the summation order is the BLAS library's, which may differ
 between BLAS builds and thread counts. The same config and seed give
@@ -81,6 +86,11 @@ _PROJECTION_BYTES = 256 * 1024
 # complex for `rows` row pairs: small enough that a block of D = <k, u(m)>
 # stays in cache while it is gathered into a block of A and multiplied.
 _BLOCK_BYTES = 512 * 1024
+# Bytes of the convolution's chunk buffer, which holds the real right
+# factors and transposed left factors of a run of consecutive slices (at
+# least one slice with two right factors): they are filled a chunk at a
+# time, so their set-up is paid once per chunk, not once per slice.
+_CHUNK_BYTES = 256 * 1024
 
 
 def leray_project(k, x, out=None) -> np.ndarray:
@@ -138,7 +148,16 @@ class _ConvKernel:
     block of A that a block's rows and mirror rows are gathered into, so no
     (N, N) complex matrix is ever formed.
 
-    dots and inter are reused by every call on the lattice, which keeps
+    steps holds each block's views, made once: (b = r1 - r0, its rows
+    r0:r1 and mirror rows N-r1:N-r0 as slices, its sites, its D rows as
+    (re, im) pairs, dots, its gather, and its rows of inter, whole and as
+    (re, im) pairs). work is the flat float64 chunk buffer that bilinear
+    fills with the real right factors and transposed left factors of a run
+    of consecutive slices (_CHUNK_BYTES, and never less than one slice with
+    two right factors), and prod the flat float64 buffer of a block's
+    product, (2 rows, 6 n) for n <= 2 right factors.
+
+    The work arrays are reused by every call on the lattice, which keeps
     each call free of fresh allocations, whose page faults would otherwise
     cost as much as the arithmetic; calls on one lattice, or on lattices
     equal to it, must not overlap.
@@ -146,8 +165,11 @@ class _ConvKernel:
 
     rows: int
     blocks: tuple[tuple[int, int, np.ndarray], ...]
+    steps: tuple[tuple, ...]
     dots: np.ndarray
     inter: np.ndarray
+    work: np.ndarray
+    prod: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -178,8 +200,17 @@ def conv_kernel(lat: Lattice) -> _ConvKernel:
         np.add(mi, (d_row * n)[:, None], out=g)
         g[mi < 0] = rows * n   # the zero slot
         blocks.append((r0, r1, g))
-    return _ConvKernel(rows, tuple(blocks), np.zeros(rows * n + 1, dtype=np.complex128),
-                       np.empty((2 * rows, n), dtype=np.complex128))
+    dots = np.zeros(rows * n + 1, dtype=np.complex128)
+    inter = np.empty((2 * rows, n), dtype=np.complex128)
+    # the buffer's rows, without the zero slot
+    dots_ri = dots[:-1].view(np.float64).reshape(rows, 2 * n)
+    inter_ri = inter.view(np.float64)
+    steps = tuple((r1 - r0, slice(r0, r1), slice(n - r1, n - r0), lat.sites_f[r0:r1],
+                   dots_ri[:r1 - r0], dots, g, inter[:2 * (r1 - r0)], inter_ri[:2 * (r1 - r0)])
+                  for r0, r1, g in blocks)
+    # one slice with two right factors takes 6 n (2*2 + 1) floats
+    work = np.empty(max(_CHUNK_BYTES // 8, 30 * n))
+    return _ConvKernel(rows, tuple(blocks), steps, dots, inter, work, np.empty(24 * rows))
 
 
 def bilinear(u, *vs, out=None):
@@ -201,14 +232,25 @@ def bilinear(u, *vs, out=None):
     for half of the rows only, since site N-1-i is -(site i).
     Each output mode is the sum of the same pair products as the direct
     convolution; only the summation order is BLAS's, so every mode keeps
-    its own relative accuracy however small it is. A slice where u or every
-    v is all zero has exact zero products, which are not computed. The
-    projection (leray_project) and the factor 2 pi i are applied to the
-    whole output at the end, in place, a few slices at a time. The D
-    buffer, with its zero slot, and the block of A are work arrays reused
-    by every call on the lattice (conv_kernel), so bilinear is not
-    thread-safe: calls on one lattice, or on equal ones, must not run
-    concurrently.
+    its own relative accuracy however small it is.
+
+    Everything that does not depend on the slice is done once per call. A
+    slice where u or every v is all zero is dead: its products are exact
+    zeros, so one test over the whole stack finds the dead slices, their
+    rows are zeroed in one write, and only the live slices are built. The
+    real right factors and transposed left factors are filled a chunk of
+    consecutive slices at a time (a chunk with no live slice is skipped)
+    into the kernel's chunk buffer: one pass per v and one for u, through
+    basic slices, so the fill allocates nothing. The projection
+    (leray_project) and the factor 2 pi i are applied to the whole output
+    at the end, in place, a few slices at a time.
+
+    The D buffer with its zero slot, the block of A, the chunk buffer and
+    the block product are work arrays built with the kernel (conv_kernel)
+    and reused by every call on the lattice, so a call with at most two
+    right factors allocates none of its own (more may allocate), and
+    bilinear is not thread-safe: calls on one lattice, or on equal ones,
+    must not run concurrently.
     """
     if not vs:
         raise TypeError("bilinear needs at least one right factor")
@@ -216,9 +258,9 @@ def bilinear(u, *vs, out=None):
         u._check_operand(v)
     lat = u.lattice
     n = len(lat)
+    nv = len(vs)
     u_st = u.data.reshape(-1, n, 3)   # a field is a one-slice stack
-    v_st = [v.data.reshape(-1, n, 3) for v in vs]
-    shape = (len(u_st), n, 3 * len(vs))
+    shape = (len(u_st), n, 3 * nv)
     res = np.empty(shape, dtype=np.complex128) if out is None else out
     # the products are written through res's real view
     if res.dtype != np.complex128 or res.shape != shape or res.strides[-1] != res.itemsize:
@@ -226,13 +268,41 @@ def bilinear(u, *vs, out=None):
                          "with a contiguous last axis")
     # fetched before any zero check, so a first call on zeros builds it
     kern = conv_kernel(lat)
-    # the real right factor, refilled for each slice, and a block's product
-    rhs = np.empty((2 * n, 6 * len(vs)))
-    prod = np.empty((2 * kern.rows, 6 * len(vs)))
-    for s, u_s in enumerate(u_st):
-        _slice_products(lat, kern, u_s, [v[s] for v in v_st], rhs, prod, res[s])
+    # every slice as (re, im) pairs, (S+1, N, 3, 2)
+    u_ri = u_st.view(np.float64).reshape(len(u_st), n, 3, 2)
+    v_ri = [v.data.view(np.float64).reshape(u_ri.shape) for v in vs]
+    live = u_ri.any(axis=(1, 2, 3)) & np.any([v.any(axis=(1, 2, 3)) for v in v_ri], axis=0)
+    res[~live] = 0.0
+    # a chunk of c slices: right factors (c, 2N, 6 nv), then left factors (c, 3, 2N)
+    per_slice = 6 * n * (2 * nv + 1)
+    work = kern.work if per_slice <= kern.work.size else np.empty(per_slice)
+    c = work.size // per_slice
+    rhs = work[: c * 12 * n * nv].reshape(c, 2 * n, 6 * nv)
+    left = work[c * 12 * n * nv: c * per_slice].reshape(c, 3, 2 * n)
+    pairs = rhs.reshape(c, n, 2, nv, 3, 2)
+    left_pairs = left.reshape(c, 3, n, 2)
+    size = 12 * kern.rows * nv
+    prod = (kern.prod[:size] if nv <= 2 else np.empty(size)).reshape(2 * kern.rows, 6 * nv)
+    plan = [(own, mirror, kf, dots_ri, dots, gather, inter, inter_ri,
+             prod[: 2 * b], prod[:b], prod[b: 2 * b])
+            for b, own, mirror, kf, dots_ri, dots, gather, inter, inter_ri in kern.steps]
+    res_ri = res.view(np.float64)
+    for first in range(0, len(u_st), c):
+        end = min(len(u_st), first + c)
+        at = np.flatnonzero(live[first:end]).tolist()
+        if not at:
+            continue
+        m = end - first
+        np.copyto(left_pairs[:m], u_ri[first:end].transpose(0, 2, 1, 3))
+        for i, v in enumerate(v_ri):
+            part = v[first:end]
+            pairs[:m, :, 0, i] = part
+            np.negative(part[..., 1], out=pairs[:m, :, 1, i, :, 0])
+            pairs[:m, :, 1, i, :, 1] = part[..., 0]
+        for j in at:
+            _slice_products(plan, left[j], rhs[j], res_ri[first + j])
     kf = lat.sites_f[:, None, :]
-    per_v = res.reshape(len(u_st), n, len(vs), 3)
+    per_v = res.reshape(len(u_st), n, nv, 3)
     step = max(1, _PROJECTION_BYTES // per_v[0].nbytes)
     for s0 in range(0, len(per_v), step):
         block = per_v[s0:s0 + step]
@@ -240,63 +310,46 @@ def bilinear(u, *vs, out=None):
     if out is not None:
         return out
     parts = tuple(u._like(res[:, :, 3 * i: 3 * i + 3].reshape(u.data.shape))
-                  for i in range(len(vs)))
-    return parts[0] if len(vs) == 1 else parts
+                  for i in range(nv))
+    return parts[0] if nv == 1 else parts
 
 
-def _slice_products(lat: Lattice, kern: _ConvKernel, u: np.ndarray, vs: list,
-                    rhs: np.ndarray, prod: np.ndarray, out: np.ndarray) -> None:
-    """Write A(u) @ [v_1 ... v_n] for one slice into the (N, 3n) array out,
-    before the projection; zeros when u or every v is all zero. kern is
-    conv_kernel(lat); rhs is a (2N, 6n) real work array and prod a
-    (2 rows, 6n) one, rows = kern.rows; both are overwritten.
+def _slice_products(plan: list, u: np.ndarray, rhs: np.ndarray, out: np.ndarray) -> None:
+    """Write A(u) @ [v_1 ... v_n] for one live slice, before the
+    projection, into out, the (N, 6n) real view of its (N, 3n) output.
+    plan is bilinear's per-call list of each block's kernel views
+    (_ConvKernel.steps) with its rows of the block product; u is the
+    slice's left factor as the (3, 2N) real array of its (re, im) pairs
+    side by side, and rhs its (2N, 6n) real right factor, whose rows 2l
+    and 2l+1 hold each v(l)'s (re, im) and (-im, re) pairs.
 
     Per block of row pairs of the kernel: a cache-sized block of
     D[i, m] = <i, u(m)> for the block's rows i < N/2 is written to the D
-    buffer, A's rows i and their mirror rows N-1-i are gathered from it
-    (the zero slot fills the entries whose k-l is not a site), and that
-    block's rows of the product are taken while both are still in cache
-    (the blocked layout of Goto & van de Geijn 2008). Neither D nor A is
-    formed whole. Site N-1-i is -(site i), so D's row N-1-i is -D[i] and is
-    never formed: a mirror row is gathered from D[i] as -A[N-1-i, :], and
-    its product is written out negated, as 0 - x so that an exact zero
-    stays +0. Negation is exact, and so is a dot product of negated
-    operands, so each output is bit for bit the one a gather from the
-    mirror row's own D row gives.
+    buffer as one real product, A's rows i and their mirror rows N-1-i are
+    gathered from it (the zero slot fills the entries whose k-l is not a
+    site), and that block's rows of the product are taken while both are
+    still in cache (the blocked layout of Goto & van de Geijn 2008).
+    Neither D nor A is formed whole. Site N-1-i is -(site i), so D's row
+    N-1-i is -D[i] and is never formed: a mirror row is gathered from D[i]
+    as -A[N-1-i, :], and its product is written out negated, as 0 - x so
+    that an exact zero stays +0. Negation is exact, and so is a dot
+    product of negated operands, so each output is bit for bit the one a
+    gather from the mirror row's own D row gives.
 
     The complex product is one real one, which BLAS runs faster than a
     complex product this narrow: A's rows, viewed as their (re, im) pairs
-    side by side, times rhs, whose rows 2l and 2l+1 hold each v(l)'s
-    (re, im) and (-im, re) pairs, give out's (re, im) pairs, written
-    through its real view. Each output mode is still the sum of the pair
-    products a(l) v(l), each split into its real terms.
+    side by side, times rhs give out's (re, im) pairs. Each output mode is
+    still the sum of the pair products a(l) v(l), each split into its real
+    terms.
     """
-    if not (u.any() and any(v.any() for v in vs)):
-        out[...] = 0.0
-        return
-    n = len(lat)
-    kf = lat.sites_f
-    pairs = rhs.reshape(n, 2, len(vs), 3, 2)
-    for i, v in enumerate(vs):
-        v_ri = v.view(np.float64).reshape(n, 3, 2)
-        pairs[:, 0, i] = v_ri
-        np.negative(v_ri[..., 1], out=pairs[:, 1, i, :, 0])
-        pairs[:, 1, i, :, 1] = v_ri[..., 0]
-    # <k, u(m)> as one real product: u's (re, im) pairs side by side
-    u_ri = u.view(np.float64).reshape(n, 3, 2).transpose(1, 0, 2).reshape(3, 2 * n)
-    # the buffer's rows, without the zero slot
-    dots_ri = kern.dots[:-1].view(np.float64).reshape(kern.rows, 2 * n)
-    inter_ri = kern.inter.view(np.float64)
-    out_ri = out.view(np.float64)
-    for r0, r1, gather in kern.blocks:
-        b = r1 - r0
-        np.matmul(kf[r0:r1], u_ri, out=dots_ri[:b])   # D[i-r0, m] = <i, u(m)>
+    for own, mirror, kf, dots_ri, dots, gather, inter, inter_ri, prod, top, bottom in plan:
+        np.matmul(kf, u, out=dots_ri)   # D[i-r0, m] = <i, u(m)>
         # every index is in range; "wrap" only skips numpy's bounds check
-        np.take(kern.dots, gather, out=kern.inter[: 2 * b], mode="wrap")
-        np.matmul(inter_ri[: 2 * b], rhs, out=prod[: 2 * b])
-        out_ri[r0:r1] = prod[:b]
+        np.take(dots, gather, out=inter, mode="wrap")
+        np.matmul(inter_ri, rhs, out=prod)
+        out[own] = top
         # 0 - x, not -x: an exact zero stays +0, as BLAS sums it
-        np.subtract(0.0, prod[b: 2 * b], out=out_ri[n - r1:n - r0])
+        np.subtract(0.0, bottom, out=out[mirror])
 
 
 def unit_times(substeps: int) -> tuple[float, ...]:

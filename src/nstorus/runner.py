@@ -28,6 +28,7 @@ __all__ = [
     "STATUS_CONFIG_ERROR",
     "STATUS_FP_FAILURE",
     "STATUS_ORACLE_MISMATCH",
+    "STATUS_CHECK_FAILED",
     "RunOutcome",
     "run",
     "run_oracle",
@@ -40,6 +41,7 @@ STATUS_OK = 0
 STATUS_CONFIG_ERROR = 1
 STATUS_FP_FAILURE = 3
 STATUS_ORACLE_MISMATCH = 4
+STATUS_CHECK_FAILED = 5
 
 # Every CSV a command writes, by name: the file name.csv, tagged with the
 # schema nstorus.name.v1, has these columns.
@@ -238,7 +240,9 @@ def check_run(run_dir) -> RunOutcome:
     or fields directory and an unreadable checkpoint, and a run_config.cfg
     that read_config rejects raises ConfigError; nothing is written then.
     The files are read and fitted one age at a time, so no more than one
-    age's fields is held at once.
+    age's fields is held at once. The status is STATUS_CHECK_FAILED when a
+    snapshot's phi norm exceeds the envelope 2 delta (the report is still
+    written), else STATUS_OK.
     """
     run_dir = Path(run_dir)
     cfg_path = run_dir / "run_config.cfg"
@@ -269,7 +273,7 @@ def check_run(run_dir) -> RunOutcome:
         f"max remainder_D {max(rem_ds[1:]):.6g}, "
         f"phi envelope {'<= 2 delta' if envelope_ok else 'EXCEEDED'}"
     )
-    return RunOutcome(STATUS_OK, message)
+    return RunOutcome(STATUS_OK if envelope_ok else STATUS_CHECK_FAILED, message)
 
 
 @dataclass

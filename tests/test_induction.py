@@ -405,11 +405,16 @@ def test_advance_zero_data_stays_zero(ball2):
 
 
 def test_bilinear_calls_per_step(ball2, monkeypatch):
-    # interaction-matrix builds per step: 9 slices for the correction, 2
+    # interaction-matrix builds per step, one per live slice (bilinear
+    # skips a slice where u or every v is zero): 9 for the correction, 2
     # forcing star products, and one fused linear + quadratic map
     # evaluation (2 star products, the right factors T and g sharing the
     # left factor g) per iteration after the first plus the certification
-    # pass; each star product is one bilinear call over its 9 slices
+    # pass; each star product is one bilinear call over its 9 slices. At
+    # m = 0 the gaussian and remainder parts start at zero, so both forcing
+    # products have a dead slice 0; every iterate g is a sum of star
+    # products, whose slice 0 (t = 0) is zero, so each map evaluation has
+    # 8 live slices per product.
     builds, calls = [], []
     slice_products = nstorus.operators._slice_products
     original = nstorus.operators.bilinear
@@ -426,10 +431,11 @@ def test_bilinear_calls_per_step(ball2, monkeypatch):
     monkeypatch.setattr(nstorus.operators, "bilinear", counting_calls)
     v0 = random_field(ball2, np.random.default_rng(0), scale=1e-3)
     state = DecompositionState.initial(v0)
-    for _, _, record in induction_steps(state, PARAMS, 2):
+    for m, (_, _, record) in enumerate(induction_steps(state, PARAMS, 2)):
         assert record.fp_iterations > 1
-        assert len(builds) == 27 + 18 * record.fp_iterations
-        assert len(calls) == len(builds) // 9
+        forcing = 16 if m == 0 else 18
+        assert len(builds) == 9 + forcing + 16 * record.fp_iterations
+        assert len(calls) == 3 + 2 * record.fp_iterations
         builds.clear()
         calls.clear()
 

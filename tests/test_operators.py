@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -427,6 +428,97 @@ def test_bilinear_on_sliced_fields_is_per_slice(ball2):
         star_product(u, TimeSlicedField.zero(ball2, unit_times(2)))
     with pytest.raises(ValueError):
         bilinear(u.slices[0], v1)
+
+
+def chunk_slices(lat, nv):
+    """Slices per chunk of the kernel's work buffer for nv right factors:
+    each takes (2N, 6 nv) right factors and a (3, 2N) left factor."""
+    return conv_kernel(lat).work.size // (6 * len(lat) * (2 * nv + 1))
+
+
+def test_bilinear_builds_only_live_slices_across_chunks(monkeypatch):
+    # One call over 14 slices at k_max 4, whose work buffer holds 7 slices
+    # with one right factor and 4 with two. Dead slices sit at slice 0,
+    # inside a chunk, in runs across both chunk boundaries and at the
+    # last slice; slice 9 has one zero v, so it is live with two right
+    # factors and dead with that v alone.
+    lat = ball(4)
+    assert (chunk_slices(lat, 1), chunk_slices(lat, 2)) == (7, 4)
+    times = unit_times(13)
+    rng = np.random.default_rng(13)
+    u, v1, v2 = (random_sliced(lat, times, rng).data.copy() for _ in range(3))
+    u[[0, 3, 4]] = 0.0        # slice 0; a run across the boundary at 4
+    v1[[2, 6, 7, 13]] = 0.0   # inside a chunk; a run across 7; the last slice
+    v2[[2, 6, 7, 9, 13]] = 0.0
+    u, v1, v2 = (TimeSlicedField(times, lat, d) for d in (u, v1, v2))
+    builds = []
+    slice_products = operators._slice_products
+
+    def counting(*args):
+        builds.append(1)
+        return slice_products(*args)
+
+    for vs, dead in (((v2,), {0, 2, 3, 4, 6, 7, 9, 13}), ((v1, v2), {0, 2, 3, 4, 6, 7, 13})):
+        builds.clear()
+        monkeypatch.setattr(operators, "_slice_products", counting)
+        got = bilinear(u, *vs)
+        monkeypatch.setattr(operators, "_slice_products", slice_products)
+        assert len(builds) == len(times) - len(dead)
+        got = got if len(vs) == 2 else (got,)
+        for s in range(len(times)):
+            want = bilinear(u.slices[s], *(v.slices[s] for v in vs))
+            want = want if len(vs) == 2 else (want,)
+            for g, w in zip(got, want, strict=True):
+                assert g.data[s].tobytes() == w.data.tobytes()
+                if s in dead:
+                    assert g.data[s].tobytes() == bytes(g.data[s].nbytes)   # +0 exactly
+        assert not got[-1].data[9].any() and (len(vs) == 1 or got[0].data[9].any())
+
+
+def test_bilinear_warm_call_allocates_nothing_per_slice(monkeypatch):
+    # A warm call keeps no whole-grid work array: its peak traced
+    # allocation is the same at 9 and 193 slices, and it works in the
+    # kernel's own buffers, the same ones on every call. The projection's
+    # temporaries are bounded by _PROJECTION_BYTES, which a 9-slice grid
+    # does not reach at k_max 4, so the projection runs one slice at a
+    # time here to compare the rest.
+    lat = ball(4)
+    kern = conv_kernel(lat)
+    monkeypatch.setattr(operators, "_PROJECTION_BYTES", 1)
+    seen = []
+    slice_products = operators._slice_products
+
+    def recording(plan, u, rhs, out):
+        seen.append((u.ctypes.data, rhs.ctypes.data, plan[0][-3].ctypes.data))   # -3: prod
+        assert np.shares_memory(u, kern.work) and np.shares_memory(rhs, kern.work)
+        assert np.shares_memory(plan[0][-3], kern.prod)
+        return slice_products(plan, u, rhs, out)
+
+    rng = np.random.default_rng(14)
+    for nv in (1, 2):
+        peaks = []
+        for slices in (9, 193):
+            times = unit_times(slices - 1)
+            u, *vs = (random_sliced(lat, times, rng) for _ in range(nv + 1))
+            out = np.empty((slices, len(lat), 3 * nv), dtype=np.complex128)
+            bilinear(u, *vs, out=out)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                bilinear(u, *vs, out=out)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 16 * 1024, peaks
+        # two calls on the same slices read the same addresses
+        monkeypatch.setattr(operators, "_slice_products", recording)
+        seen.clear()
+        bilinear(u, *vs, out=out)
+        first = seen[:]
+        seen.clear()
+        bilinear(u, *vs, out=out)
+        monkeypatch.setattr(operators, "_slice_products", slice_products)
+        assert first == seen and len(first) == 193
 
 
 def test_bilinear_needs_a_right_factor(ball2):

@@ -14,6 +14,7 @@ from nstorus.cli import main
 from nstorus.config import read_config
 from nstorus.lattice import LatticeSpec, get_lattice
 from nstorus.runner import (
+    STATUS_CHECK_FAILED,
     STATUS_CONFIG_ERROR,
     STATUS_FP_FAILURE,
     STATUS_OK,
@@ -471,10 +472,11 @@ def test_check_flags_phi_envelope_excess(tmp_path):
     big = SpectralField.from_modes(lat, {(1, 0, 0): (0.0, 3 * cfg.delta, 0.0)})
     save_field(big, Path(cfg.output_dir) / "fields" / "v_0001.ckpt")
     outcome = check_run(cfg.output_dir)
-    assert outcome.status == STATUS_OK
+    assert outcome.status == STATUS_CHECK_FAILED == 5
     assert "phi envelope EXCEEDED" in outcome.message
     _, _, rows = read_csv(Path(cfg.output_dir) / "check_report.csv")
     assert float(rows[1][4]) == pytest.approx(3 * cfg.delta, rel=1e-15)
+    assert main(["check", cfg.output_dir]) == STATUS_CHECK_FAILED
 
 
 def test_check_requires_fields(tmp_path, capsys):
