@@ -23,22 +23,30 @@ _slice_products). Every output mode is summed from its own pair products,
 so small modes keep their relative accuracy.
 
 The kernel's layout is decided here alone: the block size, the gather
-table that builds each block of the interaction matrix, the D buffer it
-reads with its zero slot, the work arrays it fills (the block of A, the
-chunk buffer of real right and transposed left factors, the block
-product) and each block's views of them are one record per lattice
+table that builds each block of the interaction matrix, and the work arrays
+of each lane (the D buffer the table reads with its zero slot, the block of
+A, the chunk buffer of real right and transposed left factors, the block
+product, and each block's views of them) are one record per lattice
 (_ConvKernel), built on first use by conv_kernel (a warm-up call on zero
 fields builds it at set-up) and reused by every later call on that
 lattice. A call sets itself up once: one zero test over the whole stack,
-one fill of the factors per chunk of slices; per live slice only the
-block loop runs (_slice_products). The lattice supplies only geometry:
-its sites and the flat index-cube positions of points (Lattice.position).
+then the live slices are split into contiguous runs, one per lane, and
+each lane fills the factors a chunk of slices at a time and runs the block
+loop per live slice (_slice_products). There is one lane per usable CPU,
+and never more lanes than live slices: lane 0 runs in the calling thread,
+every other lane on a persistent daemon worker thread (_Worker), which
+numpy's gather and BLAS's product let run at the same time, since both
+release the interpreter lock. The lattice supplies only geometry: its
+sites and the flat index-cube positions of points (Lattice.position).
+Calls must not overlap, on any lattice: the lanes' arrays belong to the
+lattice's kernel and the workers to the process.
 
 Determinism: the summation order is the BLAS library's, which may differ
 between BLAS builds and thread counts. The same config and seed give
 byte-identical CSVs from run to run on one machine with the same numpy and
 BLAS build and the same BLAS thread count; across those, results agree to
-rounding.
+rounding. Lanes never change a byte: a slice's products are the same BLAS
+calls on the same values in whichever lane runs it.
 
 Time integration against the heat kernel uses an exponential-integrator
 rule: on each substep the source is replaced by the average of its endpoint
@@ -59,6 +67,9 @@ own relative accuracy.
 
 from __future__ import annotations
 
+import os
+import threading
+from _queue import SimpleQueue   # queue.SimpleQueue, without queue's imports
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -91,6 +102,18 @@ _BLOCK_BYTES = 512 * 1024
 # least one slice with two right factors): they are filled a chunk at a
 # time, so their set-up is paid once per chunk, not once per slice.
 _CHUNK_BYTES = 256 * 1024
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+# Lanes of a convolution kernel, built with it: one per CPU this process may
+# run on, each with its own work arrays (see bilinear).
+_LANES = _usable_cpus()
 
 
 def leray_project(k, x, out=None) -> np.ndarray:
@@ -127,16 +150,16 @@ def leray_project(k, x, out=None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _ConvKernel:
-    """The lattice convolution's gather table and work arrays, which build
-    the interaction matrix A[k, l] = <k, u(k-l)> one block of `rows` pairs
-    of output sites at a time.
+    """The lattice convolution's gather table and the work arrays of each
+    of its lanes, which build the interaction matrix A[k, l] = <k, u(k-l)>
+    one block of `rows` pairs of output sites at a time.
 
     For N sites, a block pairs the rows r0 <= i < r1 <= N/2 with their
     mirror rows N-r1 <= j < N-r0. Site N-1-i is -(site i) and
     D[k, m] = <k, u(m)> is linear in k, so D[N-1-i] = -D[i] exactly, and
-    both halves are gathered from D's rows r0..r1-1 alone: dots, the flat D
-    buffer of rows*N + 1 complex entries, holds them in its first
-    (r1-r0)*N entries, and its entry rows*N, the zero slot, is never
+    both halves are gathered from D's rows r0..r1-1 alone: a lane's dots,
+    the flat D buffer of rows*N + 1 complex entries, holds them in its
+    first (r1-r0)*N entries, and its entry rows*N, the zero slot, is never
     written and stays 0. A block's gather is a (2 (r1-r0), N) view of one
     flat N*N intp array. Its first half gathers the rows i from D row i-r0;
     its second half gathers the mirror rows j, in order, from D row
@@ -144,40 +167,60 @@ class _ConvKernel:
     (D row)*N + index(p - sites[l]), with index read from the flattened
     index cube at the flat position of p - sites[l], or rows*N when
     p - sites[l] is not a site. The blocks hold (r0, r1, gather) and end at
-    N/2; together they cover all N*N pairs once. inter is the (2 rows, N)
-    block of A that a block's rows and mirror rows are gathered into, so no
-    (N, N) complex matrix is ever formed.
+    N/2; together they cover all N*N pairs once. The gather table is
+    read-only and shared by the lanes (_Lane), one per CPU this process
+    may run on (_LANES when the kernel was built).
+    """
 
-    steps holds each block's views, made once: (b = r1 - r0, its rows
-    r0:r1 and mirror rows N-r1:N-r0 as slices, its sites, its D rows as
-    (re, im) pairs, dots, its gather, and its rows of inter, whole and as
-    (re, im) pairs). work is the flat float64 chunk buffer that bilinear
-    fills with the real right factors and transposed left factors of a run
-    of consecutive slices (_CHUNK_BYTES, and never less than one slice with
+    rows: int
+    blocks: tuple[tuple[int, int, np.ndarray], ...]
+    lanes: tuple[_Lane, ...]
+
+
+class _Lane:
+    """One lane's work arrays for the kernel's blocks, which it alone
+    writes.
+
+    dots is the lane's flat D buffer with its zero slot (see _ConvKernel),
+    and inter the (2 rows, N) block of A that a block's rows and mirror rows
+    are gathered into, so no (N, N) complex matrix is ever formed. steps
+    holds each block's views, made once: (b = r1 - r0, its rows r0:r1 and
+    mirror rows N-r1:N-r0 as slices, its sites, its D rows as (re, im)
+    pairs, dots, its gather, and its rows of inter, whole and as (re, im)
+    pairs). work is the flat float64 chunk buffer that the lane fills with
+    the real right factors and transposed left factors of a run of
+    consecutive slices (_CHUNK_BYTES, and never less than one slice with
     two right factors), and prod the flat float64 buffer of a block's
     product, (2 rows, 6 n) for n <= 2 right factors.
 
     The work arrays are reused by every call on the lattice, which keeps
     each call free of fresh allocations, whose page faults would otherwise
-    cost as much as the arithmetic; calls on one lattice, or on lattices
-    equal to it, must not overlap.
+    cost as much as the arithmetic. (A plain class: a dataclass would add
+    about 1 ms to every command's import.)
     """
 
-    rows: int
-    blocks: tuple[tuple[int, int, np.ndarray], ...]
-    steps: tuple[tuple, ...]
-    dots: np.ndarray
-    inter: np.ndarray
-    work: np.ndarray
-    prod: np.ndarray
+    def __init__(self, lat: Lattice, rows: int, blocks: list):
+        n = len(lat)
+        self.dots = np.zeros(rows * n + 1, dtype=np.complex128)
+        self.inter = np.empty((2 * rows, n), dtype=np.complex128)
+        # the buffer's rows, without the zero slot
+        dots_ri = self.dots[:-1].view(np.float64).reshape(rows, 2 * n)
+        inter_ri = self.inter.view(np.float64)
+        self.steps = tuple((r1 - r0, slice(r0, r1), slice(n - r1, n - r0), lat.sites_f[r0:r1],
+                            dots_ri[:r1 - r0], self.dots, g, self.inter[:2 * (r1 - r0)],
+                            inter_ri[:2 * (r1 - r0)])
+                           for r0, r1, g in blocks)
+        # one slice with two right factors takes 6 n (2*2 + 1) floats
+        self.work = np.empty(max(_CHUNK_BYTES // 8, 30 * n))
+        self.prod = np.empty(24 * rows)
 
 
 @lru_cache(maxsize=None)
 def conv_kernel(lat: Lattice) -> _ConvKernel:
-    """The convolution kernel of lat, built on first use and then shared by
-    every lattice equal to it (equal specs): a block's flat positions of
-    k - l are one subtraction, written into its rows of the gather array
-    and read back by one take from the flat index cube."""
+    """The convolution kernel of lat, with _LANES lanes, built on first use
+    and then shared by every lattice equal to it (equal specs): a block's
+    flat positions of k - l are one subtraction, written into its rows of
+    the gather array and read back by one take from the flat index cube."""
     n = len(lat)
     half = n // 2   # sites come in pairs (k, -k), so n is even
     rows = min(half, max(1, _BLOCK_BYTES // (32 * n)))
@@ -200,17 +243,58 @@ def conv_kernel(lat: Lattice) -> _ConvKernel:
         np.add(mi, (d_row * n)[:, None], out=g)
         g[mi < 0] = rows * n   # the zero slot
         blocks.append((r0, r1, g))
-    dots = np.zeros(rows * n + 1, dtype=np.complex128)
-    inter = np.empty((2 * rows, n), dtype=np.complex128)
-    # the buffer's rows, without the zero slot
-    dots_ri = dots[:-1].view(np.float64).reshape(rows, 2 * n)
-    inter_ri = inter.view(np.float64)
-    steps = tuple((r1 - r0, slice(r0, r1), slice(n - r1, n - r0), lat.sites_f[r0:r1],
-                   dots_ri[:r1 - r0], dots, g, inter[:2 * (r1 - r0)], inter_ri[:2 * (r1 - r0)])
-                  for r0, r1, g in blocks)
-    # one slice with two right factors takes 6 n (2*2 + 1) floats
-    work = np.empty(max(_CHUNK_BYTES // 8, 30 * n))
-    return _ConvKernel(rows, tuple(blocks), steps, dots, inter, work, np.empty(24 * rows))
+    lanes = tuple(_Lane(lat, rows, blocks) for _ in range(_LANES))
+    return _ConvKernel(rows, tuple(blocks), lanes)
+
+
+class _Worker:
+    """A persistent daemon thread that runs one lane's jobs, one at a time,
+    and answers each on `done` with None or the exception it raised."""
+
+    def __init__(self):
+        self.jobs = SimpleQueue()
+        self.done = SimpleQueue()
+        threading.Thread(target=self._serve, name="nstorus-lane", daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            # no local keeps a call's arrays alive while the worker waits
+            self.done.put(self._run(*self.jobs.get()))
+
+    @staticmethod
+    def _run(err: dict, args: tuple) -> BaseException | None:
+        try:
+            # np.errstate is thread-local: run under the caller's
+            with np.errstate(**err):
+                _lane_products(*args)
+        except BaseException as exc:   # the caller raises it
+            return exc
+        return None
+
+
+# The workers of lanes 1, 2, ..., started by the first call that needs them
+# and shared by every kernel. A forked child has none of their threads, so
+# it drops them and starts its own.
+_workers: list[_Worker] = []
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_workers.clear)
+
+
+def _join(workers: list[_Worker]) -> None:
+    """Wait until every worker has answered, then raise the first exception
+    raised in a lane or by an interrupt during the wait, so none propagates
+    while a lane may still write."""
+    errors = []
+    for worker in workers:
+        while True:
+            try:
+                errors.append(worker.done.get())
+                break
+            except BaseException as exc:   # an interrupt: raised once all have answered
+                errors.append(exc)
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def bilinear(u, *vs, out=None):
@@ -238,19 +322,17 @@ def bilinear(u, *vs, out=None):
     slice where u or every v is all zero is dead: its products are exact
     zeros, so one test over the whole stack finds the dead slices, their
     rows are zeroed in one write, and only the live slices are built. The
-    real right factors and transposed left factors are filled a chunk of
-    consecutive slices at a time (a chunk with no live slice is skipped)
-    into the kernel's chunk buffer: one pass per v and one for u, through
-    basic slices, so the fill allocates nothing. The projection
-    (leray_project) and the factor 2 pi i are applied to the whole output
-    at the end, in place, a few slices at a time.
+    live slices are split, in order, into one contiguous run per lane (at
+    most one lane per live slice): lane 0 runs the first in the calling
+    thread while the workers run the others, and the call waits for every
+    lane before it goes on or raises (see _lane_products). The projection
+    (leray_project) and the factor 2 pi i are then applied to the whole
+    output, in place, a few slices at a time.
 
-    The D buffer with its zero slot, the block of A, the chunk buffer and
-    the block product are work arrays built with the kernel (conv_kernel)
-    and reused by every call on the lattice, so a call with at most two
-    right factors allocates none of its own (more may allocate), and
-    bilinear is not thread-safe: calls on one lattice, or on equal ones,
-    must not run concurrently.
+    The lanes' work arrays are built with the kernel (conv_kernel) and
+    reused by every call on the lattice, so a call with at most two right
+    factors allocates none of its own (more may allocate), and bilinear is
+    not thread-safe: calls must not run concurrently, on any lattice.
     """
     if not vs:
         raise TypeError("bilinear needs at least one right factor")
@@ -273,34 +355,25 @@ def bilinear(u, *vs, out=None):
     v_ri = [v.data.view(np.float64).reshape(u_ri.shape) for v in vs]
     live = u_ri.any(axis=(1, 2, 3)) & np.any([v.any(axis=(1, 2, 3)) for v in v_ri], axis=0)
     res[~live] = 0.0
-    # a chunk of c slices: right factors (c, 2N, 6 nv), then left factors (c, 3, 2N)
-    per_slice = 6 * n * (2 * nv + 1)
-    work = kern.work if per_slice <= kern.work.size else np.empty(per_slice)
-    c = work.size // per_slice
-    rhs = work[: c * 12 * n * nv].reshape(c, 2 * n, 6 * nv)
-    left = work[c * 12 * n * nv: c * per_slice].reshape(c, 3, 2 * n)
-    pairs = rhs.reshape(c, n, 2, nv, 3, 2)
-    left_pairs = left.reshape(c, 3, n, 2)
-    size = 12 * kern.rows * nv
-    prod = (kern.prod[:size] if nv <= 2 else np.empty(size)).reshape(2 * kern.rows, 6 * nv)
-    plan = [(own, mirror, kf, dots_ri, dots, gather, inter, inter_ri,
-             prod[: 2 * b], prod[:b], prod[b: 2 * b])
-            for b, own, mirror, kf, dots_ri, dots, gather, inter, inter_ri in kern.steps]
-    res_ri = res.view(np.float64)
-    for first in range(0, len(u_st), c):
-        end = min(len(u_st), first + c)
-        at = np.flatnonzero(live[first:end]).tolist()
-        if not at:
-            continue
-        m = end - first
-        np.copyto(left_pairs[:m], u_ri[first:end].transpose(0, 2, 1, 3))
-        for i, v in enumerate(v_ri):
-            part = v[first:end]
-            pairs[:m, :, 0, i] = part
-            np.negative(part[..., 1], out=pairs[:m, :, 1, i, :, 0])
-            pairs[:m, :, 1, i, :, 1] = part[..., 0]
-        for j in at:
-            _slice_products(plan, left[j], rhs[j], res_ri[first + j])
+    at = np.flatnonzero(live).tolist()
+    lanes = min(len(kern.lanes), len(at))
+    if lanes:
+        # lane i runs the live slices at[cut[i]:cut[i+1]]: the first lanes
+        # take one more when they do not split evenly
+        cut = [-(-len(at) * i // lanes) for i in range(lanes + 1)]
+        spans = [(at[a], at[b - 1] + 1) for a, b in zip(cut, cut[1:])]
+        data = (u_ri, v_ri, live, res.view(np.float64))
+        while len(_workers) < lanes - 1:
+            _workers.append(_Worker())
+        err = np.geterr()
+        busy = []
+        try:
+            for worker, lane, span in zip(_workers, kern.lanes[1:], spans[1:]):
+                worker.jobs.put((err, (lane, *span, *data)))
+                busy.append(worker)
+            _lane_products(kern.lanes[0], *spans[0], *data)
+        finally:
+            _join(busy)
     kf = lat.sites_f[:, None, :]
     per_v = res.reshape(len(u_st), n, nv, 3)
     step = max(1, _PROJECTION_BYTES // per_v[0].nbytes)
@@ -314,14 +387,63 @@ def bilinear(u, *vs, out=None):
     return parts[0] if nv == 1 else parts
 
 
+def _lane_products(lane: _Lane, start: int, stop: int, u_ri: np.ndarray, v_ri: list,
+                   live: np.ndarray, res_ri: np.ndarray) -> None:
+    """Write the unprojected products of the live slices start <= s < stop
+    into res_ri, the real view of bilinear's output, in lane's work arrays
+    alone. u_ri and v_ri are the factors' slices as (re, im) pairs,
+    (S+1, N, 3, 2), and live bilinear's mask of live slices.
+
+    The real right factors and transposed left factors are filled a chunk
+    of consecutive slices at a time (a chunk with no live slice is skipped)
+    into the lane's chunk buffer: one pass per v and one for u, through
+    basic slices, so the fill allocates nothing. Then each live slice of
+    the chunk runs the block loop (_slice_products). Only _slice_products
+    and numpy run here, since a worker thread runs this too."""
+    n = u_ri.shape[1]
+    nv = len(v_ri)
+    # a chunk of c slices: right factors (c, 2N, 6 nv), then left factors (c, 3, 2N)
+    per_slice = 6 * n * (2 * nv + 1)
+    work = lane.work if per_slice <= lane.work.size else np.empty(per_slice)
+    c = work.size // per_slice
+    rhs = work[: c * 12 * n * nv].reshape(c, 2 * n, 6 * nv)
+    left = work[c * 12 * n * nv: c * per_slice].reshape(c, 3, 2 * n)
+    pairs = rhs.reshape(c, n, 2, nv, 3, 2)
+    left_pairs = left.reshape(c, 3, n, 2)
+    rows = len(lane.inter) // 2
+    size = 12 * rows * nv
+    prod = (lane.prod[:size] if nv <= 2 else np.empty(size)).reshape(2 * rows, 6 * nv)
+    plan = [(own, mirror, kf, dots_ri, dots, gather, inter, inter_ri,
+             prod[: 2 * b], prod[:b], prod[b: 2 * b])
+            for b, own, mirror, kf, dots_ri, dots, gather, inter, inter_ri in lane.steps]
+    for first in range(start, stop, c):
+        end = min(stop, first + c)
+        at = np.flatnonzero(live[first:end]).tolist()
+        if not at:
+            continue
+        m = end - first
+        # a ufunc whose output is pairs' strided view buffers it (up to
+        # 64 KB a call), so -im is formed in the left factors' space first
+        neg = left[:m].reshape(-1)[: m * n * 3].reshape(m, n, 3)
+        for i, v in enumerate(v_ri):
+            part = v[first:end]
+            pairs[:m, :, 0, i] = part
+            np.negative(part[..., 1], out=neg)
+            pairs[:m, :, 1, i, :, 0] = neg
+            pairs[:m, :, 1, i, :, 1] = part[..., 0]
+        np.copyto(left_pairs[:m], u_ri[first:end].transpose(0, 2, 1, 3))
+        for j in at:
+            _slice_products(plan, left[j], rhs[j], res_ri[first + j])
+
+
 def _slice_products(plan: list, u: np.ndarray, rhs: np.ndarray, out: np.ndarray) -> None:
     """Write A(u) @ [v_1 ... v_n] for one live slice, before the
     projection, into out, the (N, 6n) real view of its (N, 3n) output.
-    plan is bilinear's per-call list of each block's kernel views
-    (_ConvKernel.steps) with its rows of the block product; u is the
-    slice's left factor as the (3, 2N) real array of its (re, im) pairs
-    side by side, and rhs its (2N, 6n) real right factor, whose rows 2l
-    and 2l+1 hold each v(l)'s (re, im) and (-im, re) pairs.
+    plan is the lane's per-call list of each block's views (_Lane.steps)
+    with its rows of the block product; u is the slice's left factor as
+    the (3, 2N) real array of its (re, im) pairs side by side, and rhs its
+    (2N, 6n) real right factor, whose rows 2l and 2l+1 hold each v(l)'s
+    (re, im) and (-im, re) pairs.
 
     Per block of row pairs of the kernel: a cache-sized block of
     D[i, m] = <i, u(m)> for the block's rows i < N/2 is written to the D
@@ -345,7 +467,7 @@ def _slice_products(plan: list, u: np.ndarray, rhs: np.ndarray, out: np.ndarray)
     for own, mirror, kf, dots_ri, dots, gather, inter, inter_ri, prod, top, bottom in plan:
         np.matmul(kf, u, out=dots_ri)   # D[i-r0, m] = <i, u(m)>
         # every index is in range; "wrap" only skips numpy's bounds check
-        np.take(dots, gather, out=inter, mode="wrap")
+        dots.take(gather, out=inter, mode="wrap")
         np.matmul(inter_ri, rhs, out=prod)
         out[own] = top
         # 0 - x, not -x: an exact zero stays +0, as BLAS sums it

@@ -1,6 +1,12 @@
 import math
+import os
 import re
+import signal
+import sys
+import threading
+import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +32,24 @@ from nstorus import operators
 from nstorus.operators import conv_kernel, duhamel_rules
 from util import (ball, conv_triples, direct_bilinear, duhamel_terms, random_field,
                   random_sliced, star_majorant)
+
+
+@pytest.fixture
+def lanes(monkeypatch):
+    """Sets the lane count of the convolution kernels built next, whatever
+    the machine's CPU count: lanes(n) drops the built kernels, so the next
+    call builds n lanes. The kernels built under it are dropped at
+    teardown."""
+    def use(count):
+        monkeypatch.setattr(operators, "_LANES", count)
+        conv_kernel.cache_clear()
+    yield use
+    conv_kernel.cache_clear()
+
+
+@pytest.fixture
+def two_lanes(lanes):
+    lanes(2)
 
 
 # -- Leray projection ----------------------------------------------------------
@@ -161,15 +185,23 @@ def test_conv_table_blocks_partition_the_pairs(k_max):
     assert all(g.base is base for _, _, g in kern.blocks)
     ki, li, _ = conv_triples(lat)
     assert ki.size == int(sum((g != kern.rows * n).sum() for _, _, g in kern.blocks))
-    assert kern.dots.shape == (kern.rows * n + 1,) and kern.inter.shape == (2 * kern.rows, n)
+    # one lane per CPU the kernel was built for, each with arrays of its own
+    assert len(kern.lanes) == operators._LANES
+    for lane in kern.lanes:
+        assert lane.dots.shape == (kern.rows * n + 1,) and lane.inter.shape == (2 * kern.rows, n)
+    held = [a for lane in kern.lanes for a in (lane.dots, lane.inter, lane.work, lane.prod)]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(held) for b in held[i + 1:])
 
 
-def test_conv_zero_slot_stays_zero_after_bilinear():
+def test_conv_zero_slot_stays_zero_after_bilinear(two_lanes):
+    # in every lane: a call over 4 live slices runs 2 in each
     lat = get_lattice(LatticeSpec(6))
     rng = np.random.default_rng(61)
-    u, v = random_field(lat, rng), random_field(lat, rng)
+    times = unit_times(3)
+    u, v = random_sliced(lat, times, rng), random_sliced(lat, times, rng)
     bilinear(u, v)
-    assert conv_kernel(lat).dots[-1].tobytes() == bytes(16)   # +0.0 + 0.0j exactly
+    for lane in conv_kernel(lat).lanes:
+        assert lane.dots[-1].tobytes() == bytes(16)   # +0.0 + 0.0j exactly
 
 
 def test_no_full_interaction_matrix_on_the_lattice():
@@ -186,7 +218,7 @@ def test_no_full_interaction_matrix_on_the_lattice():
         elif isinstance(obj, (tuple, list)):
             for item in obj:
                 yield from arrays(item)
-        elif isinstance(obj, operators._ConvKernel):
+        elif isinstance(obj, (operators._ConvKernel, operators._Lane)):
             yield from arrays(list(vars(obj).values()))
 
     kernel = list(arrays(conv_kernel(lat)))
@@ -433,7 +465,7 @@ def test_bilinear_on_sliced_fields_is_per_slice(ball2):
 def chunk_slices(lat, nv):
     """Slices per chunk of the kernel's work buffer for nv right factors:
     each takes (2N, 6 nv) right factors and a (3, 2N) left factor."""
-    return conv_kernel(lat).work.size // (6 * len(lat) * (2 * nv + 1))
+    return conv_kernel(lat).lanes[0].work.size // (6 * len(lat) * (2 * nv + 1))
 
 
 def test_bilinear_builds_only_live_slices_across_chunks(monkeypatch):
@@ -475,50 +507,214 @@ def test_bilinear_builds_only_live_slices_across_chunks(monkeypatch):
         assert not got[-1].data[9].any() and (len(vs) == 1 or got[0].data[9].any())
 
 
-def test_bilinear_warm_call_allocates_nothing_per_slice(monkeypatch):
+def test_bilinear_warm_call_allocates_nothing_per_slice(lanes, monkeypatch):
     # A warm call keeps no whole-grid work array: its peak traced
-    # allocation is the same at 9 and 193 slices, and it works in the
-    # kernel's own buffers, the same ones on every call. The projection's
-    # temporaries are bounded by _PROJECTION_BYTES, which a 9-slice grid
-    # does not reach at k_max 4, so the projection runs one slice at a
-    # time here to compare the rest.
-    lat = ball(4)
-    kern = conv_kernel(lat)
+    # allocation is the same at 9 and 193 slices, and every lane works in
+    # its own buffers of the kernel, the same ones on every call; with one
+    # lane and with two. The projection's temporaries are bounded by
+    # _PROJECTION_BYTES, which a 9-slice grid does not reach at k_max 4, so
+    # the projection runs one slice at a time here to compare the rest.
     monkeypatch.setattr(operators, "_PROJECTION_BYTES", 1)
-    seen = []
+    seen = {}
     slice_products = operators._slice_products
 
     def recording(plan, u, rhs, out):
-        seen.append((u.ctypes.data, rhs.ctypes.data, plan[0][-3].ctypes.data))   # -3: prod
-        assert np.shares_memory(u, kern.work) and np.shares_memory(rhs, kern.work)
-        assert np.shares_memory(plan[0][-3], kern.prod)
+        # the lane whose chunk buffer holds u owns every array the slice uses
+        owner, = (i for i, lane in enumerate(kern.lanes) if np.shares_memory(u, lane.work))
+        lane = kern.lanes[owner]
+        assert np.shares_memory(rhs, lane.work)
+        assert np.shares_memory(plan[0][-3], lane.prod)   # -3: prod
+        assert all(step[4] is lane.dots and np.shares_memory(step[6], lane.inter)
+                   for step in plan)
+        seen[out.ctypes.data] = (owner, u.ctypes.data, rhs.ctypes.data, plan[0][-3].ctypes.data)
         return slice_products(plan, u, rhs, out)
 
     rng = np.random.default_rng(14)
-    for nv in (1, 2):
-        peaks = []
-        for slices in (9, 193):
-            times = unit_times(slices - 1)
-            u, *vs = (random_sliced(lat, times, rng) for _ in range(nv + 1))
-            out = np.empty((slices, len(lat), 3 * nv), dtype=np.complex128)
-            bilinear(u, *vs, out=out)
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
+    for count in (1, 2):
+        lanes(count)
+        lat = ball(4)
+        kern = conv_kernel(lat)
+        for nv in (1, 2):
+            peaks = []
+            for slices in (9, 193):
+                times = unit_times(slices - 1)
+                u, *vs = (random_sliced(lat, times, rng) for _ in range(nv + 1))
+                out = np.empty((slices, len(lat), 3 * nv), dtype=np.complex128)
                 bilinear(u, *vs, out=out)
-                peaks.append(tracemalloc.get_traced_memory()[1] - base)
-            finally:
-                tracemalloc.stop()
-        assert abs(peaks[1] - peaks[0]) <= 16 * 1024, peaks
-        # two calls on the same slices read the same addresses
-        monkeypatch.setattr(operators, "_slice_products", recording)
-        seen.clear()
-        bilinear(u, *vs, out=out)
-        first = seen[:]
-        seen.clear()
-        bilinear(u, *vs, out=out)
-        monkeypatch.setattr(operators, "_slice_products", slice_products)
-        assert first == seen and len(first) == 193
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    bilinear(u, *vs, out=out)
+                    peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                finally:
+                    tracemalloc.stop()
+            assert abs(peaks[1] - peaks[0]) <= 16 * 1024, (count, nv, peaks)
+            # two calls on the same slices run each in the same lane, at
+            # the same addresses, and every lane takes part
+            monkeypatch.setattr(operators, "_slice_products", recording)
+            seen.clear()
+            bilinear(u, *vs, out=out)
+            first = dict(seen)
+            seen.clear()
+            bilinear(u, *vs, out=out)
+            monkeypatch.setattr(operators, "_slice_products", slice_products)
+            assert first == seen and len(first) == 193
+            assert {owner for owner, *_ in first.values()} == set(range(count))
+
+
+# -- lanes ------------------------------------------------------------------------
+
+LANE_LATTICES = ([LatticeSpec(k) for k in (1, 2, 3, 4, 5, 6, 8)]
+                 + [LatticeSpec(k, TruncationRule.SUP_CUBE) for k in (1, 2, 3, 4)])
+
+
+def lane_factors(lat, slices, seed):
+    """u, v1 and v2 on slices grid times: u dead at slice 0, v1 and v2 at
+    slice slices // 2 and at the last slice, and v2 also at slice 2, which
+    v1 keeps live."""
+    times = unit_times(slices - 1)
+    rng = np.random.default_rng(seed)
+    u, v1, v2 = (random_sliced(lat, times, rng).data.copy() for _ in range(3))
+    u[0] = 0.0
+    v1[[slices // 2, -1]] = 0.0
+    v2[[2, slices // 2, -1]] = 0.0
+    return tuple(TimeSlicedField(times, lat, d) for d in (u, v1, v2))
+
+
+def lane_outputs(lanes, count, u, *vs):
+    """bilinear(u, *vs) into a fresh out, from a kernel with count lanes."""
+    lanes(count)
+    out = np.full((len(u.times), len(u.lattice), 3 * len(vs)), np.nan, dtype=np.complex128)
+    return bilinear(u, *vs, out=out)
+
+
+@pytest.mark.parametrize("spec", LANE_LATTICES, ids=lambda s: f"{s.truncation_rule.value}-{s.k_max}")
+def test_bilinear_two_lanes_match_one_lane_per_slice(spec, lanes):
+    # 8 slices, 5 of them live (1-3, 5, 6): two lanes run 1-3 and 5-6, with
+    # a dead slice before the first run, between the runs and after the
+    # last; v2's zero slice 2 lies inside the first run
+    lat = get_lattice(spec)
+    u, v1, v2 = lane_factors(lat, 8, seed=71)
+    for vs in ((v1,), (v1, v2)):
+        want = lane_outputs(lanes, 1, u, *vs)
+        got = lane_outputs(lanes, 2, u, *vs)
+        for s in range(8):
+            assert got[s].tobytes() == want[s].tobytes(), s
+        for s in (0, 4, 7):
+            assert got[s].tobytes() == bytes(got[s].nbytes)   # +0 exactly
+
+
+def test_bilinear_lanes_under_contention(lanes):
+    # more lanes than CPUs, with thread switches forced every microsecond,
+    # on repeated calls: every call still gives the one-lane bytes
+    count = operators._usable_cpus() + 1
+    u, v1, v2 = lane_factors(ball(2), count + 4, seed=72)
+    want = lane_outputs(lanes, 1, u, v1, v2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            assert lane_outputs(lanes, count, u, v1, v2).tobytes() == want.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("raiser, error", [("worker", RuntimeError), ("caller", KeyboardInterrupt)])
+def test_bilinear_raises_only_once_every_lane_has_stopped(raiser, error, two_lanes, monkeypatch):
+    # 8 live slices, 4 per lane: one lane raises on its first slice while
+    # the other takes 10 ms a slice. The error reaches the caller only
+    # after the other lane has finished, and the next call is exact.
+    lat = ball(3)
+    times = unit_times(7)
+    rng = np.random.default_rng(73)
+    u, v = random_sliced(lat, times, rng), random_sliced(lat, times, rng)
+    want = bilinear(u, v).data.tobytes()
+    caller = threading.current_thread()
+    lock = threading.Lock()
+    active, finished = [0], {"caller": 0, "worker": 0}
+    slice_products = operators._slice_products
+
+    def flaky(*args):
+        side = "caller" if threading.current_thread() is caller else "worker"
+        with lock:
+            active[0] += 1
+        try:
+            if side == raiser:
+                raise error(f"from the {side}")
+            time.sleep(0.01)
+            slice_products(*args)
+            finished[side] += 1
+        finally:
+            with lock:
+                active[0] -= 1
+
+    monkeypatch.setattr(operators, "_slice_products", flaky)
+    with pytest.raises(error, match=f"from the {raiser}"):
+        bilinear(u, v)
+    assert active[0] == 0
+    assert finished == {"caller": 0, "worker": 4} if raiser == "caller" else {"caller": 4, "worker": 0}
+    monkeypatch.setattr(operators, "_slice_products", slice_products)
+    assert bilinear(u, v).data.tobytes() == want
+
+
+def test_bilinear_lanes_run_under_the_callers_error_state(two_lanes):
+    # the products of the last of 4 live slices overflow, and the second
+    # lane runs it: numpy's error state, which is per thread, is the
+    # caller's there too
+    lat = ball(2)
+    times = unit_times(3)
+    rng = np.random.default_rng(74)
+    u, v = (random_sliced(lat, times, rng).data.copy() for _ in range(2))
+    u[-1] *= 1e200
+    v[-1] *= 1e200
+    u, v = (TimeSlicedField(times, lat, d) for d in (u, v))
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            bilinear(u, v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = bilinear(u, v)   # RuntimeWarnings are errors in this suite
+    assert np.isfinite(got.data[:-1]).all() and not np.isfinite(got.data[-1]).all()
+
+
+def test_bilinear_workers_keep_no_array_of_a_finished_call(two_lanes):
+    # an idle worker holding its last job would keep that call's factors
+    # and output alive until the next call
+    lat = ball(2)
+    times = unit_times(3)
+    rng = np.random.default_rng(76)
+    u, v = random_sliced(lat, times, rng), random_sliced(lat, times, rng)
+    out = np.empty((len(times), len(lat), 3), dtype=np.complex128)
+    bilinear(u, v, out=out)
+    held = [weakref.ref(a) for a in (u.data, v.data, out)]
+    del u, v, out
+    assert [ref() for ref in held] == [None] * 3
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_bilinear_in_a_forked_child_starts_its_own_workers(two_lanes):
+    # the parent's workers are threads the child does not have: a child
+    # that queued work for them would wait forever
+    lat = ball(2)
+    times = unit_times(5)
+    rng = np.random.default_rng(75)
+    u, v = random_sliced(lat, times, rng), random_sliced(lat, times, rng)
+    want = bilinear(u, v).data.tobytes()
+    assert operators._workers
+    pid = os.fork()
+    if pid == 0:
+        code = 3
+        try:
+            code = 0 if bilinear(u, v).data.tobytes() == want else 4
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while not (status := os.waitpid(pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's call did not finish")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
 def test_bilinear_needs_a_right_factor(ball2):

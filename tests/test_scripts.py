@@ -18,9 +18,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("script, args", [
     ("oracle_comparison.py", ["--horizon", "1"]),
-    ("contraction_study.py", ["--horizon", "2"]),
-    ("delta_threshold.py", ["--bisect-steps", "3", "--bisect-horizon", "2",
-                            "--output-dir", "out"]),
 ])
 def test_script_runs(script, args, tmp_path):
     proc = run_script(script, "--k-max", "2", *args, cwd=tmp_path)
