@@ -1,7 +1,7 @@
 """Nonlinear machinery: Leray projection, the lattice convolution, and the
 heat-kernel-weighted time integration that composes them. Each operator
 exists once, in the form the solver runs: leray_project is the one
-projection (bilinear applies it to its whole output) and duhamel_integrate
+projection (bilinear's lanes apply it to their outputs) and duhamel_integrate
 the one time-integration rule (star_product applies it to bilinear's
 samples).
 
@@ -23,9 +23,9 @@ _slice_products). Every output mode is summed from its own pair products,
 so small modes keep their relative accuracy.
 
 The kernel's layout is decided here alone: the block size, the gather
-table that builds each block of the interaction matrix, and the work arrays
-of each lane (the D buffer the table reads with its zero slot, the block of
-A, the chunk buffer of real right and transposed left factors, the block
+table that builds each block of the interaction matrix, and the lane's work
+arrays (the D buffer the table reads with its zero slot, the block of A,
+the chunk buffer of real right and transposed left factors, the block
 product, and each block's views of them) are one record per lattice
 (_ConvKernel), built on first use by conv_kernel (a warm-up call on zero
 fields builds it at set-up) and reused by every later call on that
@@ -33,20 +33,22 @@ lattice. A call sets itself up once: one zero test over the whole stack,
 then the live slices are split into contiguous runs, one per lane, and
 each lane fills the factors a chunk of slices at a time and runs the block
 loop per live slice (_slice_products). There is one lane per usable CPU,
-and never more lanes than live slices: lane 0 runs in the calling thread,
-every other lane on a persistent daemon worker thread (_Worker), which
-numpy's gather and BLAS's product let run at the same time, since both
-release the interpreter lock. The lattice supplies only geometry: its
-sites and the flat index-cube positions of points (Lattice.position).
-Calls must not overlap, on any lattice: the lanes' arrays belong to the
-lattice's kernel and the workers to the process.
+and never more lanes than live slices: lane 0 runs in the calling process,
+every other lane in a persistent worker process (_Worker), forked from the
+caller, so the lanes' short numpy and BLAS calls never wait for each
+other's interpreter lock. Each process holds its own copy of the kernel's
+work arrays. The lattice supplies only geometry: its sites and the flat
+index-cube positions of points (Lattice.position). Calls must not overlap,
+on any lattice: the kernel's arrays belong to the lattice and the workers
+to the process.
 
 Determinism: the summation order is the BLAS library's, which may differ
 between BLAS builds and thread counts. The same config and seed give
 byte-identical CSVs from run to run on one machine with the same numpy and
 BLAS build and the same BLAS thread count; across those, results agree to
 rounding. Lanes never change a byte: a slice's products are the same BLAS
-calls on the same values in whichever lane runs it.
+calls on the same values in whichever lane runs it, and its projection the
+same operations on each entry.
 
 Time integration against the heat kernel uses an exponential-integrator
 rule: on each substep the source is replaced by the average of its endpoint
@@ -67,16 +69,19 @@ own relative accuracy.
 
 from __future__ import annotations
 
+import _signal   # signal's C core, without the enums signal builds on import
+import atexit
 import os
-import threading
-from _queue import SimpleQueue   # queue.SimpleQueue, without queue's imports
+import pickle
+import time
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .fields import TimeSlicedField
-from .lattice import Lattice
+from .lattice import Lattice, get_lattice
 
 __all__ = [
     "leray_project",
@@ -111,9 +116,25 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Lanes of a convolution kernel, built with it: one per CPU this process may
-# run on, each with its own work arrays (see bilinear).
-_LANES = _usable_cpus()
+# Lanes of a convolution call: one per CPU this process may run on, lane 0
+# in the caller and each other one in a forked worker (see bilinear); one
+# lane, and no worker, where processes cannot fork.
+_LANES = _usable_cpus() if hasattr(os, "fork") else 1
+# Fewest pairs (k, l) of output and right-factor sites, over a call's live
+# slices, per lane: a lane beyond the first costs its call a fixed time
+# (the copies to and from its worker, and up to two process wake-ups), so
+# a smaller call runs on fewer lanes. The solver's calls at k_max 4, with 8
+# live slices of 2^16 pairs each, run on two lanes; 9-slice calls on the
+# k_max 2 and 3 balls run on one: there two lanes gained at most a fifth on
+# back-to-back calls, and ran up to 3 times slower when the worker had to
+# be woken.
+_LANE_PAIRS = 1 << 18
+# Seconds a lane polls its pipe for the next message before it blocks: a
+# process that blocks takes 0.1-0.3 ms to wake and then runs slower for a
+# while, a tenth of a 9-slice call at k_max 4, while a worker's next job and
+# its answer mostly arrive sooner than this. So a worker keeps its CPU busy
+# for up to this long after each job.
+_POLL_S = 0.001
 
 
 def leray_project(k, x, out=None) -> np.ndarray:
@@ -150,14 +171,14 @@ def leray_project(k, x, out=None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _ConvKernel:
-    """The lattice convolution's gather table and the work arrays of each
-    of its lanes, which build the interaction matrix A[k, l] = <k, u(k-l)>
-    one block of `rows` pairs of output sites at a time.
+    """The lattice convolution's gather table and its lane's work arrays,
+    which build the interaction matrix A[k, l] = <k, u(k-l)> one block of
+    `rows` pairs of output sites at a time.
 
     For N sites, a block pairs the rows r0 <= i < r1 <= N/2 with their
     mirror rows N-r1 <= j < N-r0. Site N-1-i is -(site i) and
     D[k, m] = <k, u(m)> is linear in k, so D[N-1-i] = -D[i] exactly, and
-    both halves are gathered from D's rows r0..r1-1 alone: a lane's dots,
+    both halves are gathered from D's rows r0..r1-1 alone: the lane's dots,
     the flat D buffer of rows*N + 1 complex entries, holds them in its
     first (r1-r0)*N entries, and its entry rows*N, the zero slot, is never
     written and stays 0. A block's gather is a (2 (r1-r0), N) view of one
@@ -168,18 +189,18 @@ class _ConvKernel:
     index cube at the flat position of p - sites[l], or rows*N when
     p - sites[l] is not a site. The blocks hold (r0, r1, gather) and end at
     N/2; together they cover all N*N pairs once. The gather table is
-    read-only and shared by the lanes (_Lane), one per CPU this process
-    may run on (_LANES when the kernel was built).
+    read-only. Each process that runs a lane works in its own copy of the
+    lane's arrays (_Lane): the caller in its own, a worker in the one it
+    inherited when it was forked (see _Worker).
     """
 
     rows: int
     blocks: tuple[tuple[int, int, np.ndarray], ...]
-    lanes: tuple[_Lane, ...]
+    lane: _Lane
 
 
 class _Lane:
-    """One lane's work arrays for the kernel's blocks, which it alone
-    writes.
+    """A lane's work arrays for the kernel's blocks.
 
     dots is the lane's flat D buffer with its zero slot (see _ConvKernel),
     and inter the (2 rows, N) block of A that a block's rows and mirror rows
@@ -217,10 +238,10 @@ class _Lane:
 
 @lru_cache(maxsize=None)
 def conv_kernel(lat: Lattice) -> _ConvKernel:
-    """The convolution kernel of lat, with _LANES lanes, built on first use
-    and then shared by every lattice equal to it (equal specs): a block's
-    flat positions of k - l are one subtraction, written into its rows of
-    the gather array and read back by one take from the flat index cube."""
+    """The convolution kernel of lat, built on first use and then shared
+    by every lattice equal to it (equal specs): a block's flat positions of
+    k - l are one subtraction, written into its rows of the gather array
+    and read back by one take from the flat index cube."""
     n = len(lat)
     half = n // 2   # sites come in pairs (k, -k), so n is even
     rows = min(half, max(1, _BLOCK_BYTES // (32 * n)))
@@ -243,55 +264,205 @@ def conv_kernel(lat: Lattice) -> _ConvKernel:
         np.add(mi, (d_row * n)[:, None], out=g)
         g[mi < 0] = rows * n   # the zero slot
         blocks.append((r0, r1, g))
-    lanes = tuple(_Lane(lat, rows, blocks) for _ in range(_LANES))
-    return _ConvKernel(rows, tuple(blocks), lanes)
+    return _ConvKernel(rows, tuple(blocks), _Lane(lat, rows, blocks))
 
 
 class _Worker:
-    """A persistent daemon thread that runs one lane's jobs, one at a time,
-    and answers each on `done` with None or the exception it raised."""
+    """A persistent forked process that runs one lane's jobs, one at a time
+    (see bilinear).
 
-    def __init__(self):
-        self.jobs = SimpleQueue()
-        self.done = SimpleQueue()
-        threading.Thread(target=self._serve, name="nstorus-lane", daemon=True).start()
+    Forked from the caller, it inherits every kernel built by then, gather
+    table included, copy-on-write; a kernel built later it builds on its
+    first job on that lattice. shared is a shared anonymous mapping of
+    `size` bytes, seen as complex128 and made before the fork. For a job on
+    m slices the caller copies each distinct factor's slices into an
+    (m, N, width) array at its start, side by side, and the worker writes
+    each slice's projected products over that slice's factors, in its first
+    3 nv columns (_worker_products). A job and its answer are each one
+    message on a pipe (_send), which the side that waits for it polls
+    briefly before it blocks (_read). The worker ignores SIGINT, so an
+    interrupt reaches the caller alone, leaves through os._exit, so none of
+    the caller's exit code runs in it, and exits when its job pipe reaches
+    EOF: when the caller stops it, or dies.
+    """
 
-    def _serve(self) -> None:
-        while True:
-            # no local keeps a call's arrays alive while the worker waits
-            self.done.put(self._run(*self.jobs.get()))
-
-    @staticmethod
-    def _run(err: dict, args: tuple) -> BaseException | None:
+    def __init__(self, size: int):
+        import mmap   # here: a call without a worker never needs it
+        self.size = size
+        self.shared = np.frombuffer(mmap.mmap(-1, size), dtype=np.complex128)
+        jobs, self.jobs = os.pipe()
+        self.answers, answers = os.pipe()
+        os.set_blocking(jobs, False)   # the ends that _receive polls
+        os.set_blocking(self.answers, False)
+        self.inbox = bytearray()   # what has arrived of the next answer
         try:
-            # np.errstate is thread-local: run under the caller's
-            with np.errstate(**err):
-                _lane_products(*args)
-        except BaseException as exc:   # the caller raises it
-            return exc
-        return None
+            self.pid = os.fork()
+        except OSError:
+            for fd in (jobs, self.jobs, self.answers, answers):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(self.jobs)
+                os.close(self.answers)
+                _signal.signal(_signal.SIGINT, _signal.SIG_IGN)
+                inbox = bytearray()
+                while (job := _receive(jobs, inbox)) is not None:   # None: EOF
+                    _send(answers, self._run(*job))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(jobs)
+        os.close(answers)
+
+    def _run(self, err: dict, spec, m: int, nv: int, width: int, columns: list,
+             live: bytes) -> tuple:
+        """Run a job; its answer is the exception it raised, or None, and
+        the (category, message) of each warning it issued, which the
+        caller's filters decide on (_join)."""
+        error = None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                with np.errstate(**err):   # the caller's numpy error state
+                    lat = get_lattice(spec)
+                    _worker_products(self.region(m, len(lat), width), lat, nv, columns,
+                                     np.frombuffer(live, dtype=bool))
+            except Exception as exc:   # the caller raises it
+                error = exc
+        return error, [(w.category, str(w.message)) for w in caught]
+
+    def region(self, m: int, n: int, width: int) -> np.ndarray:
+        """The (m, n, width) complex array at the start of the mapping."""
+        return self.shared[: m * n * width].reshape(m, n, width)
+
+    def send(self, job: tuple) -> None:
+        """Hand the worker a job. The pipe of a worker that died is broken;
+        its answer reports it."""
+        try:
+            _send(self.jobs, job)
+        except BrokenPipeError:
+            pass
+
+    def answer(self) -> tuple:
+        """The worker's answer to its job (see _run). A worker that died
+        instead is reaped and dropped, so that the next call forks a fresh
+        one, and its answer is a RuntimeError that names it."""
+        answer = _receive(self.answers, self.inbox)
+        if answer is not None:
+            return answer
+        _workers.remove(self)
+        code = os.waitstatus_to_exitcode(self.stop())
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        return RuntimeError(f"the convolution's worker process {self.pid} {how}"), []
+
+    def stop(self) -> int:
+        """Close the pipes, so that the worker's job pipe reaches EOF and it
+        exits, and reap it; returns its wait status."""
+        os.close(self.jobs)
+        os.close(self.answers)
+        return os.waitpid(self.pid, 0)[1]
 
 
-# The workers of lanes 1, 2, ..., started by the first call that needs them
-# and shared by every kernel. A forked child has none of their threads, so
-# it drops them and starts its own.
+def _send(fd: int, message) -> None:
+    """Write message to the pipe fd: its pickle, after the pickle's length."""
+    data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _receive(fd: int, inbox: bytearray):
+    """The next message that _send wrote to the non-blocking pipe fd, or
+    None at EOF. inbox keeps what has arrived of it, so that a wait an
+    interrupt cut short resumes where it stopped."""
+    while len(inbox) < 8 + int.from_bytes(inbox[:8], "little"):
+        part = _read(fd)
+        if not part:
+            return None
+        inbox += part
+    end = 8 + int.from_bytes(inbox[:8], "little")
+    message = pickle.loads(inbox[8:end])
+    del inbox[:end]
+    return message
+
+
+def _read(fd: int) -> bytes:
+    """The bytes waiting on the non-blocking pipe fd (b"" at EOF), polled
+    for up to _POLL_S and then waited for."""
+    end = time.perf_counter() + _POLL_S
+    while time.perf_counter() < end:
+        try:
+            return os.read(fd, 1 << 16)
+        except BlockingIOError:
+            pass
+    os.set_blocking(fd, True)
+    try:
+        return os.read(fd, 1 << 16)
+    finally:
+        os.set_blocking(fd, False)
+
+
+# The workers of lanes 1, 2, ..., forked by the first call that has a live
+# slice for them and shared by every kernel.
 _workers: list[_Worker] = []
+
+
+def _ready_workers(sizes: list[int]) -> list[_Worker]:
+    """One worker per size, whose mapping holds at least that many bytes:
+    a missing worker is forked, and one with a smaller mapping stopped and
+    forked again with a mapping of that size."""
+    for i, size in enumerate(sizes):
+        if i < len(_workers) and _workers[i].size >= size:
+            continue
+        if i < len(_workers):
+            _workers.pop(i).stop()
+        # forked while _workers holds only live workers, whose pipes the
+        # child closes (_drop_workers)
+        _workers.insert(i, _Worker(size))
+    return _workers[:len(sizes)]
+
+
+def _stop_workers() -> None:
+    """Stop every worker (_Worker.stop): at exit, and wherever a change
+    must reach the workers, which only those forked after it see."""
+    while _workers:
+        _workers.pop().stop()
+
+
+def _drop_workers() -> None:
+    """In a forked child: close the parent's workers' pipes, which the
+    child must not hold open, and forget those workers, which are not its
+    children; a child that needs lanes forks its own."""
+    for worker in _workers:
+        os.close(worker.jobs)
+        os.close(worker.answers)
+    _workers.clear()
+
+
+atexit.register(_stop_workers)
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_workers.clear)
+    os.register_at_fork(after_in_child=_drop_workers)
 
 
 def _join(workers: list[_Worker]) -> None:
-    """Wait until every worker has answered, then raise the first exception
-    raised in a lane or by an interrupt during the wait, so none propagates
-    while a lane may still write."""
-    errors = []
+    """Wait until every worker has answered, then issue the warnings they
+    recorded, through the caller's warnings filters, and raise the first
+    exception raised in a lane or by an interrupt during the wait, so none
+    propagates while a lane may still write."""
+    errors, caught = [], []
     for worker in workers:
         while True:
             try:
-                errors.append(worker.done.get())
+                error, issued = worker.answer()
                 break
             except BaseException as exc:   # an interrupt: raised once all have answered
                 errors.append(exc)
+        errors.append(error)
+        caught += issued
+    for category, message in caught:
+        warnings.warn(message, category, stacklevel=3)   # at bilinear's caller
     for exc in errors:
         if exc is not None:
             raise exc
@@ -323,13 +494,18 @@ def bilinear(u, *vs, out=None):
     zeros, so one test over the whole stack finds the dead slices, their
     rows are zeroed in one write, and only the live slices are built. The
     live slices are split, in order, into one contiguous run per lane (at
-    most one lane per live slice): lane 0 runs the first in the calling
-    thread while the workers run the others, and the call waits for every
-    lane before it goes on or raises (see _lane_products). The projection
-    (leray_project) and the factor 2 pi i are then applied to the whole
-    output, in place, a few slices at a time.
+    most one lane per live slice, and per _LANE_PAIRS pairs). Each worker (_Worker) is handed its run:
+    the distinct factors' slices over the run are copied into its shared
+    mapping once each, so a factor that recurs, as u does among the vs in
+    the solver's S(v, v) and S(g, T, g), is copied once, and the call sends
+    it the job with the caller's numpy error state. Lane 0 then runs the
+    first run in the calling process (_lane_products). Each lane applies
+    the projection (leray_project) and the factor 2 pi i to its own run's
+    rows, in place, a few slices at a time (_project). The call waits for
+    every lane before it goes on or raises (_join), then copies each
+    worker's rows back into the output.
 
-    The lanes' work arrays are built with the kernel (conv_kernel) and
+    The lane's work arrays are built with the kernel (conv_kernel) and
     reused by every call on the lattice, so a call with at most two right
     factors allocates none of its own (more may allocate), and bilinear is
     not thread-safe: calls must not run concurrently, on any lattice.
@@ -350,36 +526,42 @@ def bilinear(u, *vs, out=None):
                          "with a contiguous last axis")
     # fetched before any zero check, so a first call on zeros builds it
     kern = conv_kernel(lat)
+    v_st = [v.data.reshape(u_st.shape) for v in vs]
     # every slice as (re, im) pairs, (S+1, N, 3, 2)
-    u_ri = u_st.view(np.float64).reshape(len(u_st), n, 3, 2)
-    v_ri = [v.data.view(np.float64).reshape(u_ri.shape) for v in vs]
+    u_ri = _pairs(u_st)
+    v_ri = [_pairs(v) for v in v_st]
     live = u_ri.any(axis=(1, 2, 3)) & np.any([v.any(axis=(1, 2, 3)) for v in v_ri], axis=0)
     res[~live] = 0.0
     at = np.flatnonzero(live).tolist()
-    lanes = min(len(kern.lanes), len(at))
+    lanes = min(_LANES, len(at), max(1, len(at) * n * n // _LANE_PAIRS))
     if lanes:
         # lane i runs the live slices at[cut[i]:cut[i+1]]: the first lanes
         # take one more when they do not split evenly
         cut = [-(-len(at) * i // lanes) for i in range(lanes + 1)]
         spans = [(at[a], at[b - 1] + 1) for a, b in zip(cut, cut[1:])]
-        data = (u_ri, v_ri, live, res.view(np.float64))
-        while len(_workers) < lanes - 1:
-            _workers.append(_Worker())
+        # a field that recurs, as u does among the vs, is copied once
+        seen = {}
+        columns = [3 * seen.setdefault(id(f.data), len(seen)) for f in (u, *vs)]
+        copies = dict(zip(columns, [u_st, *v_st]))
+        # the products overwrite the factors
+        width = 3 * max(len(copies), nv)
         err = np.geterr()
+        workers = _ready_workers([16 * (stop - start) * n * width for start, stop in spans[1:]])
         busy = []
         try:
-            for worker, lane, span in zip(_workers, kern.lanes[1:], spans[1:]):
-                worker.jobs.put((err, (lane, *span, *data)))
+            for worker, (start, stop) in zip(workers, spans[1:]):
+                region = worker.region(stop - start, n, width)
+                for c, stack in copies.items():
+                    region[:, :, c:c + 3] = stack[start:stop]
+                worker.send((err, lat.spec, stop - start, nv, width, columns,
+                             live[start:stop].tobytes()))
                 busy.append(worker)
-            _lane_products(kern.lanes[0], *spans[0], *data)
+            _lane_products(kern.lane, *spans[0], u_ri, v_ri, live, res.view(np.float64))
+            _project(lat, res, *spans[0])
         finally:
             _join(busy)
-    kf = lat.sites_f[:, None, :]
-    per_v = res.reshape(len(u_st), n, nv, 3)
-    step = max(1, _PROJECTION_BYTES // per_v[0].nbytes)
-    for s0 in range(0, len(per_v), step):
-        block = per_v[s0:s0 + step]
-        np.multiply(leray_project(kf, block, block), _TWO_PI_I, out=block)
+        for worker, (start, stop) in zip(busy, spans[1:]):
+            res[start:stop] = worker.region(stop - start, n, width)[:, :, :3 * nv]
     if out is not None:
         return out
     parts = tuple(u._like(res[:, :, 3 * i: 3 * i + 3].reshape(u.data.shape))
@@ -387,19 +569,56 @@ def bilinear(u, *vs, out=None):
     return parts[0] if nv == 1 else parts
 
 
+def _pairs(x: np.ndarray) -> np.ndarray:
+    """The complex (S+1, N, 3) array x as a real view of its (re, im)
+    pairs, (S+1, N, 3, 2); x's last axis must be contiguous."""
+    return x.view(np.float64).reshape(*x.shape, 2)
+
+
+def _project(lat: Lattice, res: np.ndarray, start: int, stop: int) -> None:
+    """Apply the projection (leray_project) and the factor 2 pi i in place
+    to the slices start <= s < stop of res, an (S+1, N, 3 nv) output with a
+    contiguous last axis, a few slices at a time: its temporaries stay
+    within _PROJECTION_BYTES, small next to a long grid's arrays. The
+    projection is per entry, so how the slices are grouped changes no
+    byte."""
+    kf = lat.sites_f[:, None, :]
+    per_v = res.reshape(len(res), len(lat), -1, 3)
+    step = max(1, _PROJECTION_BYTES // per_v[0].nbytes)
+    for s0 in range(start, stop, step):
+        block = per_v[s0:min(stop, s0 + step)]
+        np.multiply(leray_project(kf, block, block), _TWO_PI_I, out=block)
+
+
+def _worker_products(region: np.ndarray, lat: Lattice, nv: int, columns: list,
+                     live: np.ndarray) -> None:
+    """A worker's job (see _Worker): the projected products of the live
+    slices among the m of region, its (m, N, width) array of factors,
+    written over those factors. columns holds the first column of u's and
+    of each v's slices, and live the job's mask of live slices; the rows of
+    dead slices are zeroed, so the projection reads products alone."""
+    u_ri, *v_ri = (_pairs(region[:, :, c:c + 3]) for c in columns)
+    res = region[:, :, :3 * nv]
+    _lane_products(conv_kernel(lat).lane, 0, len(region), u_ri, v_ri, live,
+                   res.view(np.float64))
+    res[~live] = 0.0
+    _project(lat, res, 0, len(region))
+
+
 def _lane_products(lane: _Lane, start: int, stop: int, u_ri: np.ndarray, v_ri: list,
                    live: np.ndarray, res_ri: np.ndarray) -> None:
     """Write the unprojected products of the live slices start <= s < stop
-    into res_ri, the real view of bilinear's output, in lane's work arrays
-    alone. u_ri and v_ri are the factors' slices as (re, im) pairs,
-    (S+1, N, 3, 2), and live bilinear's mask of live slices.
+    into res_ri, the real view of the output, in lane's work arrays alone.
+    u_ri and v_ri are the factors' slices as (re, im) pairs, (S+1, N, 3, 2),
+    and live the mask of live slices.
 
     The real right factors and transposed left factors are filled a chunk
     of consecutive slices at a time (a chunk with no live slice is skipped)
     into the lane's chunk buffer: one pass per v and one for u, through
     basic slices, so the fill allocates nothing. Then each live slice of
-    the chunk runs the block loop (_slice_products). Only _slice_products
-    and numpy run here, since a worker thread runs this too."""
+    the chunk runs the block loop (_slice_products). Every factor of a
+    chunk is read before any of its products is written, so a slice's
+    products may overwrite that slice's factors, as in a worker."""
     n = u_ri.shape[1]
     nv = len(v_ri)
     # a chunk of c slices: right factors (c, 2N, 6 nv), then left factors (c, 3, 2N)

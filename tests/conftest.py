@@ -1,6 +1,22 @@
+import os
+
 import pytest
 
-from nstorus import LatticeSpec, get_lattice
+from nstorus import LatticeSpec, get_lattice, operators
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_child_left():
+    """At the end of the session, stop the convolution's worker processes
+    and check that no child process of the session is left: a benchmark
+    run that leaves a process running fails."""
+    yield
+    operators._stop_workers()
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the session left a child process behind: {left}")
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,16 @@
 import math
+import mmap
 import os
 import re
 import signal
+import subprocess
 import sys
-import threading
+import textwrap
 import time
 import tracemalloc
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,26 +33,37 @@ from nstorus import (
 )
 from nstorus import operators
 from nstorus.operators import conv_kernel, duhamel_rules
+
+ROOT = Path(__file__).resolve().parents[1]
 from util import (ball, conv_triples, direct_bilinear, duhamel_terms, random_field,
                   random_sliced, star_majorant)
 
 
 @pytest.fixture
 def lanes(monkeypatch):
-    """Sets the lane count of the convolution kernels built next, whatever
-    the machine's CPU count: lanes(n) drops the built kernels, so the next
-    call builds n lanes. The kernels built under it are dropped at
-    teardown."""
+    """Sets the lane count of the convolution calls made next, whatever the
+    machine's CPU count and the call's size: lanes(n) runs a call with at
+    least n live slices on n lanes. A worker sees only the patches made
+    before it was forked, so lanes(n) also stops the workers, and the next
+    call that needs them forks them again; the teardown stops the workers
+    too, so none that saw the test's patches outlives it."""
     def use(count):
         monkeypatch.setattr(operators, "_LANES", count)
-        conv_kernel.cache_clear()
+        monkeypatch.setattr(operators, "_LANE_PAIRS", 1)
+        operators._stop_workers()
     yield use
-    conv_kernel.cache_clear()
+    operators._stop_workers()
 
 
 @pytest.fixture
 def two_lanes(lanes):
     lanes(2)
+
+
+def shared_ints(*shape):
+    """A zeroed int64 array in a shared anonymous mapping: a worker forked
+    after it is made writes to the very memory the caller reads."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.int64).reshape(shape)
 
 
 # -- Leray projection ----------------------------------------------------------
@@ -185,23 +199,33 @@ def test_conv_table_blocks_partition_the_pairs(k_max):
     assert all(g.base is base for _, _, g in kern.blocks)
     ki, li, _ = conv_triples(lat)
     assert ki.size == int(sum((g != kern.rows * n).sum() for _, _, g in kern.blocks))
-    # one lane per CPU the kernel was built for, each with arrays of its own
-    assert len(kern.lanes) == operators._LANES
-    for lane in kern.lanes:
-        assert lane.dots.shape == (kern.rows * n + 1,) and lane.inter.shape == (2 * kern.rows, n)
-    held = [a for lane in kern.lanes for a in (lane.dots, lane.inter, lane.work, lane.prod)]
+    # one lane, whose arrays are its own (each process that runs a lane
+    # has its own copy of them)
+    lane = kern.lane
+    assert lane.dots.shape == (kern.rows * n + 1,) and lane.inter.shape == (2 * kern.rows, n)
+    held = [lane.dots, lane.inter, lane.work, lane.prod]
     assert not any(np.shares_memory(a, b) for i, a in enumerate(held) for b in held[i + 1:])
 
 
-def test_conv_zero_slot_stays_zero_after_bilinear(two_lanes):
-    # in every lane: a call over 4 live slices runs 2 in each
+def test_conv_zero_slot_stays_zero_after_bilinear(two_lanes, monkeypatch):
+    # in every lane: a call over 4 live slices runs 2 in each, and the
+    # caller and the worker each check their own copy of the zero slot
     lat = get_lattice(LatticeSpec(6))
     rng = np.random.default_rng(61)
     times = unit_times(3)
     u, v = random_sliced(lat, times, rng), random_sliced(lat, times, rng)
-    bilinear(u, v)
-    for lane in conv_kernel(lat).lanes:
+    caller = os.getpid()
+    checked = shared_ints(2)   # lane runs checked, in the caller and in the worker
+    lane_products = operators._lane_products
+
+    def checking(lane, *args):
+        lane_products(lane, *args)
         assert lane.dots[-1].tobytes() == bytes(16)   # +0.0 + 0.0j exactly
+        checked[int(os.getpid() != caller)] += 1
+
+    monkeypatch.setattr(operators, "_lane_products", checking)
+    bilinear(u, v)
+    assert checked.tolist() == [1, 1]
 
 
 def test_no_full_interaction_matrix_on_the_lattice():
@@ -465,15 +489,18 @@ def test_bilinear_on_sliced_fields_is_per_slice(ball2):
 def chunk_slices(lat, nv):
     """Slices per chunk of the kernel's work buffer for nv right factors:
     each takes (2N, 6 nv) right factors and a (3, 2N) left factor."""
-    return conv_kernel(lat).lanes[0].work.size // (6 * len(lat) * (2 * nv + 1))
+    return conv_kernel(lat).lane.work.size // (6 * len(lat) * (2 * nv + 1))
 
 
-def test_bilinear_builds_only_live_slices_across_chunks(monkeypatch):
+def test_bilinear_builds_only_live_slices_across_chunks(lanes, monkeypatch):
     # One call over 14 slices at k_max 4, whose work buffer holds 7 slices
     # with one right factor and 4 with two. Dead slices sit at slice 0,
     # inside a chunk, in runs across both chunk boundaries and at the
     # last slice; slice 9 has one zero v, so it is live with two right
-    # factors and dead with that v alone.
+    # factors and dead with that v alone. Two lanes: the builds are
+    # counted in the caller and in the worker, which is forked after the
+    # count is patched in.
+    lanes(2)
     lat = ball(4)
     assert (chunk_slices(lat, 1), chunk_slices(lat, 2)) == (7, 4)
     times = unit_times(13)
@@ -483,19 +510,19 @@ def test_bilinear_builds_only_live_slices_across_chunks(monkeypatch):
     v1[[2, 6, 7, 13]] = 0.0   # inside a chunk; a run across 7; the last slice
     v2[[2, 6, 7, 9, 13]] = 0.0
     u, v1, v2 = (TimeSlicedField(times, lat, d) for d in (u, v1, v2))
-    builds = []
+    caller = os.getpid()
+    builds = shared_ints(2)   # in the caller, in the worker
     slice_products = operators._slice_products
 
     def counting(*args):
-        builds.append(1)
+        builds[int(os.getpid() != caller)] += 1
         return slice_products(*args)
 
+    monkeypatch.setattr(operators, "_slice_products", counting)
     for vs, dead in (((v2,), {0, 2, 3, 4, 6, 7, 9, 13}), ((v1, v2), {0, 2, 3, 4, 6, 7, 13})):
-        builds.clear()
-        monkeypatch.setattr(operators, "_slice_products", counting)
+        builds[:] = 0
         got = bilinear(u, *vs)
-        monkeypatch.setattr(operators, "_slice_products", slice_products)
-        assert len(builds) == len(times) - len(dead)
+        assert builds.sum() == len(times) - len(dead) and builds.all()
         got = got if len(vs) == 2 else (got,)
         for s in range(len(times)):
             want = bilinear(u.slices[s], *(v.slices[s] for v in vs))
@@ -515,25 +542,33 @@ def test_bilinear_warm_call_allocates_nothing_per_slice(lanes, monkeypatch):
     # _PROJECTION_BYTES, which a 9-slice grid does not reach at k_max 4, so
     # the projection runs one slice at a time here to compare the rest.
     monkeypatch.setattr(operators, "_PROJECTION_BYTES", 1)
-    seen = {}
+    caller = os.getpid()
+    # each slice's (out, u, rhs, prod) addresses, in the caller and in the
+    # worker, and how many rows each holds
+    seen, rows = shared_ints(2, 193, 4), shared_ints(2)
     slice_products = operators._slice_products
 
     def recording(plan, u, rhs, out):
-        # the lane whose chunk buffer holds u owns every array the slice uses
-        owner, = (i for i, lane in enumerate(kern.lanes) if np.shares_memory(u, lane.work))
-        lane = kern.lanes[owner]
-        assert np.shares_memory(rhs, lane.work)
+        # the lane in this process, the caller or a worker, owns every
+        # array the slice uses
+        lane = conv_kernel(lat).lane
+        assert np.shares_memory(u, lane.work) and np.shares_memory(rhs, lane.work)
         assert np.shares_memory(plan[0][-3], lane.prod)   # -3: prod
         assert all(step[4] is lane.dots and np.shares_memory(step[6], lane.inter)
                    for step in plan)
-        seen[out.ctypes.data] = (owner, u.ctypes.data, rhs.ctypes.data, plan[0][-3].ctypes.data)
+        side = int(os.getpid() != caller)
+        seen[side, rows[side]] = (out.ctypes.data, u.ctypes.data, rhs.ctypes.data,
+                                  plan[0][-3].ctypes.data)
+        rows[side] += 1
         return slice_products(plan, u, rhs, out)
 
+    def recorded():
+        return {(side, *map(int, row)) for side in (0, 1) for row in seen[side, :rows[side]]}
+
     rng = np.random.default_rng(14)
+    lat = ball(4)
     for count in (1, 2):
         lanes(count)
-        lat = ball(4)
-        kern = conv_kernel(lat)
         for nv in (1, 2):
             peaks = []
             for slices in (9, 193):
@@ -550,16 +585,19 @@ def test_bilinear_warm_call_allocates_nothing_per_slice(lanes, monkeypatch):
                     tracemalloc.stop()
             assert abs(peaks[1] - peaks[0]) <= 16 * 1024, (count, nv, peaks)
             # two calls on the same slices run each in the same lane, at
-            # the same addresses, and every lane takes part
+            # the same addresses, and every lane takes part; the worker is
+            # forked after the recording is patched in
+            lanes(count)
             monkeypatch.setattr(operators, "_slice_products", recording)
-            seen.clear()
+            rows[:] = 0
             bilinear(u, *vs, out=out)
-            first = dict(seen)
-            seen.clear()
+            first = recorded()
+            rows[:] = 0
             bilinear(u, *vs, out=out)
             monkeypatch.setattr(operators, "_slice_products", slice_products)
-            assert first == seen and len(first) == 193
-            assert {owner for owner, *_ in first.values()} == set(range(count))
+            assert first == recorded() and len(first) == 193
+            assert {side for side, *_ in first} == set(range(count))
+            lanes(count)
 
 
 # -- lanes ------------------------------------------------------------------------
@@ -604,6 +642,36 @@ def test_bilinear_two_lanes_match_one_lane_per_slice(spec, lanes):
             assert got[s].tobytes() == bytes(got[s].nbytes)   # +0 exactly
 
 
+def test_bilinear_zeroes_a_dead_slice_inside_a_workers_run(lanes):
+    # 6 slices, v dead at slice 4: the worker runs live slices 3 and 5, so
+    # its mapping's rows for slice 4 hold factors, and they must come back
+    # as the one-lane bytes, +0
+    lat = ball(3)
+    times = unit_times(5)
+    rng = np.random.default_rng(81)
+    u, v = (random_sliced(lat, times, rng).data.copy() for _ in range(2))
+    v[4] = 0.0
+    u, v = (TimeSlicedField(times, lat, d) for d in (u, v))
+    want = lane_outputs(lanes, 1, u, v)
+    got = lane_outputs(lanes, 2, u, v)
+    assert got.tobytes() == want.tobytes()
+    assert got[4].tobytes() == bytes(got[4].nbytes)
+
+
+def test_bilinear_gives_each_lane_enough_pairs(lanes, monkeypatch):
+    # a lane beyond the first costs its call a fixed time, so each lane
+    # gets at least _LANE_PAIRS pairs: a 9-slice call at k_max 3 runs on
+    # one lane and forks no worker, and one at k_max 4 runs on two
+    least = operators._LANE_PAIRS
+    lanes(2)
+    monkeypatch.setattr(operators, "_LANE_PAIRS", least)
+    rng = np.random.default_rng(80)
+    for k_max, workers in ((3, 0), (4, 1)):
+        u, v = (random_sliced(ball(k_max), unit_times(8), rng) for _ in range(2))
+        bilinear(u, v)
+        assert len(operators._workers) == workers
+
+
 def test_bilinear_lanes_under_contention(lanes):
     # more lanes than CPUs, with thread switches forced every microsecond,
     # on repeated calls: every call still gives the one-lane bytes
@@ -620,47 +688,55 @@ def test_bilinear_lanes_under_contention(lanes):
 
 
 @pytest.mark.parametrize("raiser, error", [("worker", RuntimeError), ("caller", KeyboardInterrupt)])
-def test_bilinear_raises_only_once_every_lane_has_stopped(raiser, error, two_lanes, monkeypatch):
+def test_bilinear_raises_only_once_every_lane_has_stopped(raiser, error, lanes, monkeypatch):
     # 8 live slices, 4 per lane: one lane raises on its first slice while
     # the other takes 10 ms a slice. The error reaches the caller only
-    # after the other lane has finished, and the next call is exact.
+    # after the other lane has finished, and the next call, in the same
+    # worker, is exact. The sides count in memory they share, and the
+    # worker is forked after the patch.
     lat = ball(3)
     times = unit_times(7)
     rng = np.random.default_rng(73)
     u, v = random_sliced(lat, times, rng), random_sliced(lat, times, rng)
+    lanes(1)
     want = bilinear(u, v).data.tobytes()
-    caller = threading.current_thread()
-    lock = threading.Lock()
-    active, finished = [0], {"caller": 0, "worker": 0}
+    caller = os.getpid()
+    # per side, caller then worker: slices running, slices finished; and
+    # whether the raiser still raises
+    active, finished, armed = shared_ints(2), shared_ints(2), shared_ints(1)
+    armed[0] = 1
+    raising_side = ("caller", "worker").index(raiser)
     slice_products = operators._slice_products
 
     def flaky(*args):
-        side = "caller" if threading.current_thread() is caller else "worker"
-        with lock:
-            active[0] += 1
+        side = int(os.getpid() != caller)
+        active[side] += 1
         try:
-            if side == raiser:
-                raise error(f"from the {side}")
+            if side == raising_side and armed[0]:
+                raise error(f"from the {raiser}")
             time.sleep(0.01)
             slice_products(*args)
             finished[side] += 1
         finally:
-            with lock:
-                active[0] -= 1
+            active[side] -= 1
 
+    lanes(2)
     monkeypatch.setattr(operators, "_slice_products", flaky)
     with pytest.raises(error, match=f"from the {raiser}"):
         bilinear(u, v)
-    assert active[0] == 0
-    assert finished == {"caller": 0, "worker": 4} if raiser == "caller" else {"caller": 4, "worker": 0}
-    monkeypatch.setattr(operators, "_slice_products", slice_products)
+    assert active.tolist() == [0, 0]
+    assert finished.tolist() == ([0, 4] if raiser == "caller" else [4, 0])
+    armed[0] = 0
+    worker = operators._workers[0].pid
     assert bilinear(u, v).data.tobytes() == want
+    assert operators._workers[0].pid == worker
 
 
 def test_bilinear_lanes_run_under_the_callers_error_state(two_lanes):
     # the products of the last of 4 live slices overflow, and the second
-    # lane runs it: numpy's error state, which is per thread, is the
-    # caller's there too
+    # lane, a worker process, runs it: numpy's error state there is the
+    # caller's, and the warnings it issues go through the caller's
+    # warnings filters, at the line that called bilinear
     lat = ball(2)
     times = unit_times(3)
     rng = np.random.default_rng(74)
@@ -671,40 +747,68 @@ def test_bilinear_lanes_run_under_the_callers_error_state(two_lanes):
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
             bilinear(u, v)
+    with np.errstate(over="warn", invalid="ignore"):
+        with pytest.warns(RuntimeWarning, match="overflow") as record:
+            bilinear(u, v)
+    assert {w.filename for w in record} == {__file__}
     with np.errstate(over="ignore", invalid="ignore"):
         got = bilinear(u, v)   # RuntimeWarnings are errors in this suite
     assert np.isfinite(got.data[:-1]).all() and not np.isfinite(got.data[-1]).all()
 
 
 def test_bilinear_workers_keep_no_array_of_a_finished_call(two_lanes):
-    # an idle worker holding its last job would keep that call's factors
-    # and output alive until the next call
+    # the caller's handle on an idle worker holding its last job would
+    # keep that call's factors and output alive until the next call
     lat = ball(2)
     times = unit_times(3)
     rng = np.random.default_rng(76)
     u, v = random_sliced(lat, times, rng), random_sliced(lat, times, rng)
     out = np.empty((len(times), len(lat), 3), dtype=np.complex128)
     bilinear(u, v, out=out)
+    assert operators._workers
     held = [weakref.ref(a) for a in (u.data, v.data, out)]
     del u, v, out
     assert [ref() for ref in held] == [None] * 3
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_bilinear_in_a_forked_child_starts_its_own_workers(two_lanes):
-    # the parent's workers are threads the child does not have: a child
-    # that queued work for them would wait forever
+def lane_pair(lanes, seed):
+    """u and v on 6 grid times at k_max 2, and their product's one-lane
+    bytes; the workers are stopped, and the next call runs two lanes."""
     lat = ball(2)
     times = unit_times(5)
-    rng = np.random.default_rng(75)
+    rng = np.random.default_rng(seed)
     u, v = random_sliced(lat, times, rng), random_sliced(lat, times, rng)
+    lanes(1)
     want = bilinear(u, v).data.tobytes()
-    assert operators._workers
+    lanes(2)
+    return u, v, want
+
+
+def is_open(fd):
+    try:
+        os.fstat(fd)
+    except OSError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_bilinear_in_a_forked_child_starts_its_own_workers(lanes):
+    # The parent's workers are not the child's children. A child closes
+    # its copies of their pipes, which would keep a worker's job pipe from
+    # reaching EOF, and forks its own worker for a two-lane call.
+    u, v, want = lane_pair(lanes, seed=75)
+    assert bilinear(u, v).data.tobytes() == want
+    fds = [fd for worker in operators._workers for fd in (worker.jobs, worker.answers)]
+    assert fds
     pid = os.fork()
     if pid == 0:
         code = 3
         try:
-            code = 0 if bilinear(u, v).data.tobytes() == want else 4
+            dropped = not operators._workers and not any(map(is_open, fds))
+            exact = bilinear(u, v).data.tobytes() == want
+            code = 0 if dropped and exact and len(operators._workers) == 1 else 4
+            operators._stop_workers()
         finally:
             os._exit(code)
     deadline = time.monotonic() + 30
@@ -715,6 +819,76 @@ def test_bilinear_in_a_forked_child_starts_its_own_workers(two_lanes):
             pytest.fail("the forked child's call did not finish")
         time.sleep(0.01)
     assert os.waitstatus_to_exitcode(status[1]) == 0
+
+
+def test_bilinear_reports_a_killed_worker_and_forks_a_fresh_one(lanes):
+    # a worker killed between calls: the next call raises an error that
+    # names it, and the call after forks a fresh worker and is exact
+    u, v, want = lane_pair(lanes, seed=78)
+    bilinear(u, v)
+    pid = operators._workers[0].pid
+    os.kill(pid, signal.SIGKILL)
+    with pytest.raises(RuntimeError, match=f"process {pid} was killed by signal {signal.SIGKILL:d}"):
+        bilinear(u, v)
+    assert not operators._workers
+    assert bilinear(u, v).data.tobytes() == want
+    assert operators._workers[0].pid != pid
+
+
+LANE_SCRIPT = """
+import sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from nstorus import bilinear, operators, unit_times
+from util import ball, random_sliced
+operators._LANES, operators._LANE_PAIRS = 2, 1
+rng = np.random.default_rng(79)
+u, v = (random_sliced(ball(2), unit_times(5), rng) for _ in range(2))
+bilinear(u, v)
+print(operators._workers[0].pid, flush=True)
+"""
+
+
+def run_lane_script(then):
+    """Start a Python process that runs a two-lane call, prints its
+    worker's pid and then runs the code then."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.Popen([sys.executable, "-c", LANE_SCRIPT + textwrap.dedent(then),
+                             str(ROOT / "tests")], env=env, stdout=subprocess.PIPE, text=True)
+
+
+def running(pid):
+    """Whether the process pid runs (a zombie has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] not in "ZX"
+    except FileNotFoundError:
+        return False
+
+
+def test_a_caller_that_exits_reaps_its_worker():
+    # the exit hook stops the worker and reaps it
+    with run_lane_script("") as proc:
+        worker = int(proc.stdout.readline())
+        assert proc.wait(timeout=60) == 0
+    with pytest.raises(ProcessLookupError):
+        os.kill(worker, 0)   # gone, not even a zombie
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_a_worker_exits_when_its_caller_is_killed():
+    # the killed caller's end of the job pipe closes, so the worker reads
+    # EOF and exits, within 2 s
+    with run_lane_script("import time; time.sleep(60)") as proc:
+        worker = int(proc.stdout.readline())
+        assert running(worker)
+        proc.kill()
+        proc.wait(timeout=60)
+    deadline = time.monotonic() + 2
+    while running(worker) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not running(worker)
 
 
 def test_bilinear_needs_a_right_factor(ball2):
