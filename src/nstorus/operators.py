@@ -294,6 +294,7 @@ class _Worker:
         self.answers, answers = os.pipe()
         os.set_blocking(jobs, False)   # the ends that _receive polls
         os.set_blocking(self.answers, False)
+        self.open = True   # until the caller's ends are closed (close)
         self.inbox = bytearray()   # what has arrived of the next answer
         try:
             self.pid = os.fork()
@@ -309,7 +310,13 @@ class _Worker:
                 _signal.signal(_signal.SIGINT, _signal.SIG_IGN)
                 inbox = bytearray()
                 while (job := _receive(jobs, inbox)) is not None:   # None: EOF
-                    _send(answers, self._run(*job))
+                    error, issued = self._run(*pickle.loads(job))
+                    try:
+                        answer = _pickle((error, issued))
+                    except Exception:   # an error that cannot be pickled
+                        answer = _pickle((RuntimeError(f"{error!r}, which cannot be pickled"),
+                                          issued))
+                    _send(answers, answer)
                 code = 0
             finally:
                 os._exit(code)
@@ -341,49 +348,75 @@ class _Worker:
         """Hand the worker a job. The pipe of a worker that died is broken;
         its answer reports it."""
         try:
-            _send(self.jobs, job)
+            _send(self.jobs, _pickle(job))
         except BrokenPipeError:
             pass
 
     def answer(self) -> tuple:
-        """The worker's answer to its job (see _run). A worker that died
-        instead is reaped and dropped, so that the next call forks a fresh
-        one, and its answer is a RuntimeError that names it."""
-        answer = _receive(self.answers, self.inbox)
-        if answer is not None:
-            return answer
-        _workers.remove(self)
-        code = os.waitstatus_to_exitcode(self.stop())
-        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        """The worker's answer to its job (see _run). Only a signal handler
+        makes it raise, while it waits; asked again (_join), it resumes
+        the wait. An answer that cannot be unpickled is a RuntimeError. A
+        worker that died instead is reaped and dropped, so that the next
+        call forks a fresh one, and its answer is a RuntimeError that
+        names it."""
+        message = _receive(self.answers, self.inbox) if self.open else None
+        if message is not None:
+            try:
+                return pickle.loads(message)
+            except Exception as exc:   # the message is read, and the worker idle
+                error = RuntimeError(f"the convolution's worker process {self.pid} "
+                                     f"sent an answer that cannot be unpickled: {exc!r}")
+                error.__cause__ = exc
+                return error, []
+        if self in _workers:
+            _workers.remove(self)
+        status = self.stop()
+        code = None if status is None else os.waitstatus_to_exitcode(status)
+        how = ("has exited" if code is None else f"was killed by signal {-code}" if code < 0
+               else f"exited with status {code}")
         return RuntimeError(f"the convolution's worker process {self.pid} {how}"), []
 
-    def stop(self) -> int:
-        """Close the pipes, so that the worker's job pipe reaches EOF and it
-        exits, and reap it; returns its wait status."""
-        os.close(self.jobs)
-        os.close(self.answers)
-        return os.waitpid(self.pid, 0)[1]
+    def close(self) -> None:
+        """Close the caller's ends of the pipes, once: the worker's job pipe
+        then reaches EOF, and it exits."""
+        if self.open:
+            self.open = False
+            os.close(self.jobs)
+            os.close(self.answers)
+
+    def stop(self) -> int | None:
+        """Close the pipes and reap the worker; returns its wait status, or
+        None when it was reaped already (as where SIGCHLD is ignored)."""
+        self.close()
+        try:
+            return os.waitpid(self.pid, 0)[1]
+        except ChildProcessError:
+            return None
 
 
-def _send(fd: int, message) -> None:
-    """Write message to the pipe fd: its pickle, after the pickle's length."""
-    data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+def _pickle(message) -> bytes:
+    """The pickle of a job or an answer."""
+    return pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+
+
+def _send(fd: int, data: bytes) -> None:
+    """Write a message's pickle data to the pipe fd, after its length."""
     view = memoryview(len(data).to_bytes(8, "little") + data)
     while view:
         view = view[os.write(fd, view):]
 
 
-def _receive(fd: int, inbox: bytearray):
-    """The next message that _send wrote to the non-blocking pipe fd, or
-    None at EOF. inbox keeps what has arrived of it, so that a wait an
-    interrupt cut short resumes where it stopped."""
+def _receive(fd: int, inbox: bytearray) -> bytes | None:
+    """The pickle of the next message that _send wrote to the non-blocking
+    pipe fd, or None at EOF. inbox keeps what has arrived of it, so that a
+    wait an interrupt cut short resumes where it stopped."""
     while len(inbox) < 8 + int.from_bytes(inbox[:8], "little"):
         part = _read(fd)
         if not part:
             return None
         inbox += part
     end = 8 + int.from_bytes(inbox[:8], "little")
-    message = pickle.loads(inbox[8:end])
+    message = bytes(inbox[8:end])
     del inbox[:end]
     return message
 
@@ -436,8 +469,7 @@ def _drop_workers() -> None:
     child must not hold open, and forget those workers, which are not its
     children; a child that needs lanes forks its own."""
     for worker in _workers:
-        os.close(worker.jobs)
-        os.close(worker.answers)
+        worker.close()
     _workers.clear()
 
 
@@ -450,7 +482,8 @@ def _join(workers: list[_Worker]) -> None:
     """Wait until every worker has answered, then issue the warnings they
     recorded, through the caller's warnings filters, and raise the first
     exception raised in a lane or by an interrupt during the wait, so none
-    propagates while a lane may still write."""
+    propagates while a lane may still write. Only a signal handler makes
+    an answer raise (_Worker.answer), so the wait ends."""
     errors, caught = [], []
     for worker in workers:
         while True:
@@ -547,18 +580,25 @@ def bilinear(u, *vs, out=None):
         width = 3 * max(len(copies), nv)
         err = np.geterr()
         workers = _ready_workers([16 * (stop - start) * n * width for start, stop in spans[1:]])
-        busy = []
+        busy, sending = [], None
         try:
             for worker, (start, stop) in zip(workers, spans[1:]):
                 region = worker.region(stop - start, n, width)
                 for c, stack in copies.items():
                     region[:, :, c:c + 3] = stack[start:stop]
+                sending = worker
                 worker.send((err, lat.spec, stop - start, nv, width, columns,
                              live[start:stop].tobytes()))
                 busy.append(worker)
             _lane_products(kern.lane, *spans[0], u_ri, v_ri, live, res.view(np.float64))
             _project(lat, res, *spans[0])
         finally:
+            if sending is not None and sending not in busy:
+                # an interrupt cut its send short, so whether it has the
+                # job is unknown: it is stopped, and the next call forks
+                # a fresh one
+                _workers.remove(sending)
+                sending.stop()
             _join(busy)
         for worker, (start, stop) in zip(busy, spans[1:]):
             res[start:stop] = worker.region(stop - start, n, width)[:, :, :3 * nv]
@@ -641,13 +681,16 @@ def _lane_products(lane: _Lane, start: int, stop: int, u_ri: np.ndarray, v_ri: l
         if not at:
             continue
         m = end - first
-        # a ufunc whose output is pairs' strided view buffers it (up to
-        # 64 KB a call), so -im is formed in the left factors' space first
+        # a ufunc buffers an operand it cannot walk in one stride, as
+        # pairs' view and a worker's side-by-side factors are (up to 64 KB
+        # a call), while an assignment does not: so -im is copied into the
+        # left factors' space and negated there
         neg = left[:m].reshape(-1)[: m * n * 3].reshape(m, n, 3)
         for i, v in enumerate(v_ri):
             part = v[first:end]
             pairs[:m, :, 0, i] = part
-            np.negative(part[..., 1], out=neg)
+            neg[...] = part[..., 1]
+            np.negative(neg, out=neg)
             pairs[:m, :, 1, i, :, 0] = neg
             pairs[:m, :, 1, i, :, 1] = part[..., 0]
         np.copyto(left_pairs[:m], u_ri[first:end].transpose(0, 2, 1, 3))

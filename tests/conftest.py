@@ -19,6 +19,22 @@ def no_child_left():
     pytest.fail(f"the session left a child process behind: {left}")
 
 
+@pytest.fixture
+def lanes(monkeypatch):
+    """Sets the lane count of the convolution calls made next, whatever the
+    machine's CPU count and the call's size: lanes(n) runs a call with at
+    least n live slices on n lanes. A worker sees only the patches made
+    before it was forked, so lanes(n) also stops the workers, and the next
+    call that needs them forks them again; the teardown stops the workers
+    too, so none that saw the test's patches outlives it."""
+    def use(count):
+        monkeypatch.setattr(operators, "_LANES", count)
+        monkeypatch.setattr(operators, "_LANE_PAIRS", 1)
+        operators._stop_workers()
+    yield use
+    operators._stop_workers()
+
+
 @pytest.fixture(scope="session")
 def ball1():
     return get_lattice(LatticeSpec(1))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -33,8 +34,8 @@ from nstorus import (
 )
 from nstorus.fields import UNDERFLOW_FLOOR
 from nstorus.induction import IntervalSolution, apply_interval, iterate_contraction, remainder_maps
-from util import (ball, looped_history_parts, random_field, random_sliced, star_majorant,
-                  state_from_histories)
+from util import (ball, looped_history_parts, random_field, random_sliced, shared_ints,
+                  star_majorant, state_from_histories)
 
 PARAMS = SolverParams()
 
@@ -404,7 +405,7 @@ def test_advance_zero_data_stays_zero(ball2):
     assert record.fp_iterations == 1
 
 
-def test_bilinear_calls_per_step(ball2, monkeypatch):
+def test_bilinear_calls_per_step(ball2, monkeypatch, lanes):
     # interaction-matrix builds per step, one per live slice (bilinear
     # skips a slice where u or every v is zero): 9 for the correction, 2
     # forcing star products, and one fused linear + quadratic map
@@ -414,30 +415,39 @@ def test_bilinear_calls_per_step(ball2, monkeypatch):
     # m = 0 the gaussian and remainder parts start at zero, so both forcing
     # products have a dead slice 0; every iterate g is a sum of star
     # products, whose slice 0 (t = 0) is zero, so each map evaluation has
-    # 8 live slices per product.
-    builds, calls = [], []
+    # 8 live slices per product. The builds are counted in memory shared
+    # with the convolution's worker process, forked after the patch, one
+    # count per process: at the lane count the calls choose, then on two
+    # lanes.
+    caller = os.getpid()
+    builds, calls = shared_ints(2), []
     slice_products = nstorus.operators._slice_products
     original = nstorus.operators.bilinear
 
     def counting_builds(*args):
-        builds.append(1)
+        builds[int(os.getpid() != caller)] += 1
         return slice_products(*args)
 
     def counting_calls(u, *vs, **kwargs):
         calls.append(1)
         return original(u, *vs, **kwargs)
 
+    nstorus.operators._stop_workers()
     monkeypatch.setattr(nstorus.operators, "_slice_products", counting_builds)
     monkeypatch.setattr(nstorus.operators, "bilinear", counting_calls)
     v0 = random_field(ball2, np.random.default_rng(0), scale=1e-3)
-    state = DecompositionState.initial(v0)
-    for m, (_, _, record) in enumerate(induction_steps(state, PARAMS, 2)):
-        assert record.fp_iterations > 1
-        forcing = 16 if m == 0 else 18
-        assert len(builds) == 9 + forcing + 16 * record.fp_iterations
-        assert len(calls) == 3 + 2 * record.fp_iterations
-        builds.clear()
-        calls.clear()
+    for count in (None, 2):
+        if count:
+            lanes(count)
+        state = DecompositionState.initial(v0)
+        for m, (_, _, record) in enumerate(induction_steps(state, PARAMS, 2)):
+            assert record.fp_iterations > 1
+            forcing = 16 if m == 0 else 18
+            assert builds.sum() == 9 + forcing + 16 * record.fp_iterations
+            assert len(calls) == 3 + 2 * record.fp_iterations
+            assert count is None or builds.all()   # on two lanes both processes build
+            builds[:] = 0
+            calls.clear()
 
 
 def test_lattice_tables_are_built_once_per_key(ball2):

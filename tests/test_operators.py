@@ -1,5 +1,4 @@
 import math
-import mmap
 import os
 import re
 import signal
@@ -36,34 +35,12 @@ from nstorus.operators import conv_kernel, duhamel_rules
 
 ROOT = Path(__file__).resolve().parents[1]
 from util import (ball, conv_triples, direct_bilinear, duhamel_terms, random_field,
-                  random_sliced, star_majorant)
-
-
-@pytest.fixture
-def lanes(monkeypatch):
-    """Sets the lane count of the convolution calls made next, whatever the
-    machine's CPU count and the call's size: lanes(n) runs a call with at
-    least n live slices on n lanes. A worker sees only the patches made
-    before it was forked, so lanes(n) also stops the workers, and the next
-    call that needs them forks them again; the teardown stops the workers
-    too, so none that saw the test's patches outlives it."""
-    def use(count):
-        monkeypatch.setattr(operators, "_LANES", count)
-        monkeypatch.setattr(operators, "_LANE_PAIRS", 1)
-        operators._stop_workers()
-    yield use
-    operators._stop_workers()
+                  random_sliced, shared_ints, star_majorant)
 
 
 @pytest.fixture
 def two_lanes(lanes):
     lanes(2)
-
-
-def shared_ints(*shape):
-    """A zeroed int64 array in a shared anonymous mapping: a worker forked
-    after it is made writes to the very memory the caller reads."""
-    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.int64).reshape(shape)
 
 
 # -- Leray projection ----------------------------------------------------------
@@ -536,12 +513,28 @@ def test_bilinear_builds_only_live_slices_across_chunks(lanes, monkeypatch):
 
 def test_bilinear_warm_call_allocates_nothing_per_slice(lanes, monkeypatch):
     # A warm call keeps no whole-grid work array: its peak traced
-    # allocation is the same at 9 and 193 slices, and every lane works in
-    # its own buffers of the kernel, the same ones on every call; with one
-    # lane and with two. The projection's temporaries are bounded by
-    # _PROJECTION_BYTES, which a 9-slice grid does not reach at k_max 4, so
-    # the projection runs one slice at a time here to compare the rest.
+    # allocation, in the caller and in the worker, is the same at 9 and 193
+    # slices, and every lane works in its own buffers of the kernel, the
+    # same ones on every call; with one lane and with two. The projection's
+    # temporaries are bounded by _PROJECTION_BYTES, which a 9-slice grid
+    # does not reach at k_max 4, so the projection runs one slice at a time
+    # here to compare the rest. A worker forked while the caller traces
+    # keeps tracing; it writes its peak over each job into shared memory
+    # (-1 when it does not trace).
     monkeypatch.setattr(operators, "_PROJECTION_BYTES", 1)
+    worker_peak = shared_ints(1)
+    run = operators._Worker._run
+
+    def traced_run(self, *job):
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            return run(self, *job)
+        finally:
+            worker_peak[0] = tracemalloc.get_traced_memory()[1] - base if tracing else -1
+
+    monkeypatch.setattr(operators._Worker, "_run", traced_run)
     caller = os.getpid()
     # each slice's (out, u, rhs, prod) addresses, in the caller and in the
     # worker, and how many rows each holds
@@ -570,20 +563,29 @@ def test_bilinear_warm_call_allocates_nothing_per_slice(lanes, monkeypatch):
     for count in (1, 2):
         lanes(count)
         for nv in (1, 2):
-            peaks = []
+            peaks, worker_peaks = [], []
             for slices in (9, 193):
                 times = unit_times(slices - 1)
                 u, *vs = (random_sliced(lat, times, rng) for _ in range(nv + 1))
                 out = np.empty((slices, len(lat), 3 * nv), dtype=np.complex128)
-                bilinear(u, *vs, out=out)
+                worker_peak[0] = -2   # no job ran
+                # the warm-up call may fork the worker: it must trace too
                 tracemalloc.start()
                 try:
+                    bilinear(u, *vs, out=out)
+                    tracemalloc.reset_peak()
                     base = tracemalloc.get_traced_memory()[0]
                     bilinear(u, *vs, out=out)
                     peaks.append(tracemalloc.get_traced_memory()[1] - base)
                 finally:
                     tracemalloc.stop()
+                worker_peaks.append(int(worker_peak[0]))
             assert abs(peaks[1] - peaks[0]) <= 16 * 1024, (count, nv, peaks)
+            if count == 1:
+                assert worker_peaks == [-2, -2]
+            else:
+                assert min(worker_peaks) >= 0, worker_peaks
+                assert abs(worker_peaks[1] - worker_peaks[0]) <= 16 * 1024, (nv, worker_peaks)
             # two calls on the same slices run each in the same lane, at
             # the same addresses, and every lane takes part; the worker is
             # forked after the recording is patched in
@@ -673,18 +675,20 @@ def test_bilinear_gives_each_lane_enough_pairs(lanes, monkeypatch):
 
 
 def test_bilinear_lanes_under_contention(lanes):
-    # more lanes than CPUs, with thread switches forced every microsecond,
-    # on repeated calls: every call still gives the one-lane bytes
+    # more lanes than CPUs, so the processes take turns on them, over 10
+    # calls on the same persistent workers: every call still gives the
+    # one-lane bytes
     count = operators._usable_cpus() + 1
     u, v1, v2 = lane_factors(ball(2), count + 4, seed=72)
-    want = lane_outputs(lanes, 1, u, v1, v2)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(10):
-            assert lane_outputs(lanes, count, u, v1, v2).tobytes() == want.tobytes()
-    finally:
-        sys.setswitchinterval(interval)
+    want = lane_outputs(lanes, 1, u, v1, v2).tobytes()
+    lanes(count)
+    pids = None
+    for _ in range(10):
+        out = np.full((len(u.times), len(u.lattice), 6), np.nan, dtype=np.complex128)
+        assert bilinear(u, v1, v2, out=out).tobytes() == want
+        assert pids in (None, [w.pid for w in operators._workers])
+        pids = [w.pid for w in operators._workers]
+    assert len(pids) == count - 1
 
 
 @pytest.mark.parametrize("raiser, error", [("worker", RuntimeError), ("caller", KeyboardInterrupt)])
@@ -833,6 +837,108 @@ def test_bilinear_reports_a_killed_worker_and_forks_a_fresh_one(lanes):
     assert not operators._workers
     assert bilinear(u, v).data.tobytes() == want
     assert operators._workers[0].pid != pid
+
+
+class Unloadable(Exception):
+    """Pickles, but cannot be unpickled: it pickles its first argument
+    alone, and its constructor needs two."""
+
+    def __init__(self, first, second):
+        super().__init__(first)
+
+
+@pytest.mark.parametrize("error, match", [
+    (Unloadable("from the worker", None), "sent an answer that cannot be unpickled"),
+    (RuntimeError(lambda: None), "which cannot be pickled"),
+], ids=["unpickling", "pickling"])
+def test_bilinear_reports_a_worker_error_it_cannot_pickle(error, match, lanes, monkeypatch):
+    # a worker's exception whose answer cannot cross the pipe is reported
+    # as a RuntimeError, once: the answer is consumed, and the next call,
+    # in the same worker, is exact. A shared flag disarms the raise.
+    u, v, want = lane_pair(lanes, seed=82)
+    caller = os.getpid()
+    armed = shared_ints(1)
+    armed[0] = 1
+    slice_products = operators._slice_products
+
+    def raising(*args):
+        if os.getpid() != caller and armed[0]:
+            raise error
+        return slice_products(*args)
+
+    monkeypatch.setattr(operators, "_slice_products", raising)
+    with pytest.raises(RuntimeError, match=match):
+        bilinear(u, v)
+    pid = operators._workers[0].pid
+    armed[0] = 0
+    assert bilinear(u, v).data.tobytes() == want
+    assert operators._workers[0].pid == pid
+
+
+def test_bilinear_reports_a_worker_that_the_system_reaped(lanes):
+    # where SIGCHLD is ignored, a killed worker leaves no status to reap
+    u, v, want = lane_pair(lanes, seed=84)
+    bilinear(u, v)
+    pid = operators._workers[0].pid
+    handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        os.kill(pid, signal.SIGKILL)
+        with pytest.raises(RuntimeError, match=f"process {pid} has exited"):
+            bilinear(u, v)
+        assert not operators._workers
+        assert bilinear(u, v).data.tobytes() == want
+        operators._stop_workers()   # finds no status to reap either
+    finally:
+        signal.signal(signal.SIGCHLD, handler)
+
+
+def test_bilinear_waits_out_an_interrupt_while_it_reaps_a_dead_worker(lanes, monkeypatch):
+    # an interrupt inside the reaping of a killed worker: the wait resumes
+    # on the closed pipes, reaps it and raises the interrupt
+    u, v, want = lane_pair(lanes, seed=85)
+    bilinear(u, v)
+    pid = operators._workers[0].pid
+    waitpid, waits = os.waitpid, []
+
+    def interrupted(*args):
+        waits.append(args[0])
+        if len(waits) == 1:
+            raise KeyboardInterrupt
+        return waitpid(*args)
+
+    monkeypatch.setattr(os, "waitpid", interrupted)
+    os.kill(pid, signal.SIGKILL)
+    with pytest.raises(KeyboardInterrupt):
+        bilinear(u, v)
+    assert waits == [pid, pid] and not operators._workers
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)   # reaped
+    assert bilinear(u, v).data.tobytes() == want
+
+
+@pytest.mark.parametrize("sent", [False, True])
+def test_bilinear_stops_a_worker_whose_send_an_interrupt_cut_short(sent, lanes, monkeypatch):
+    # an interrupt just before or just after a job is written: the caller
+    # cannot tell whether the worker has it, so it stops the worker rather
+    # than read a stale answer on the next call
+    u, v, want = lane_pair(lanes, seed=86)
+    bilinear(u, v)
+    pid = operators._workers[0].pid
+    send = operators._Worker.send
+
+    def interrupted(self, job):
+        if sent:
+            send(self, job)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(operators._Worker, "send", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        bilinear(u, v)
+    assert not operators._workers
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)   # reaped
+    monkeypatch.setattr(operators._Worker, "send", send)
+    assert bilinear(u, v).data.tobytes() == want
 
 
 LANE_SCRIPT = """

@@ -2,6 +2,9 @@
 convolution, Duhamel rule and history assembly independent of the ones in
 nstorus."""
 
+import math
+import mmap
+
 import numpy as np
 
 from nstorus import DecompositionState, LatticeSpec, SpectralField, TimeSlicedField, get_lattice
@@ -10,6 +13,12 @@ from nstorus.fields import UNDERFLOW_FLOOR
 
 def ball(k_max):
     return get_lattice(LatticeSpec(k_max))
+
+
+def shared_ints(*shape):
+    """A zeroed int64 array in a shared anonymous mapping: a worker forked
+    after it is made writes to the very memory the caller reads."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.int64).reshape(shape)
 
 
 def random_field(lat, rng, scale=1.0, solenoidal=True, sparsity=0.0):
