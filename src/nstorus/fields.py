@@ -34,12 +34,16 @@ __all__ = [
     "phi_norm",
     "fmc_weights",
     "fmc_norm",
+    "slice_runs",
     "UNDERFLOW_FLOOR",
 ]
 
 # Multiplier factors below this are clamped to exact zero and the entry
 # leaves the support, so supports stay sparse at large times.
 UNDERFLOW_FLOOR = 1e-300
+# Bytes of one run of consecutive slices (see slice_runs): small next to a
+# long grid's (S+1, N, 3) arrays, while a short grid's update is one run.
+_RUN_BYTES = 128 * 1024
 # Squares below the normal range cost a sum of at least 2^-968 = 2^54 * 2^-1022
 # under 2^-104 of itself; below it they may have lost bits or underflowed to 0.
 _SQUARES_EXACT = 2.0 ** -968
@@ -73,6 +77,15 @@ def site_magnitudes(data: np.ndarray) -> np.ndarray:
         mod = np.abs(entries)
         mags[inexact] = np.hypot(np.hypot(mod[:, 0], mod[:, 1]), mod[:, 2])
     return mags
+
+
+def slice_runs(count: int, slice_bytes: int) -> list[slice]:
+    """Cut range(count) in order into runs of consecutive slices that take
+    slice_bytes each and at most _RUN_BYTES together (one slice when a
+    slice takes more), for whole-grid passes that keep their temporaries a
+    run long."""
+    step = max(1, _RUN_BYTES // slice_bytes)
+    return [slice(a, a + step) for a in range(0, count, step)]
 
 
 class _ArrayField:

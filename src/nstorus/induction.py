@@ -74,7 +74,7 @@ import numpy as np
 
 from .certificates import build_record, fit_gaussian_bound, fit_remainder_bound
 from .errors import ConvergenceError
-from .fields import SpectralField, TimeSlicedField, UNDERFLOW_FLOOR, fmc_norm
+from .fields import SpectralField, TimeSlicedField, UNDERFLOW_FLOOR, fmc_norm, slice_runs
 from .operators import star_product, unit_times
 from .params import SolverParams
 
@@ -266,8 +266,17 @@ def fixed_point(first, step, norm_fn, tol: float, max_iter: int):
     update falls below tol; returns (x, update_norms). first is iterate 1,
     the update from a zero start. Raises ConvergenceError after max_iter
     iterates, or at an update norm that is non-finite or above the
-    divergence cap."""
+    divergence cap.
+
+    The iterates are sliced fields on one grid, and norm_fn must be a sup
+    over slices, as fmc_norm and phi_norm are: its value on a field is the
+    largest of its values on runs of consecutive slices that cover the
+    grid, and nan when any of them is nan. Each update is measured so, a
+    run at a time (slice_runs), and no update array is built; the loop
+    drops first once it holds it as x. So beyond what step builds, the
+    loop holds two whole-grid arrays: the iterate and the next one."""
     x, d = first, norm_fn(first)
+    del first
     updates: list[float] = []
     while True:
         ratio = d / updates[-1] if updates and updates[-1] > 0 else math.nan
@@ -286,12 +295,20 @@ def fixed_point(first, step, norm_fn, tol: float, max_iter: int):
                 f"(last update {d:.3e}, last ratio {ratio:.3e})",
                 iterations=max_iter, last_update=d, last_ratio=ratio)
         nxt = step(x)
-        # release the old iterate before the norm, and the update before
-        # the next step: each is a whole-grid array
-        update, x = nxt - x, nxt
-        del nxt
-        d = norm_fn(update)
-        del update
+        d = _update_norm(norm_fn, nxt, x)
+        x = nxt
+
+
+def _update_norm(norm_fn, new: TimeSlicedField, old: TimeSlicedField) -> float:
+    """norm_fn(new - old) for norm_fn a sup over slices, from the update's
+    runs of slices (slice_runs), each built alone. The runs' values are
+    reduced by np.max, which keeps a nan wherever it stands: a running
+    max() or a `d > best` test would drop a nan run, since nan compares
+    false."""
+    new._check_operand(old)
+    return float(np.max([norm_fn(TimeSlicedField(new.times[run], new.lattice,
+                                                 new.data[run] - old.data[run]))
+                         for run in slice_runs(len(new.data), new.data[0].nbytes)]))
 
 
 def iterate_contraction(forcing, maps, norm_fn, tol: float, max_iter: int) -> FixedPointResult:

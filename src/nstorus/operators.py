@@ -786,7 +786,7 @@ def duhamel_rules(lattice: Lattice, times: tuple) -> tuple[tuple[np.ndarray, np.
     return tuple(rules[j] for j in which)
 
 
-def star_product(u: TimeSlicedField, *vs: TimeSlicedField):
+def star_product(u: TimeSlicedField, *vs: TimeSlicedField, addend=None):
     """Heat-weighted time integral of the convolution of u with each of vs;
     one sliced field for one v, else a tuple with one per v.
 
@@ -796,11 +796,17 @@ def star_product(u: TimeSlicedField, *vs: TimeSlicedField):
     samples into one (S+1, N, 3 len(vs)) array, and one duhamel_integrate
     pass that overwrites them with the integrals; the t = 0 slice is the
     zero field (empty integral).
+
+    addend, when given, is called with that array once it holds the
+    integrals, before they are wrapped, and adds a term into it in place:
+    so a caller that wants term + product builds no second grid.
     """
     lat = u.lattice
     out = np.empty((len(u.times), len(lat), 3 * len(vs)), dtype=np.complex128)
     bilinear(u, *vs, out=out)   # checks that vs share u's lattice and grid
     duhamel_integrate(lat, u.times, out)
+    if addend is not None:
+        addend(out)
     sliced = tuple(u._like(out[:, :, 3 * i: 3 * i + 3]) for i in range(len(vs)))
     return sliced[0] if len(vs) == 1 else sliced
 

@@ -8,9 +8,14 @@ on the full grid over [0, horizon] from the zero trajectory (so the first
 iterate is the heat flow) until the sup-over-slices data-norm change drops
 below tolerance. The heat flow, the loop, the lattice and the quadrature
 rule are the induction solver's, so discrepancies between the two solvers
-isolate the decomposition. Each iterate is one TimeSlicedField over the
-whole grid, and so is the result: a PicardTrajectory is the last iterate's
+isolate the decomposition. A PicardTrajectory is the last iterate's
 (S+1, N, 3) array plus the update norm of every iteration.
+
+An iteration holds two whole-grid arrays, (S+1) N 48 bytes each: the
+current iterate and the next one. The next one is the star product's own
+array: the heat flow is added into it a run of slices at a time, built from
+v0 and the cached heat weights, so no heat grid stands beside the iterates,
+and the loop measures each update a run at a time (see fixed_point).
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SpectralField, TimeSlicedField, phi_norm, site_magnitudes
-from .induction import fixed_point, heat_flow
+from .fields import SpectralField, TimeSlicedField, phi_norm, site_magnitudes, slice_runs
+from .induction import fixed_point, heat_flow, heat_weights
 from .operators import star_product
 from .params import SolverParams
 
@@ -61,10 +66,19 @@ def picard_solve(v0: SpectralField, horizon: float, params: SolverParams) -> Pic
             f"1/{params.substeps}"
         )
     times = tuple(i / params.substeps for i in range(n_sub + 1))
-    heat = heat_flow(v0, 0, times)
+    weights = heat_weights(v0.lattice, 0, times)
+
+    def add_heat(out):
+        """out <- heat + out, with heat = v0.data * weights built a run of
+        slices at a time: a run's heat and numpy's buffer of the weights
+        cast to complex take up to three times the run's bytes."""
+        for run in slice_runs(len(out), 3 * out[0].nbytes):
+            np.add(v0.data * weights[run], out[run], out=out[run])
+
+    # the heat flow is iterate 1, held by the loop alone
     solution, update_norms = fixed_point(
-        heat, lambda v: heat + star_product(v, v), lambda u: phi_norm(u, params.alpha),
-        params.fp_tol, params.fp_max_iter)
+        heat_flow(v0, 0, times), lambda v: star_product(v, v, addend=add_heat),
+        lambda u: phi_norm(u, params.alpha), params.fp_tol, params.fp_max_iter)
     return PicardTrajectory(times, v0.lattice, solution.data, update_norms)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from nstorus import (
     star_product,
     unit_times,
 )
-from nstorus.fields import UNDERFLOW_FLOOR
+from nstorus.fields import UNDERFLOW_FLOOR, slice_runs
 from nstorus.induction import IntervalSolution, apply_interval, iterate_contraction, remainder_maps
 from util import (ball, looped_history_parts, random_field, random_sliced, shared_ints,
                   star_majorant, state_from_histories)
@@ -369,6 +370,70 @@ def test_iterate_contraction_at_underflowing_norms(size, ball2):
     assert fp.quadratic_gain == 0.0
     assert fp.contracts and np.isfinite(fp.solution.data).all()
     assert 0 < fp.residual <= 1e-3 * fp.forcing_norm
+
+
+def long_grid_update(lat, rng):
+    """A first iterate on a 193-slice grid whose update spans several runs
+    of slices, and a contracting step that scales each slice differently."""
+    times = tuple(i / 8 for i in range(193))
+    assert len(slice_runs(len(times), 48 * len(lat))) > 2
+    first = random_sliced(lat, times, rng, scale=1e-3)
+    scales = np.linspace(0.2, 0.6, len(times))[:, None, None]
+    return first, lambda x: TimeSlicedField(x.times, lat, x.data * scales)
+
+
+def phi(x):
+    return nstorus.fields.phi_norm(x, PARAMS.alpha)
+
+
+def test_fixed_point_update_norms_equal_whole_grid_norms(ball2):
+    # the updates are measured a run of slices at a time, and the max over
+    # runs is bit-equal to the norm of the whole update
+    first, step = long_grid_update(ball2, np.random.default_rng(6))
+    iterates = [first]
+
+    def recording(x):
+        iterates.append(step(x))
+        return iterates[-1]
+
+    x, updates = nstorus.induction.fixed_point(first, recording, phi, 1e-12, 50)
+    assert x is iterates[-1] and len(updates) == len(iterates) > 3
+    want = [phi(first)] + [phi(b - a) for a, b in zip(iterates, iterates[1:])]
+    assert list(updates) == want
+
+
+@pytest.mark.parametrize("where", [0, -1])
+def test_fixed_point_update_norm_keeps_a_nan_in_any_run(where, ball2):
+    # a nan in the first run of slices, or in the last one alone, is a
+    # non-finite update: a running max() or a `d > best` test would drop one
+    first, step = long_grid_update(ball2, np.random.default_rng(7))
+
+    def poisoned(x):
+        data = step(x).data.copy()
+        data[where, 3, 1] = np.nan
+        return TimeSlicedField(x.times, ball2, data)
+
+    with pytest.raises(ConvergenceError) as err:
+        nstorus.induction.fixed_point(first, poisoned, phi, 1e-12, 50)
+    assert err.value.iterations == 2 and math.isnan(err.value.last_update)
+
+
+def test_fixed_point_drops_the_first_iterate(ball2):
+    # once iterate 2 exists the loop holds no reference to iterate 1, so a
+    # Picard iteration keeps two whole grids, not the heat flow beside them
+    refs, first_alive = [], []
+
+    def make_first():
+        x = random_sliced(ball2, unit_times(4), np.random.default_rng(8), scale=1e-3)
+        refs.append(weakref.ref(x))
+        return x
+
+    def step(x):
+        first_alive.append(refs[0]() is not None)
+        return x * 0.5
+
+    nstorus.induction.fixed_point(make_first(), step, phi, 1e-9, 60)
+    assert first_alive[:2] == [True, False]
 
 
 # -- advancing intervals ---------------------------------------------------------------

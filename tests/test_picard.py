@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,13 +7,16 @@ import pytest
 import nstorus.picard
 from nstorus import (
     ConvergenceError,
+    LatticeSpec,
     SolverParams,
     SpectralField,
     TimeSlicedField,
     bilinear,
+    get_lattice,
     phi_norm,
     picard_solve,
 )
+from util import random_field
 
 PARAMS = SolverParams()
 
@@ -115,9 +119,9 @@ def test_first_iterate_is_heat_flow_without_a_star_product(ball2, monkeypatch):
     calls = []
     star_product = nstorus.picard.star_product
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return star_product(*args)
+        return star_product(*args, **kwargs)
 
     monkeypatch.setattr(nstorus.picard, "star_product", counting)
     v0 = SpectralField.from_modes(
@@ -126,3 +130,22 @@ def test_first_iterate_is_heat_flow_without_a_star_product(ball2, monkeypatch):
     traj = picard_solve(v0, 3.0, PARAMS)
     assert traj.iterations_used == 3
     assert len(calls) == traj.iterations_used - 1
+
+
+def test_an_iteration_holds_two_grids():
+    # the iterate and the next one: no heat grid, no sum beside the star
+    # product and no update array. At k_max 4 over horizon 8 a grid is 65
+    # slices of 256 sites, 0.78 MB; four grids stood at once before.
+    lat = get_lattice(LatticeSpec(4))
+    v0 = random_field(lat, np.random.default_rng(14), scale=1e-4)
+    picard_solve(v0, 8.0, PARAMS)   # builds the kernel and the cached tables
+    grid = 65 * len(lat) * 48
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        traj = picard_solve(v0, 8.0, PARAMS)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert traj.data.nbytes == grid and traj.iterations_used > 2
+    assert peak < 2.5 * grid
