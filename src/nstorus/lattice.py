@@ -20,6 +20,7 @@ position(0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -32,6 +33,11 @@ __all__ = [
     "Lattice",
     "get_lattice",
 ]
+
+# Most sites a lattice may have: the convolution's gather table stores its
+# entries in 16 bits (operators.conv_kernel). The ball reaches it past
+# k_max 25 (65,266 sites), the cube past k_max 19 (59,318 sites).
+MAX_SITES = 65535
 
 
 class TruncationRule(str, Enum):
@@ -53,6 +59,28 @@ class LatticeSpec:
             raise ValueError(f"k_max must be a positive integer, got {self.k_max!r}")
         object.__setattr__(self, "k_max", int(self.k_max))
         object.__setattr__(self, "truncation_rule", TruncationRule(self.truncation_rule))
+        if _site_count(self) > MAX_SITES:
+            raise ValueError(f"the {self.truncation_rule.value} lattice at k_max {self.k_max} "
+                             f"has more than {MAX_SITES} sites")
+
+
+def _site_count(spec: LatticeSpec) -> int:
+    """The number of sites of spec's lattice, counted without building it;
+    once the count of a ball passes MAX_SITES, a number above MAX_SITES.
+    The ball is counted one line of points along z at a time, each line
+    adding at least one point, so at most MAX_SITES + 2 lines are counted
+    whatever k_max is."""
+    k = spec.k_max
+    if spec.truncation_rule is TruncationRule.SUP_CUBE:
+        return (2 * k + 1) ** 3 - 1
+    count = -1   # the origin is not a site
+    for x in range(-k, k + 1):
+        w = math.isqrt(k * k - x * x)
+        for y in range(-w, w + 1):
+            count += 2 * math.isqrt(k * k - x * x - y * y) + 1
+            if count > MAX_SITES:
+                return count
+    return count
 
 
 class Lattice:

@@ -19,21 +19,24 @@ bilinear). A block pairs rows i < N/2 with their mirror rows N-1-i, whose
 sites are the negated ones, so <k, u(m)> is formed for the first half of
 the rows only and read negated by the second; each block's complex product
 is taken as one real matrix product over the (re, im) pairs (see
-_slice_products). Every output mode is summed from its own pair products,
+_block_products). Every output mode is summed from its own pair products,
 so small modes keep their relative accuracy.
 
 The kernel's layout is decided here alone: the block size, the gather
-table that builds each block of the interaction matrix, and the lane's work
-arrays (the D buffer the table reads with its zero slot, the block of A,
-the chunk buffer of real right and transposed left factors, the block
-product, and each block's views of them) are one record per lattice
-(_ConvKernel), built on first use by conv_kernel (a warm-up call on zero
-fields builds it at set-up) and reused by every later call on that
-lattice. A call sets itself up once: one zero test over the whole stack,
-then the live slices are split into contiguous runs, one per lane, and
-each lane fills the factors a chunk of slices at a time and runs the block
-loop per live slice (_slice_products). There is one lane per usable CPU,
-and never more lanes than live slices: lane 0 runs in the calling process,
+table that builds each block of the interaction matrix (uint16 entries,
+2 N^2 bytes), and the lane's work arrays (the D buffer the table reads
+with its zero slot, the intp index block a block's entries are widened
+into, the block of A, the chunk buffer of real right and transposed left
+factors, the block product, and each block's views of them) are one record
+per lattice (_ConvKernel), built on first use by conv_kernel (a warm-up
+call on zero fields builds it at set-up) and reused by every later call on
+that lattice. A call sets itself up once: one zero test over the whole
+stack, then the live slices are split into contiguous runs, one per lane,
+and each lane fills the factors a chunk of slices at a time (at least
+_CHUNK_SLICES of them) and runs the chunk block by block
+(_block_products): a block's entries are widened once, then its products
+are taken for every live slice of the chunk. There is one lane per usable
+CPU, and never more lanes than live slices: lane 0 runs in the calling process,
 every other lane in a persistent worker process (_Worker), forked from the
 caller, so the lanes' short numpy and BLAS calls never wait for each
 other's interpreter lock. Each process holds its own copy of the kernel's
@@ -103,10 +106,16 @@ _PROJECTION_BYTES = 256 * 1024
 # stays in cache while it is gathered into a block of A and multiplied.
 _BLOCK_BYTES = 512 * 1024
 # Bytes of the convolution's chunk buffer, which holds the real right
-# factors and transposed left factors of a run of consecutive slices (at
-# least one slice with two right factors): they are filled a chunk at a
-# time, so their set-up is paid once per chunk, not once per slice.
+# factors and transposed left factors of a run of consecutive slices: they
+# are filled a chunk at a time, so their set-up is paid once per chunk, not
+# once per slice.
 _CHUNK_BYTES = 256 * 1024
+# Fewest slices with two right factors that the chunk buffer holds. Each
+# block's uint16 entries are widened to intp once per chunk, and the
+# solver's 8-slice calls give each of two lanes 4 slices, so one widening
+# serves all 4 (at k_max 6 the buffer takes 887 KB, not 256 KB). Widened
+# once per slice instead, the narrow table cost 2-5% of a solve.
+_CHUNK_SLICES = 4
 
 
 def _usable_cpus() -> int:
@@ -182,16 +191,18 @@ class _ConvKernel:
     the flat D buffer of rows*N + 1 complex entries, holds them in its
     first (r1-r0)*N entries, and its entry rows*N, the zero slot, is never
     written and stays 0. A block's gather is a (2 (r1-r0), N) view of one
-    flat N*N intp array. Its first half gathers the rows i from D row i-r0;
-    its second half gathers the mirror rows j, in order, from D row
-    N-1-j-r0, that is -A[j, :]. Entry l of a row for site p is
+    flat N*N uint16 array, 2 N^2 bytes. Its first half gathers the rows i
+    from D row i-r0; its second half gathers the mirror rows j, in order,
+    from D row N-1-j-r0, that is -A[j, :]. Entry l of a row for site p is
     (D row)*N + index(p - sites[l]), with index read from the flattened
     index cube at the flat position of p - sites[l], or rows*N when
-    p - sites[l] is not a site. The blocks hold (r0, r1, gather) and end at
-    N/2; together they cover all N*N pairs once. The gather table is
-    read-only. Each process that runs a lane works in its own copy of the
-    lane's arrays (_Lane): the caller in its own, a worker in the one it
-    inherited when it was forked (see _Worker).
+    p - sites[l] is not a site. rows is at most max(1, 16384 // N), so no
+    entry exceeds max(16384, N), which 16 bits hold on every lattice
+    LatticeSpec allows (at most MAX_SITES sites). The blocks hold
+    (r0, r1, gather) and end at N/2; together they cover all N*N pairs
+    once. The gather table is read-only. Each process that runs a lane
+    works in its own copy of the lane's arrays (_Lane): the caller in its
+    own, a worker in the one it inherited when it was forked (see _Worker).
     """
 
     rows: int
@@ -203,16 +214,19 @@ class _Lane:
     """A lane's work arrays for the kernel's blocks.
 
     dots is the lane's flat D buffer with its zero slot (see _ConvKernel),
-    and inter the (2 rows, N) block of A that a block's rows and mirror rows
-    are gathered into, so no (N, N) complex matrix is ever formed. steps
-    holds each block's views, made once: (b = r1 - r0, its rows r0:r1 and
-    mirror rows N-r1:N-r0 as slices, its sites, its D rows as (re, im)
-    pairs, dots, its gather, and its rows of inter, whole and as (re, im)
-    pairs). work is the flat float64 chunk buffer that the lane fills with
-    the real right factors and transposed left factors of a run of
-    consecutive slices (_CHUNK_BYTES, and never less than one slice with
-    two right factors), and prod the flat float64 buffer of a block's
-    product, (2 rows, 6 n) for n <= 2 right factors.
+    index the (2 rows, N) intp block that a block's uint16 gather is
+    widened into, once per chunk (np.take converts narrower indices to intp
+    on every call), and inter the (2 rows, N) block of A that a block's
+    rows and mirror rows are gathered into, so no (N, N) complex matrix is
+    ever formed. steps holds each block's views, made once: (b = r1 - r0,
+    its rows r0:r1 and mirror rows N-r1:N-r0 as slices, its sites, its D
+    rows as (re, im) pairs, dots, its gather, its rows of index, and its
+    rows of inter, whole and as (re, im) pairs). work is the flat float64
+    chunk buffer that the lane fills with the real right factors and
+    transposed left factors of a run of consecutive slices (_CHUNK_BYTES,
+    and never less than _CHUNK_SLICES slices with two right factors), and
+    prod the flat float64 buffer of a block's product, (2 rows, 6 n) for
+    n <= 2 right factors.
 
     The work arrays are reused by every call on the lattice, which keeps
     each call free of fresh allocations, whose page faults would otherwise
@@ -223,39 +237,43 @@ class _Lane:
     def __init__(self, lat: Lattice, rows: int, blocks: list):
         n = len(lat)
         self.dots = np.zeros(rows * n + 1, dtype=np.complex128)
+        self.index = np.empty((2 * rows, n), dtype=np.intp)
         self.inter = np.empty((2 * rows, n), dtype=np.complex128)
         # the buffer's rows, without the zero slot
         dots_ri = self.dots[:-1].view(np.float64).reshape(rows, 2 * n)
         inter_ri = self.inter.view(np.float64)
         self.steps = tuple((r1 - r0, slice(r0, r1), slice(n - r1, n - r0), lat.sites_f[r0:r1],
-                            dots_ri[:r1 - r0], self.dots, g, self.inter[:2 * (r1 - r0)],
-                            inter_ri[:2 * (r1 - r0)])
+                            dots_ri[:r1 - r0], self.dots, g, self.index[:2 * (r1 - r0)],
+                            self.inter[:2 * (r1 - r0)], inter_ri[:2 * (r1 - r0)])
                            for r0, r1, g in blocks)
         # one slice with two right factors takes 6 n (2*2 + 1) floats
-        self.work = np.empty(max(_CHUNK_BYTES // 8, 30 * n))
+        self.work = np.empty(max(_CHUNK_BYTES // 8, _CHUNK_SLICES * 30 * n))
         self.prod = np.empty(24 * rows)
 
 
 @lru_cache(maxsize=None)
 def conv_kernel(lat: Lattice) -> _ConvKernel:
     """The convolution kernel of lat, built on first use and then shared
-    by every lattice equal to it (equal specs): a block's flat positions of
-    k - l are one subtraction, written into its rows of the gather array
-    and read back by one take from the flat index cube."""
+    by every lattice equal to it (equal specs). Each block's entries are
+    formed in the lane's intp index block, then narrowed into the uint16
+    table, so no (N, N) intp array is formed: its flat positions of k - l
+    are one subtraction, read back by one take from the flat index cube."""
     n = len(lat)
     half = n // 2   # sites come in pairs (k, -k), so n is even
     rows = min(half, max(1, _BLOCK_BYTES // (32 * n)))
+    table = np.empty(n * n, dtype=np.uint16)
+    blocks = []
+    for r0 in range(0, half, rows):
+        r1 = min(half, r0 + rows)
+        blocks.append((r0, r1, table[2 * r0 * n: 2 * r1 * n].reshape(2 * (r1 - r0), n)))
+    lane = _Lane(lat, rows, blocks)
     cube = lat.cube.reshape(-1)
     pos = lat.position(lat.sites)
     # position(k - l) = position(k) - (position(l) - position(0))
     pos_l = pos - lat.position(np.zeros(3, dtype=np.intp))
-    # allocated first, then filled one block of row pairs at a time
-    gather = np.empty(n * n, dtype=np.intp)
-    blocks = []
-    for r0 in range(0, half, rows):
-        r1 = min(half, r0 + rows)
+    for r0, r1, narrow in blocks:
         b = r1 - r0
-        g = gather[2 * r0 * n: 2 * r1 * n].reshape(2 * b, n)
+        g = lane.index[:2 * b]
         # rows r0..r1-1, then their mirror rows n-r1..n-r0-1
         np.subtract(np.r_[pos[r0:r1], pos[n - r1:n - r0]][:, None], pos_l, out=g)
         mi = cube.take(g)
@@ -263,8 +281,8 @@ def conv_kernel(lat: Lattice) -> _ConvKernel:
         d_row = np.r_[np.arange(b), np.arange(b - 1, -1, -1)]
         np.add(mi, (d_row * n)[:, None], out=g)
         g[mi < 0] = rows * n   # the zero slot
-        blocks.append((r0, r1, g))
-    return _ConvKernel(rows, tuple(blocks), _Lane(lat, rows, blocks))
+        narrow[...] = g
+    return _ConvKernel(rows, tuple(blocks), lane)
 
 
 class _Worker:
@@ -515,7 +533,7 @@ def bilinear(u, *vs, out=None):
     A[k, l] = <k, u(k-l)> (zero where k-l is not a site), one cache-sized
     block of rows i < N/2 and their mirror rows N-1-i at a time, and one
     real matrix product per block sums them for every v at once (see
-    _slice_products), so one build of A(u) serves all right factors that
+    _block_products), so one build of A(u) serves all right factors that
     share u; the full (N, N) A is never formed, and <k, u(m)> is formed
     for half of the rows only, since site N-1-i is -(site i).
     Each output mode is the sum of the same pair products as the direct
@@ -655,10 +673,12 @@ def _lane_products(lane: _Lane, start: int, stop: int, u_ri: np.ndarray, v_ri: l
     The real right factors and transposed left factors are filled a chunk
     of consecutive slices at a time (a chunk with no live slice is skipped)
     into the lane's chunk buffer: one pass per v and one for u, through
-    basic slices, so the fill allocates nothing. Then each live slice of
-    the chunk runs the block loop (_slice_products). Every factor of a
-    chunk is read before any of its products is written, so a slice's
-    products may overwrite that slice's factors, as in a worker."""
+    basic slices, so the fill allocates nothing. Then the chunk runs block
+    by block, and each block over the chunk's live slices
+    (_block_products), so a block's indices are widened once per chunk.
+    Every factor of a chunk is read before any of its products is written,
+    so a slice's products may overwrite that slice's factors, as in a
+    worker."""
     n = u_ri.shape[1]
     nv = len(v_ri)
     # a chunk of c slices: right factors (c, 2N, 6 nv), then left factors (c, 3, 2N)
@@ -672,9 +692,9 @@ def _lane_products(lane: _Lane, start: int, stop: int, u_ri: np.ndarray, v_ri: l
     rows = len(lane.inter) // 2
     size = 12 * rows * nv
     prod = (lane.prod[:size] if nv <= 2 else np.empty(size)).reshape(2 * rows, 6 * nv)
-    plan = [(own, mirror, kf, dots_ri, dots, gather, inter, inter_ri,
+    plan = [(own, mirror, kf, dots_ri, dots, gather, index, inter, inter_ri,
              prod[: 2 * b], prod[:b], prod[b: 2 * b])
-            for b, own, mirror, kf, dots_ri, dots, gather, inter, inter_ri in lane.steps]
+            for b, own, mirror, kf, dots_ri, dots, gather, index, inter, inter_ri in lane.steps]
     for first in range(start, stop, c):
         end = min(stop, first + c)
         at = np.flatnonzero(live[first:end]).tolist()
@@ -694,20 +714,24 @@ def _lane_products(lane: _Lane, start: int, stop: int, u_ri: np.ndarray, v_ri: l
             pairs[:m, :, 1, i, :, 0] = neg
             pairs[:m, :, 1, i, :, 1] = part[..., 0]
         np.copyto(left_pairs[:m], u_ri[first:end].transpose(0, 2, 1, 3))
-        for j in at:
-            _slice_products(plan, left[j], rhs[j], res_ri[first + j])
+        chunk = [(left[j], rhs[j], res_ri[first + j]) for j in at]
+        for step in plan:
+            _block_products(step, chunk)
 
 
-def _slice_products(plan: list, u: np.ndarray, rhs: np.ndarray, out: np.ndarray) -> None:
-    """Write A(u) @ [v_1 ... v_n] for one live slice, before the
-    projection, into out, the (N, 6n) real view of its (N, 3n) output.
-    plan is the lane's per-call list of each block's views (_Lane.steps)
-    with its rows of the block product; u is the slice's left factor as
-    the (3, 2N) real array of its (re, im) pairs side by side, and rhs its
+def _block_products(step: tuple, chunk: list) -> None:
+    """Write one block's rows of A(u) @ [v_1 ... v_n], before the
+    projection, for each live slice of a chunk. step is one block's entry
+    of the lane's per-call plan (_Lane.steps, with the block's rows of the
+    block product), whose first item is the slice of the block's own rows;
+    chunk holds each live slice's (u, rhs, out): u the slice's left factor
+    as the (3, 2N) real array of its (re, im) pairs side by side, rhs its
     (2N, 6n) real right factor, whose rows 2l and 2l+1 hold each v(l)'s
-    (re, im) and (-im, re) pairs.
+    (re, im) and (-im, re) pairs, and out the (N, 6n) real view of its
+    (N, 3n) output.
 
-    Per block of row pairs of the kernel: a cache-sized block of
+    The block's uint16 gather is widened into the lane's index block once
+    for the whole chunk. Then per slice: a cache-sized block of
     D[i, m] = <i, u(m)> for the block's rows i < N/2 is written to the D
     buffer as one real product, A's rows i and their mirror rows N-1-i are
     gathered from it (the zero slot fills the entries whose k-l is not a
@@ -718,7 +742,9 @@ def _slice_products(plan: list, u: np.ndarray, rhs: np.ndarray, out: np.ndarray)
     as -A[N-1-i, :], and its product is written out negated, as 0 - x so
     that an exact zero stays +0. Negation is exact, and so is a dot
     product of negated operands, so each output is bit for bit the one a
-    gather from the mirror row's own D row gives.
+    gather from the mirror row's own D row gives; and a slice's outputs
+    are the same operations on the same values in every chunk, so how the
+    slices are chunked changes no byte.
 
     The complex product is one real one, which BLAS runs faster than a
     complex product this narrow: A's rows, viewed as their (re, im) pairs
@@ -726,10 +752,12 @@ def _slice_products(plan: list, u: np.ndarray, rhs: np.ndarray, out: np.ndarray)
     still the sum of the pair products a(l) v(l), each split into its real
     terms.
     """
-    for own, mirror, kf, dots_ri, dots, gather, inter, inter_ri, prod, top, bottom in plan:
+    own, mirror, kf, dots_ri, dots, gather, index, inter, inter_ri, prod, top, bottom = step
+    np.copyto(index, gather)
+    for u, rhs, out in chunk:
         np.matmul(kf, u, out=dots_ri)   # D[i-r0, m] = <i, u(m)>
         # every index is in range; "wrap" only skips numpy's bounds check
-        dots.take(gather, out=inter, mode="wrap")
+        dots.take(index, out=inter, mode="wrap")
         np.matmul(inter_ri, rhs, out=prod)
         out[own] = top
         # 0 - x, not -x: an exact zero stays +0, as BLAS sums it

@@ -38,6 +38,11 @@ def test_epsilon_constraint_reported():
         parse_config("epsilon = 0.4")
 
 
+def test_lattice_too_large_for_the_gather_table_reported():
+    with pytest.raises(ConfigError, match="k_max 20 has more than 65535 sites"):
+        RunConfig(k_max=20, truncation_rule="sup_cube")
+
+
 def test_beta_constraint_reported():
     with pytest.raises(ConfigError, match="beta must be > 3"):
         parse_config("beta = 2.5")

@@ -36,7 +36,7 @@ from nstorus import (
 from nstorus.fields import UNDERFLOW_FLOOR, slice_runs
 from nstorus.induction import IntervalSolution, apply_interval, iterate_contraction, remainder_maps
 from util import (ball, looped_history_parts, random_field, random_sliced, shared_ints,
-                  star_majorant, state_from_histories)
+                  slice_builds, star_majorant, state_from_histories)
 
 PARAMS = SolverParams()
 
@@ -486,19 +486,19 @@ def test_bilinear_calls_per_step(ball2, monkeypatch, lanes):
     # lanes.
     caller = os.getpid()
     builds, calls = shared_ints(2), []
-    slice_products = nstorus.operators._slice_products
+    block_products = nstorus.operators._block_products
     original = nstorus.operators.bilinear
 
-    def counting_builds(*args):
-        builds[int(os.getpid() != caller)] += 1
-        return slice_products(*args)
+    def counting_builds(step, chunk):
+        builds[int(os.getpid() != caller)] += slice_builds(step, chunk)
+        return block_products(step, chunk)
 
     def counting_calls(u, *vs, **kwargs):
         calls.append(1)
         return original(u, *vs, **kwargs)
 
     nstorus.operators._stop_workers()
-    monkeypatch.setattr(nstorus.operators, "_slice_products", counting_builds)
+    monkeypatch.setattr(nstorus.operators, "_block_products", counting_builds)
     monkeypatch.setattr(nstorus.operators, "bilinear", counting_calls)
     v0 = random_field(ball2, np.random.default_rng(0), scale=1e-3)
     for count in (None, 2):

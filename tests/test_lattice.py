@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nstorus import Lattice, LatticeSpec, TruncationRule, bilinear, get_lattice
+from nstorus.lattice import MAX_SITES
 
 from util import random_field
 
@@ -85,6 +86,32 @@ def test_negation_is_index_reversal(k_max, rule):
     # reality_defect and reality-symmetric initial data rely on this order
     lat = get_lattice(LatticeSpec(k_max, rule))
     assert (lat.sites[::-1] == -lat.sites).all()
+
+
+def counted_sites(k_max, rule):
+    """Sites of the lattice, counted over the points of its bounding cube."""
+    axis = np.arange(-k_max, k_max + 1)
+    points = np.stack(np.meshgrid(axis, axis, axis), axis=-1).reshape(-1, 3)
+    if rule is TruncationRule.SUP_CUBE:
+        return len(points) - 1
+    return int(((points * points).sum(axis=1) <= k_max * k_max).sum()) - 1
+
+
+@pytest.mark.parametrize("rule, k_max, sites", [
+    (TruncationRule.EUCLIDEAN_BALL, 25, 65266),
+    (TruncationRule.SUP_CUBE, 19, 59318),
+], ids=["ball", "cube"])
+def test_spec_rejects_more_sites_than_the_gather_table_indexes(rule, k_max, sites):
+    # the convolution's gather table holds 16-bit entries, so a spec of
+    # more than MAX_SITES sites is rejected from the spec alone, before
+    # anything is built: the largest ball and cube it allows, and the
+    # next ones
+    assert MAX_SITES == 2 ** 16 - 1
+    assert counted_sites(k_max, rule) == sites <= MAX_SITES < counted_sites(k_max + 1, rule)
+    LatticeSpec(k_max, rule)
+    for too_large in (k_max + 1, 10 ** 6):
+        with pytest.raises(ValueError, match=f"at k_max {too_large} has more than 65535 sites"):
+            LatticeSpec(too_large, rule)
 
 
 def test_kmax_zero_rejected():

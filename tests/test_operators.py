@@ -35,7 +35,7 @@ from nstorus.operators import conv_kernel, duhamel_rules
 
 ROOT = Path(__file__).resolve().parents[1]
 from util import (ball, conv_triples, direct_bilinear, duhamel_terms, random_field,
-                  random_sliced, shared_ints, star_majorant)
+                  random_sliced, shared_ints, slice_builds, star_majorant)
 
 
 @pytest.fixture
@@ -170,9 +170,9 @@ def test_conv_table_blocks_partition_the_pairs(k_max):
         assert gather.shape == (2 * (r1 - r0), n)
         # every index lies in the block's own rows of D or is the zero slot
         assert ((gather < (r1 - r0) * n) | (gather == kern.rows * n)).all()
-    # and the blocks are views of one flat N*N intp array
+    # and the blocks are views of one flat N*N uint16 array
     base = kern.blocks[0][2].base
-    assert base is not None and base.shape == (n * n,) and base.dtype == np.intp
+    assert base is not None and base.shape == (n * n,) and base.dtype == np.uint16
     assert all(g.base is base for _, _, g in kern.blocks)
     ki, li, _ = conv_triples(lat)
     assert ki.size == int(sum((g != kern.rows * n).sum() for _, _, g in kern.blocks))
@@ -180,7 +180,7 @@ def test_conv_table_blocks_partition_the_pairs(k_max):
     # has its own copy of them)
     lane = kern.lane
     assert lane.dots.shape == (kern.rows * n + 1,) and lane.inter.shape == (2 * kern.rows, n)
-    held = [lane.dots, lane.inter, lane.work, lane.prod]
+    held = [lane.dots, lane.index, lane.inter, lane.work, lane.prod]
     assert not any(np.shares_memory(a, b) for i, a in enumerate(held) for b in held[i + 1:])
 
 
@@ -205,6 +205,18 @@ def test_conv_zero_slot_stays_zero_after_bilinear(two_lanes, monkeypatch):
     assert checked.tolist() == [1, 1]
 
 
+def held_arrays(obj):
+    """Every array that obj, a kernel, a lane, or a list or tuple of them
+    and of arrays, holds."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from held_arrays(item)
+    elif isinstance(obj, (operators._ConvKernel, operators._Lane)):
+        yield from held_arrays(list(vars(obj).values()))
+
+
 def test_no_full_interaction_matrix_on_the_lattice():
     # neither the lattice nor its convolution kernel holds an (N, N)
     # complex matrix
@@ -212,20 +224,65 @@ def test_no_full_interaction_matrix_on_the_lattice():
     n = len(lat)
     rng = np.random.default_rng(62)
     bilinear(random_field(lat, rng), random_field(lat, rng))
-
-    def arrays(obj):
-        if isinstance(obj, np.ndarray):
-            yield obj
-        elif isinstance(obj, (tuple, list)):
-            for item in obj:
-                yield from arrays(item)
-        elif isinstance(obj, (operators._ConvKernel, operators._Lane)):
-            yield from arrays(list(vars(obj).values()))
-
-    kernel = list(arrays(conv_kernel(lat)))
+    kernel = list(held_arrays(conv_kernel(lat)))
     assert kernel, "the kernel should hold its table and work arrays"
-    held = kernel + list(arrays(list(vars(lat).values())))
+    held = kernel + list(held_arrays(list(vars(lat).values())))
     assert not [a.shape for a in held if np.iscomplexobj(a) and a.size >= n * n]
+
+
+def kernel_bytes(lat):
+    """Bytes of the distinct memory behind every array that lat's
+    convolution kernel and its lane hold, less the lattice's own arrays
+    (the blocks' sites are views of them)."""
+    def owner(a):
+        return a if a.base is None else owner(a.base)
+
+    owned = {id(owner(a)): owner(a) for a in held_arrays(conv_kernel(lat))}
+    for a in held_arrays(list(vars(lat).values())):
+        owned.pop(id(owner(a)), None)
+    return sum(a.nbytes for a in owned.values())
+
+
+def lane_bytes(n, rows):
+    """Bytes of a lane's work arrays as _Lane documents them: the D buffer
+    with its zero slot, the intp index block, the complex block of A, the
+    chunk buffer (at least _CHUNK_SLICES slices with two right factors)
+    and the block product."""
+    work = max(operators._CHUNK_BYTES // 8, operators._CHUNK_SLICES * 30 * n)
+    return 16 * (rows * n + 1) + 8 * 2 * rows * n + 16 * 2 * rows * n + 8 * work + 8 * 24 * rows
+
+
+def test_conv_kernel_holds_a_two_byte_table_and_one_lane():
+    # at k_max 6 the gather table takes 2 N^2 bytes (1.6 MiB), and the
+    # kernel holds nothing but it and the lane's documented arrays
+    lat = get_lattice(LatticeSpec(6))
+    n = len(lat)
+    kern = conv_kernel(lat)
+    assert kern.blocks[0][2].base.nbytes == 2 * n * n
+    assert kernel_bytes(lat) <= 2 * n * n + lane_bytes(n, kern.rows)
+
+
+def test_conv_kernel_build_forms_no_full_index_array():
+    # At k_max 8 (N = 2108) the table takes 2 N^2 bytes, about 8.5 MiB. No
+    # (N, N) intp array, 34 MiB, is formed even while it is built: the
+    # build's traced peak is the kernel's own arrays and block-sized
+    # temporaries. The kernel is built alone and dropped after.
+    lat = get_lattice(LatticeSpec(8))
+    n = len(lat)
+    conv_kernel.cache_clear()
+    try:
+        tracemalloc.start()
+        try:
+            kern = conv_kernel(lat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = kern.blocks[0][2].base
+        assert table.dtype == np.uint16 and table.nbytes == 2 * n * n
+        assert kernel_bytes(lat) <= 2 * n * n + lane_bytes(n, kern.rows)
+        assert peak <= kernel_bytes(lat) + (1 << 20), peak
+    finally:
+        conv_kernel.cache_clear()
 
 
 # -- bilinear convolution --------------------------------------------------------
@@ -489,13 +546,13 @@ def test_bilinear_builds_only_live_slices_across_chunks(lanes, monkeypatch):
     u, v1, v2 = (TimeSlicedField(times, lat, d) for d in (u, v1, v2))
     caller = os.getpid()
     builds = shared_ints(2)   # in the caller, in the worker
-    slice_products = operators._slice_products
+    block_products = operators._block_products
 
-    def counting(*args):
-        builds[int(os.getpid() != caller)] += 1
-        return slice_products(*args)
+    def counting(step, chunk):
+        builds[int(os.getpid() != caller)] += slice_builds(step, chunk)
+        return block_products(step, chunk)
 
-    monkeypatch.setattr(operators, "_slice_products", counting)
+    monkeypatch.setattr(operators, "_block_products", counting)
     for vs, dead in (((v2,), {0, 2, 3, 4, 6, 7, 9, 13}), ((v1, v2), {0, 2, 3, 4, 6, 7, 13})):
         builds[:] = 0
         got = bilinear(u, *vs)
@@ -539,21 +596,23 @@ def test_bilinear_warm_call_allocates_nothing_per_slice(lanes, monkeypatch):
     # each slice's (out, u, rhs, prod) addresses, in the caller and in the
     # worker, and how many rows each holds
     seen, rows = shared_ints(2, 193, 4), shared_ints(2)
-    slice_products = operators._slice_products
+    block_products = operators._block_products
 
-    def recording(plan, u, rhs, out):
+    def recording(step, chunk):
         # the lane in this process, the caller or a worker, owns every
-        # array the slice uses
+        # array the block and its slices use
         lane = conv_kernel(lat).lane
-        assert np.shares_memory(u, lane.work) and np.shares_memory(rhs, lane.work)
-        assert np.shares_memory(plan[0][-3], lane.prod)   # -3: prod
-        assert all(step[4] is lane.dots and np.shares_memory(step[6], lane.inter)
-                   for step in plan)
+        assert np.shares_memory(step[-3], lane.prod)   # -3: prod
+        assert step[4] is lane.dots and np.shares_memory(step[6], lane.index)
+        assert np.shares_memory(step[7], lane.inter)
         side = int(os.getpid() != caller)
-        seen[side, rows[side]] = (out.ctypes.data, u.ctypes.data, rhs.ctypes.data,
-                                  plan[0][-3].ctypes.data)
-        rows[side] += 1
-        return slice_products(plan, u, rhs, out)
+        if slice_builds(step, chunk):   # each slice once, at the first block
+            for u, rhs, out in chunk:
+                assert np.shares_memory(u, lane.work) and np.shares_memory(rhs, lane.work)
+                seen[side, rows[side]] = (out.ctypes.data, u.ctypes.data, rhs.ctypes.data,
+                                          step[-3].ctypes.data)
+                rows[side] += 1
+        return block_products(step, chunk)
 
     def recorded():
         return {(side, *map(int, row)) for side in (0, 1) for row in seen[side, :rows[side]]}
@@ -590,13 +649,13 @@ def test_bilinear_warm_call_allocates_nothing_per_slice(lanes, monkeypatch):
             # the same addresses, and every lane takes part; the worker is
             # forked after the recording is patched in
             lanes(count)
-            monkeypatch.setattr(operators, "_slice_products", recording)
+            monkeypatch.setattr(operators, "_block_products", recording)
             rows[:] = 0
             bilinear(u, *vs, out=out)
             first = recorded()
             rows[:] = 0
             bilinear(u, *vs, out=out)
-            monkeypatch.setattr(operators, "_slice_products", slice_products)
+            monkeypatch.setattr(operators, "_block_products", block_products)
             assert first == recorded() and len(first) == 193
             assert {side for side, *_ in first} == set(range(count))
             lanes(count)
@@ -642,6 +701,30 @@ def test_bilinear_two_lanes_match_one_lane_per_slice(spec, lanes):
             assert got[s].tobytes() == want[s].tobytes(), s
         for s in (0, 4, 7):
             assert got[s].tobytes() == bytes(got[s].nbytes)   # +0 exactly
+
+
+def test_bilinear_chunking_changes_no_byte(lanes, monkeypatch):
+    # A k_max 6 call (28 blocks) with two right factors over 17 slices, 14
+    # of them live (u is dead at slice 0, both vs at 8 and 16), so each of
+    # two lanes runs 7: chunks of 1 slice, of 4 and of a lane's whole run
+    # give the same bytes. Each run ends inside a chunk of 4, and v2's
+    # zero slice 2 is live beside v1. The lane's chunk buffer is patched
+    # before the worker is forked; the kernel and the workers that saw
+    # the patch are dropped after.
+    lat = ball(6)
+    n = len(lat)
+    assert chunk_slices(lat, 2) == operators._CHUNK_SLICES
+    u, v1, v2 = lane_factors(lat, 17, seed=63)
+    outputs = []
+    try:
+        for chunk in (1, 4, 17):
+            monkeypatch.setattr(conv_kernel(lat).lane, "work", np.empty(chunk * 30 * n))
+            assert chunk_slices(lat, 2) == chunk
+            outputs.append(lane_outputs(lanes, 2, u, v1, v2).tobytes())
+    finally:
+        conv_kernel.cache_clear()
+        operators._stop_workers()
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_bilinear_zeroes_a_dead_slice_inside_a_workers_run(lanes):
@@ -693,8 +776,8 @@ def test_bilinear_lanes_under_contention(lanes):
 
 @pytest.mark.parametrize("raiser, error", [("worker", RuntimeError), ("caller", KeyboardInterrupt)])
 def test_bilinear_raises_only_once_every_lane_has_stopped(raiser, error, lanes, monkeypatch):
-    # 8 live slices, 4 per lane: one lane raises on its first slice while
-    # the other takes 10 ms a slice. The error reaches the caller only
+    # 8 live slices, 4 per lane: one lane raises before its first slice
+    # while the other takes 10 ms a slice. The error reaches the caller only
     # after the other lane has finished, and the next call, in the same
     # worker, is exact. The sides count in memory they share, and the
     # worker is forked after the patch.
@@ -710,22 +793,22 @@ def test_bilinear_raises_only_once_every_lane_has_stopped(raiser, error, lanes, 
     active, finished, armed = shared_ints(2), shared_ints(2), shared_ints(1)
     armed[0] = 1
     raising_side = ("caller", "worker").index(raiser)
-    slice_products = operators._slice_products
+    block_products = operators._block_products
 
-    def flaky(*args):
+    def flaky(step, chunk):
         side = int(os.getpid() != caller)
         active[side] += 1
         try:
             if side == raising_side and armed[0]:
                 raise error(f"from the {raiser}")
-            time.sleep(0.01)
-            slice_products(*args)
-            finished[side] += 1
+            time.sleep(0.01 * len(chunk))
+            block_products(step, chunk)
+            finished[side] += slice_builds(step, chunk)
         finally:
             active[side] -= 1
 
     lanes(2)
-    monkeypatch.setattr(operators, "_slice_products", flaky)
+    monkeypatch.setattr(operators, "_block_products", flaky)
     with pytest.raises(error, match=f"from the {raiser}"):
         bilinear(u, v)
     assert active.tolist() == [0, 0]
@@ -859,14 +942,14 @@ def test_bilinear_reports_a_worker_error_it_cannot_pickle(error, match, lanes, m
     caller = os.getpid()
     armed = shared_ints(1)
     armed[0] = 1
-    slice_products = operators._slice_products
+    block_products = operators._block_products
 
     def raising(*args):
         if os.getpid() != caller and armed[0]:
             raise error
-        return slice_products(*args)
+        return block_products(*args)
 
-    monkeypatch.setattr(operators, "_slice_products", raising)
+    monkeypatch.setattr(operators, "_block_products", raising)
     with pytest.raises(RuntimeError, match=match):
         bilinear(u, v)
     pid = operators._workers[0].pid

@@ -557,6 +557,15 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert len(rows) == 2  # the flag overrode the file
 
 
+def test_cli_rejects_a_lattice_too_large_for_the_gather_table(tmp_path, capsys):
+    # refused from the spec, before the lattice's index cube is built
+    out = tmp_path / "out"
+    assert main(["run", "--k-max", "1000000", "--output-dir", str(out)]) == STATUS_CONFIG_ERROR
+    assert capsys.readouterr().err == ("error: the euclidean_ball lattice at k_max 1000000 "
+                                       "has more than 65535 sites\n")
+    assert not out.exists()
+
+
 def test_cli_rejects_an_undecodable_config_file(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_bytes(b"k_max = 2\n# \xff\n")

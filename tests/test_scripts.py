@@ -114,6 +114,26 @@ def test_workload_outputs_compares_against_another_tree(seed5_tree, tmp_path):
     assert 0.9e-14 < float(c1[1]) < 1.1e-14   # reported, within RTOL
 
 
+def test_ab_children_compares_a_checkout_with_itself(tmp_path):
+    # one oracle-k4-long pair of the same checkout: both children checked,
+    # each metric printed with both sides' medians and quartiles and the
+    # count of pairs B won, and nothing written under nsbench/ or the
+    # working directory
+    before = sorted((ROOT / "nsbench").rglob("*"))
+    proc = run_script("ab_children.py", str(ROOT), str(ROOT), "oracle-k4-long", "1",
+                      cwd=tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("oracle-k4-long, seed 0, 1 pairs; ")
+    for name in ("solve_s", "solve_wall_s", "calibration_mean_s", "setup_s", "peak_rss_mb"):
+        assert re.search(rf"^{name} +(\S+ \[\S+, \S+\] +){{2}}[01] of 1$", proc.stdout, re.M), name
+    assert "problem" not in proc.stdout
+    assert sorted((ROOT / "nsbench").rglob("*")) == before
+    assert not list(tmp_path.iterdir())
+    proc = run_script("ab_children.py", str(ROOT), str(tmp_path), "oracle-k4-long", "1",
+                      cwd=tmp_path)
+    assert proc.returncode == 2 and "no nstorus sources" in proc.stderr
+
+
 def test_code_lines_counts_each_module_and_the_total(tmp_path):
     (tmp_path / "sample.py").write_text(
         '"""Module docstring,\nover two lines."""\n\n# a comment\n'

@@ -21,6 +21,14 @@ def shared_ints(*shape):
     return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.int64).reshape(shape)
 
 
+def slice_builds(step, chunk):
+    """The live-slice builds of the interaction matrix in one call of
+    operators._block_products(step, chunk): one per slice of its chunk,
+    counted at the kernel's first block (its rows start at 0) alone, so a
+    build is counted once however many blocks the kernel has."""
+    return len(chunk) if step[0].start == 0 else 0
+
+
 def random_field(lat, rng, scale=1.0, solenoidal=True, sparsity=0.0):
     """Random complex field; solenoidal=True projects each site amplitude
     orthogonal to its wave vector."""
