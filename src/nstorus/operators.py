@@ -273,7 +273,7 @@ def conv_kernel(lat: Lattice) -> _ConvKernel:
     pos_l = pos - lat.position(np.zeros(3, dtype=np.intp))
     for r0, r1, narrow in blocks:
         b = r1 - r0
-        g = lane.index[:2 * b]
+        g = lane.index[:2 * b]   # the build's intp scratch, then narrowed
         # rows r0..r1-1, then their mirror rows n-r1..n-r0-1
         np.subtract(np.r_[pos[r0:r1], pos[n - r1:n - r0]][:, None], pos_l, out=g)
         mi = cube.take(g)
@@ -672,13 +672,14 @@ def _lane_products(lane: _Lane, start: int, stop: int, u_ri: np.ndarray, v_ri: l
 
     The real right factors and transposed left factors are filled a chunk
     of consecutive slices at a time (a chunk with no live slice is skipped)
-    into the lane's chunk buffer: one pass per v and one for u, through
-    basic slices, so the fill allocates nothing. Then the chunk runs block
-    by block, and each block over the chunk's live slices
-    (_block_products), so a block's indices are widened once per chunk.
-    Every factor of a chunk is read before any of its products is written,
-    so a slice's products may overwrite that slice's factors, as in a
-    worker."""
+    into the lane's chunk buffer, which holds at least _CHUNK_SLICES slices
+    with two right factors: one pass per v and one for u, through basic
+    slices, so the fill allocates nothing. Then the chunk runs block by
+    block, and each block over the chunk's live slices (_block_products),
+    so a block's uint16 entries are widened into the lane's intp index
+    block once per chunk, not once per slice. Every factor of a chunk is
+    read before any of its products is written, so a slice's products may
+    overwrite that slice's factors, as in a worker."""
     n = u_ri.shape[1]
     nv = len(v_ri)
     # a chunk of c slices: right factors (c, 2N, 6 nv), then left factors (c, 3, 2N)

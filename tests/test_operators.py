@@ -252,22 +252,15 @@ def lane_bytes(n, rows):
     return 16 * (rows * n + 1) + 8 * 2 * rows * n + 16 * 2 * rows * n + 8 * work + 8 * 24 * rows
 
 
-def test_conv_kernel_holds_a_two_byte_table_and_one_lane():
-    # at k_max 6 the gather table takes 2 N^2 bytes (1.6 MiB), and the
-    # kernel holds nothing but it and the lane's documented arrays
-    lat = get_lattice(LatticeSpec(6))
-    n = len(lat)
-    kern = conv_kernel(lat)
-    assert kern.blocks[0][2].base.nbytes == 2 * n * n
-    assert kernel_bytes(lat) <= 2 * n * n + lane_bytes(n, kern.rows)
-
-
-def test_conv_kernel_build_forms_no_full_index_array():
-    # At k_max 8 (N = 2108) the table takes 2 N^2 bytes, about 8.5 MiB. No
-    # (N, N) intp array, 34 MiB, is formed even while it is built: the
-    # build's traced peak is the kernel's own arrays and block-sized
-    # temporaries. The kernel is built alone and dropped after.
-    lat = get_lattice(LatticeSpec(8))
+@pytest.mark.parametrize("k_max", [6, 8])
+def test_conv_kernel_holds_a_two_byte_table_and_one_lane(k_max):
+    # The gather table takes 2 N^2 bytes (1.6 MiB at k_max 6; 8.5 MiB at
+    # k_max 8, N = 2108), and the kernel holds nothing but it and the
+    # lane's documented arrays. No (N, N) intp array (34 MiB at k_max 8)
+    # is formed, even while the table is built: the build's traced peak is
+    # the kernel's own arrays and block-sized temporaries. Each kernel is
+    # built alone and dropped after.
+    lat = get_lattice(LatticeSpec(k_max))
     n = len(lat)
     conv_kernel.cache_clear()
     try:
