@@ -150,8 +150,8 @@ def build_record(state, sol, params: SolverParams) -> CertificateRecord:
 
     The history constants are state.bounds, the running extrema over ages
     1..m that DecompositionState.extended keeps; the fixed-point
-    coefficients are its record's, and the envelope and phi_sup come from
-    the step's fields.
+    coefficients are its record's, the envelope constant is the one the
+    step measured on its gaussian part, and phi_sup comes from its velocity.
     """
     gaussian_d, remainder_d, remainder_decay = state.bounds
     fp = sol.fixed_point
@@ -160,7 +160,7 @@ def build_record(state, sol, params: SolverParams) -> CertificateRecord:
         gaussian_D=gaussian_d,
         remainder_D=remainder_d,
         remainder_decay=remainder_decay,
-        envelope_D=check_gaussian_envelope(sol.gaussian_part, state.m - 1, params),
+        envelope_D=sol.envelope_D,
         c1=fp.forcing_norm,
         c2=fp.linear_gain,
         c3=fp.quadratic_gain,

@@ -95,7 +95,13 @@ class _ArrayField:
     on the same lattice (and grid)."""
 
     def _freeze(self, shape: tuple[int, ...]) -> None:
-        arr = np.ascontiguousarray(self.data, dtype=np.complex128)
+        """Keep data as a read-only complex128 array of that shape whose
+        last axis is contiguous, copied only when it is not one already:
+        so a view, such as one product of several that share one array, is
+        kept as it is, and only the view is made read-only."""
+        arr = np.asarray(self.data, dtype=np.complex128)
+        if arr.ndim == 0 or arr.strides[-1] != arr.itemsize:
+            arr = np.ascontiguousarray(arr)
         if arr.shape != shape:
             raise ValueError(f"data shape {arr.shape} does not match the expected {shape}")
         arr.setflags(write=False)

@@ -23,8 +23,9 @@ itself (two star products per evaluation, see remainder_maps). For small
 data the map contracts in the weighted remainder norm and plain iteration
 from zero converges in fixed_point, the one loop, which the Picard oracle
 runs too; iterate_contraction adds the certificates' gains. One
-heat flow, heat_flow, gives the heat part (also the oracle's first
-iterate) and each history's part from its running sum.
+heat flow, heat_flow, gives the heat part and each history's part from
+its running sum; the oracle forms the same product from the same cached
+weights (heat_weights) in arrays of its own.
 
 Histories are frozen at their interval-end values; the decomposition is
 exact at the discrete level, so the composed interval solves agree with a
@@ -72,7 +73,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .certificates import build_record, fit_gaussian_bound, fit_remainder_bound
+from .certificates import (build_record, check_gaussian_envelope, fit_gaussian_bound,
+                           fit_remainder_bound)
 from .errors import ConvergenceError
 from .fields import SpectralField, TimeSlicedField, UNDERFLOW_FLOOR, fmc_norm, slice_runs
 from .operators import star_product, unit_times
@@ -164,8 +166,9 @@ def _extend_sum(total: SpectralField, entry: SpectralField) -> SpectralField:
 
 def heat_flow(f: SpectralField, m, times) -> TimeSlicedField:
     """exp(-(m+t)|k|^2) f at each grid time t: with f the initial data, the
-    heat part of the step from integer time m (with m = 0 also the Picard
-    oracle's first iterate); with f a running sum, that history's part.
+    heat part of the step from integer time m (with m = 0 the Picard
+    oracle's first iterate, which it forms as the same product in its own
+    array); with f a running sum, that history's part.
     Weights below UNDERFLOW_FLOOR are zero, and a negative age m + t raises
     ValueError."""
     times = tuple(times)
@@ -191,8 +194,8 @@ def heat_weights(lattice, m, times: tuple) -> np.ndarray:
 def compute_gaussian_correction(heat_part: TimeSlicedField, params: SolverParams) -> TimeSlicedField:
     """|k|^(2 epsilon) times the heat part's self star product."""
     qe = heat_part.lattice.norm_sq_f ** params.epsilon
-    prod = star_product(heat_part, heat_part)
-    return TimeSlicedField(prod.times, prod.lattice, prod.data * qe[:, None])
+    prod = star_product(heat_part, heat_part, out=np.empty_like(heat_part.data))
+    return heat_part._like(np.multiply(prod, qe[:, None], out=prod))
 
 
 def assemble_gaussian_part(
@@ -205,7 +208,7 @@ def assemble_gaussian_part(
     grid."""
     qe = state.lattice.norm_sq_f ** params.epsilon
     acc = correction.data + heat_flow(state.gaussian_sum, 0, correction.times).data
-    return TimeSlicedField(correction.times, state.lattice, acc / qe[:, None])
+    return correction._like(np.divide(acc, qe[:, None], out=acc))
 
 
 def assemble_remainder_part(state: DecompositionState, times) -> TimeSlicedField:
@@ -220,9 +223,13 @@ def assemble_forcing(
 ) -> TimeSlicedField:
     """Sum of the eight ordered star products of the three parts, excluding
     heat*heat (that pairing is the gaussian correction, not forcing), as
-    S(H, G+R) + S(G+R, H+G+R): two star products and no subtraction."""
+    S(H, G+R) + S(G+R, H+G+R): two star products and no subtraction. The
+    second is added into the first's own array, and built first, so that
+    H+G+R is dropped before the first exists."""
     rest = gaussian_part + remainder_part
-    return star_product(heat_part, rest) + star_product(rest, heat_part + rest)
+    late = star_product(rest, heat_part + rest)
+    early = star_product(heat_part, rest, out=np.empty_like(rest.data))
+    return rest._like(np.add(early, late.data, out=early))
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,14 +275,19 @@ def fixed_point(first, step, norm_fn, tol: float, max_iter: int):
     iterates, or at an update norm that is non-finite or above the
     divergence cap.
 
+    step(x) returns the next iterate, or it overwrites x's data in place
+    with the next iterate and returns the norm of the update as a float
+    (x is then a view of an array the step owns, as in picard_solve).
+
     The iterates are sliced fields on one grid, and norm_fn must be a sup
     over slices, as fmc_norm and phi_norm are: its value on a field is the
     largest of its values on runs of consecutive slices that cover the
     grid, and nan when any of them is nan. Each update is measured so, a
-    run at a time (slice_runs), and no update array is built; the loop
-    drops first once it holds it as x. So beyond what step builds, the
-    loop holds two whole-grid arrays: the iterate and the next one."""
-    x, d = first, norm_fn(first)
+    run at a time (update_norm), first included, and no update array is
+    built; the loop drops first once it holds it as x. So beyond what step
+    builds, the loop holds two whole-grid arrays, the iterate and the next
+    one, or one when the step overwrites the iterate."""
+    x, d = first, update_norm(norm_fn, first)
     del first
     updates: list[float] = []
     while True:
@@ -295,25 +307,48 @@ def fixed_point(first, step, norm_fn, tol: float, max_iter: int):
                 f"(last update {d:.3e}, last ratio {ratio:.3e})",
                 iterations=max_iter, last_update=d, last_ratio=ratio)
         nxt = step(x)
-        d = _update_norm(norm_fn, nxt, x)
-        x = nxt
+        if isinstance(nxt, float):   # x was overwritten in place
+            d = nxt
+        else:
+            d = update_norm(norm_fn, nxt, x)
+            x = nxt
 
 
-def _update_norm(norm_fn, new: TimeSlicedField, old: TimeSlicedField) -> float:
-    """norm_fn(new - old) for norm_fn a sup over slices, from the update's
-    runs of slices (slice_runs), each built alone. The runs' values are
-    reduced by np.max, which keeps a nan wherever it stands: a running
-    max() or a `d > best` test would drop a nan run, since nan compares
-    false."""
-    new._check_operand(old)
-    return float(np.max([norm_fn(TimeSlicedField(new.times[run], new.lattice,
-                                                 new.data[run] - old.data[run]))
-                         for run in slice_runs(len(new.data), new.data[0].nbytes)]))
+def update_norm(norm_fn, new: TimeSlicedField, old: TimeSlicedField | None = None) -> float:
+    """norm_fn(new - old), or norm_fn(new) without old, for norm_fn a sup
+    over slices, from runs of slices (slice_runs), each built and measured
+    alone, so that no temporary of norm_fn is as large as the grid. The
+    runs' values are reduced by np.max, which keeps a nan wherever it
+    stands: a running max() or a `d > best` test would drop a nan run,
+    since nan compares false."""
+    if old is not None:
+        new._check_operand(old)
+    return float(np.max([norm_fn(TimeSlicedField(
+        new.times[run], new.lattice,
+        new.data[run] if old is None else new.data[run] - old.data[run]))
+        for run in slice_runs(len(new.data), new.data[0].nbytes)]))
+
+
+def _sum(fields, out=None) -> TimeSlicedField:
+    """The sum of sliced fields on one grid, added left to right as
+    a + b + ... adds them, into out when given (an array of their shape,
+    which one of them may view), else into one new array."""
+    first, *rest = fields
+    for f in rest:
+        first._check_operand(f)
+    acc = np.add(first.data, rest[0].data, out=out)
+    for f in rest[1:]:
+        np.add(acc, f.data, out=acc)
+    return first._like(acc)
 
 
 def iterate_contraction(forcing, maps, norm_fn, tol: float, max_iter: int) -> FixedPointResult:
     """Solve x = forcing + linear(x) + quadratic(x) by plain iteration from 0,
-    where maps(x) returns the pair (linear(x), quadratic(x)).
+    where maps(x) returns the pair (linear(x), quadratic(x)) of sliced
+    fields on x's grid. It may return a third item, an array that holds
+    linear(x) and that nothing else reads: the image forcing + linear(x) +
+    quadratic(x) is then summed into it once the gains are measured, so no
+    array is built for the image (remainder_maps hands over linear's own).
 
     Both maps vanish at zero, so the first iterate of fixed_point is the
     forcing itself. After acceptance the map is evaluated once more at the
@@ -323,30 +358,35 @@ def iterate_contraction(forcing, maps, norm_fn, tol: float, max_iter: int) -> Fi
 
     def evaluate(x):
         """(|x|, the map at x), recording the gains at a nonzero x."""
-        lin, quad = maps(x)
+        lin, quad, *own = maps(x)
         x_norm = norm_fn(x)
         if x_norm > 0:
             # x_norm ** 2 would underflow to 0.0 below x_norm ~ 1e-162
             gains.append((norm_fn(lin) / x_norm, norm_fn(quad) / x_norm / x_norm))
-        return x_norm, forcing + lin + quad
+        return x_norm, _sum((forcing, lin, quad), *own)
 
     solution, updates = fixed_point(forcing, lambda x: evaluate(x)[1], norm_fn, tol, max_iter)
     # certification pass at the accepted solution
     solution_norm, image = evaluate(solution)
     linear_gain, quadratic_gain = map(max, zip(*gains)) if gains else (0.0, math.nan)
     return FixedPointResult(solution, updates, linear_gain, quadratic_gain,
-                            norm_fn(image - solution), solution_norm)
+                            update_norm(norm_fn, image, solution), solution_norm)
 
 
 def remainder_maps(total: TimeSlicedField):
-    """The fixed-point map's parts at g, as maps(g) = (linear, quadratic):
-    linear = S(T, g) + S(g, T) and quadratic = S(g, g) for T = total.
-    S(g, T) and S(g, g) share their left factor, so they are one star
-    product: two interaction matrices per slice instead of three."""
+    """The fixed-point map's parts at g, as maps(g) = (linear, quadratic,
+    linear's array): linear = S(T, g) + S(g, T) and quadratic = S(g, g) for
+    T = total. S(g, T) and S(g, g) share their left factor, so they are one
+    star product, whose two views they are: two interaction matrices per
+    slice instead of three, and nothing copied out. S(g, T) is added into
+    S(T, g)'s own array, which iterate_contraction then sums the image
+    into: an evaluation builds three whole-grid arrays."""
 
     def maps(g):
         g_total, g_g = star_product(g, total, g)
-        return star_product(total, g) + g_total, g_g
+        lin = star_product(total, g, out=np.empty_like(g.data))
+        np.add(lin, g_total.data, out=lin)
+        return g._like(lin[...]), g_g, lin
 
     return maps
 
@@ -369,15 +409,16 @@ def solve_remainder(forcing: TimeSlicedField, total: TimeSlicedField,
 
 @dataclass(frozen=True, eq=False)
 class IntervalSolution:
-    """The fields of one unit interval that its readers use: the assembled
-    gaussian part, the remainder solve and the velocity on the step's grid
-    (the three parts plus the new remainder), and the interval-end fields,
-    each a copy. h and g, the new gaussian correction and remainder at the
+    """What one unit interval's readers use: the assembled gaussian part's
+    envelope constant (certificates.check_gaussian_envelope, at the step's
+    m), the remainder solve and the velocity on the step's grid (the three
+    parts plus the new remainder), and the interval-end fields, each a
+    copy. h and g, the new gaussian correction and remainder at the
     interval's end, are the histories' age-(m + 1) entries that
     apply_interval folds into the state; v is the velocity at time m + 1.
     A run checkpoints them as h_, g_ and v_."""
 
-    gaussian_part: TimeSlicedField
+    envelope_D: float
     fixed_point: FixedPointResult
     velocity: TimeSlicedField
     h: SpectralField
@@ -393,6 +434,11 @@ def solve_interval(state: DecompositionState, params: SolverParams) -> IntervalS
     """Assemble the three parts on the substep grid and solve for the new
     remainder; raises ConvergenceError outside the contraction regime.
 
+    Each whole-grid array is built once, and dropped once the forcing and
+    the total are built: the step keeps the correction's last slice and
+    the gaussian part's envelope constant, so the remainder solve runs
+    beside two standing grids, the forcing and the total.
+
     The parts of data too large for the contraction regime may overflow; the
     forcing is then non-finite and fixed_point raises at its norm, so numpy's
     overflow and invalid-value warnings are silenced while they are built."""
@@ -400,13 +446,18 @@ def solve_interval(state: DecompositionState, params: SolverParams) -> IntervalS
     heat_part = heat_flow(state.initial_field, state.m, times)
     with np.errstate(over="ignore", invalid="ignore"):
         correction = compute_gaussian_correction(heat_part, params)
+        h = correction.last_slice()
         gaussian_part = assemble_gaussian_part(state, correction, params)
+        del correction
+        envelope_d = check_gaussian_envelope(gaussian_part, state.m, params)
         remainder_part = assemble_remainder_part(state, times)
         forcing = assemble_forcing(heat_part, gaussian_part, remainder_part)
-        total = heat_part + gaussian_part + remainder_part
+        total = _sum((heat_part, gaussian_part, remainder_part))
+        del heat_part, gaussian_part, remainder_part
     fixed_point = solve_remainder(forcing, total, params, state.m + 1)
+    del forcing
     velocity = total + fixed_point.solution
-    return IntervalSolution(gaussian_part, fixed_point, velocity, correction.last_slice(),
+    return IntervalSolution(envelope_d, fixed_point, velocity, h,
                             fixed_point.solution.last_slice(), velocity.last_slice())
 
 

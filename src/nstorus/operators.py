@@ -27,10 +27,10 @@ table that builds each block of the interaction matrix (uint16 entries,
 2 N^2 bytes), and the lane's work arrays (the D buffer the table reads
 with its zero slot, the intp index block a block's entries are widened
 into, the block of A, the chunk buffer of real right and transposed left
-factors, the block product, and each block's views of them) are one record
-per lattice (_ConvKernel), built on first use by conv_kernel (a warm-up
-call on zero fields builds it at set-up) and reused by every later call on
-that lattice. A call sets itself up once: one zero test over the whole
+factors, the block product, the projection's two buffers, and each
+block's views of them) are one record per lattice (_ConvKernel), built on
+first use by conv_kernel (a warm-up call on zero fields builds it at
+set-up) and reused by every later call on that lattice. A call sets itself up once: one zero test over the whole
 stack, then the live slices are split into contiguous runs, one per lane,
 and each lane fills the factors a chunk of slices at a time (at least
 _CHUNK_SLICES of them) and runs the chunk block by block
@@ -98,8 +98,8 @@ __all__ = [
 ]
 
 _TWO_PI_I = 2j * np.pi
-# Bytes of output projected at once: keeps the projection's temporaries
-# small next to a long grid's (S+1, N, 3) arrays.
+# Bytes of output projected at once: sets the lane's projection buffers, a
+# third of this each, small next to a long grid's (S+1, N, 3) arrays.
 _PROJECTION_BYTES = 256 * 1024
 # Bytes of one block of the convolution's interaction matrix A, (2 rows, N)
 # complex for `rows` row pairs: small enough that a block of D = <k, u(m)>
@@ -146,7 +146,7 @@ _LANE_PAIRS = 1 << 18
 _POLL_S = 0.001
 
 
-def leray_project(k, x, out=None) -> np.ndarray:
+def leray_project(k, x, out=None, work=None) -> np.ndarray:
     """The Leray projection x - (<k,x>/|k|^2) k of x onto the plane
     orthogonal to k, over the last axis of broadcastable arrays (one vector
     or a whole grid of them); written to out when given (x itself may be
@@ -155,18 +155,25 @@ def leray_project(k, x, out=None) -> np.ndarray:
     The sums over the length-3 axis are written out left to right, which
     is how .sum(axis=-1) adds them, at a fraction of the cost of numpy's
     reduction over so short an axis; every step takes one component, so
-    no temporary is as large as x."""
-    k = np.asarray(k, dtype=np.float64)
-    x = np.asarray(x)
-    sq = k * k
-    ksq = sq[..., 0] + sq[..., 1] + sq[..., 2]
-    if not ksq.all():
-        raise ValueError("Leray projector is undefined at k = 0")
-    dtype = np.result_type(k, x)
+    no temporary is as large as x.
+
+    work, for a caller that projects often (bilinear's lanes), is
+    (|k|^2, factor, term): k's squared norms, summed as here and none of
+    them 0, and two arrays of the broadcast shape of k's and x's leading
+    axes for the temporaries; then nothing is checked or allocated here."""
+    if work is None:
+        k = np.asarray(k, dtype=np.float64)
+        x = np.asarray(x)
+        sq = k * k
+        ksq = sq[..., 0] + sq[..., 1] + sq[..., 2]
+        if not ksq.all():
+            raise ValueError("Leray projector is undefined at k = 0")
+        factor = np.empty(np.broadcast_shapes(k.shape[:-1], x.shape[:-1]),
+                          dtype=np.result_type(k, x))
+        work = ksq, factor, np.empty_like(factor)
+    ksq, factor, term = work
     if out is None:
-        out = np.empty(np.broadcast_shapes(k.shape, x.shape), dtype=dtype)
-    factor = np.empty(np.broadcast_shapes(k.shape[:-1], x.shape[:-1]), dtype=dtype)
-    term = np.empty_like(factor)
+        out = np.empty(np.broadcast_shapes(k.shape, x.shape), dtype=factor.dtype)
     np.multiply(k[..., 0], x[..., 0], out=factor)
     for j in (1, 2):
         np.multiply(k[..., j], x[..., j], out=term)
@@ -226,7 +233,11 @@ class _Lane:
     transposed left factors of a run of consecutive slices (_CHUNK_BYTES,
     and never less than _CHUNK_SLICES slices with two right factors), and
     prod the flat float64 buffer of a block's product, (2 rows, 6 n) for
-    n <= 2 right factors.
+    n <= 2 right factors. ksites and ksq are (N, 1, 3) and (N, 1) views of
+    the lattice's sites and squared norms, and project two flat complex
+    buffers of a third of _PROJECTION_BYTES each (and never less than a
+    slice of two right factors): the projection's operands and its
+    temporaries (_project).
 
     The work arrays are reused by every call on the lattice, which keeps
     each call free of fresh allocations, whose page faults would otherwise
@@ -249,6 +260,10 @@ class _Lane:
         # one slice with two right factors takes 6 n (2*2 + 1) floats
         self.work = np.empty(max(_CHUNK_BYTES // 8, _CHUNK_SLICES * 30 * n))
         self.prod = np.empty(24 * rows)
+        # integer sites: their squared norms are exact in any order
+        self.ksites = lat.sites_f[:, None, :]
+        self.ksq = lat.norm_sq_f[:, None]
+        self.project = np.empty((2, max(_PROJECTION_BYTES // 48, 2 * n)), dtype=np.complex128)
 
 
 @lru_cache(maxsize=None)
@@ -609,7 +624,7 @@ def bilinear(u, *vs, out=None):
                              live[start:stop].tobytes()))
                 busy.append(worker)
             _lane_products(kern.lane, *spans[0], u_ri, v_ri, live, res.view(np.float64))
-            _project(lat, res, *spans[0])
+            _project(kern.lane, res, *spans[0])
         finally:
             if sending is not None and sending not in busy:
                 # an interrupt cut its send short, so whether it has the
@@ -633,19 +648,27 @@ def _pairs(x: np.ndarray) -> np.ndarray:
     return x.view(np.float64).reshape(*x.shape, 2)
 
 
-def _project(lat: Lattice, res: np.ndarray, start: int, stop: int) -> None:
+def _project(lane: _Lane, res: np.ndarray, start: int, stop: int) -> None:
     """Apply the projection (leray_project) and the factor 2 pi i in place
     to the slices start <= s < stop of res, an (S+1, N, 3 nv) output with a
-    contiguous last axis, a few slices at a time: its temporaries stay
-    within _PROJECTION_BYTES, small next to a long grid's arrays. The
+    contiguous last axis, as many slices at a time as _PROJECTION_BYTES
+    and the lane's projection buffers allow: so a call with at most two
+    right factors allocates no array here. (numpy's buffered iteration still takes up to its buffer
+    size, 8192 elements, per broadcast operand of an operation; a smaller
+    buffer slowed the projection of two right factors by up to 60%.) The
     projection is per entry, so how the slices are grouped changes no
     byte."""
-    kf = lat.sites_f[:, None, :]
-    per_v = res.reshape(len(res), len(lat), -1, 3)
-    step = max(1, _PROJECTION_BYTES // per_v[0].nbytes)
+    n = len(lane.ksq)
+    per_v = res.reshape(len(res), n, -1, 3)
+    width = n * per_v.shape[2]
+    scratch = (lane.project if width <= lane.project.shape[1]
+               else np.empty((2, width), dtype=np.complex128))
+    step = max(1, min(_PROJECTION_BYTES // 48, scratch.shape[1]) // width)
     for s0 in range(start, stop, step):
         block = per_v[s0:min(stop, s0 + step)]
-        np.multiply(leray_project(kf, block, block), _TWO_PI_I, out=block)
+        factor, term = (b[:block[..., 0].size].reshape(block.shape[:-1]) for b in scratch)
+        np.multiply(leray_project(lane.ksites, block, block, (lane.ksq, factor, term)),
+                    _TWO_PI_I, out=block)
 
 
 def _worker_products(region: np.ndarray, lat: Lattice, nv: int, columns: list,
@@ -657,10 +680,10 @@ def _worker_products(region: np.ndarray, lat: Lattice, nv: int, columns: list,
     dead slices are zeroed, so the projection reads products alone."""
     u_ri, *v_ri = (_pairs(region[:, :, c:c + 3]) for c in columns)
     res = region[:, :, :3 * nv]
-    _lane_products(conv_kernel(lat).lane, 0, len(region), u_ri, v_ri, live,
-                   res.view(np.float64))
+    lane = conv_kernel(lat).lane
+    _lane_products(lane, 0, len(region), u_ri, v_ri, live, res.view(np.float64))
     res[~live] = 0.0
-    _project(lat, res, 0, len(region))
+    _project(lane, res, 0, len(region))
 
 
 def _lane_products(lane: _Lane, start: int, stop: int, u_ri: np.ndarray, v_ri: list,
@@ -772,7 +795,7 @@ def unit_times(substeps: int) -> tuple[float, ...]:
     return tuple(i / substeps for i in range(substeps + 1))
 
 
-def duhamel_integrate(lattice: Lattice, times, data: np.ndarray) -> None:
+def duhamel_integrate(lattice: Lattice, times, data: np.ndarray, carry=None) -> None:
     """Overwrite the source samples data[n] on the grid times, an (S+1, N,
     ...) array on lattice's sites, with the Duhamel rule's quadrature of
     integral_0^{times[n]} exp(-(times[n]-s)|k|^2) source(s, k) ds, in place
@@ -784,19 +807,35 @@ def duhamel_integrate(lattice: Lattice, times, data: np.ndarray) -> None:
     constant in s; the t = 0 row becomes zero (empty integral). The
     recurrence runs in two work rows, with the same operations in the same
     order as decay * I(s_n) + gain * (0.5 * (f(s_n) + f(s_{n+1}))).
+
+    Resumable: a grid's samples may come a run of consecutive grid times at
+    a time, in order, each run with its own times. carry is then one list
+    for the whole grid, empty at the first run, into which each call puts
+    what the next run resumes from: the run's last time, last source sample
+    and last integral, in arrays of their own, so the caller may overwrite
+    data between the calls. Over any cut into runs the recurrence runs the
+    same operations in the same order, so every integral is bit for bit the
+    whole pass's.
     """
-    rules = duhamel_rules(lattice, tuple(times))
-    prev = data[0].copy()
+    if carry:
+        last_time, prev, integral = carry
+        rules = duhamel_rules(lattice, (last_time, *times))
+    else:   # the grid's first run: its first integral is empty
+        rules = duhamel_rules(lattice, tuple(times))
+        prev = data[0].copy()
+        data[0] = 0.0
+        integral, data = data[0], data[1:]
     avg = np.empty_like(prev)
-    data[0] = 0.0
-    for n, (decay, gain) in enumerate(rules):
-        cur = data[n + 1]
+    for (decay, gain), cur in zip(rules, data):
         np.add(prev, cur, out=avg)
         np.multiply(0.5, avg, out=avg)
         prev[...] = cur
-        np.multiply(decay, data[n], out=cur)
+        np.multiply(decay, integral, out=cur)
         np.multiply(gain, avg, out=avg)
         np.add(cur, avg, out=cur)
+        integral = cur
+    if carry is not None:
+        carry[:] = times[-1], prev, integral.copy()
 
 
 @lru_cache(maxsize=8)
@@ -815,7 +854,7 @@ def duhamel_rules(lattice: Lattice, times: tuple) -> tuple[tuple[np.ndarray, np.
     return tuple(rules[j] for j in which)
 
 
-def star_product(u: TimeSlicedField, *vs: TimeSlicedField, addend=None):
+def star_product(u: TimeSlicedField, *vs: TimeSlicedField, out=None, carry=None):
     """Heat-weighted time integral of the convolution of u with each of vs;
     one sliced field for one v, else a tuple with one per v.
 
@@ -824,19 +863,24 @@ def star_product(u: TimeSlicedField, *vs: TimeSlicedField, addend=None):
     matrix per slice, shared by all of vs) that writes the side-by-side
     samples into one (S+1, N, 3 len(vs)) array, and one duhamel_integrate
     pass that overwrites them with the integrals; the t = 0 slice is the
-    zero field (empty integral).
+    zero field (empty integral). Each product of several is a view of that
+    array, so none is copied out of it.
 
-    addend, when given, is called with that array once it holds the
-    integrals, before they are wrapped, and adds a term into it in place:
-    so a caller that wants term + product builds no second grid.
+    With out, an array that bilinear's out accepts, the integrals are
+    written there and out is returned, for a caller that goes on to add
+    into it in place. With carry, the factors are a run of a longer grid's
+    consecutive slices, and the integral resumes where the run before it
+    ended (duhamel_integrate's carry).
     """
     lat = u.lattice
-    out = np.empty((len(u.times), len(lat), 3 * len(vs)), dtype=np.complex128)
-    bilinear(u, *vs, out=out)   # checks that vs share u's lattice and grid
-    duhamel_integrate(lat, u.times, out)
-    if addend is not None:
-        addend(out)
-    sliced = tuple(u._like(out[:, :, 3 * i: 3 * i + 3]) for i in range(len(vs)))
+    res = out
+    if res is None:
+        res = np.empty((len(u.times), len(lat), 3 * len(vs)), dtype=np.complex128)
+    bilinear(u, *vs, out=res)   # checks vs and out
+    duhamel_integrate(lat, u.times, res, carry)
+    if out is not None:
+        return out
+    sliced = tuple(u._like(res[:, :, 3 * i: 3 * i + 3]) for i in range(len(vs)))
     return sliced[0] if len(vs) == 1 else sliced
 
 

@@ -11,11 +11,21 @@ rule are the induction solver's, so discrepancies between the two solvers
 isolate the decomposition. A PicardTrajectory is the last iterate's
 (S+1, N, 3) array plus the update norm of every iteration.
 
-An iteration holds two whole-grid arrays, (S+1) N 48 bytes each: the
-current iterate and the next one. The next one is the star product's own
-array: the heat flow is added into it a run of slices at a time, built from
-v0 and the cached heat weights, so no heat grid stands beside the iterates,
-and the loop measures each update a run at a time (see fixed_point).
+An iteration holds one whole-grid array, (S+1) N 48 bytes: the iterate,
+which it overwrites in place. The Duhamel rule is causal, so slice n of
+the next iterate reads only slices <= n of the current one, and an
+iteration sweeps the grid in two runs of consecutive slices, the first
+ceil((S+1)/2) and then the rest. For each run, one star product of the
+run's slices of the iterate, one bilinear call whose Duhamel recurrence
+resumes from the previous run's last sample and integral, writes into a
+half-grid buffer; the heat flow is added, a few slices at a time, from v0
+and the cached heat weights; the run's update is measured a run of
+slice_runs at a time; and the buffer is copied over the run's slices. A
+slice's products are the same operations in any call, the recurrence runs
+the same operations in the same order over any cut, and the update norm
+is a sup over slices, so the iterates and their update norms are bit for
+bit those of a whole-grid iteration. More runs would save more memory,
+but each costs a bilinear call.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import SpectralField, TimeSlicedField, phi_norm, site_magnitudes, slice_runs
-from .induction import fixed_point, heat_flow, heat_weights
+from .induction import fixed_point, heat_weights, update_norm
 from .operators import star_product
 from .params import SolverParams
 
@@ -66,20 +76,38 @@ def picard_solve(v0: SpectralField, horizon: float, params: SolverParams) -> Pic
             f"1/{params.substeps}"
         )
     times = tuple(i / params.substeps for i in range(n_sub + 1))
-    weights = heat_weights(v0.lattice, 0, times)
+    lat = v0.lattice
+    weights = heat_weights(lat, 0, times)
+    x = v0.data * weights   # iterate 1, the heat flow (heat_flow's product)
+    half = -(-len(times) // 2)
+    runs = (slice(0, half), slice(half, len(times)))
+    buf = np.empty_like(x[:half])
 
-    def add_heat(out):
-        """out <- heat + out, with heat = v0.data * weights built a run of
-        slices at a time: a run's heat and numpy's buffer of the weights
-        cast to complex take up to three times the run's bytes."""
-        for run in slice_runs(len(out), 3 * out[0].nbytes):
-            np.add(v0.data * weights[run], out[run], out=out[run])
+    def norm_fn(u):
+        return phi_norm(u, params.alpha)
 
-    # the heat flow is iterate 1, held by the loop alone
-    solution, update_norms = fixed_point(
-        heat_flow(v0, 0, times), lambda v: star_product(v, v, addend=add_heat),
-        lambda u: phi_norm(u, params.alpha), params.fp_tol, params.fp_max_iter)
-    return PicardTrajectory(times, v0.lattice, solution.data, update_norms)
+    def sweep(_):
+        """Overwrite x with the next iterate, one causal run at a time, and
+        return the norm of the update."""
+        carry, updates = [], []
+        for run in runs:
+            out = buf[: run.stop - run.start]
+            # wrapping a view leaves x writable
+            field = TimeSlicedField(times[run], lat, x[run])
+            star_product(field, field, out=out, carry=carry)
+            # a few slices of heat at a time: their heat and numpy's buffers
+            # for its broadcast operands take up to three times their bytes
+            heat = weights[run]
+            for sub in slice_runs(len(out), 3 * out[0].nbytes):
+                np.add(v0.data * heat[sub], out[sub], out=out[sub])
+            updates.append(update_norm(norm_fn, field._like(out), field))
+            x[run] = out
+        return float(np.max(updates))   # keeps a nan
+
+    # wrap views of x alone, so that the sweeps may write it
+    _, update_norms = fixed_point(TimeSlicedField(times, lat, x[...]), sweep, norm_fn,
+                                  params.fp_tol, params.fp_max_iter)
+    return PicardTrajectory(times, lat, x, update_norms)
 
 
 def integer_time_deviations(trajectory: PicardTrajectory, velocities,

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -281,7 +282,8 @@ def test_fused_maps_match_separate_star_products_per_site(k_max, rule, a, seed):
     times = unit_times(4)
     total = random_sliced(lat, times, rng, scale=1e-3, a=a)
     g = random_sliced(lat, times, rng, scale=1e-6, a=a)
-    lin, quad = remainder_maps(total)(g)
+    lin, quad, own = remainder_maps(total)(g)
+    assert np.shares_memory(own, lin.data) and own.flags.writeable
     assert_within_majorant(lin, star_product(total, g) + star_product(g, total),
                            [(total, g), (g, total)])
     assert_within_majorant(quad, star_product(g, g), [(g, g)])
@@ -457,6 +459,28 @@ def test_interval_solution_holds_its_own_interval_end_fields(ball2):
             assert not np.shares_memory(entry.data, grid.data)
         state, _ = apply_interval(state, sol, PARAMS)
     assert "correction" not in [f.name for f in dataclasses.fields(IntervalSolution)]
+
+
+def test_a_step_builds_each_grid_once():
+    # the heat, gaussian and remainder parts and the correction are dropped
+    # once the forcing and the total are built, no product of the fused
+    # star product is copied out, and the image is summed into the linear
+    # map's own array: at k_max 4 a step's traced peak measured 7.2 grids
+    lat = ball(4)
+    state = DecompositionState.initial(random_field(lat, np.random.default_rng(14), 1e-3))
+    for _, state, _ in induction_steps(state, PARAMS, 2):
+        pass
+    solve_interval(state, PARAMS)   # the cached tables of this m
+    grid = (PARAMS.substeps + 1) * len(lat) * 48
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sol = solve_interval(state, PARAMS)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert sol.fixed_point.iterations > 2
+    assert peak < 8 * grid, peak / grid
 
 
 def test_advance_zero_data_stays_zero(ball2):

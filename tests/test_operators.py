@@ -246,10 +246,12 @@ def kernel_bytes(lat):
 def lane_bytes(n, rows):
     """Bytes of a lane's work arrays as _Lane documents them: the D buffer
     with its zero slot, the intp index block, the complex block of A, the
-    chunk buffer (at least _CHUNK_SLICES slices with two right factors)
-    and the block product."""
+    chunk buffer (at least _CHUNK_SLICES slices with two right factors),
+    the block product and the two projection buffers."""
     work = max(operators._CHUNK_BYTES // 8, operators._CHUNK_SLICES * 30 * n)
-    return 16 * (rows * n + 1) + 8 * 2 * rows * n + 16 * 2 * rows * n + 8 * work + 8 * 24 * rows
+    project = 2 * max(operators._PROJECTION_BYTES // 48, 2 * n)
+    return (16 * (rows * n + 1) + 8 * 2 * rows * n + 16 * 2 * rows * n + 8 * work + 8 * 24 * rows
+            + 16 * project)
 
 
 @pytest.mark.parametrize("k_max", [6, 8])
@@ -565,12 +567,14 @@ def test_bilinear_warm_call_allocates_nothing_per_slice(lanes, monkeypatch):
     # A warm call keeps no whole-grid work array: its peak traced
     # allocation, in the caller and in the worker, is the same at 9 and 193
     # slices, and every lane works in its own buffers of the kernel, the
-    # same ones on every call; with one lane and with two. The projection's
-    # temporaries are bounded by _PROJECTION_BYTES, which a 9-slice grid
-    # does not reach at k_max 4, so the projection runs one slice at a time
-    # here to compare the rest. A worker forked while the caller traces
-    # keeps tracing; it writes its peak over each job into shared memory
-    # (-1 when it does not trace).
+    # same ones on every call; with one lane and with two. The projection
+    # runs in the lane's buffers too (see the next test), so what it
+    # allocates is numpy's iteration buffers, which grow with the slices
+    # projected at once up to _PROJECTION_BYTES, which a 9-slice grid does
+    # not reach at k_max 4: so the projection runs one slice at a time here
+    # to compare the rest. A worker forked while the
+    # caller traces keeps tracing; it writes its peak over each job into
+    # shared memory (-1 when it does not trace).
     monkeypatch.setattr(operators, "_PROJECTION_BYTES", 1)
     worker_peak = shared_ints(1)
     run = operators._Worker._run
@@ -652,6 +656,45 @@ def test_bilinear_warm_call_allocates_nothing_per_slice(lanes, monkeypatch):
             assert first == recorded() and len(first) == 193
             assert {side for side, *_ in first} == set(range(count))
             lanes(count)
+
+
+def test_projection_runs_in_the_lane_buffers(lanes, monkeypatch):
+    # bilinear projects through the lane's two projection buffers, so a
+    # warm call allocates no array: at 193 slices its traced peak is
+    # numpy's iteration buffer (at most its buffer size per operand), where
+    # the projection's own temporaries took up to 271 KB beside it
+    lat = ball(4)
+    lane = conv_kernel(lat).lane
+    project = operators.leray_project
+    works = []
+
+    def recording(k, x, out, work):
+        works.append((k, work))
+        return project(k, x, out, work)
+
+    rng = np.random.default_rng(15)
+    times = unit_times(192)
+    lanes(1)
+    for nv in (1, 2):
+        u, *vs = (random_sliced(lat, times, rng) for _ in range(nv + 1))
+        out = np.empty((len(times), len(lat), 3 * nv), dtype=np.complex128)
+        bilinear(u, *vs, out=out)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            bilinear(u, *vs, out=out)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * np.getbufsize() + 16 * 1024, (nv, peak)
+        monkeypatch.setattr(operators, "leray_project", recording)
+        bilinear(u, *vs, out=out)
+        monkeypatch.setattr(operators, "leray_project", project)
+    assert works
+    for k, (ksq, factor, term) in works:
+        assert k is lane.ksites and ksq is lane.ksq
+        assert np.shares_memory(factor, lane.project[0])
+        assert np.shares_memory(term, lane.project[1])
 
 
 # -- lanes ------------------------------------------------------------------------
@@ -1229,6 +1272,32 @@ def test_duhamel_rules_are_read_only_cached_fresh_evaluations(uniform):
         prev = data[n + 1]
     duhamel_integrate(lat, times, data)
     assert np.array_equal(data.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("run", [1, 2, 3, None])
+def test_duhamel_resumes_over_any_cut_bit_for_bit(run, uniform):
+    # a grid's samples integrated a run of consecutive grid times at a
+    # time (runs of 1, 2 and 3 slices, and one of all S+1), each run in a
+    # buffer that is scribbled over between the calls, as the Picard
+    # oracle reuses its buffer, equal the whole pass bit for bit
+    lat = ball(2)
+    rng = np.random.default_rng(12)
+    times = random_grid(rng, 3.0, 10, uniform)
+    shape = (len(times), len(lat), 6)
+    source = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    whole = source.copy()
+    duhamel_integrate(lat, times, whole)
+    step = run or len(times)
+    got, buf, carry = np.empty_like(source), np.empty_like(source[:step]), []
+    for a in range(0, len(times), step):
+        part = buf[: len(source[a: a + step])]
+        part[...] = source[a: a + step]
+        duhamel_integrate(lat, times[a: a + step], part, carry)
+        got[a: a + step] = part
+        buf[...] = np.nan
+    assert carry[0] == times[-1]
+    assert np.array_equal(got.view(np.uint64), whole.view(np.uint64))
 
 
 # -- star product -----------------------------------------------------------------

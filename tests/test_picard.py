@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import nstorus.operators
 import nstorus.picard
 from nstorus import (
     ConvergenceError,
@@ -16,7 +17,7 @@ from nstorus import (
     phi_norm,
     picard_solve,
 )
-from util import random_field
+from util import random_field, whole_grid_picard
 
 PARAMS = SolverParams()
 
@@ -115,27 +116,54 @@ def test_large_data_raises(ball2):
 
 def test_first_iterate_is_heat_flow_without_a_star_product(ball2, monkeypatch):
     # iterate 1 is the heat flow itself; each later iterate costs one star
-    # product of the iterate before it
-    calls = []
+    # product of the iterate before it with itself, taken in two causal
+    # runs: the grid's first ceil((S+1)/2) slices, then the rest, each run
+    # one bilinear call on its own slices alone
+    calls, convolved = [], []
     star_product = nstorus.picard.star_product
+    bilinear = nstorus.operators.bilinear
 
     def counting(*args, **kwargs):
         calls.append(args)
         return star_product(*args, **kwargs)
 
+    def counting_bilinear(u, *vs, **kwargs):
+        convolved.append(u.times)
+        return bilinear(u, *vs, **kwargs)
+
     monkeypatch.setattr(nstorus.picard, "star_product", counting)
+    monkeypatch.setattr(nstorus.operators, "bilinear", counting_bilinear)
     v0 = SpectralField.from_modes(
         ball2, {(1, 0, 0): (0.0, 0.0, 1e-3), (0, 1, 0): (1e-3, 0.0, 0.0)}
     )
     traj = picard_solve(v0, 3.0, PARAMS)
     assert traj.iterations_used == 3
-    assert len(calls) == traj.iterations_used - 1
+    half = -(-len(traj.times) // 2)
+    runs = [traj.times[:half], traj.times[half:]] * (traj.iterations_used - 1)
+    assert [u.times for u, *_ in calls] == runs
+    assert all(len(args) == 2 and args[0] is args[1] for args in calls)
+    assert convolved == runs
+
+
+@pytest.mark.parametrize("k_max, horizon, scale", [(2, 0.125, 3e-2), (2, 1.0, 1e-2),
+                                                   (3, 2.125, 1e-3), (4, 3.0, 1e-3)])
+def test_oracle_equals_a_whole_grid_iteration_bit_for_bit(k_max, horizon, scale):
+    # the in-place sweep over two causal runs gives every iterate and every
+    # update norm of the whole-grid iteration, bit for bit: an even and an
+    # odd number of slices, and a two-slice grid whose runs hold one each
+    v0 = random_field(get_lattice(LatticeSpec(k_max)), np.random.default_rng(k_max), scale)
+    traj = picard_solve(v0, horizon, PARAMS)
+    data, update_norms = whole_grid_picard(v0, horizon, PARAMS)
+    assert traj.iterations_used == len(update_norms) > 2
+    assert traj.update_norms == update_norms
+    assert traj.data.tobytes() == data.tobytes()
 
 
 def test_an_iteration_holds_two_grids():
-    # the iterate and the next one: no heat grid, no sum beside the star
-    # product and no update array. At k_max 4 over horizon 8 a grid is 65
-    # slices of 256 sites, 0.78 MB; four grids stood at once before.
+    # at most two: the iterate, which each iteration overwrites in place,
+    # and the half-grid buffer of a causal run, with no heat grid, no
+    # second iterate and no update array. At k_max 4 over horizon 8 a grid
+    # is 65 slices of 256 sites, 0.78 MB, and the peak measured 1.82 grids.
     lat = get_lattice(LatticeSpec(4))
     v0 = random_field(lat, np.random.default_rng(14), scale=1e-4)
     picard_solve(v0, 8.0, PARAMS)   # builds the kernel and the cached tables
@@ -148,4 +176,4 @@ def test_an_iteration_holds_two_grids():
     finally:
         tracemalloc.stop()
     assert traj.data.nbytes == grid and traj.iterations_used > 2
-    assert peak < 2.5 * grid
+    assert peak < 2.0 * grid

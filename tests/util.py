@@ -7,7 +7,8 @@ import mmap
 
 import numpy as np
 
-from nstorus import DecompositionState, LatticeSpec, SpectralField, TimeSlicedField, get_lattice
+from nstorus import (DecompositionState, LatticeSpec, SpectralField, TimeSlicedField,
+                     get_lattice, heat_flow, phi_norm, star_product)
 from nstorus.fields import UNDERFLOW_FLOOR
 
 
@@ -161,3 +162,19 @@ def state_from_histories(v0, gaussian_history, remainder_history, params):
     for h, g in zip(gaussian_history, remainder_history, strict=True):
         state = state.extended(h, g, params)
     return state
+
+
+def whole_grid_picard(v0, horizon, params):
+    """The Picard oracle's iteration with every array whole: iterate 1 is
+    the heat flow, each later one heat + S(x, x) built beside the one
+    before, and each update norm the data norm of the whole difference.
+    Stops at the first update norm below fp_tol or at fp_max_iter iterates;
+    returns (the last iterate's data, the update norms)."""
+    times = tuple(i / params.substeps for i in range(round(horizon * params.substeps) + 1))
+    heat = heat_flow(v0, 0, times)
+    x, norms = heat, [phi_norm(heat, params.alpha)]
+    while norms[-1] >= params.fp_tol and len(norms) < params.fp_max_iter:
+        nxt = heat + star_product(x, x)
+        norms.append(phi_norm(nxt - x, params.alpha))
+        x = nxt
+    return x.data, tuple(norms)
