@@ -123,7 +123,11 @@ def fit_remainder_bound(g: SpectralField, age: int, params: SolverParams) -> tup
     if kabs.size < 4 or kabs.min() == kabs.max():
         return d, math.nan
     y = np.log(mags[mask]) + params.beta * np.log(kabs)
-    return d, -float(np.polyfit(math.sqrt(age) * kabs, y, 1)[0])
+    # the least-squares slope from centred sums: np.polyfit would page in
+    # LAPACK, about 1 MB of code, to fit this one line
+    x = math.sqrt(age) * kabs
+    xc = x - x.mean()
+    return d, -float(xc @ (y - y.mean()) / (xc @ xc))
 
 
 def check_gaussian_envelope(gaussian_part: TimeSlicedField, m: int,

@@ -307,9 +307,11 @@ class _Worker:
     Forked from the caller, it inherits every kernel built by then, gather
     table included, copy-on-write; a kernel built later it builds on its
     first job on that lattice. shared is a shared anonymous mapping of
-    `size` bytes, seen as complex128 and made before the fork. For a job on
-    m slices the caller copies each distinct factor's slices into an
-    (m, N, width) array at its start, side by side, and the worker writes
+    `size` bytes, seen as complex128 and made before the fork, outside
+    malloc's heap. It is sized for wider jobs than the first
+    (_ready_workers), and only the pages a job writes become resident. For
+    a job on m slices the caller copies each distinct factor's slices into
+    an (m, N, width) array at its start, side by side, and the worker writes
     each slice's projected products over that slice's factors, in its first
     3 nv columns (_worker_products). A job and its answer are each one
     message on a pipe (_send), which the side that waits for it polls
@@ -475,18 +477,24 @@ def _read(fd: int) -> bytes:
 _workers: list[_Worker] = []
 
 
-def _ready_workers(sizes: list[int]) -> list[_Worker]:
+def _ready_workers(sizes: list[int], rooms: list[int]) -> list[_Worker]:
     """One worker per size, whose mapping holds at least that many bytes:
-    a missing worker is forked, and one with a smaller mapping stopped and
-    forked again with a mapping of that size."""
-    for i, size in enumerate(sizes):
+    a missing worker is forked with a mapping of the matching room's bytes,
+    and one with a mapping smaller than its size stopped and forked again
+    so. bilinear sizes a room for the widest job that a call of its span
+    and its count of right factors can send, so the solver's calls, none of
+    which copies more than two distinct factors or sends the worker a
+    longer span than the first, fork it once: a fork copies the caller's
+    page tables and starts a copy-on-write wave in both processes, while
+    mapped pages that no job touches are never resident."""
+    for i, (size, room) in enumerate(zip(sizes, rooms)):
         if i < len(_workers) and _workers[i].size >= size:
             continue
         if i < len(_workers):
             _workers.pop(i).stop()
         # forked while _workers holds only live workers, whose pipes the
         # child closes (_drop_workers)
-        _workers.insert(i, _Worker(size))
+        _workers.insert(i, _Worker(room))
     return _workers[:len(sizes)]
 
 
@@ -612,7 +620,10 @@ def bilinear(u, *vs, out=None):
         # the products overwrite the factors
         width = 3 * max(len(copies), nv)
         err = np.geterr()
-        workers = _ready_workers([16 * (stop - start) * n * width for start, stop in spans[1:]])
+        # a fresh worker's mapping holds u and every v apart, the widest
+        # job a call with these right factors can send
+        column = [16 * (stop - start) * n for start, stop in spans[1:]]
+        workers = _ready_workers([c * width for c in column], [c * 3 * (1 + nv) for c in column])
         busy, sending = [], None
         try:
             for worker, (start, stop) in zip(workers, spans[1:]):

@@ -121,6 +121,26 @@ def test_remainder_fit_recovers_other_rates(ball2):
     assert rate == pytest.approx(0.9, rel=1e-6)
 
 
+def polyfit_rate(g, age, params):
+    """The remainder fit's rate as np.polyfit gives it: the reference for
+    the closed-form slope, which needs no LAPACK."""
+    mags = g.magnitudes()
+    kabs = np.sqrt(g.lattice.norm_sq_f[mags > 0])
+    y = np.log(mags[mags > 0]) + params.beta * np.log(kabs)
+    return -float(np.polyfit(math.sqrt(age) * kabs, y, 1)[0])
+
+
+@pytest.mark.parametrize("age", [1, 2, 50, 400])
+def test_remainder_fit_rate_equals_polyfit(ball2, ball3, age):
+    rng = np.random.default_rng(age)
+    entries = [planted_remainder_entry(ball2, age, PARAMS),
+               planted_remainder_entry(ball3, age, PARAMS, constant=0.5, rate=0.9),
+               *(random_field(lat, rng, scale=1e-3) for lat in (ball2, ball3) for _ in range(3))]
+    for g in entries:
+        rate = fit_remainder_bound(g, age, PARAMS)[1]
+        assert rate == pytest.approx(polyfit_rate(g, age, PARAMS), rel=1e-14, abs=0)
+
+
 def test_remainder_fit_reads_entries_below_the_squares_range(ball2):
     # every entry is below 1e-155, where the squares of the components are
     # subnormal or zero: read from them, the outer shells lose bits or leave

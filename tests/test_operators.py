@@ -793,6 +793,34 @@ def test_bilinear_gives_each_lane_enough_pairs(lanes, monkeypatch):
         assert len(operators._workers) == workers
 
 
+def test_bilinear_forks_a_worker_once_for_a_wider_call(lanes, monkeypatch):
+    # a worker's mapping is sized for the widest job a call of its span
+    # can send: the solver's S(H, H) copies one distinct factor (3
+    # columns), its next call S(R, H + R) two (6 columns) over the same
+    # span, and S(g, T, g) two, and the worker forked for the first serves
+    # the others
+    lat = ball(2)
+    times = unit_times(8)
+    rng = np.random.default_rng(81)
+    h, r = (random_sliced(lat, times, rng) for _ in range(2))
+    calls = ((h, h), (r, h), (r, h, r))
+    want = [lane_outputs(lanes, 1, *f).tobytes() for f in calls]
+    lanes(2)
+    forks = []
+    init = operators._Worker.__init__
+
+    def counting(self, size):
+        forks.append(size)
+        init(self, size)
+
+    monkeypatch.setattr(operators._Worker, "__init__", counting)
+    for factors, expected in zip(calls, want):
+        out = np.full((len(times), len(lat), 3 * (len(factors) - 1)), np.nan,
+                      dtype=np.complex128)
+        assert bilinear(*factors, out=out).tobytes() == expected
+    assert len(forks) == 1 and len(operators._workers) == 1
+
+
 def test_bilinear_lanes_under_contention(lanes):
     # more lanes than CPUs, so the processes take turns on them, over 10
     # calls on the same persistent workers: every call still gives the

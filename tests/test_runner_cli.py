@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import nstorus.induction
+import nstorus.operators
 import nstorus.runner
 from nstorus import CheckpointError, ConvergenceError, RunConfig, SpectralField, save_field
 from nstorus.cli import main
@@ -182,6 +183,41 @@ def test_fields_emit_and_check(tmp_path):
     schema, cols, rows = read_csv(Path(cfg.output_dir) / "check_report.csv")
     assert schema == "nstorus.check_report.v1"
     assert cols[0] == "j"
+
+
+def test_run_and_check_fit_without_lapack(tmp_path, monkeypatch):
+    # the remainder fit takes its slope in closed form: np.polyfit would
+    # page in about 1 MB of LAPACK code in every solve process
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK least squares called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(np, "polyfit", refuse)
+    cfg = small_config(tmp_path, emit=frozenset({"certificates", "fields"}), horizon_m=2)
+    assert run(cfg).status == STATUS_OK
+    assert check_run(cfg.output_dir).status == STATUS_OK
+    for name in ("certificates", "check_report"):
+        _, cols, rows = read_csv(Path(cfg.output_dir) / f"{name}.csv")
+        assert math.isfinite(float(rows[-1][cols.index("remainder_decay")]))
+
+
+@pytest.mark.parametrize("solve", [run, run_oracle])
+def test_a_solve_forks_the_convolution_worker_once(solve, tmp_path, lanes, monkeypatch):
+    # on two lanes every call with two live slices has a worker; its first
+    # mapping holds every later job of the solve (the run's cross-check
+    # with the oracle included), so the worker is forked once, not again
+    # for the first call with two right factors
+    forks = []
+    init = nstorus.operators._Worker.__init__
+
+    def counting(self, size):
+        forks.append(size)
+        init(self, size)
+
+    lanes(2)
+    monkeypatch.setattr(nstorus.operators._Worker, "__init__", counting)
+    assert solve(small_config(tmp_path, horizon_m=2)).status == STATUS_OK
+    assert len(forks) == 1
 
 
 def test_check_report_writes_plain_floats(tmp_path):
