@@ -20,7 +20,7 @@ while dropping them would bias a fitted rate towards the remaining shells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,9 +36,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CertificateRecord:
-    """Fitted constants and fixed-point diagnostics for one induction step.
+class CertificateRecord(NamedTuple):
+    """Fitted constants and fixed-point diagnostics for one induction step:
+    certificates.csv's columns (_fields) and one of its rows.
 
     gaussian_D:      max over ages j of the minimal D in
                      |h_j(k)| <= D delta^2 exp(-j|k|^2/2) / |k|^(2 eps)

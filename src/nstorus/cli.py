@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields as dc_fields
 
 from .config import RunConfig, config_from_mapping, read_config
 from .errors import CheckpointError, ConfigError
@@ -36,16 +35,15 @@ BISECT_FLAGS = {"delta_lo": float, "delta_hi": float, "bisect_steps": int, "bise
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH",
                         help="configuration file (flat key = value lines)")
-    for f in dc_fields(RunConfig):
-        flag = "--" + f.name.replace("_", "-")
-        parser.add_argument(flag, dest=f.name, default=argparse.SUPPRESS,
-                            metavar=f.name.upper())
+    for name in RunConfig.DEFAULTS:
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, default=argparse.SUPPRESS,
+                            metavar=name.upper())
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
     # the file is validated on its own before the flags override it
     base = read_config(args.config) if args.config else RunConfig()
-    mapping = {f.name: getattr(args, f.name, getattr(base, f.name)) for f in dc_fields(RunConfig)}
+    mapping = {name: getattr(args, name, getattr(base, name)) for name in RunConfig.DEFAULTS}
     if os.environ.get(OUTPUT_DIR_ENV):
         mapping["output_dir"] = os.environ[OUTPUT_DIR_ENV]
     return config_from_mapping(mapping)

@@ -10,7 +10,6 @@ from disk. Every run writes its resolved configuration next to its outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
 import numpy as np
@@ -38,39 +37,37 @@ IC_KINDS = ("random_phi_ball", "single_mode", "two_mode", "from_checkpoint")
 EMIT_KINDS = ("norm_series", "certificates", "fields")
 
 
-@dataclass(frozen=True)
 class RunConfig(SolverParams):
     """The solver parameters (first, in SolverParams' order) and the run's
     lattice, initial condition and outputs. A RunConfig is a SolverParams,
-    so the solvers take a config itself as their parameters. Text values may
-    not carry '#', a line break, surrounding whitespace or a lone surrogate
-    (how Python decodes argv bytes that are not UTF-8), which run_config.cfg
-    could not write or read back."""
+    so the solvers take a config itself as their parameters. DEFAULTS
+    orders every key, and parsing, serializing and the command-line flags
+    all follow it. Text values may not carry '#', a line break,
+    surrounding whitespace or a lone surrogate (how Python decodes argv
+    bytes that are not UTF-8), which run_config.cfg could not write or read
+    back."""
 
-    # lattice
-    k_max: int = 4
-    truncation_rule: str = "euclidean_ball"
-    # initial condition
-    ic_kind: str = "random_phi_ball"
-    ic_checkpoint: str = ""
-    reality_symmetry: bool = False
-    rng_seed: int = 0
-    # run shape and outputs
-    horizon_m: int = 10
-    output_dir: str = "out"
-    emit: frozenset = frozenset({"norm_series", "certificates"})
-    oracle_horizon: int = 3
-    oracle_tol: float = 1e-9
+    DEFAULTS = {
+        **SolverParams.DEFAULTS,
+        # lattice
+        "k_max": 4, "truncation_rule": "euclidean_ball",
+        # initial condition
+        "ic_kind": "random_phi_ball", "ic_checkpoint": "", "reality_symmetry": False,
+        "rng_seed": 0,
+        # run shape and outputs
+        "horizon_m": 10, "output_dir": "out", "emit": frozenset({"norm_series", "certificates"}),
+        "oracle_horizon": 3, "oracle_tol": 1e-9,
+    }
 
-    def __post_init__(self):
-        for f in dc_fields(self):
-            value = getattr(self, f.name)
+    def _validate(self) -> None:
+        for name in self.DEFAULTS:
+            value = getattr(self, name)
             if isinstance(value, str) and (value != value.strip() or any(
                     c in "#\n\r" or "\ud800" <= c <= "\udfff" for c in value)):
-                raise ConfigError(f"{f.name} must be UTF-8 text without '#' or a line "
+                raise ConfigError(f"{name} must be UTF-8 text without '#' or a line "
                                   f"break, and not begin or end with whitespace; got {value!r}")
         try:
-            super().__post_init__()
+            super()._validate()
             self.lattice_spec()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -118,7 +115,7 @@ _PARSERS = {
     frozenset: _parse_emit,
 }
 
-_FIELD_TYPES = {f.name: type(f.default) for f in dc_fields(RunConfig)}
+_FIELD_TYPES = {name: type(default) for name, default in RunConfig.DEFAULTS.items()}
 
 
 def config_from_mapping(mapping: dict) -> RunConfig:
@@ -171,8 +168,7 @@ def format_value(value) -> str:
 
 def serialize_config(config: RunConfig) -> str:
     """Emit the full configuration, one key per line, reparse-identical."""
-    lines = [f"{f.name} = {format_value(getattr(config, f.name))}"
-             for f in dc_fields(RunConfig)]
+    lines = [f"{name} = {format_value(getattr(config, name))}" for name in RunConfig.DEFAULTS]
     return "\n".join(lines) + "\n"
 
 

@@ -24,3 +24,9 @@ class CheckpointError(ValueError):
 
 class ConfigError(ValueError):
     """Raised on malformed or constraint-violating run configuration."""
+
+
+def refuse_assignment(obj, name, value=None):
+    """__setattr__ and __delattr__ of the package's immutable classes, whose
+    __init__ sets each attribute once through object.__setattr__."""
+    raise AttributeError(f"cannot set or delete {name!r}: {type(obj).__name__} is immutable")

@@ -18,12 +18,12 @@ kinds, lattices or grids are rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import pairwise
 
 import numpy as np
 
+from .errors import refuse_assignment
 from .lattice import Lattice
 
 __all__ = [
@@ -92,14 +92,18 @@ class _ArrayField:
     """Storage, algebra and invariant checks over a read-only complex array
     whose last two axes are (lattice site, component); the kinds differ in
     their leading axes and in _like, which wraps an array as the same kind
-    on the same lattice (and grid)."""
+    on the same lattice (and grid). A field is immutable, its __init__
+    setting each attribute once (a cached_property writes __dict__), and
+    equal only to itself."""
 
-    def _freeze(self, shape: tuple[int, ...]) -> None:
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def _freeze(self, data, shape: tuple[int, ...]) -> None:
         """Keep data as a read-only complex128 array of that shape whose
         last axis is contiguous, copied only when it is not one already:
         so a view, such as one product of several that share one array, is
         kept as it is, and only the view is made read-only."""
-        arr = np.asarray(self.data, dtype=np.complex128)
+        arr = np.asarray(data, dtype=np.complex128)
         if arr.ndim == 0 or arr.strides[-1] != arr.itemsize:
             arr = np.ascontiguousarray(arr)
         if arr.shape != shape:
@@ -156,21 +160,19 @@ class _ArrayField:
         return float(site_magnitudes(diff).max(initial=0.0))
 
 
-@dataclass(frozen=True, eq=False)
 class SpectralField(_ArrayField):
     """Complex 3-vector amplitudes on the nonzero sites of a lattice.
 
-    data[i] is the amplitude at lattice.sites[i]. The origin is never a
-    site, so the zero-mode constraint holds structurally.
+    data, (N, 3) complex128 and read-only: data[i] is the amplitude at
+    lattice.sites[i]. The origin is never a site, so the zero-mode
+    constraint holds structurally.
     """
 
-    lattice: Lattice
-    data: np.ndarray  # (N, 3) complex128, read-only
-
-    def __post_init__(self):
-        if not isinstance(self.lattice, Lattice):
-            raise TypeError(f"expected a Lattice, got {type(self.lattice)!r}")
-        self._freeze((len(self.lattice), 3))
+    def __init__(self, lattice: Lattice, data):
+        if not isinstance(lattice, Lattice):
+            raise TypeError(f"expected a Lattice, got {type(lattice)!r}")
+        object.__setattr__(self, "lattice", lattice)
+        self._freeze(data, (len(lattice), 3))
 
     def _like(self, data) -> "SpectralField":
         return SpectralField(self.lattice, data)
@@ -195,26 +197,22 @@ class SpectralField(_ArrayField):
         return int(np.count_nonzero(self.magnitudes() > 0))
 
 
-@dataclass(frozen=True, eq=False)
 class TimeSlicedField(_ArrayField):
     """A field-valued function of time sampled on a fixed substep grid.
 
     data[n] holds the (N, 3) amplitudes at times[n], stored as one read-only
-    (S+1, N, 3) array.
+    (S+1, N, 3) complex128 array.
     """
 
-    times: tuple[float, ...]
-    lattice: Lattice
-    data: np.ndarray  # (S+1, N, 3) complex128, read-only
-
-    def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
+    def __init__(self, times, lattice: Lattice, data):
+        times = tuple(float(t) for t in times)
         if not times:
             raise ValueError("need at least one grid time")
         if any(b <= a for a, b in pairwise(times)):
             raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", times)
-        self._freeze((len(times), len(self.lattice), 3))
+        object.__setattr__(self, "lattice", lattice)
+        self._freeze(data, (len(times), len(lattice), 3))
 
     def _like(self, data) -> "TimeSlicedField":
         return TimeSlicedField(self.times, self.lattice, data)

@@ -68,8 +68,8 @@ all advance through it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,8 +104,7 @@ __all__ = [
 _DIVERGENCE_CAP = 1e50
 
 
-@dataclass(frozen=True, eq=False)
-class DecompositionState:
+class DecompositionState(NamedTuple):
     """Induction record at integer time m, built by DecompositionState.initial
     and grown one interval at a time by extended.
 
@@ -122,8 +121,8 @@ class DecompositionState:
 
     initial_field: SpectralField
     m: int
-    gaussian_sum: SpectralField = field(repr=False)
-    remainder_sum: SpectralField = field(repr=False)
+    gaussian_sum: SpectralField
+    remainder_sum: SpectralField
     bounds: tuple[float, float, float]
 
     @classmethod
@@ -232,8 +231,7 @@ def assemble_forcing(
     return rest._like(np.add(early, late.data, out=early))
 
 
-@dataclass(frozen=True, eq=False)
-class FixedPointResult:
+class FixedPointResult(NamedTuple):
     """The one record of a remainder solve: the accepted solution, the norm
     of every update, the coefficients of the norm inequality and the
     residual |map(g) - g| and norm |g| at the solution g.
@@ -407,8 +405,7 @@ def solve_remainder(forcing: TimeSlicedField, total: TimeSlicedField,
     return iterate_contraction(forcing, maps, norm_fn, params.fp_tol, params.fp_max_iter)
 
 
-@dataclass(frozen=True, eq=False)
-class IntervalSolution:
+class IntervalSolution(NamedTuple):
     """What one unit interval's readers use: the assembled gaussian part's
     envelope constant (certificates.check_gaussian_envelope, at the step's
     m), the remainder solve and the velocity on the step's grid (the three

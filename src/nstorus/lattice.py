@@ -21,11 +21,12 @@ position(0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
+
+from .errors import refuse_assignment
 
 __all__ = [
     "TruncationRule",
@@ -47,21 +48,36 @@ class TruncationRule(str, Enum):
     SUP_CUBE = "sup_cube"              # max(|kx|, |ky|, |kz|) <= k_max
 
 
-@dataclass(frozen=True)
 class LatticeSpec:
-    """Truncation radius and rule defining a finite lattice."""
+    """Truncation radius and rule defining a finite lattice: immutable,
+    equal and hashed by (k_max, truncation_rule), and pickled by value (a
+    worker job carries it)."""
 
-    k_max: int
-    truncation_rule: TruncationRule = TruncationRule.EUCLIDEAN_BALL
+    __slots__ = ("k_max", "truncation_rule")
+    __setattr__ = __delattr__ = refuse_assignment
 
-    def __post_init__(self):
-        if int(self.k_max) != self.k_max or self.k_max < 1:
-            raise ValueError(f"k_max must be a positive integer, got {self.k_max!r}")
-        object.__setattr__(self, "k_max", int(self.k_max))
-        object.__setattr__(self, "truncation_rule", TruncationRule(self.truncation_rule))
+    def __init__(self, k_max: int, truncation_rule=TruncationRule.EUCLIDEAN_BALL):
+        if int(k_max) != k_max or k_max < 1:
+            raise ValueError(f"k_max must be a positive integer, got {k_max!r}")
+        object.__setattr__(self, "k_max", int(k_max))
+        object.__setattr__(self, "truncation_rule", TruncationRule(truncation_rule))
         if _site_count(self) > MAX_SITES:
             raise ValueError(f"the {self.truncation_rule.value} lattice at k_max {self.k_max} "
                              f"has more than {MAX_SITES} sites")
+
+    def __reduce__(self):
+        return LatticeSpec, (self.k_max, self.truncation_rule)
+
+    def __eq__(self, other):
+        if type(other) is not LatticeSpec:
+            return NotImplemented
+        return (self.k_max, self.truncation_rule) == (other.k_max, other.truncation_rule)
+
+    def __hash__(self) -> int:
+        return hash((self.k_max, self.truncation_rule))
+
+    def __repr__(self) -> str:
+        return f"LatticeSpec(k_max={self.k_max!r}, truncation_rule={self.truncation_rule!r})"
 
 
 def _site_count(spec: LatticeSpec) -> int:

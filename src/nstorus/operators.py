@@ -78,8 +78,8 @@ import os
 import pickle
 import time
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -185,8 +185,7 @@ def leray_project(k, x, out=None, work=None) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class _ConvKernel:
+class _ConvKernel(NamedTuple):
     """The lattice convolution's gather table and its lane's work arrays,
     which build the interaction matrix A[k, l] = <k, u(k-l)> one block of
     `rows` pairs of output sites at a time.
@@ -241,8 +240,8 @@ class _Lane:
 
     The work arrays are reused by every call on the lattice, which keeps
     each call free of fresh allocations, whose page faults would otherwise
-    cost as much as the arithmetic. (A plain class: a dataclass would add
-    about 1 ms to every command's import.)
+    cost as much as the arithmetic. (A plain class: no class here is a
+    dataclass, for the import time that costs; see the README's Records.)
     """
 
     def __init__(self, lat: Lattice, rows: int, blocks: list):

@@ -30,8 +30,6 @@ but each costs a bilinear call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fields import SpectralField, TimeSlicedField, phi_norm, site_magnitudes, slice_runs
@@ -42,7 +40,6 @@ from .params import SolverParams
 __all__ = ["PicardTrajectory", "picard_solve", "integer_time_deviations"]
 
 
-@dataclass(frozen=True, eq=False)
 class PicardTrajectory(TimeSlicedField):
     """Mild solution sampled on the substep grid over [0, horizon].
 
@@ -51,7 +48,9 @@ class PicardTrajectory(TimeSlicedField):
     inspected after the fact.
     """
 
-    update_norms: tuple[float, ...]
+    def __init__(self, times, lattice, data, update_norms: tuple[float, ...]):
+        super().__init__(times, lattice, data)
+        object.__setattr__(self, "update_norms", update_norms)
 
     @property
     def iterations_used(self) -> int:

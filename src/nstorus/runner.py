@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager, nullcontext
-from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from . import certificates
 from .checkpoint import load_field, save_field, temporary_name, write_atomic
@@ -47,7 +47,7 @@ STATUS_CHECK_FAILED = 5
 # schema nstorus.name.v1, has these columns.
 CSVS = {
     "norm_series": ("m", "t", "phi_norm", "fmc_norm_g", "fp_iterations"),
-    "certificates": tuple(f.name for f in fields(certificates.CertificateRecord)),
+    "certificates": certificates.CertificateRecord._fields,
     "oracle_series": ("t", "phi_norm"),
     "check_report": ("j", "gaussian_D", "remainder_D", "remainder_decay", "phi_norm"),
     "bisect_delta": ("iteration", "delta", "converged"),
@@ -72,11 +72,10 @@ def read_csv(path) -> tuple[str, list[str], list[list[str]]]:
     return schema, columns, rows
 
 
-@dataclass
-class RunOutcome:
+class RunOutcome(NamedTuple):
     status: int
     message: str
-    records: list = field(default_factory=list)
+    records: list | tuple = ()   # a run's certificate records
     oracle_max_diff: float | None = None
     failed_step: int | None = None
 
@@ -179,7 +178,7 @@ def run(config: RunConfig) -> RunOutcome:
     if "norm_series" in config.emit:
         _write_csv(out_dir, "norm_series", norm_rows)
     if "certificates" in config.emit:
-        _write_csv(out_dir, "certificates", [astuple(r) for r in records])
+        _write_csv(out_dir, "certificates", records)
 
     oracle_max_diff = None
     if status == STATUS_OK and with_oracle:
@@ -276,8 +275,7 @@ def check_run(run_dir) -> RunOutcome:
     return RunOutcome(STATUS_OK if envelope_ok else STATUS_CHECK_FAILED, message)
 
 
-@dataclass
-class BisectOutcome:
+class BisectOutcome(NamedTuple):
     delta_lo: float
     delta_hi: float
     rows: list
@@ -306,13 +304,13 @@ def bisect_delta(config: RunConfig, delta_lo: float = 1e-6, delta_hi: float = 1.
         raise ConfigError(f"bisect_steps must be >= 0, got {bisect_steps}")
     if bisect_horizon < 1:
         raise ConfigError(f"bisect_horizon must be >= 1, got {bisect_horizon}")
-    config = replace(config, horizon_m=bisect_horizon)
+    config = config.replace(horizon_m=bisect_horizon)
     out_dir, _ = _start(config)
     rows = []
 
     def trial(iteration: int, delta: float) -> bool:
         """Run bisect_horizon steps at delta and record the verdict."""
-        trial_config = replace(config, delta=delta)
+        trial_config = config.replace(delta=delta)
         state = DecompositionState.initial(generate_ic(trial_config))
         try:
             for _ in induction_steps(state, trial_config, bisect_horizon):

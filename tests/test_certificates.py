@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import subprocess
@@ -310,9 +309,9 @@ def test_apply_interval_loop_records_equal_induction_steps(ball2):
     stepped = [r for _, _, r in induction_steps(DecompositionState.initial(v0), params, 8)]
     assert len(looped) == len(stepped) == 8
     for a, b in zip(looped, stepped):
-        for f in dataclasses.fields(CertificateRecord):
-            x, y = getattr(a, f.name), getattr(b, f.name)
-            assert x == y or (math.isnan(x) and math.isnan(y)), (a.m, f.name)
+        for name in CertificateRecord._fields:
+            x, y = getattr(a, name), getattr(b, name)
+            assert x == y or (math.isnan(x) and math.isnan(y)), (a.m, name)
 
 
 def looped_envelope(gaussian_part, m, params):

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,8 +27,27 @@ def test_empty_text_gives_defaults():
     assert cfg.rng_seed == 0
     # a RunConfig is the solver's parameters, with SolverParams' defaults
     assert isinstance(RunConfig(), SolverParams)
-    for f in dataclasses.fields(SolverParams):
-        assert getattr(RunConfig(), f.name) == getattr(SolverParams(), f.name)
+    assert list(RunConfig.DEFAULTS)[:len(SolverParams.DEFAULTS)] == list(SolverParams.DEFAULTS)
+    for name in SolverParams.DEFAULTS:
+        assert getattr(RunConfig(), name) == getattr(SolverParams(), name)
+
+
+def test_replace_revalidates_and_equal_configs_hash_equal():
+    cfg = RunConfig(delta=0.01, emit={"fields"})
+    changed = cfg.replace(delta=0.02)
+    assert changed == RunConfig(delta=0.02, emit=frozenset({"fields"})) and cfg.delta == 0.01
+    assert cfg.replace(delta=0.01) == cfg and hash(cfg.replace(delta=0.01)) == hash(cfg)
+    assert len({RunConfig(), RunConfig(), cfg, changed}) == 3
+    for bad, match in (({"delta": -1.0}, "delta must be positive"),
+                       ({"ic_kind": "nope"}, "ic_kind must be one of"),
+                       ({"emit": {"nope"}}, "unknown emit kinds"),
+                       ({"k_max": 0}, "k_max must be a positive integer")):
+        with pytest.raises(ConfigError, match=match):
+            cfg.replace(**bad)
+    with pytest.raises(ValueError, match="beta must be > 3"):
+        SolverParams().replace(beta=3.0)
+    # a config is never equal to the bare parameters it extends
+    assert RunConfig() != SolverParams() and SolverParams().replace() == SolverParams()
 
 
 def test_epsilon_constraint_reported():

@@ -1,7 +1,6 @@
 """The README's configuration table, exit codes and CSV columns match the code."""
 
 import re
-from dataclasses import fields
 from pathlib import Path
 
 from nstorus import runner
@@ -14,9 +13,9 @@ def test_readme_key_table_matches_run_config():
     # rows look like "| `key` | `default` | meaning |"; the default cell may
     # be empty, and it is compared by value, so 1e-9 may stand for 1e-09
     rows = re.findall(r"^\| `(\w+)` \| *`?([^`|]*?)`? *\|", README, flags=re.MULTILINE)
-    assert [key for key, _ in rows] == [f.name for f in fields(RunConfig)]
-    for (key, text), f in zip(rows, fields(RunConfig)):
-        assert getattr(config_from_mapping({key: text}), key) == f.default, key
+    assert [key for key, _ in rows] == list(RunConfig.DEFAULTS)
+    for key, text in rows:
+        assert getattr(config_from_mapping({key: text}), key) == RunConfig.DEFAULTS[key], key
 
 
 def test_readme_exit_codes_match_runner_statuses():
@@ -26,6 +25,12 @@ def test_readme_exit_codes_match_runner_statuses():
     statuses = [v for k, v in vars(runner).items() if k.startswith("STATUS_")]
     # 2 is argparse's usage error, which no runner outcome carries
     assert sorted(named) == sorted([*statuses, 2])
+
+
+def test_certificates_columns_are_the_record_fields():
+    assert runner.CSVS["certificates"] == (
+        "m", "gaussian_D", "remainder_D", "remainder_decay", "envelope_D", "c1", "c2", "c3",
+        "contraction_ok", "fp_iterations", "phi_sup")
 
 
 def test_readme_csv_columns_match_runner(tmp_path):

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,18 @@ def test_spec_rejects_more_sites_than_the_gather_table_indexes(rule, k_max, site
     for too_large in (k_max + 1, 10 ** 6):
         with pytest.raises(ValueError, match=f"at k_max {too_large} has more than 65535 sites"):
             LatticeSpec(too_large, rule)
+
+
+def test_spec_survives_pickle_with_its_equality_and_hash():
+    # a worker job carries the spec, and the spec refuses assignment, so it
+    # pickles by value through its constructor
+    for spec in (LatticeSpec(3), LatticeSpec(2, "sup_cube")):
+        back = pickle.loads(pickle.dumps(spec))
+        assert back is not spec and back == spec and hash(back) == hash(spec)
+        assert back.truncation_rule is spec.truncation_rule
+        assert get_lattice(back) is get_lattice(spec)
+    assert LatticeSpec(2) != LatticeSpec(2, "sup_cube") and LatticeSpec(2) != LatticeSpec(3)
+    assert LatticeSpec(2) != (2, TruncationRule.EUCLIDEAN_BALL)
 
 
 def test_kmax_zero_rejected():

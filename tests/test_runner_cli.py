@@ -2,6 +2,8 @@ import errno
 import math
 import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,9 @@ import pytest
 import nstorus.induction
 import nstorus.operators
 import nstorus.runner
-from nstorus import CheckpointError, ConvergenceError, RunConfig, SpectralField, save_field
+from nstorus import (CheckpointError, ConvergenceError, DecompositionState, RunConfig,
+                     SolverParams, SpectralField, generate_ic, induction_steps, picard_solve,
+                     save_field)
 from nstorus.cli import main
 from nstorus.config import read_config
 from nstorus.lattice import LatticeSpec, get_lattice
@@ -26,6 +30,9 @@ from nstorus.runner import (
     run_oracle,
     _write_csv,
 )
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def small_config(tmp_path, **kw):
@@ -68,6 +75,51 @@ def test_artifact_write_failing_halfway_leaves_no_file(writer, tmp_path, monkeyp
     write(path, tmp_path)
     assert path.is_file() and path.stat().st_size > 0
     assert not [p for p in path.parent.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_importing_the_package_loads_no_dataclasses():
+    # the records are plain classes and NamedTuples: the dataclass
+    # decorator's generated methods cost every command's set-up
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = "import nstorus, nstorus.runner, nstorus.cli, sys; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_records_and_fields_refuse_attribute_assignment(tmp_path):
+    # each record and field kind, with one attribute it has
+    cfg = small_config(tmp_path, horizon_m=1)
+    v0 = generate_ic(cfg)
+    state = DecompositionState.initial(v0)
+    sol, _, record = next(induction_steps(state, cfg, 1))
+    instances = {
+        "SpectralField": (v0, "data"),
+        "TimeSlicedField": (sol.velocity, "times"),
+        "PicardTrajectory": (picard_solve(v0, 1.0, cfg), "update_norms"),
+        "CertificateRecord": (record, "c1"),
+        "FixedPointResult": (sol.fixed_point, "solution"),
+        "IntervalSolution": (sol, "h"),
+        "DecompositionState": (state, "m"),
+        "_ConvKernel": (nstorus.operators.conv_kernel(v0.lattice), "rows"),
+        "RunOutcome": (run(cfg), "status"),
+        "BisectOutcome": (bisect_delta(cfg, bisect_steps=0, bisect_horizon=1), "delta_lo"),
+        "LatticeSpec": (cfg.lattice_spec(), "k_max"),
+        "SolverParams": (SolverParams(), "delta"),
+        "RunConfig": (cfg, "delta"),
+    }
+    for name, (obj, attr) in instances.items():
+        assert type(obj).__name__ == name
+        before = getattr(obj, attr)
+        for change in (lambda: setattr(obj, attr, None), lambda: setattr(obj, "extra", 1),
+                       lambda: delattr(obj, attr)):
+            with pytest.raises(AttributeError):
+                change()
+        assert getattr(obj, attr) is before and not hasattr(obj, "extra"), name
+    # a cached property still fills in
+    assert sol.velocity.slices[0].data.base is sol.velocity.data
 
 
 def test_run_writes_artifacts_and_config(tmp_path):

@@ -124,7 +124,8 @@ def test_ab_children_compares_a_checkout_with_itself(tmp_path):
                       cwd=tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith("oracle-k4-long, seed 0, 1 pairs; ")
-    for name in ("solve_s", "solve_wall_s", "calibration_mean_s", "setup_s", "peak_rss_mb"):
+    for name in ("solve_s", "solve_wall_s", "calibration_mean_s", "setup_s", "setup_wall_s",
+                 "peak_rss_mb"):
         assert re.search(rf"^{name} +(\S+ \[\S+, \S+\] +){{2}}[01] of 1$", proc.stdout, re.M), name
     assert "problem" not in proc.stdout
     assert sorted((ROOT / "nsbench").rglob("*")) == before
