@@ -13,7 +13,8 @@ NSTORUS_OUTPUT_DIR, when set, overrides the output directory.
 Exit codes: 0 success, 1 configuration or checkpoint error (printed as
 "error: ..." on stderr), 2 usage error (argparse),
 3 fixed-point non-convergence, 4 oracle mismatch, 5 check found a phi norm
-above the envelope 2 delta.
+above the envelope 2 delta, 6 a convolution worker died (run still writes
+the CSVs of the steps that finished).
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ import os
 import sys
 
 from .config import RunConfig, config_from_mapping, read_config
-from .errors import CheckpointError, ConfigError
-from .runner import STATUS_CONFIG_ERROR, bisect_delta, check_run, run, run_oracle
+from .errors import CheckpointError, ConfigError, WorkerError
+from .runner import (STATUS_CONFIG_ERROR, STATUS_WORKER_FAILURE, bisect_delta, check_run, run,
+                     run_oracle)
 
 OUTPUT_DIR_ENV = "NSTORUS_OUTPUT_DIR"
 # bisect-delta's own flags, by keyword of runner.bisect_delta: an absent
@@ -92,6 +94,9 @@ def main(argv=None) -> int:
     except (ConfigError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return STATUS_CONFIG_ERROR
+    except WorkerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return STATUS_WORKER_FAILURE
     print(outcome.message)
     return outcome.status
 

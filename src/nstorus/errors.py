@@ -18,6 +18,12 @@ class ConvergenceError(RuntimeError):
         self.last_ratio = last_ratio
 
 
+class WorkerError(RuntimeError):
+    """Raised when the convolution's worker process dies, or sends an
+    answer that cannot be read: the call's products are lost, and the next
+    call forks a fresh worker."""
+
+
 class CheckpointError(ValueError):
     """Raised when a field checkpoint cannot be read back safely."""
 

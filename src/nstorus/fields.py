@@ -101,7 +101,7 @@ class _ArrayField:
     def _freeze(self, data, shape: tuple[int, ...]) -> None:
         """Keep data as a read-only complex128 array of that shape whose
         last axis is contiguous, copied only when it is not one already:
-        so a view, such as one product of several that share one array, is
+        so a view, such as one of a pair of products in one array, is
         kept as it is, and only the view is made read-only."""
         arr = np.asarray(data, dtype=np.complex128)
         if arr.ndim == 0 or arr.strides[-1] != arr.itemsize:

@@ -83,6 +83,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import WorkerError
 from .fields import TimeSlicedField
 from .lattice import Lattice, get_lattice
 
@@ -389,17 +390,17 @@ class _Worker:
     def answer(self) -> tuple:
         """The worker's answer to its job (see _run). Only a signal handler
         makes it raise, while it waits; asked again (_join), it resumes
-        the wait. An answer that cannot be unpickled is a RuntimeError. A
+        the wait. An answer that cannot be unpickled is a WorkerError. A
         worker that died instead is reaped and dropped, so that the next
-        call forks a fresh one, and its answer is a RuntimeError that
+        call forks a fresh one, and its answer is a WorkerError that
         names it."""
         message = _receive(self.answers, self.inbox) if self.open else None
         if message is not None:
             try:
                 return pickle.loads(message)
             except Exception as exc:   # the message is read, and the worker idle
-                error = RuntimeError(f"the convolution's worker process {self.pid} "
-                                     f"sent an answer that cannot be unpickled: {exc!r}")
+                error = WorkerError(f"the convolution's worker process {self.pid} "
+                                    f"sent an answer that cannot be unpickled: {exc!r}")
                 error.__cause__ = exc
                 return error, []
         if self in _workers:
@@ -408,7 +409,7 @@ class _Worker:
         code = None if status is None else os.waitstatus_to_exitcode(status)
         how = ("has exited" if code is None else f"was killed by signal {-code}" if code < 0
                else f"exited with status {code}")
-        return RuntimeError(f"the convolution's worker process {self.pid} {how}"), []
+        return WorkerError(f"the convolution's worker process {self.pid} {how}"), []
 
     def close(self) -> None:
         """Close the caller's ends of the pipes, once: the worker's job pipe
@@ -542,13 +543,14 @@ def _join(workers: list[_Worker]) -> None:
 
 
 def bilinear(u, *vs, out=None):
-    """Truncated convection convolution of u with each of vs on a shared
-    lattice: fields, or TimeSlicedFields on one grid convolved at every grid
-    time. Returns one result of u's kind for one v, else a tuple with one
-    per v; with out, an (S+1, N, 3 len(vs)) complex128 array (S+1 = 1 for
-    fields) whose last axis is contiguous, the products are written there
-    side by side (one (N, 3) block per v) and out is returned. Any other
-    out, a strided last axis included, raises ValueError before anything
+    """Truncated convection convolution of u with each of vs, one or two
+    right factors, on a shared lattice: fields, or TimeSlicedFields on one
+    grid convolved at every grid time. Returns one result of u's kind for
+    one v, else a pair; with out, an (S+1, N, 3 len(vs)) complex128 array
+    (S+1 = 1 for fields) whose last axis is contiguous, the products are
+    written there side by side (one (N, 3) block per v) and out is
+    returned. Any other count of right factors raises TypeError, and any
+    other out, a strided last axis included, ValueError, before anything
     is written.
 
     Per slice, the pairs are gathered into the interaction matrix
@@ -579,12 +581,12 @@ def bilinear(u, *vs, out=None):
     worker's rows back into the output.
 
     The lane's work arrays are built with the kernel (conv_kernel) and
-    reused by every call on the lattice, so a call with at most two right
-    factors allocates none of its own (more may allocate), and bilinear is
-    not thread-safe: calls must not run concurrently, on any lattice.
+    reused by every call on the lattice, so a call allocates none of its
+    own, and bilinear is not thread-safe: calls must not run concurrently,
+    on any lattice.
     """
-    if not vs:
-        raise TypeError("bilinear needs at least one right factor")
+    if not 1 <= len(vs) <= 2:
+        raise TypeError(f"bilinear takes one or two right factors, got {len(vs)}")
     for v in vs:
         u._check_operand(v)
     lat = u.lattice
@@ -662,21 +664,19 @@ def _project(lane: _Lane, res: np.ndarray, start: int, stop: int) -> None:
     """Apply the projection (leray_project) and the factor 2 pi i in place
     to the slices start <= s < stop of res, an (S+1, N, 3 nv) output with a
     contiguous last axis, as many slices at a time as _PROJECTION_BYTES
-    and the lane's projection buffers allow: so a call with at most two
-    right factors allocates no array here. (numpy's buffered iteration still takes up to its buffer
-    size, 8192 elements, per broadcast operand of an operation; a smaller
-    buffer slowed the projection of two right factors by up to 60%.) The
+    and the lane's projection buffers allow: so no array is allocated here.
+    (numpy's buffered iteration still takes up to its buffer size, 8192
+    elements, per broadcast operand of an operation; a smaller buffer
+    slowed the projection of two right factors by up to 60%.) The
     projection is per entry, so how the slices are grouped changes no
     byte."""
     n = len(lane.ksq)
     per_v = res.reshape(len(res), n, -1, 3)
     width = n * per_v.shape[2]
-    scratch = (lane.project if width <= lane.project.shape[1]
-               else np.empty((2, width), dtype=np.complex128))
-    step = max(1, min(_PROJECTION_BYTES // 48, scratch.shape[1]) // width)
+    step = max(1, min(_PROJECTION_BYTES // 48, lane.project.shape[1]) // width)
     for s0 in range(start, stop, step):
         block = per_v[s0:min(stop, s0 + step)]
-        factor, term = (b[:block[..., 0].size].reshape(block.shape[:-1]) for b in scratch)
+        factor, term = (b[:block[..., 0].size].reshape(block.shape[:-1]) for b in lane.project)
         np.multiply(leray_project(lane.ksites, block, block, (lane.ksq, factor, term)),
                     _TWO_PI_I, out=block)
 
@@ -717,15 +717,13 @@ def _lane_products(lane: _Lane, start: int, stop: int, u_ri: np.ndarray, v_ri: l
     nv = len(v_ri)
     # a chunk of c slices: right factors (c, 2N, 6 nv), then left factors (c, 3, 2N)
     per_slice = 6 * n * (2 * nv + 1)
-    work = lane.work if per_slice <= lane.work.size else np.empty(per_slice)
-    c = work.size // per_slice
-    rhs = work[: c * 12 * n * nv].reshape(c, 2 * n, 6 * nv)
-    left = work[c * 12 * n * nv: c * per_slice].reshape(c, 3, 2 * n)
+    c = lane.work.size // per_slice
+    rhs = lane.work[: c * 12 * n * nv].reshape(c, 2 * n, 6 * nv)
+    left = lane.work[c * 12 * n * nv: c * per_slice].reshape(c, 3, 2 * n)
     pairs = rhs.reshape(c, n, 2, nv, 3, 2)
     left_pairs = left.reshape(c, 3, n, 2)
     rows = len(lane.inter) // 2
-    size = 12 * rows * nv
-    prod = (lane.prod[:size] if nv <= 2 else np.empty(size)).reshape(2 * rows, 6 * nv)
+    prod = lane.prod[: 12 * rows * nv].reshape(2 * rows, 6 * nv)
     plan = [(own, mirror, kf, dots_ri, dots, gather, index, inter, inter_ri,
              prod[: 2 * b], prod[:b], prod[b: 2 * b])
             for b, own, mirror, kf, dots_ri, dots, gather, index, inter, inter_ri in lane.steps]
@@ -865,16 +863,17 @@ def duhamel_rules(lattice: Lattice, times: tuple) -> tuple[tuple[np.ndarray, np.
 
 
 def star_product(u: TimeSlicedField, *vs: TimeSlicedField, out=None, carry=None):
-    """Heat-weighted time integral of the convolution of u with each of vs;
-    one sliced field for one v, else a tuple with one per v.
+    """Heat-weighted time integral of the convolution of u with each of vs,
+    one or two right factors (as bilinear); one sliced field for one v,
+    else a pair.
 
     (u * v)(t) = integral_0^t exp(-(t-s)|k|^2) conv(u(s), v(s)) ds at every
     grid time, from one bilinear call over the whole grid (one interaction
     matrix per slice, shared by all of vs) that writes the side-by-side
     samples into one (S+1, N, 3 len(vs)) array, and one duhamel_integrate
     pass that overwrites them with the integrals; the t = 0 slice is the
-    zero field (empty integral). Each product of several is a view of that
-    array, so none is copied out of it.
+    zero field (empty integral). Each product of a pair is a view of that
+    array, so neither is copied out of it.
 
     With out, an array that bilinear's out accepts, the integrals are
     written there and out is returned, for a caller that goes on to add

@@ -18,7 +18,7 @@ from typing import NamedTuple
 from . import certificates
 from .checkpoint import load_field, save_field, temporary_name, write_atomic
 from .config import RunConfig, format_value, generate_ic, read_config, write_config
-from .errors import CheckpointError, ConfigError, ConvergenceError
+from .errors import CheckpointError, ConfigError, ConvergenceError, WorkerError
 from .fields import SpectralField, fmc_norm, phi_norm
 from .induction import DecompositionState, induction_steps
 from .picard import integer_time_deviations, picard_solve
@@ -29,6 +29,7 @@ __all__ = [
     "STATUS_FP_FAILURE",
     "STATUS_ORACLE_MISMATCH",
     "STATUS_CHECK_FAILED",
+    "STATUS_WORKER_FAILURE",
     "RunOutcome",
     "run",
     "run_oracle",
@@ -42,6 +43,7 @@ STATUS_CONFIG_ERROR = 1
 STATUS_FP_FAILURE = 3
 STATUS_ORACLE_MISMATCH = 4
 STATUS_CHECK_FAILED = 5
+STATUS_WORKER_FAILURE = 6
 
 # Every CSV a command writes, by name: the file name.csv, tagged with the
 # schema nstorus.name.v1, has these columns.
@@ -49,6 +51,7 @@ CSVS = {
     "norm_series": ("m", "t", "phi_norm", "fmc_norm_g", "fp_iterations"),
     "certificates": certificates.CertificateRecord._fields,
     "oracle_series": ("t", "phi_norm"),
+    "oracle_agreement": ("m", "max_deviation"),
     "check_report": ("j", "gaussian_D", "remainder_D", "remainder_decay", "phi_norm"),
     "bisect_delta": ("iteration", "delta", "converged"),
 }
@@ -140,11 +143,15 @@ def _staged_fields(out_dir: Path):
 def run(config: RunConfig) -> RunOutcome:
     """Advance horizon_m unit intervals, writing norm series, certificates,
     optional field checkpoints, and (for short horizons) an oracle cross
-    check against the direct Picard solver.
+    check against the direct Picard solver, whose deviation at each
+    integer time goes to oracle_agreement.csv.
 
     Checkpoints are written as each step is yielded, into a temporary
     directory that becomes fields/ once every step has converged; a failed
     or interrupted run removes it, so only a converged run leaves fields/.
+    A step that fails to converge (STATUS_FP_FAILURE) or whose convolution
+    worker fails (STATUS_WORKER_FAILURE) still leaves the CSVs of the steps
+    before it.
     """
     out_dir, v0 = _start(config)
     state = DecompositionState.initial(v0)
@@ -174,6 +181,10 @@ def run(config: RunConfig) -> RunOutcome:
         status = STATUS_FP_FAILURE
         failed_step = state.m
         message = f"fixed-point failure at step m={state.m}: {exc}"
+    except WorkerError as exc:
+        status = STATUS_WORKER_FAILURE
+        failed_step = state.m
+        message = f"convolution worker failure at step m={state.m}: {exc}"
 
     if "norm_series" in config.emit:
         _write_csv(out_dir, "norm_series", norm_rows)
@@ -187,8 +198,9 @@ def run(config: RunConfig) -> RunOutcome:
         except ConvergenceError as exc:
             return RunOutcome(STATUS_ORACLE_MISMATCH,
                               f"oracle solver failed to converge: {exc}", records)
-        oracle_max_diff = float(integer_time_deviations(
-            trajectory, velocities, config.substeps).max())
+        deviations = integer_time_deviations(trajectory, velocities, config.substeps)
+        _write_csv(out_dir, "oracle_agreement", enumerate(deviations))
+        oracle_max_diff = float(deviations.max())
         if oracle_max_diff > config.oracle_tol:
             status = STATUS_ORACLE_MISMATCH
             message = (f"oracle mismatch: max mode-wise deviation "

@@ -1,4 +1,5 @@
-"""The README's configuration table, exit codes and CSV columns match the code."""
+"""The README's configuration table, exit codes, CSV columns and script list
+match the code."""
 
 import re
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 from nstorus import runner
 from nstorus.config import RunConfig, config_from_mapping
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def test_readme_key_table_matches_run_config():
@@ -44,3 +46,12 @@ def test_readme_csv_columns_match_runner(tmp_path):
         schema, columns, _ = runner.read_csv(tmp_path / f"{name}.csv")
         written[name] = (schema, columns)
     assert {name: (schema, columns.split(",")) for name, schema, columns in items} == written
+
+
+def test_readme_lists_every_script():
+    # the "Experiment scripts" section has one "* `scripts/name.py ...`"
+    # bullet per script, and no bullet for a script that is gone
+    section = README.split("\n## Experiment scripts\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\* `scripts/(\w+\.py)\b", section, flags=re.MULTILINE)
+    scripts = ROOT / "scripts"
+    assert sorted(listed) == sorted(p.name for p in scripts.glob("*.py"))

@@ -1149,6 +1149,23 @@ def test_bilinear_needs_a_right_factor(ball2):
         bilinear(SpectralField.zero(ball2))
 
 
+@pytest.mark.parametrize("count", [0, 3])
+def test_bilinear_and_star_product_take_one_or_two_right_factors(count, ball2):
+    # no caller convolves with more than two right factors, so the kernel
+    # keeps no path for them: any other count is refused before out is
+    # written
+    times = unit_times(2)
+    rng = np.random.default_rng(20)
+    u, v = random_sliced(ball2, times, rng), random_sliced(ball2, times, rng)
+    out = np.full((len(times), len(ball2), 3 * count), 1.5 + 2j)
+    for product in (bilinear, star_product):
+        with pytest.raises(TypeError, match=f"one or two right factors, got {count}"):
+            product(u, *(v,) * count, out=out)
+        assert (out == 1.5 + 2j).all()
+        with pytest.raises(TypeError):
+            product(u, *(v,) * count)
+
+
 def test_bilinear_lattice_mismatch(ball1, ball2):
     with pytest.raises(ValueError):
         bilinear(SpectralField.zero(ball1), SpectralField.zero(ball2))

@@ -1,6 +1,8 @@
 import errno
 import math
 import os
+import re
+import signal
 import struct
 import subprocess
 import sys
@@ -18,11 +20,14 @@ from nstorus import (CheckpointError, ConvergenceError, DecompositionState, RunC
 from nstorus.cli import main
 from nstorus.config import read_config
 from nstorus.lattice import LatticeSpec, get_lattice
+from nstorus.picard import integer_time_deviations
 from nstorus.runner import (
     STATUS_CHECK_FAILED,
     STATUS_CONFIG_ERROR,
     STATUS_FP_FAILURE,
     STATUS_OK,
+    STATUS_ORACLE_MISMATCH,
+    STATUS_WORKER_FAILURE,
     bisect_delta,
     check_run,
     read_csv,
@@ -182,22 +187,58 @@ def test_run_deterministic_byte_identical(tmp_path):
             cfg_b.output_dir.encode(), b"")
 
 
+def oracle_agreement_rows(cfg):
+    """oracle_agreement.csv of the run under cfg, checked for its schema
+    and columns, as (m, max_deviation) pairs."""
+    schema, cols, rows = read_csv(Path(cfg.output_dir) / "oracle_agreement.csv")
+    assert (schema, cols) == ("nstorus.oracle_agreement.v1", ["m", "max_deviation"])
+    return [(int(m), float(dev)) for m, dev in rows]
+
+
 def test_run_oracle_cross_check(tmp_path):
+    # oracle_agreement.csv holds one row per integer time 0..horizon_m: the
+    # deviations of a fresh induction and Picard solve, bit for bit, whose
+    # largest is the agreement run reports
     cfg = small_config(tmp_path, ic_kind="two_mode", horizon_m=2, oracle_horizon=3)
     outcome = run(cfg)
     assert outcome.status == STATUS_OK
     assert outcome.oracle_max_diff is not None
     assert outcome.oracle_max_diff <= cfg.oracle_tol
+    assert outcome.message == f"ok (oracle agreement {outcome.oracle_max_diff:.3e} <= 1.000e-09)"
+    v0 = generate_ic(cfg)
+    velocities = [v0, *(sol.v for sol, _, _ in induction_steps(
+        DecompositionState.initial(v0), cfg, cfg.horizon_m))]
+    want = integer_time_deviations(picard_solve(v0, 2.0, cfg), velocities, cfg.substeps)
+    rows = oracle_agreement_rows(cfg)
+    assert rows == list(enumerate(want.tolist())) and len(rows) == 3
+    assert max(dev for _, dev in rows) == outcome.oracle_max_diff
 
 
 def test_run_oracle_mismatch_status(tmp_path):
     # an absurdly tight tolerance turns the tiny fixed-point-tolerance
-    # discrepancy between the two solvers into a reported mismatch
+    # discrepancy between the two solvers into a reported mismatch, whose
+    # deviations are still written
     cfg = small_config(tmp_path, ic_kind="two_mode", horizon_m=2,
                        oracle_horizon=3, oracle_tol=1e-300)
     outcome = run(cfg)
-    assert outcome.status == 4
+    assert outcome.status == STATUS_ORACLE_MISMATCH
     assert "oracle mismatch" in outcome.message
+    rows = oracle_agreement_rows(cfg)
+    assert [m for m, _ in rows] == [0, 1, 2]
+    assert max(dev for _, dev in rows) == outcome.oracle_max_diff > cfg.oracle_tol
+
+
+def test_a_picard_failure_in_run_writes_no_oracle_agreement(tmp_path, monkeypatch):
+    def failing(*args):
+        raise ConvergenceError("injected")
+
+    monkeypatch.setattr(nstorus.runner, "picard_solve", failing)
+    cfg = small_config(tmp_path, horizon_m=2)
+    outcome = run(cfg)
+    assert outcome.status == STATUS_ORACLE_MISMATCH
+    assert outcome.message == "oracle solver failed to converge: injected"
+    assert sorted(p.name for p in Path(cfg.output_dir).iterdir()) == [
+        "certificates.csv", "norm_series.csv", "run_config.cfg"]
 
 
 def test_run_fixed_point_failure_status(tmp_path):
@@ -429,7 +470,8 @@ def test_rerun_and_oracle_leave_only_their_own_outputs(tmp_path, capsys):
     assert main([*STALE_RUN, str(out), "--horizon-m", "4"]) == STATUS_OK
     assert main(["check", str(out)]) == STATUS_OK
     assert main([*STALE_RUN, str(out), "--horizon-m", "2", "--emit", "norm_series"]) == STATUS_OK
-    assert sorted(p.name for p in out.iterdir()) == ["norm_series.csv", "run_config.cfg"]
+    assert sorted(p.name for p in out.iterdir()) == ["norm_series.csv", "oracle_agreement.csv",
+                                                     "run_config.cfg"]
     assert main(["oracle", "--k-max", "2", "--horizon-m", "1", "--output-dir", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == ["oracle_series.csv", "run_config.cfg"]
     assert main([*STALE_RUN, str(out), "--horizon-m", "2"]) == STATUS_OK
@@ -501,6 +543,51 @@ def test_a_run_failing_at_step_2_leaves_no_fields(error, tmp_path, monkeypatch):
                               "h_0002.ckpt", "v_0000.ckpt", "v_0001.ckpt", "v_0002.ckpt"]
     assert not (out / "fields").exists()
     assert not [p for p in out.iterdir() if p.name.startswith(".")]  # nor a temporary one
+
+
+def test_a_dead_worker_ends_a_run_with_its_own_status(tmp_path, lanes, monkeypatch, capsys):
+    # the convolution's worker killed at the run's 10th convolution call:
+    # main returns 6, with the run's message and no traceback, the CSVs
+    # hold exactly the rows of the steps that finished, and no fields/ or
+    # staging directory is left
+    args = ["run", "--k-max", "4", "--horizon-m", "3", "--emit",
+            "certificates,norm_series,fields", "--output-dir"]
+    ref = tmp_path / "ref"
+    assert main([*args, str(ref)]) == STATUS_OK
+    lanes(2)
+    bilinear, steps = nstorus.operators.bilinear, nstorus.runner.induction_steps
+    calls, finished = [], []
+
+    def killing(*a, **kw):
+        calls.append(None)
+        if len(calls) == 10:
+            os.kill(nstorus.operators._workers[0].pid, signal.SIGKILL)
+        return bilinear(*a, **kw)
+
+    def counted(*a):
+        for step in steps(*a):
+            finished.append(step[1].m)
+            yield step
+
+    monkeypatch.setattr(nstorus.operators, "bilinear", killing)
+    monkeypatch.setattr(nstorus.runner, "induction_steps", counted)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([*args, str(out)]) == STATUS_WORKER_FAILURE
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    assert re.fullmatch(rf"convolution worker failure at step m={len(finished)}: the "
+                        r"convolution's worker process \d+ was killed by signal 9\n",
+                        printed.out)
+    assert 1 <= len(finished) < 3
+    # one certificates row per step, and one norm_series row per substep time
+    for name, rows_per_step in (("certificates", 1), ("norm_series", 9)):
+        _, _, rows = read_csv(out / f"{name}.csv")
+        _, _, ref_rows = read_csv(ref / f"{name}.csv")
+        assert rows == ref_rows[:rows_per_step * len(finished)]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "certificates.csv", "norm_series.csv", "run_config.cfg"]
+    assert not nstorus.operators._workers   # reaped; the next call forks a fresh one
 
 
 def test_long_run_past_the_underflow_of_the_squared_norm(tmp_path):

@@ -16,15 +16,6 @@ from nstorus.checkpoint import load_field, save_field
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script, args", [
-    ("oracle_comparison.py", ["--horizon", "1"]),
-])
-def test_script_runs(script, args, tmp_path):
-    proc = run_script(script, "--k-max", "2", *args, cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
-
-
 def run_script(script, *args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -46,7 +37,8 @@ def test_workload_outputs_writes_every_output_of_the_benchmark_runs(seed5_tree):
     proc, out = seed5_tree
     assert proc.returncode == 0, proc.stderr
     expected = {"outcomes.txt", "oracle-k4-long/seed-5/run_config.cfg",
-                "oracle-k4-long/seed-5/oracle_series.csv"}
+                "oracle-k4-long/seed-5/oracle_series.csv",
+                "check-pass/seed-5/oracle_agreement.csv"}
     for name, horizon in (("induction-k6", 1), ("induction-k4-long", 24), ("check-pass", 3)):
         run_dir = f"{name}/seed-5"
         expected.update(f"{run_dir}/{file}" for file in (

@@ -43,6 +43,31 @@ def random_field(lat, rng, scale=1.0, solenoidal=True, sparsity=0.0):
     return SpectralField(lat, data)
 
 
+def beltrami_field(lat, q, sigma, rng, scale=1.0):
+    """A single-shell, single-helicity Beltrami field: v(k) = c_k (e1 + i
+    sigma e2) on the sites with |k|^2 = q and zero elsewhere, where (e1, e2,
+    k/|k|) are right-handed unit vectors, sigma = +1 or -1 and each c_k is
+    a random complex number of modulus in [scale/2, scale).
+
+    Then curl v = sigma sqrt(q) v, so (v.grad)v = grad(v.v)/2 - v x curl v
+    is a gradient (the identity is bilinear and needs no conjugate): its
+    projection, the convolution of v with itself, vanishes at every site,
+    though its pair products do not. Heat flow keeps v on its shell, so
+    v(t) = exp(-t q) v(0) solves the truncated equation exactly on every
+    lattice that holds the shell."""
+    on = lat.norm_sq_f == q
+    k = lat.sites_f[on]
+    khat = k / np.sqrt(q)
+    # crossed with the coordinate axis least aligned with k, never parallel
+    e1 = np.cross(khat, np.eye(3)[np.argmin(np.abs(k), axis=1)])
+    e1 /= np.linalg.norm(e1, axis=1)[:, None]
+    e2 = np.cross(khat, e1)   # e1 x e2 = khat
+    c = scale * rng.uniform(0.5, 1.0, len(k)) * np.exp(2j * np.pi * rng.uniform(size=len(k)))
+    data = np.zeros((len(lat), 3), dtype=np.complex128)
+    data[on] = c[:, None] * (e1 + 1j * sigma * e2)
+    return SpectralField(lat, data)
+
+
 def random_sliced(lat, times, rng, scale=1.0, a=0.0):
     """Random field per grid time; a > 0 multiplies each by exp(-a|k|^2)."""
     decay = np.exp(-a * lat.norm_sq_f)
